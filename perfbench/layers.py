@@ -13,6 +13,10 @@ congruence-closure inner helpers (``find``, ``representative``,
 ``add_term``) are deliberately left alone: they are called far more often
 than any wrapped entry point, so the wrappers' own cost would dominate.
 
+Store hits and misses are not counted here: the timer remembers every
+:class:`ArtifactStore` the run constructs and sums the stores' own
+:meth:`ArtifactStore.counters`, so they keep the store's definition of a hit.
+
 The timer is used in two places:
 
 * ``child.py --trace`` installs it in a cold child and prints its table;
@@ -73,9 +77,9 @@ ENTRY_POINTS = [
     ("service", None, "repro.service.core", "ServiceCore.execute"),
 ]
 
-#: Store entry points: the loads also count hits (non-None) and misses.
-STORE_LOADS = ["load_verdicts", "load_solution", "load_module"]
-STORE_SAVES = ["save_verdicts", "save_solution", "save_module"]
+#: Store entry points, timed for ``store.self_s``.
+STORE_CALLS = ["load_verdicts", "load_solution", "load_module",
+               "save_verdicts", "save_solution", "save_module"]
 
 #: Every self-time bucket, in report order.
 BUCKETS = ["lang.parse", "core.constraints", "fixpoint.solve",
@@ -87,8 +91,8 @@ BUCKETS = ["lang.parse", "core.constraints", "fixpoint.solve",
 COUNTS = ["lang.parse.calls", "smt.cnf.calls", "smt.sat.solves",
           "smt.sat.probes", "smt.theory.checks", "smt.theory.core_calls",
           "smt.theory.minimise_checks", "smt.euf.instances",
-          "smt.euf.int_value_of_calls", "smt.lia.calls", "store.hits",
-          "store.misses", "core.implications"]
+          "smt.euf.int_value_of_calls", "smt.lia.calls",
+          "core.implications", "store.hits", "store.misses"]
 
 #: Solver counters a server request reports as ``smt.<name>`` (a cold
 #: child takes the same ones from its check result).
@@ -121,6 +125,10 @@ class LayerTimer:
         #: the merged table of finished ``update`` requests (server mode)
         self.requests = _Table()
         self.requests_seen = 0
+        #: the summed wall-clock of those requests inside the server
+        self.requests_s = 0.0
+        #: every ArtifactStore constructed since install()
+        self.stores: list = []
 
     # -- per-thread state --------------------------------------------------
 
@@ -152,11 +160,10 @@ class LayerTimer:
         theory = importlib.import_module("repro.smt.theory")
         self._patch(theory, "check_literals", self._wrap_check_literals)
         artifacts = importlib.import_module("repro.store.artifacts")
-        for name in STORE_LOADS:
-            self._patch(artifacts, f"ArtifactStore.{name}", self._wrap_load)
-        for name in STORE_SAVES:
+        for name in STORE_CALLS:
             self._patch(artifacts, f"ArtifactStore.{name}",
                         functools.partial(self._wrap, "store", None))
+        self._patch(artifacts, "ArtifactStore.__init__", self._wrap_store)
         return self
 
     def _patch(self, module, attr: str, make: Callable) -> None:
@@ -196,18 +203,25 @@ class LayerTimer:
                     table.counts[count] += 1
         return wrapper
 
-    def _wrap_load(self, fn: Callable):
-        """A store load: store self-time plus a hit or a miss."""
-        timed = self._wrap("store", None, fn)
+    def _wrap_store(self, fn: Callable):
+        """``ArtifactStore.__init__``: remember the store for its counters.
+        A project check opens one store per module session, so the
+        checking session's own store does not see the whole traffic."""
         timer = self
 
         @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            result = timed(*args, **kwargs)
-            timer._thread().table.counts[
-                "store.hits" if result is not None else "store.misses"] += 1
-            return result
+        def wrapper(store, *args, **kwargs):
+            fn(store, *args, **kwargs)
+            with timer._lock:
+                timer.stores.append(store)
         return wrapper
+
+    def store_counters(self) -> Dict[str, int]:
+        """Hits and misses summed over every store's own ``counters()``."""
+        with self._lock:
+            counters = [store.counters() for store in self.stores]
+        return {"store.hits": sum(c["hits"] for c in counters),
+                "store.misses": sum(c["misses"] for c in counters)}
 
     def _wrap_constraints(self, fn: Callable):
         """``Workspace.constraints``: core time plus the implications it
@@ -276,9 +290,11 @@ class LayerTimer:
             local = timer._thread()
             outer = local.table
             local.table = _Table()
+            start = time.perf_counter()
             try:
                 return timed(core, request, *args, **kwargs)
             finally:
+                elapsed = time.perf_counter() - start
                 finished = local.table
                 local.table = outer
                 delta = solver.stats.delta_since(before)
@@ -287,6 +303,7 @@ class LayerTimer:
                 with timer._lock:
                     timer.requests.merge(finished)
                     timer.requests_seen += 1
+                    timer.requests_s += elapsed
         return wrapper
 
     # -- results -----------------------------------------------------------
@@ -297,13 +314,17 @@ class LayerTimer:
         with self._lock:
             for table in self._tables:
                 merged.merge(table)
+        merged.counts.update(self.store_counters())
         return _render(merged)
 
     def request_table(self) -> dict:
-        """The finished ``update`` requests only (server mode)."""
+        """The finished ``update`` requests only (server mode).  Store
+        counters are whole-process: a server without a store reports 0."""
         with self._lock:
             table = _render(self.requests)
             table["requests"] = self.requests_seen
+            table["requests_s"] = self.requests_s
+        table.update(self.store_counters())
         return table
 
 

@@ -1,6 +1,6 @@
 """The repository benchmark: cold checks, store replay and serve edits.
 
-    python3 perfbench/run.py --workload cold-ports --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload cold-ports --seed 1 --seconds 30 --trace 0
 
 Run from the repository root.  Every check runs in a fresh child process
 (``child.py``) or in a ``repro serve --tcp`` server, never in this process,
@@ -30,6 +30,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -44,27 +45,41 @@ WORKLOADS = ("cold-ports", "store-replay", "serve-edits")
 #: Seconds one child check or one server reply may take.
 CHILD_TIMEOUT = 60.0
 #: Server spawns timed for ``setup_s`` in serve-edits (the last one serves).
-SERVER_SPAWNS = 3
-#: Nominal seconds of one timed pass over the nine inputs: a cold run makes
-#: --seconds / PASS_SECONDS passes.  Like the serve edit count, this fixes
-#: the work of a run, so that every run's medians come from as many passes
-#: however fast the host happens to be.
-PASS_SECONDS = {"cold-ports": 7.5, "store-replay": 5.0}
-#: Timed edits per client at least, so that p90 has ten samples beyond it.
-MIN_EDITS_PER_CLIENT = 50
-#: Each client sends EDIT_RATE x --seconds timed edits: a fixed amount of
-#: work per run rather than a fixed time, because peak memory grows with
-#: the edits served and the tail percentile needs the same edit mix.
-EDIT_RATE = 6.0
+SERVER_SPAWNS = 9
+#: Timed edits per client at least, so that p90 has ten samples beyond it
+#: and peak memory is read after ``PEAK_RSS_EDITS`` even on a slow host.
+MIN_EDITS_PER_CLIENT = 75
 #: Timed edits per client on each of the two servers of a traced run.
 TRACE_EDITS_PER_CLIENT = 40
 #: One block of a client's edit stream; each block is shuffled by the seed.
+#: The mix is an assumption, not taken from a recorded editing session (see
+#: README.md); every run reports the traffic it produced (``traffic``).
 EDIT_BLOCK = ["body"] * 8 + ["comment"] * 4 + ["break"] * 3 + ["revert"] * 5
+EDIT_KINDS = ["body", "comment", "break", "revert"]
+#: How the server answered an edit: from the per-document cache, by a warm
+#: re-solve, or by a cold re-solve.
+REPLY_CLASSES = ["doc_cache_hits", "warm_edits", "cold_edits"]
 
 END_TO_END = ["setup_s", "check_s", "edit_p50_ms", "edit_p90_ms",
               "edits_per_s", "peak_rss_mb"]
 UNITS = {"setup_s": "s", "check_s": "s", "edit_p50_ms": "ms",
          "edit_p90_ms": "ms", "edits_per_s": "1/s", "peak_rss_mb": "MB"}
+
+#: Reference sample (``reference_sample``), in seconds, of a fast, idle
+#: 2-core host: the speed every reported time is scaled to.
+REFERENCE_NOMINAL_S = 0.060
+#: Seconds of a round of serve updates, and the reference samples taken at
+#: the pause before each round.
+PAUSE_PERIOD = 4.0
+SAMPLES_PER_PAUSE = 2
+#: Timed updates (both clients together) after which the server's peak
+#: memory is read: a fixed count, because memory grows with every edit.
+PEAK_RSS_EDITS = 150
+#: What the reference interpreter imports.
+REFERENCE_IMPORTS = ("import argparse, ast, collections, dataclasses, "
+                     "decimal, enum, fractions, functools, hashlib, heapq, "
+                     "inspect, itertools, json, pathlib, re, socket, "
+                     "threading, typing")
 
 FIXPOINT_COUNTS = ["queries_issued", "queries_pruned", "rounds"]
 SERVE_STAGES = ["parse", "constraints", "solve", "verify"]
@@ -101,6 +116,14 @@ class Context:
         self.attempted = 0
         self.failed = 0
         self.env = self._child_env()
+        #: every reference sample of the run (see ``host_factor``)
+        self.references: List[float] = []
+
+    def sample_host(self, count: int = 1) -> List[float]:
+        """Sample the host's speed now (see ``reference_sample``)."""
+        samples = [reference_sample() for _ in range(count)]
+        self.references += samples
+        return samples
 
     def rng(self, purpose: str) -> random.Random:
         """An independent seeded stream per purpose (str seeds hash the
@@ -144,6 +167,70 @@ def build(ctx: Context) -> None:
         timeout=CHILD_TIMEOUT)
     if proc.returncode != 0:
         raise BenchError(f"compileall failed: {proc.stdout[-400:]}")
+
+
+class _Node:
+    __slots__ = ("kind", "serial", "weight")
+
+    def __init__(self, kind: int, serial: int, weight: int) -> None:
+        self.kind = kind
+        self.serial = serial
+        self.weight = weight
+
+
+def _reference_work() -> None:
+    """A fixed task like the checker's own work: small objects interned in
+    a dictionary, and Gaussian elimination over exact fractions."""
+    table: Dict[tuple, _Node] = {}
+    for serial in range(40_000):
+        node = _Node(serial % 97, serial, serial * 7 % 13)
+        key = (node.kind, node.weight, serial & 255)
+        known = table.get(key)
+        table[key] = node if known is None else \
+            _Node(known.kind, known.serial + serial, node.weight)
+    rows = [[Fraction(i * j % 11 - 5, 1 + (i + j) % 4) for j in range(8)]
+            for i in range(24)]
+    for p in range(6):
+        pivot = rows[p][p] or Fraction(1)
+        for row in rows[p + 1:]:
+            factor = row[p] / pivot
+            for j in range(p, 8):
+                row[j] -= factor * rows[p][j]
+
+
+def reference_sample() -> float:
+    """One host-speed sample: the geometric mean of two fixed tasks of the
+    benchmark's own, neither of which runs program code: starting an
+    isolated interpreter that imports part of the standard library, and
+    ``_reference_work`` in this process.  It is taken only while no check
+    is running: the host's two cores slow each other down."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-I", "-c", REFERENCE_IMPORTS],
+                   check=True, timeout=CHILD_TIMEOUT)
+    spawn_s = time.perf_counter() - start
+    start = time.perf_counter()
+    _reference_work()
+    work_s = time.perf_counter() - start
+    return math.sqrt(spawn_s * work_s)
+
+
+def host_factor(samplings: List[List[float]], index: int) -> float:
+    """The factor that scales a time measured between samplings ``index``
+    and ``index + 1`` to the nominal host speed: 0.9 while the reference
+    runs 10% slow.  It is the median of the samples of those two samplings
+    and of their neighbours, so it follows the host over a few measurements
+    and one disturbed sample is outvoted."""
+    return REFERENCE_NOMINAL_S / statistics.median(
+        sample for sampling in samplings[max(index - 1, 0):index + 3]
+        for sample in sampling)
+
+
+def report_host(ctx: Context, measured: dict) -> None:
+    """Print the run's reference samples and its unscaled metrics."""
+    samples = ctx.references
+    print(f"host speed: {len(samples)} reference samples, median "
+          f"{statistics.median(samples) * 1000:.2f} ms; measured "
+          f"{json.dumps(measured)}", file=sys.stderr)
 
 
 def expected_errors(errors) -> List[Tuple[str, int]]:
@@ -198,6 +285,7 @@ def run_child(ctx: Context, name: str, store: Optional[Path] = None,
 
 def cold_pass(ctx: Context, order: List[str], store: Optional[Path],
               trace: bool = False, replay: bool = False) -> List[dict]:
+    """Check ``order`` one child at a time."""
     records = []
     for name in order:
         record = run_child(ctx, name, store, trace, replay)
@@ -234,33 +322,58 @@ def cold_workload(ctx: Context, workload: str, trace: bool) -> dict:
                 traced += cold_pass(ctx, [name], store, trace=True,
                                     replay=replay)
             return cold_layers(ctx, plain, traced)
+        # Seeded passes over the inputs until --seconds have passed; the
+        # first pass always completes, a later one stops at the deadline.
+        # The host's speed is sampled before the first child and after
+        # every child (see ``host_factor``).
         records: List[dict] = []
-        pass_walls: List[float] = []
-        for _ in range(max(1, round(ctx.seconds / PASS_SECONDS[workload]))):
-            start = time.perf_counter()
-            records += cold_pass(ctx, order_rng.sample(names, len(names)),
-                                 store, replay=replay)
-            pass_walls.append(time.perf_counter() - start)
+        samplings = [ctx.sample_host()]
+        deadline = time.perf_counter() + ctx.seconds
+        first = True
+        while first or time.perf_counter() < deadline:
+            for name in order_rng.sample(names, len(names)):
+                if not first and time.perf_counter() >= deadline:
+                    break
+                checked = cold_pass(ctx, [name], store, replay=replay)
+                for record in checked:
+                    record["sampling"] = len(samplings) - 1
+                    records.append(record)
+                samplings.append(ctx.sample_host())
+            first = False
+        for record in records:
+            record["factor"] = host_factor(samplings, record["sampling"])
     finally:
         if store is not None:
             shutil.rmtree(store, ignore_errors=True)
     if not records:
         return {}
-    # Per input, the median over passes; latency percentiles are taken
-    # over the nine inputs' median process wall-clocks.
+    print(f"{workload}: {len(records)} timed checks", file=sys.stderr)
+    report_host(ctx, cold_metrics(records, scaled=False))
+    return cold_metrics(records, scaled=True)
+
+
+def cold_metrics(records: List[dict], scaled: bool) -> dict:
+    """The end-to-end metrics of the timed checks, each check's times
+    ``scaled`` by its host factor, or as measured.
+    Per input, the median over its checks; the latencies and the rate are
+    taken over the nine inputs' median process wall-clocks."""
     checks: Dict[str, List[float]] = {}
     walls: Dict[str, List[float]] = {}
+    setups: List[float] = []
     for record in records:
-        checks.setdefault(record["name"], []).append(record["check_s"])
-        walls.setdefault(record["name"], []).append(record["wall"] * 1000.0)
-    walls_ms = [statistics.median(v) for v in walls.values()]
+        factor = record["factor"] if scaled else 1.0
+        checks.setdefault(record["name"], []).append(
+            record["check_s"] * factor)
+        walls.setdefault(record["name"], []).append(record["wall"] * factor)
+        setups.append((record["wall"] - record["check_s"]) * factor)
+    walls_s = [statistics.median(v) for v in walls.values()]
+    walls_ms = [wall * 1000.0 for wall in walls_s]
     return {
-        "setup_s": statistics.median(r["wall"] - r["check_s"]
-                                     for r in records),
+        "setup_s": statistics.median(setups),
         "check_s": sum(statistics.median(v) for v in checks.values()),
         "edit_p50_ms": percentile(walls_ms, 50),
         "edit_p90_ms": percentile(walls_ms, 90),
-        "edits_per_s": len(names) / statistics.median(pass_walls),
+        "edits_per_s": len(walls_s) / sum(walls_s),
         "peak_rss_mb": max(r["rss_kb"] for r in records) / 1024.0,
     }
 
@@ -466,31 +579,92 @@ class Server:
         self.log.close()
 
 
-def drive_client(ctx: Context, port: int, tenant: str, name: str,
-                 stream: EditStream, barrier: threading.Barrier,
-                 edits: int, out: dict) -> None:
-    """One closed-loop client: open once (untimed), then send ``edits``
-    updates, each only after the previous reply."""
-    samples = []
+class Pacer:
+    """Runs the serve clients in rounds of ``PAUSE_PERIOD`` seconds.  At
+    the pauses between rounds both clients wait for each other; with
+    ``sample`` the host's speed is sampled there while the server is idle,
+    and a round's times are scaled by the samples at the pauses around it
+    (see ``host_factor``).  The timed phase ends once its rounds add up to
+    ``seconds`` and every client has sent ``edits`` updates; with no
+    ``seconds`` (a traced run) each client sends exactly ``edits``, so that
+    the run's counts repeat.  The pauses are not timed.  After
+    ``PEAK_RSS_EDITS`` updates the server's peak memory is read."""
+
+    def __init__(self, ctx: Context, server: Server, edits: int,
+                 seconds: float, sample: bool) -> None:
+        self.ctx = ctx
+        self.server = server
+        self.edits = edits
+        self.seconds = seconds
+        self.sample = sample
+        self.outs: List[dict] = []
+        self.barrier = threading.Barrier(len(ctx.expected["serve"]),
+                                          action=self._pause)
+        self.round_start: Optional[float] = None
+        #: the host samples taken at each pause: round ``r`` runs between
+        #: pauses ``r`` and ``r + 1``
+        self.samplings: List[List[float]] = []
+        #: the wall-clock of each finished round: from the pause both
+        #: clients left to the later one's arrival at the next
+        self.rounds: List[float] = []
+        self.done = False
+        self.lock = threading.Lock()
+        self.updates = 0
+        self.peak_rss_mb: Optional[float] = None
+
+    def _pause(self) -> None:
+        """Runs once per pause, while every client waits."""
+        if self.round_start is not None:
+            self.rounds.append(time.perf_counter() - self.round_start)
+        if self.sample:
+            self.samplings.append(self.ctx.sample_host(SAMPLES_PER_PAUSE))
+        self.done = sum(self.rounds) >= self.seconds and all(
+            len(out["samples"]) >= self.edits for out in self.outs)
+        self.round_start = time.perf_counter()
+
+    def round_factor(self, index: int) -> float:
+        """The host factor of a round, once every round has finished (1.0
+        without ``sample``)."""
+        return host_factor(self.samplings, index) if self.sample else 1.0
+
+    def wants_more(self, sent: int) -> bool:
+        """Whether a client that has sent ``sent`` updates sends another."""
+        return self.seconds > 0 or sent < self.edits
+
+    def updated(self) -> None:
+        """Count one finished update."""
+        with self.lock:
+            self.updates += 1
+            if self.updates == PEAK_RSS_EDITS:
+                self.peak_rss_mb = self.server.peak_rss_mb()
+
+
+def drive_client(port: int, tenant: str, name: str, stream: EditStream,
+                 pacer: Pacer, out: dict) -> None:
+    """One closed-loop client: open once (untimed), then send updates in
+    rounds, each update only after the previous reply (see ``Pacer``)."""
+    samples = out["samples"]
     client = LineClient(port, tenant)
     try:
         reply = client.call("check", uri=name, text=stream.render(
             stream.state))
         out["warmup"] = (reply, stream.expected(stream.state))
-        barrier.wait(timeout=CHILD_TIMEOUT)
-        start = time.perf_counter()
-        for _ in range(edits):
-            kind, text, want = stream.next()
-            sent = time.perf_counter()
-            reply = client.call("update", uri=name, text=text)
-            samples.append((kind, time.perf_counter() - sent, reply, want))
-        out["start"] = start
-        out["end"] = time.perf_counter()
-    except BaseException as exc:  # reported by the caller, never lost
+        pacer.barrier.wait(timeout=CHILD_TIMEOUT)
+        while not pacer.done:
+            pause = time.perf_counter() + PAUSE_PERIOD
+            while time.perf_counter() < pause and \
+                    pacer.wants_more(len(samples)):
+                kind, text, want = stream.next()
+                sent = time.perf_counter()
+                reply = client.call("update", uri=name, text=text)
+                samples.append((kind, time.perf_counter() - sent, reply,
+                                want, len(pacer.rounds)))
+                pacer.updated()
+            pacer.barrier.wait(timeout=CHILD_TIMEOUT)
+    except Exception as exc:  # reported by the caller, never lost
         out["error"] = f"{type(exc).__name__}: {exc}"
-        barrier.abort()
+        pacer.barrier.abort()
     finally:
-        out["samples"] = samples
         client.close()
 
 
@@ -508,24 +682,25 @@ def verify_reply(ctx: Context, tenant: str, reply: dict, want) -> None:
               f"{verdict} {errors}")
 
 
-def serve_session(ctx: Context, server: Server,
-                  edits: int) -> Tuple[List[tuple], float]:
-    """Run both clients against ``server``; verify every reply and return
-    the timed samples and the timed phase's wall-clock."""
-    ports = ctx.expected["serve"]
-    barrier = threading.Barrier(len(ports))
-    outs, threads = [], []
-    for index, (name, spec) in enumerate(ports.items()):
+def serve_session(ctx: Context, server: Server, edits: int,
+                  seconds: float = 0.0,
+                  sample: bool = False) -> Tuple[List[tuple], Pacer]:
+    """Run both clients against ``server`` (see ``Pacer``); verify every
+    reply and return the timed samples, each ``(kind, latency, reply, host
+    factor)``, and the pacer with the rounds and the peak memory."""
+    pacer = Pacer(ctx, server, edits, seconds, sample)
+    outs, threads = pacer.outs, []
+    for index, (name, spec) in enumerate(ctx.expected["serve"].items()):
         base = (ctx.root / spec["path"]).read_text()
         stream = EditStream(spec, base, ctx.rng(f"edits:{name}"))
-        out: dict = {}
-        thread = threading.Thread(
-            target=drive_client,
-            args=(ctx, server.port, f"tenant{index}", f"{name}.rsc", stream,
-                  barrier, edits, out))
-        thread.start()
+        out: dict = {"samples": []}
         outs.append(out)
-        threads.append(thread)
+        threads.append(threading.Thread(
+            target=drive_client,
+            args=(server.port, f"tenant{index}", f"{name}.rsc", stream,
+                  pacer, out)))
+    for thread in threads:
+        thread.start()
     for thread in threads:
         thread.join(timeout=ctx.seconds + 4 * CHILD_TIMEOUT)
         if thread.is_alive():
@@ -537,13 +712,11 @@ def serve_session(ctx: Context, server: Server,
             ctx.tally(False, f"{tenant}: {out['error']}")
         if "warmup" in out:
             verify_reply(ctx, tenant, *out["warmup"])
-        for kind, latency, reply, want in out["samples"]:
+        for kind, latency, reply, want, round_index in out["samples"]:
             verify_reply(ctx, tenant, reply, want)
-            samples.append((kind, latency, reply))
-    spans = [out for out in outs if "start" in out]
-    wall = (max(o["end"] for o in spans) - min(o["start"] for o in spans)
-            if spans else 0.0)
-    return samples, wall
+            samples.append((kind, latency, reply,
+                            pacer.round_factor(round_index)))
+    return samples, pacer
 
 
 def payload_seconds(sample: tuple) -> float:
@@ -551,34 +724,100 @@ def payload_seconds(sample: tuple) -> float:
     return reply["result"]["time_seconds"] if reply.get("ok") else 0.0
 
 
+def reply_class(result: dict) -> str:
+    """A document-cache hit does no checking and reports 0 s; any other
+    check reports its time and whether the fixpoint was warm-started."""
+    if result["time_seconds"] == 0.0:
+        return "doc_cache_hits"
+    return "warm_edits" if result["warm"] else "cold_edits"
+
+
+def traffic(samples: List[tuple]) -> Dict[str, int]:
+    """The traffic a session produced: how the server answered its edits,
+    how many replies were UNSAFE, and the same per edit kind."""
+    counts = dict.fromkeys(REPLY_CLASSES + ["unsafe_replies"], 0)
+    for kind in EDIT_KINDS:
+        counts.update(dict.fromkeys(
+            [f"{kind}.{name}" for name in REPLY_CLASSES], 0))
+    for kind, _latency, reply, _factor in samples:
+        if not reply.get("ok"):
+            continue
+        result = reply["result"]
+        name = reply_class(result)
+        counts[name] += 1
+        counts[f"{kind}.{name}"] += 1
+        counts["unsafe_replies"] += int(result["status"] == "UNSAFE")
+    return counts
+
+
+def report_traffic(samples: List[tuple]) -> Dict[str, int]:
+    counts = traffic(samples)
+    total = max(len(samples), 1)
+    shares = ", ".join(f"{name} {counts[name]} ({counts[name] / total:.0%})"
+                       for name in REPLY_CLASSES + ["unsafe_replies"])
+    print(f"serve-edits traffic: {len(samples)} timed edits: {shares}",
+          file=sys.stderr)
+    for kind in EDIT_KINDS:
+        row = ", ".join(f"{name} {counts[f'{kind}.{name}']}"
+                        for name in REPLY_CLASSES)
+        latencies = [s[1] * 1000.0 for s in samples if s[0] == kind]
+        print(f"  {kind}: {row}; latency p50 {percentile(latencies, 50):.1f}"
+              f" ms, p90 {percentile(latencies, 90):.1f} ms", file=sys.stderr)
+    return counts
+
+
 def serve_workload(ctx: Context, trace: bool) -> dict:
     if trace:
         return serve_layers(ctx)
-    setups = []
+    spawns = []  # spawn-to-listening seconds
+    samplings = []  # the host samples taken before each spawn
     server = None
     try:
         for _ in range(SERVER_SPAWNS):
             if server is not None:
                 server.shutdown()
+            samplings.append(ctx.sample_host())
             server = Server(ctx)
-            setups.append(server.setup_s)
-        edits = max(MIN_EDITS_PER_CLIENT, round(EDIT_RATE * ctx.seconds))
-        samples, wall = serve_session(ctx, server, edits)
-        peak = server.peak_rss_mb()
+            spawns.append(server.setup_s)
+        samples, pacer = serve_session(ctx, server, MIN_EDITS_PER_CLIENT,
+                                       ctx.seconds, sample=True)
     finally:
         if server is not None:
             server.shutdown()
-    if not samples:
+    if not samples or pacer.peak_rss_mb is None:
         return {}
-    latencies_ms = [latency * 1000.0 for _kind, latency, _reply in samples]
-    print(f"serve-edits: {len(samples)} timed edits", file=sys.stderr)
+    # Each spawn lies between its own sampling and the next one; the last
+    # spawn's next sampling is the one at the first pause.
+    samplings += pacer.samplings
+    setups = [(spawn, host_factor(samplings, index))
+              for index, spawn in enumerate(spawns)]
+    print(f"serve-edits: {len(samples)} timed edits in "
+          f"{len(pacer.rounds)} rounds", file=sys.stderr)
+    report_traffic(samples)
+    report_host(ctx, serve_metrics(setups, samples, pacer, scaled=False))
+    return serve_metrics(setups, samples, pacer, scaled=True)
+
+
+def serve_metrics(setups: List[Tuple[float, float]], samples: List[tuple],
+                  pacer: Pacer, scaled: bool) -> dict:
+    """The end-to-end metrics of a serve run, each time ``scaled`` by the
+    host factor of its spawn or round, or as measured."""
+    def scale(factor: float) -> float:
+        return factor if scaled else 1.0
+
+    latencies_ms = [latency * 1000.0 * scale(factor)
+                    for _kind, latency, _reply, factor in samples]
     return {
-        "setup_s": statistics.median(setups),
-        "check_s": statistics.median(payload_seconds(s) for s in samples),
+        "setup_s": statistics.median(setup * scale(factor)
+                                     for setup, factor in setups),
+        "check_s": statistics.fmean(payload_seconds(s) * scale(s[3])
+                                    for s in samples),
         "edit_p50_ms": percentile(latencies_ms, 50),
         "edit_p90_ms": percentile(latencies_ms, 90),
-        "edits_per_s": len(samples) / wall,
-        "peak_rss_mb": peak,
+        "edits_per_s": len(samples) / sum(
+            wall * scale(pacer.round_factor(index))
+            for index, wall in enumerate(pacer.rounds)),
+        "peak_rss_mb": pacer.peak_rss_mb,
     }
 
 
@@ -586,13 +825,13 @@ def serve_layers(ctx: Context) -> dict:
     """The same edit streams on an untraced and a traced server."""
     server = Server(ctx)
     try:
-        plain, _wall = serve_session(ctx, server, TRACE_EDITS_PER_CLIENT)
+        plain, _ = serve_session(ctx, server, TRACE_EDITS_PER_CLIENT)
     finally:
         server.shutdown()
     table_path = WORK / f"layers-{os.getpid()}.json"
     server = Server(ctx, table=table_path)
     try:
-        traced, _wall = serve_session(ctx, server, TRACE_EDITS_PER_CLIENT)
+        traced, _ = serve_session(ctx, server, TRACE_EDITS_PER_CLIENT)
     finally:
         server.shutdown()
     table = json.loads(table_path.read_text())
@@ -601,7 +840,7 @@ def serve_layers(ctx: Context) -> dict:
     for key, value in table.items():
         if key in metrics:
             metrics[key] += value
-    ok = [reply["result"] for _kind, _lat, reply in traced
+    ok = [reply["result"] for _kind, _lat, reply, _factor in traced
           if reply.get("ok")]
     for result in ok:
         stats = result.get("solve_stats") or {}
@@ -611,7 +850,9 @@ def serve_layers(ctx: Context) -> dict:
             metrics[f"serve.{stage}_s"] += \
                 (result.get("timings") or {}).get(stage, 0.0)
         metrics["serve.queries"] += result["queries"]
-        metrics["serve.warm_edits"] += int(result["warm"])
+    counts = report_traffic(traced)
+    for name in REPLY_CLASSES + ["unsafe_replies"]:
+        metrics[f"serve.{name}"] = counts[name]
     metrics["service.check_ms_p50"] = percentile(
         [payload_seconds(s) * 1000.0 for s in traced], 50)
     metrics["service.wait_ms_p50"] = percentile(
@@ -619,9 +860,13 @@ def serve_layers(ctx: Context) -> dict:
     interned = table["intern"]
     set_intern(metrics, interned["hits"], interned["misses"],
                interned["live_terms"])
-    # The traced wall-clock is the clients' summed update latency; the
-    # overhead compares the server-reported check time of the same edits.
-    finish_layers(metrics, sum(s[1] for s in traced), len(traced),
+    # The traced wall-clock is the clients' summed update latency.  The part
+    # of it outside ServiceCore.execute (socket, event loop, lane and
+    # executor queues) is the service's wait.  The overhead compares the
+    # server-reported check time of the same edits.
+    wall = sum(s[1] for s in traced)
+    metrics["service.wait_s"] = wall - table["requests_s"]
+    finish_layers(metrics, wall, len(traced),
                   sum(payload_seconds(s) for s in traced),
                   sum(payload_seconds(s) for s in plain))
     return metrics
@@ -638,9 +883,11 @@ def layer_metric_names(ctx: Context) -> List[str]:
     names += [f"smt.{key}" for key in SOLVER_COUNTS]
     names += [f"fixpoint.{key}" for key in FIXPOINT_COUNTS]
     names += ["logic.intern.hit_ratio", "logic.intern.live_terms",
-              "service.check_ms_p50", "service.wait_ms_p50"]
+              "service.check_ms_p50", "service.wait_ms_p50",
+              "service.wait_s"]
     names += [f"serve.{stage}_s" for stage in SERVE_STAGES]
-    names += ["serve.queries", "serve.warm_edits"]
+    names += ["serve.queries"]
+    names += [f"serve.{name}" for name in REPLY_CLASSES + ["unsafe_replies"]]
     names += [f"input.{name}.check_s" for name in ctx.expected["cold"]]
     names += ["other.self_s", "trace.wall_s", "trace.overhead_frac",
               "failed_frac", "edit_samples"]
@@ -660,7 +907,8 @@ def finish_layers(metrics: dict, wall: float, samples: int,
                   traced_check: float, untraced_check: float) -> None:
     """The traced wall-clock, what no layer accounts for, and the tracing
     overhead (traced against untraced check seconds of the same work)."""
-    layer_sum = sum(metrics[f"{bucket}.self_s"] for bucket in SELF_TIMES)
+    layer_sum = sum(metrics[f"{bucket}.self_s"] for bucket in SELF_TIMES) \
+        + metrics["service.wait_s"]
     metrics["trace.wall_s"] = wall
     metrics["other.self_s"] = wall - layer_sum
     metrics["trace.overhead_frac"] = \
