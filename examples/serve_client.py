@@ -93,9 +93,10 @@ def main() -> None:
                 client.shutdown()
                 print("\nserver shut down")
     else:
-        from repro.service.server import ServerThread
+        from repro.service.server import AsyncCheckServer
+        from repro.wire import ServerThread
         print("no --port given: starting an in-process server\n")
-        with ServerThread() as server:
+        with ServerThread(AsyncCheckServer()) as server:
             with Client.connect(server.host, server.port,
                                 tenant=args.tenant, timeout=300) as client:
                 drive(client)

@@ -19,7 +19,8 @@ import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
-from repro.store import StoreServerThread  # noqa: E402
+from repro.store import StoreServer  # noqa: E402
+from repro.wire import ServerThread  # noqa: E402
 
 SOURCE = """
 type idx<a> = {v: number | 0 <= v && v < len(a)};
@@ -76,7 +77,7 @@ def main():
     program = workdir / "fleet-demo.rsc"
     program.write_text(SOURCE)
 
-    with StoreServerThread(root=str(workdir / "store")) as server:
+    with ServerThread(StoreServer(root=str(workdir / "store"))) as server:
         url = f"remote://127.0.0.1:{server.port}"
         print(f"cache server listening on {url}\n")
 

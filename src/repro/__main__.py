@@ -571,8 +571,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 args, bench.speed_report(rows),
                 "BENCH_speed.json", "speed", partial,
                 lambda: bench.format_speed(rows))
-            ok = all(row.safe and row.identical and row.jobs_identical
-                     for row in rows)
+            ok = all(row.safe and row.identical for row in rows)
             return EXIT_OK if ok else EXIT_UNSAFE
         if args.table == "smt":
             rows = bench.smt_mode_rows(names, programs_dir=programs_dir)

@@ -1198,7 +1198,7 @@ def _run_serve_client(host: str, port: int, name: str, source: str,
     import time as _time
 
     from repro.client import Client
-    from repro.service.protocol import ProtocolError
+    from repro.wire import ProtocolError
 
     uri = f"{name}.rsc"
     period = 1.0 / edit_rate
@@ -1258,7 +1258,7 @@ def serve_load(clients: int = 4, edit_rate: float = 2.0,
                config: Optional[CheckConfig] = None) -> ServeLoadResult:
     """Load-test the socket server with concurrent editing clients.
 
-    Starts an in-process :class:`repro.service.server.ServerThread`, points
+    Starts an in-process :class:`repro.service.server.AsyncCheckServer`, points
     ``clients`` threads at it (each under its own tenant, replaying its
     benchmark's scripted edit sequence at ``edit_rate`` edits/second, plus
     one pipelined superseding pair), then collects the server's ``stats``
@@ -1269,7 +1269,8 @@ def serve_load(clients: int = 4, edit_rate: float = 2.0,
     import time as _time
 
     from repro.client import Client
-    from repro.service.server import ServerThread
+    from repro.service.server import AsyncCheckServer
+    from repro.wire import ServerThread
 
     config = config or CheckConfig()
     rows = [ServeClientResult(
@@ -1279,7 +1280,7 @@ def serve_load(clients: int = 4, edit_rate: float = 2.0,
     sources = {row.benchmark: source_of(row.benchmark, programs_dir)
                for row in rows}
     start = _time.perf_counter()
-    with ServerThread(config) as server:
+    with ServerThread(AsyncCheckServer(config)) as server:
         threads = [
             threading.Thread(
                 target=_run_serve_client,
@@ -1547,7 +1548,8 @@ def cache_fleet(workers: int = 3, names: Optional[List[str]] = None,
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.store.remote import RemoteStoreBackend
-    from repro.store.server import FaultPlan, StoreServerThread
+    from repro.store.server import FaultPlan, StoreServer
+    from repro.wire import ServerThread
 
     names = list(names or BENCHMARKS)
     unknown = [n for n in names if n not in BENCHMARKS]
@@ -1559,7 +1561,7 @@ def cache_fleet(workers: int = 3, names: Optional[List[str]] = None,
 
     root = tempfile.mkdtemp(prefix="repro-bench-cache-")
     try:
-        with StoreServerThread(root=root) as server:
+        with ServerThread(StoreServer(root=root)) as server:
             url = f"remote://127.0.0.1:{server.port}"
             result.rows.append(
                 _run_cache_worker("cold", paths, url, reference))
@@ -1582,7 +1584,8 @@ def cache_fleet(workers: int = 3, names: Optional[List[str]] = None,
                          delay_seconds=0.02)
         fault_root = tempfile.mkdtemp(prefix="repro-bench-cache-fault-")
         try:
-            with StoreServerThread(root=fault_root, faults=plan) as server:
+            with ServerThread(StoreServer(root=fault_root,
+                                          faults=plan)) as server:
                 url = (f"remote://127.0.0.1:{server.port}"
                        "?retries=1&timeout=10")
                 fault_rows = [
@@ -1882,9 +1885,7 @@ class SpeedRow:
 
     ``kind`` is ``"file"`` (single-file port, fresh :class:`Session` per
     phase) or ``"project"`` (module split through a fresh
-    :class:`repro.project.ProjectWorkspace` per phase).  File rows also
-    re-check under every worker count in the jobs sweep and assert the
-    rank-parallel fixpoint's verdict is byte-identical (``jobs_identical``).
+    :class:`repro.project.ProjectWorkspace` per phase).
     """
 
     name: str
@@ -1896,7 +1897,6 @@ class SpeedRow:
     intern_hit_rate: float
     queries: int
     identical: bool
-    jobs_identical: bool
     safe: bool
 
     @property
@@ -1921,7 +1921,6 @@ class SpeedRow:
             "speedup": self.speedup,
             "queries": self.queries,
             "identical": self.identical,
-            "jobs_identical": self.jobs_identical,
             "safe": self.safe,
         }
 
@@ -1932,15 +1931,9 @@ def _project_verdict(project) -> list:
                   for result in project.results)
 
 
-#: Worker counts the speed bench sweeps for the rank-parallel fixpoint
-#: identity check (jobs=1 is the speed phase itself).
-SPEED_JOBS_SWEEP = (2, 3, 4)
-
-
 def speed_rows(names: Optional[List[str]] = None,
                programs_dir: Optional[pathlib.Path] = None,
-               modules_dir: Optional[pathlib.Path] = None,
-               jobs_sweep: tuple = SPEED_JOBS_SWEEP) -> List[SpeedRow]:
+               modules_dir: Optional[pathlib.Path] = None) -> List[SpeedRow]:
     """Check every port twice — reference configuration, then fast — and
     compare.
 
@@ -1949,9 +1942,8 @@ def speed_rows(names: Optional[List[str]] = None,
     hash-consing existed — memoisation off makes every traversal recompute
     exactly as the old code did), while the speed phase counts intern
     *misses* (objects actually created).  Verdicts must be byte-identical
-    between the phases, and — for the single-file ports — across every
-    worker count in ``jobs_sweep``.  Both module-split projects run the same
-    two phases through fresh project workspaces.
+    between the phases.  Both module-split projects run the same two phases
+    through fresh project workspaces.
 
     The fast configuration is always restored on exit, even if a check
     raises.
@@ -1981,13 +1973,6 @@ def speed_rows(names: Optional[List[str]] = None,
             speed = Session(CheckConfig()).check_source(
                 source, filename=filename)
             fast_stats = intern_stats()
-            verdict = _comparable_verdict(speed)
-            jobs_identical = True
-            for jobs in jobs_sweep:
-                parallel = Session(CheckConfig(jobs=jobs)).check_source(
-                    source, filename=filename)
-                jobs_identical = (jobs_identical and parallel.ok == speed.ok
-                                  and _comparable_verdict(parallel) == verdict)
             rows.append(SpeedRow(
                 name=name, kind="file",
                 baseline_time_seconds=baseline.time_seconds,
@@ -1996,8 +1981,8 @@ def speed_rows(names: Optional[List[str]] = None,
                 speed_allocations=fast_stats["misses"],
                 intern_hit_rate=fast_stats["hit_rate"],
                 queries=speed.stats.queries if speed.stats else 0,
-                identical=_comparable_verdict(baseline) == verdict,
-                jobs_identical=jobs_identical,
+                identical=(_comparable_verdict(baseline)
+                           == _comparable_verdict(speed)),
                 safe=baseline.ok and speed.ok))
 
         directory = modules_dir or default_modules_dir()
@@ -2027,7 +2012,6 @@ def speed_rows(names: Optional[List[str]] = None,
                 queries=speed_build.stats.queries,
                 identical=(_project_verdict(baseline_build)
                            == _project_verdict(speed_build)),
-                jobs_identical=True,
                 safe=baseline_build.ok and speed_build.ok))
     finally:
         set_memoisation(True)
@@ -2055,7 +2039,6 @@ def speed_report(rows: List[SpeedRow]) -> dict:
             "fewer_allocations": all(
                 r.speed_allocations < r.baseline_allocations for r in rows),
             "identical": all(r.identical for r in rows),
-            "jobs_identical": all(r.jobs_identical for r in rows),
             "safe": all(r.safe for r in rows),
         },
     }
@@ -2067,8 +2050,8 @@ def format_speed(rows: List[SpeedRow]) -> str:
         "Raw speed: reference engine (no memos, Fraction LIA) vs fast "
         "(memoised, integer LIA)",
         "Benchmark            Base(s)  Fast(s)  Speedup     Alloc(base)  "
-        "Alloc(fast)  Hit%  Same  Jobs",
-        "-" * 95,
+        "Alloc(fast)  Hit%  Same",
+        "-" * 89,
     ]
     for row in rows:
         lines.append(
@@ -2076,9 +2059,8 @@ def format_speed(rows: List[SpeedRow]) -> str:
             f"{row.speed_time_seconds:8.2f} {row.speedup:7.2f}x "
             f"{row.baseline_allocations:14d} {row.speed_allocations:12d} "
             f"{100 * row.intern_hit_rate:5.1f} "
-            f"{'yes' if row.identical else 'NO':>5s} "
-            f"{'yes' if row.jobs_identical else 'NO':>5s}")
-    lines.append("-" * 95)
+            f"{'yes' if row.identical else 'NO':>5s}")
+    lines.append("-" * 89)
     report = speed_report(rows)
     totals = report["totals"]
     lines.append(

@@ -19,7 +19,7 @@ of :mod:`repro.service.protocol`::
         assert payload.ok and payload.status == "SAFE"
         client.shutdown()
 
-Error responses raise :class:`repro.service.protocol.ProtocolError` with
+Error responses raise :class:`repro.wire.ProtocolError` with
 the server's code/message.  For pipelined traffic (several requests in
 flight at once — how the bench provokes superseding cancellations) use
 :meth:`Client.submit` / :meth:`Client.wait`, which match responses to
@@ -35,9 +35,8 @@ from typing import Any, Dict, Optional
 from repro.core.config import CheckConfig
 from repro.obs.trace import current_trace_id
 from repro.service.core import ServiceCore
-from repro.service.protocol import (CheckParams, EmptyParams, HelloParams,
-                                    ProjectOpenParams, ProtocolError,
-                                    Request, Response, UriParams, spec_for)
+from repro.service.protocol import METHODS
+from repro.wire import ProtocolError, Request, Response, spec_for
 
 
 class SocketTransport:
@@ -107,23 +106,6 @@ class LocalTransport:
         self._outbox.clear()
 
 
-#: method name -> params builder for the convenience wrappers.
-_PARAMS = {
-    "hello": lambda **kw: HelloParams(**kw),
-    "check": lambda **kw: CheckParams(**kw),
-    "update": lambda **kw: CheckParams(**kw),
-    "diagnostics": lambda **kw: UriParams(**kw),
-    "close": lambda **kw: UriParams(**kw),
-    "cancel": lambda **kw: UriParams(**kw),
-    "stats": lambda **kw: EmptyParams(),
-    "metrics": lambda **kw: EmptyParams(),
-    "shutdown": lambda **kw: EmptyParams(),
-    "project_open": lambda **kw: ProjectOpenParams(**kw),
-    "project_update": lambda **kw: CheckParams(**kw),
-    "project_diagnostics": lambda **kw: UriParams(**kw),
-}
-
-
 class Client:
     """A synchronous ``repro-serve/3`` client over a pluggable transport."""
 
@@ -150,10 +132,10 @@ class Client:
 
     def submit(self, method: str, **params) -> int:
         """Send one request without waiting; returns its ``id``."""
-        spec = spec_for(method)  # raises on typos before anything is sent
+        spec = spec_for(METHODS, method)  # raises on typos before anything is sent
         self._next_id += 1
         request = Request(method=spec.name, id=self._next_id,
-                          params=_PARAMS[method](**params),
+                          params=spec.params(**params),
                           tenant=self.tenant,
                           trace=current_trace_id())
         self.transport.send(request.to_json(version=3))
@@ -172,7 +154,7 @@ class Client:
         Error responses raise :class:`ProtocolError`.
         """
         response = self.wait(self.submit(method, **params))
-        return spec_for(method).payload.from_json(response.raise_for_error())
+        return spec_for(METHODS, method).payload.from_json(response.raise_for_error())
 
     # -- convenience methods (one per registry entry) ----------------------
 

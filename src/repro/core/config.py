@@ -42,20 +42,12 @@ class SolverOptions:
     kept alive in ``smt_mode="incremental"`` (one per distinct hypothesis
     environment; evicted contexts rebuild cheaply from the solver's theory
     lemma memo).
-
-    ``backend`` names the SMT engine in the
-    :mod:`repro.smt.backend` registry; ``"internal"`` is the built-in
-    solver.  An external adapter (e.g. z3) registers a factory under its
-    own name and is selected here — validation happens when the session's
-    workspace instantiates the backend, so adapters may be registered any
-    time before that.
     """
 
     max_theory_iterations: int = 5000
     cache_results: bool = True
     cache_size_limit: int = 200_000
     context_cache_limit: int = 64
-    backend: str = "internal"
 
     def __post_init__(self) -> None:
         if self.max_theory_iterations < 1:
@@ -71,7 +63,6 @@ class SolverOptions:
             "cache_results": self.cache_results,
             "cache_size_limit": self.cache_size_limit,
             "context_cache_limit": self.context_cache_limit,
-            "backend": self.backend,
         }
 
 
@@ -163,12 +154,10 @@ class CheckConfig:
       identical, only the work counters differ).
     * ``solver`` — SMT substrate options (:class:`SolverOptions`).
     * ``output_format`` — ``"text"`` or ``"json"`` (the CLI default).
-    * ``jobs`` — worker count used by batch entry points (each extra worker
-      checks with its own solver, so cache amortisation is per worker) and
-      by the liquid fixpoint, which evaluates the visits of one SCC rank
-      group concurrently when ``jobs > 1``.  The rank-parallel schedule is
-      byte-identical to the sequential one: outcomes are committed in the
-      sequential order and re-evaluated when stale.
+    * ``jobs`` — worker processes used by batch entry points
+      (:meth:`Session.check_files`, :meth:`Session.check_project`; each
+      worker checks with its own solver, so cache amortisation is per
+      worker).
     * ``incremental`` — let a :class:`repro.core.workspace.Workspace` reuse
       per-document artifacts across edits (content-hash cache, warm-started
       fixpoint, obligation reuse).  Off, every update is a cold check.
@@ -176,9 +165,10 @@ class CheckConfig:
       document keeps (bounds workspace memory; the most recent snapshot is
       always retained).
     * ``store_path`` — root of the persistent content-addressed artifact
-      store (:mod:`repro.store`); ``None`` (the default) disables it.  May
-      carry a backend scheme (``"redis://..."``) to select a registered
-      store backend; plain paths use the local filesystem backend.
+      store (:mod:`repro.store`); ``None`` (the default) disables it.  A
+      plain path is a local directory; ``"remote://host:port"`` uses a
+      shared cache server and ``"tiered://PATH?remote=host:port"`` a local
+      directory in front of one.
     * ``store_mode`` — ``"readwrite"`` (the default: load artifacts and
       write back finished checks), ``"readonly"`` (load only) or ``"off"``
       (ignore ``store_path``).

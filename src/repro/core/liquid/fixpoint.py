@@ -42,11 +42,8 @@ final verification conditions checked afterwards by the caller
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import DEFAULT_CODES, SourceSpan
@@ -251,33 +248,10 @@ def scc_ranks(graph: Dict[str, Set[str]]) -> Tuple[Dict[str, int], int]:
 _KEEP, _DROP, _QUERY = 0, 1, 2
 
 
-@dataclass
-class _VisitOutcome:
-    """The result of evaluating one worklist visit (before it is applied).
-
-    Splitting evaluation from application lets the rank-parallel scheduler
-    evaluate a whole rank group concurrently and commit the outcomes in the
-    sequential order afterwards.
-    """
-
-    name: str                 # the goal kappa
-    kept: List[Expr]          # surviving candidates, in order
-    refuted_new: List[Expr]   # candidates newly refuted by SMT
-    pruned: int               # queries avoided (memo hits + tautologies)
-    issued: int               # queries actually sent to the solver
-    changed: bool             # did the assignment shrink?
-
-
-#: Sentinel outcome for a visit whose kappa has no candidates left — there
-#: is nothing to weaken and nothing to commit.  (Solving only ever removes
-#: candidates, so a _SKIP can never be invalidated by an earlier apply.)
-_SKIP = _VisitOutcome("", [], [], 0, 0, False)
-
-
 class LiquidSolver:
     def __init__(self, solver: Solver, pool: QualifierPool,
                  registry: KappaRegistry, max_iterations: int = 40,
-                 strategy: str = "worklist", jobs: int = 1) -> None:
+                 strategy: str = "worklist") -> None:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown fixpoint strategy {strategy!r} "
                              f"(expected one of {', '.join(STRATEGIES)})")
@@ -286,7 +260,6 @@ class LiquidSolver:
         self.registry = registry
         self.max_iterations = max_iterations
         self.strategy = strategy
-        self.jobs = max(1, int(jobs))
         self.stats = SolveStats(strategy=strategy)
         self._cancel: Optional[CancelToken] = None
         # Refuted-candidate memo, bit-packed per kappa: candidates refuted
@@ -302,10 +275,6 @@ class LiquidSolver:
         self._universe: Dict[str, List[Expr]] = {}
         self._bitmask_of: Dict[str, Dict[Expr, int]] = {}
         self._refuted_mask: Dict[str, int] = {}
-        # SMT contexts are not thread-safe: the rank-parallel evaluator
-        # serialises solver calls behind this lock (jobs == 1 never takes
-        # it).
-        self._smt_lock = threading.Lock()
 
     @property
     def refuted(self) -> Set[Tuple[str, Expr]]:
@@ -552,134 +521,36 @@ class LiquidSolver:
                        if goal_of[idx] in seed_kappas
                        or hyp_deps[idx] & seed_kappas]
         current = sorted(initial, key=priority)
-        pool = (ThreadPoolExecutor(max_workers=self.jobs,
-                                   thread_name_prefix="fixpoint")
-                if self.jobs > 1 else None)
-        try:
-            sweep = 0
-            while current and self.stats.rounds < budget:
-                position = {idx: pos for pos, idx in enumerate(current)}
-                dirty: Set[int] = set()
-                with trace_span("fixpoint.round", "fixpoint",
-                                round=sweep, batch=len(current)):
-                    if pool is None:
-                        self._run_round_sequential(
-                            horn, solution, current, position, goal_of,
-                            watchers, budget, dirty)
-                    else:
-                        self._run_round_parallel(
-                            pool, horn, solution, current, position, goal_of,
-                            hyp_deps, watchers, rank, budget, dirty)
-                current = sorted(dirty, key=priority)
-                sweep += 1
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-    def _run_round_sequential(self, horn: Sequence[Implication],
-                              solution: Solution, current: List[int],
-                              position: Dict[int, int], goal_of: List[str],
-                              watchers: Dict[str, Set[int]], budget: int,
-                              dirty: Set[int]) -> None:
-        """One worklist round, visiting implications strictly in order."""
-        for pos, idx in enumerate(current):
-            if self.stats.rounds >= budget:
-                break
-            checkpoint(self._cancel)
-            self.stats.rounds += 1
-            if not self._visit(horn[idx], solution):
-                continue
-            for watcher in watchers.get(goal_of[idx], ()):
-                # a watcher still ahead of the cursor this round
-                # will observe the change anyway; everything else
-                # is deferred
-                if position.get(watcher, -1) <= pos:
-                    dirty.add(watcher)
-
-    def _run_round_parallel(self, pool: ThreadPoolExecutor,
-                            horn: Sequence[Implication], solution: Solution,
-                            current: List[int], position: Dict[int, int],
-                            goal_of: List[str], hyp_deps: List[Set[str]],
-                            watchers: Dict[str, Set[int]], rank: Dict[str, int],
-                            budget: int, dirty: Set[int]) -> None:
-        """One worklist round with rank-group-parallel evaluation.
-
-        ``current`` is sorted by (rank, idx); consecutive runs of equal rank
-        form the groups.  Each group is *evaluated* concurrently against the
-        solution state left by all earlier groups (solution lists are
-        rebound, never mutated, so concurrent readers are safe; SMT calls
-        serialise behind ``_smt_lock``), then *applied* strictly in index
-        order.  A speculative result is discarded and the visit re-run
-        sequentially whenever an earlier apply in the same group changed a
-        kappa the visit's hypotheses or goal depend on — so the observable
-        weakening sequence (and therefore the fixpoint, the refuted memo,
-        and the query-level pruning decisions) is exactly the sequential
-        schedule's.
-        """
-        done = False
-        for _, group_iter in groupby(current,
-                                     key=lambda i: rank.get(goal_of[i], 0)):
-            if done:
-                break
-            group = list(group_iter)
-            if len(group) == 1:
-                outcomes = [None]  # no point paying pool latency
-            else:
-                self.stats.rank_batches += 1
-                futures = [pool.submit(self._evaluate, horn[idx], solution)
-                           for idx in group]
-                outcomes = [f.result() for f in futures]
-            modified: Set[str] = set()
-            for offset, idx in enumerate(group):
-                if self.stats.rounds >= budget:
-                    done = True
-                    break
-                checkpoint(self._cancel)
-                self.stats.rounds += 1
-                outcome = outcomes[offset]
-                if outcome is _SKIP:
-                    # The kappa had no candidates left at evaluation time;
-                    # weakening never re-adds candidates, so this cannot go
-                    # stale.
-                    changed = False
-                elif outcome is None or \
-                        (hyp_deps[idx] | {goal_of[idx]}) & modified:
-                    changed = self._visit(horn[idx], solution)
-                else:
-                    changed = self._apply_outcome(outcome, solution)
-                if not changed:
-                    continue
-                modified.add(goal_of[idx])
-                pos = position[idx]
-                for watcher in watchers.get(goal_of[idx], ()):
-                    if position.get(watcher, -1) <= pos:
-                        dirty.add(watcher)
+        sweep = 0
+        while current and self.stats.rounds < budget:
+            position = {idx: pos for pos, idx in enumerate(current)}
+            dirty: Set[int] = set()
+            with trace_span("fixpoint.round", "fixpoint",
+                            round=sweep, batch=len(current)):
+                for pos, idx in enumerate(current):
+                    if self.stats.rounds >= budget:
+                        break
+                    checkpoint(self._cancel)
+                    self.stats.rounds += 1
+                    if not self._visit(horn[idx], solution):
+                        continue
+                    for watcher in watchers.get(goal_of[idx], ()):
+                        # a watcher still ahead of the cursor this round
+                        # will observe the change anyway; everything else
+                        # is deferred
+                        if position.get(watcher, -1) <= pos:
+                            dirty.add(watcher)
+            current = sorted(dirty, key=priority)
+            sweep += 1
 
     def _visit(self, imp: Implication, solution: Solution) -> bool:
         """Weaken the goal kappa of ``imp``; True iff its assignment shrank."""
-        outcome = self._evaluate(imp, solution)
-        if outcome is _SKIP:
-            return False
-        return self._apply_outcome(outcome, solution)
-
-    def _evaluate(self, imp: Implication,
-                  solution: Solution) -> "_VisitOutcome":
-        """The read-only half of a visit: classify the goal kappa's
-        candidates against the current solution and run the SMT queries,
-        without touching ``solution``, the refuted memo or the counters.
-
-        The rank-parallel scheduler calls this concurrently for the visits
-        of one rank group (solution lists are rebound, never mutated, so a
-        plain read is a consistent snapshot between applies); the returned
-        outcome is committed later — in index order — by
-        :meth:`_apply_outcome`.
-        """
         occurrence = self._goal_kappa(imp)
         assert occurrence is not None
         name = occurrence.fn
         quals = solution.get(name, [])
         if not quals:
-            return _SKIP
+            return False
         info = self.registry.info(name)
         mapping = _occurrence_subst(info, occurrence)
         hyps = [self.apply(h, solution) for h in imp.hyps]
@@ -695,16 +566,15 @@ class LiquidSolver:
         rmask = self._refuted_mask.get(name, 0)
         decisions: List[int] = []
         pending_goals: List[Expr] = []
-        pruned = 0
         for qual in quals:
             if rmask and (rmask & self._qual_bit(name, qual)):
                 decisions.append(_DROP)
-                pruned += 1
+                self.stats.queries_pruned += 1
                 continue
             goal = substitute(qual, mapping)
             if vacuous or goal.is_true() or goal in hyp_atoms:
                 decisions.append(_KEEP)
-                pruned += 1
+                self.stats.queries_pruned += 1
                 continue
             decisions.append(_QUERY)
             pending_goals.append(goal)
@@ -714,17 +584,19 @@ class LiquidSolver:
             t = _tracer()
             if t.enabled:
                 start_ns = time.perf_counter_ns()
-                verdicts = self._check_batch(hyps, pending_goals)
+                verdicts = self.solver.check_implication_batch(
+                    hyps, pending_goals)
                 elapsed_ns = time.perf_counter_ns() - start_ns
                 t.emit("fixpoint.batch", "fixpoint", start_ns, elapsed_ns,
                        {"kappa": name, "goals": len(pending_goals)})
                 t.slow.record(elapsed_ns / 1e9, kind="batch", kappa=name,
                               owner=info.owner, goals=len(pending_goals))
             else:
-                verdicts = self._check_batch(hyps, pending_goals)
+                verdicts = self.solver.check_implication_batch(
+                    hyps, pending_goals)
+            self.stats.queries_issued += len(pending_goals)
 
         kept: List[Expr] = []
-        refuted_new: List[Expr] = []
         changed = False
         verdict_at = 0
         for qual, decision in zip(quals, decisions):
@@ -736,32 +608,12 @@ class LiquidSolver:
                 if verdicts[verdict_at]:
                     kept.append(qual)
                 else:
-                    refuted_new.append(qual)
+                    self._mark_refuted(name, qual)
                     changed = True
                 verdict_at += 1
-        return _VisitOutcome(name, kept, refuted_new, pruned,
-                             len(pending_goals), changed)
-
-    def _check_batch(self, hyps: List[Expr],
-                     goals: List[Expr]) -> List[bool]:
-        """Batched implication queries, serialised when workers share the
-        solver (SMT contexts are stateful and not thread-safe)."""
-        if self.jobs > 1:
-            with self._smt_lock:
-                return self.solver.check_implication_batch(hyps, goals)
-        return self.solver.check_implication_batch(hyps, goals)
-
-    def _apply_outcome(self, outcome: "_VisitOutcome",
-                       solution: Solution) -> bool:
-        """Commit an evaluated visit: counters, refuted memo, solution."""
-        self.stats.queries_pruned += outcome.pruned
-        self.stats.queries_issued += outcome.issued
-        if not outcome.changed:
-            return False
-        for qual in outcome.refuted_new:
-            self._mark_refuted(outcome.name, qual)
-        solution[outcome.name] = outcome.kept
-        return True
+        if changed:
+            solution[name] = kept
+        return changed
 
     def check_concrete(self, implications: Sequence[Implication],
                        solution: Solution,

@@ -65,9 +65,6 @@ class SolveStats:
     warm_starts: int = 0
     declarations_rechecked: int = 0
     declarations_reused: int = 0
-    #: rank groups whose visits were evaluated concurrently by the
-    #: ``jobs > 1`` scheduler (0 on the sequential path).
-    rank_batches: int = 0
 
     def merge(self, other: "SolveStats") -> None:
         if self.strategy != other.strategy:
@@ -86,7 +83,6 @@ class SolveStats:
         self.warm_starts += other.warm_starts
         self.declarations_rechecked += other.declarations_rechecked
         self.declarations_reused += other.declarations_reused
-        self.rank_batches += other.rank_batches
 
     def to_dict(self) -> dict:
         return {
@@ -105,7 +101,6 @@ class SolveStats:
             "warm_starts": self.warm_starts,
             "declarations_rechecked": self.declarations_rechecked,
             "declarations_reused": self.declarations_reused,
-            "rank_batches": self.rank_batches,
         }
 
 

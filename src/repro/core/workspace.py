@@ -59,7 +59,6 @@ from repro.errors import (
     SourceSpan,
 )
 from repro.lang import ast, parse_program
-from repro.smt.backend import create_backend
 from repro.smt.solver import Solver, SolverStats
 from repro.ssa import ir
 from repro.ssa.transform import SsaTransformer
@@ -247,8 +246,7 @@ class Workspace:
                  solver: Optional[Solver] = None) -> None:
         self.config = config or CheckConfig()
         opts = self.config.solver
-        self.solver = solver or create_backend(
-            opts.backend,
+        self.solver = solver or Solver(
             max_theory_iterations=opts.max_theory_iterations,
             cache_results=opts.cache_results,
             cache_size_limit=opts.cache_size_limit,
@@ -613,8 +611,7 @@ class Workspace:
             liquid = LiquidSolver(
                 self.solver, checker.pool, checker.kappas,
                 max_iterations=self.config.max_fixpoint_iterations,
-                strategy=self.config.fixpoint_strategy,
-                jobs=self.config.jobs)
+                strategy=self.config.fixpoint_strategy)
             if plan is not None:
                 solution = liquid.solve(checker.constraints.implications,
                                         previous=plan.previous,

@@ -129,8 +129,8 @@ def _interned(cls):
     field defaults, looks the value tuple up in the process-wide table and
     returns the canonical instance; ``__init__`` is skipped for instances
     that are already initialised.  ``dict.get``/``dict.setdefault`` keep the
-    table consistent under free-threaded construction (the fixpoint's rank
-    workers build terms concurrently).
+    table consistent under free-threaded construction (the check service's
+    executor threads build terms concurrently).
     """
     cls = dataclass(frozen=True)(cls)
     field_names = tuple(f.name for f in dataclasses.fields(cls))

@@ -66,6 +66,22 @@ def validate_trace(document: dict) -> List[str]:
     return problems
 
 
+def _tracks(events: List[dict]) -> Dict[tuple, List[dict]]:
+    """Events grouped by ``(pid, tid)``, each track in span-tree order
+    (parents before the children they contain).  Malformed events (no
+    integer ts/dur) are validate_trace's problem and are left out."""
+    tracks: Dict[tuple, List[dict]] = {}
+    for event in events:
+        if not isinstance(event.get("ts"), int) \
+                or not isinstance(event.get("dur"), int):
+            continue
+        tracks.setdefault((event.get("pid"), event.get("tid")),
+                          []).append(event)
+    for track in tracks.values():
+        track.sort(key=lambda e: (e["ts"], -e["dur"]))
+    return tracks
+
+
 def check_nesting(document: dict) -> List[str]:
     """Spans that overlap without nesting within one ``(pid, tid)`` track.
 
@@ -74,17 +90,7 @@ def check_nesting(document: dict) -> List[str]:
     tree, so any such pair is a bug in the instrumentation (or a merge of
     mis-aligned clocks)."""
     problems: List[str] = []
-    tracks: Dict[tuple, List[dict]] = {}
-    for event in document.get("traceEvents", []):
-        # Malformed events (no ts/dur) are validate_trace's problem, not
-        # ours — skip them rather than crash mid-sort.
-        if not isinstance(event.get("ts"), int) \
-                or not isinstance(event.get("dur"), int):
-            continue
-        tracks.setdefault((event.get("pid"), event.get("tid")),
-                          []).append(event)
-    for key, events in sorted(tracks.items()):
-        events.sort(key=lambda e: (e["ts"], -e["dur"]))
+    for key, events in sorted(_tracks(document.get("traceEvents", [])).items()):
         stack: List[dict] = []
         for event in events:
             while stack and event["ts"] >= stack[-1]["ts"] + stack[-1]["dur"]:
@@ -121,6 +127,23 @@ def merge_traces(documents: List[dict]) -> dict:
                           slow_queries=slow.snapshot())
 
 
+def _self_times(events: List[dict]) -> Dict[int, int]:
+    """Self-time in µs of every well-formed event, keyed by ``id(event)``:
+    its duration minus the durations of the spans directly nested in it on
+    the same ``(pid, tid)`` track."""
+    self_us: Dict[int, int] = {}
+    for track in _tracks(events).values():
+        stack: List[dict] = []
+        for event in track:
+            while stack and event["ts"] >= stack[-1]["ts"] + stack[-1]["dur"]:
+                stack.pop()
+            if stack:
+                self_us[id(stack[-1])] -= event["dur"]
+            self_us[id(event)] = event["dur"]
+            stack.append(event)
+    return self_us
+
+
 def _bucket(table: Dict[str, dict], key: str, dur_us: int) -> None:
     row = table.setdefault(key, {"spans": 0, "seconds": 0.0})
     row["spans"] += 1
@@ -130,26 +153,34 @@ def _bucket(table: Dict[str, dict], key: str, dur_us: int) -> None:
 def summarize(document: dict) -> dict:
     """Aggregate one trace document into breakdown tables.
 
-    * ``subsystems`` — spans and total seconds per category,
+    * ``subsystems`` — spans, total seconds and self seconds per category,
     * ``stages`` — per pipeline stage (``stage.*`` spans),
     * ``modules`` — per checked document (``pipeline.check`` spans' ``uri``),
     * ``tenants`` — per service tenant (``service.*`` spans' ``tenant``),
     * ``slow_queries`` — the exported top-N slow-implication log.
 
-    Seconds are summed span durations, so nested spans count toward both
-    their own bucket and their ancestors' — the tables answer "where does
+    ``seconds`` are summed span durations, so nested spans count toward
+    both their own bucket and their ancestors' — they answer "where does
     time go inside each layer", not "what fraction of one wall-clock".
+    A subsystem's ``self_seconds`` leave out the time of directly nested
+    spans, so on one thread they add up to the wall-clock the spans cover.
     """
     subsystems: Dict[str, dict] = {}
     stages: Dict[str, dict] = {}
     modules: Dict[str, dict] = {}
     tenants: Dict[str, dict] = {}
     pids = set()
-    for event in document.get("traceEvents", []):
+    events = document.get("traceEvents", [])
+    self_us = _self_times(events)
+    for event in events:
         dur = int(event.get("dur", 0))
         args = event.get("args") or {}
         pids.add(event.get("pid"))
-        _bucket(subsystems, str(event.get("cat", "?")), dur)
+        category = str(event.get("cat", "?"))
+        _bucket(subsystems, category, dur)
+        row = subsystems[category]
+        row["self_seconds"] = (row.get("self_seconds", 0.0)
+                               + self_us.get(id(event), dur) / 1e6)
         name = str(event.get("name", ""))
         if name.startswith(_STAGE_PREFIX):
             _bucket(stages, name[len(_STAGE_PREFIX):], dur)
@@ -189,8 +220,9 @@ def format_summary(summary: dict) -> str:
              f"{summary['processes']} process(es)", ""]
     lines += _table(
         "Subsystems",
-        f"{'category':12s} {'spans':>8s} {'total(s)':>10s}",
-        [f"{name:12s} {row['spans']:8d} {row['seconds']:10.3f}"
+        f"{'category':12s} {'spans':>8s} {'total(s)':>10s} {'self(s)':>10s}",
+        [f"{name:12s} {row['spans']:8d} {row['seconds']:10.3f} "
+         f"{row['self_seconds']:10.3f}"
          for name, row in summary["subsystems"].items()])
     lines += _table(
         "Pipeline stages",

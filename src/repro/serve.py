@@ -45,14 +45,15 @@ from typing import IO, Optional
 from repro.core.config import CheckConfig
 from repro.core.workspace import Workspace
 from repro.service.core import ServiceCore
-from repro.service.protocol import (PROTOCOL_V2, ProtocolError,
-                                    method_names, parse_error_response)
+from repro.service.protocol import METHODS as _REGISTRY, PROTOCOL_V2
+from repro.wire import (ProtocolError, method_names, parse_error_response,
+                        parse_line)
 
 #: Protocol identifier reported by the ``shutdown`` response.
 PROTOCOL = PROTOCOL_V2
 
 #: The methods this shim accepts (the v2 subset of the registry).
-METHODS = method_names(2)
+METHODS = method_names(_REGISTRY, 2)
 
 #: Backwards-compatible alias: raising :class:`ServerError` from handler
 #: code still produces the matching error response.
@@ -103,12 +104,9 @@ class Server:
         if not line.strip():
             return None
         try:
-            request = json.loads(line)
-        except ValueError as exc:
-            return parse_error_response(f"malformed request: {exc}").to_json()
-        if not isinstance(request, dict):
-            return parse_error_response(
-                "request must be a JSON object").to_json()
+            request = parse_line(line)
+        except ProtocolError as exc:
+            return parse_error_response(exc.message).to_json()
         return self.handle(request)
 
 

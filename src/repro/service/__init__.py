@@ -25,22 +25,15 @@ v3 protocol over either a socket or an in-process core.
 """
 
 from repro.service.core import ServiceCore, SessionManager, TenantSession
-from repro.service.protocol import (METHODS, PROTOCOL_V2, PROTOCOL_V3,
-                                    ProtocolError, Request, Response,
-                                    method_names)
-from repro.service.server import AsyncCheckServer, ServerThread
+from repro.service.protocol import METHODS, PROTOCOL_V2, PROTOCOL_V3
+from repro.service.server import AsyncCheckServer
 
 __all__ = [
     "AsyncCheckServer",
     "METHODS",
     "PROTOCOL_V2",
     "PROTOCOL_V3",
-    "ProtocolError",
-    "Request",
-    "Response",
-    "ServerThread",
     "ServiceCore",
     "SessionManager",
     "TenantSession",
-    "method_names",
 ]

@@ -14,7 +14,7 @@ request under that name starts cold).
 A :class:`ServiceCore` is the typed dispatcher both servers share: the
 stdio ``repro-serve/2`` shim (:mod:`repro.serve`) and the asyncio socket
 server (:mod:`repro.service.server`) decode with
-:func:`repro.service.protocol.decode_request` and execute here, so the
+:func:`repro.wire.decode_request` and execute here, so the
 business logic has exactly one code path.  The core itself is synchronous
 and single-threaded per tenant — concurrency (queues, supersession,
 executors) lives in the async server, which guarantees at most one request
@@ -35,14 +35,14 @@ from repro.core.workspace import Workspace
 # the one nearest-rank implementation now lives in repro.obs.metrics.
 from repro.obs.metrics import (Histogram, MetricsRegistry, percentile,
                                registry_from_stats)
-from repro.service.protocol import (PROTOCOLS, CancelPayload, CheckPayload,
-                                    ClosePayload, DiagnosticsPayload,
-                                    HelloPayload, MetricsPayload,
-                                    ModulePayload, ProjectBuildPayload,
-                                    ProjectUpdatePayload, ProtocolError,
-                                    Request, Response, ShutdownPayload,
-                                    StatsPayload, decode_request,
-                                    method_names)
+from repro.service.protocol import (METHODS, PROTOCOLS, CancelPayload,
+                                    CheckPayload, ClosePayload,
+                                    DiagnosticsPayload, HelloPayload,
+                                    MetricsPayload, ModulePayload,
+                                    ProjectBuildPayload, ProjectUpdatePayload,
+                                    ShutdownPayload, StatsPayload)
+from repro.wire import (ProtocolError, Request, Response, decode_request,
+                        method_names)
 
 #: Methods whose wall-clock enters the tenant's latency window.
 TIMED_METHODS = frozenset(
@@ -298,7 +298,7 @@ class ServiceCore:
         self.count_request()
         request_id = obj.get("id") if isinstance(obj, dict) else None
         try:
-            request = decode_request(obj, version)
+            request = decode_request(METHODS, obj, version)
         except ProtocolError as exc:
             return Response.failure(request_id, exc.code, exc.message)
         return self.execute(request, version)
@@ -332,7 +332,7 @@ class ServiceCore:
         method = request.method
         if method == "hello":
             return HelloPayload(protocol=PROTOCOLS[version],
-                                methods=list(method_names(version)),
+                                methods=list(method_names(METHODS, version)),
                                 tenant=self.tenant_name(request))
         if method == "stats":
             return self.stats(version)

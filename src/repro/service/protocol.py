@@ -1,9 +1,12 @@
-"""The typed serve protocol: envelopes, params/payload codecs, registry.
+"""The typed serve protocol: params/payload codecs and the method registry.
 
 Every method the check service speaks is declared **once**, in
-:data:`METHODS` — a name-ordered registry of :class:`MethodSpec` entries
-binding the method name to its params dataclass, its result payload
-dataclass and the protocol version that introduced it.  The stdio server,
+:data:`METHODS` — a name-ordered registry of
+:class:`repro.wire.MethodSpec` entries binding the method name to its
+params dataclass, its result payload dataclass and the protocol version
+that introduced it.  The envelopes and the registry helpers
+(:func:`repro.wire.spec_for`, :func:`repro.wire.decode_request`, ...) are
+shared with the cache server's protocol in :mod:`repro.wire`.  The stdio server,
 the asyncio socket server, the synchronous client and the rendered method
 docs (:func:`describe_methods`) all consult the same registry, so a method
 cannot exist half-way: adding one here is what adds it everywhere.
@@ -39,7 +42,10 @@ Wire shapes (one JSON object per NDJSON line)::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from repro.wire import (EmptyParams, MethodSpec, Payload, method_names,
+                        optional_str, registry, require_str)
 
 #: Protocol identifier of the stdio compatibility shim.
 PROTOCOL_V2 = "repro-serve/2"
@@ -64,50 +70,9 @@ ERROR_CODES: Tuple[str, ...] = (
 )
 
 
-class ProtocolError(Exception):
-    """A request that cannot be served (unknown method, bad params, ...)."""
-
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-        self.message = message
-
-
-# ---------------------------------------------------------------------------
-# field extraction helpers (strict types, v2-exact messages)
-# ---------------------------------------------------------------------------
-
-
-def _require_str(obj: dict, name: str, where: str = "params") -> str:
-    value = obj.get(name)
-    if not isinstance(value, str) or not value:
-        raise ProtocolError("bad-params", f"{where}.{name} must be a string")
-    return value
-
-
-def _optional_str(obj: dict, name: str, where: str = "params"
-                  ) -> Optional[str]:
-    value = obj.get(name)
-    if value is not None and not isinstance(value, str):
-        raise ProtocolError("bad-params", f"{where}.{name} must be a string")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # params codecs (client -> server)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class EmptyParams:
-    """Params for methods that take none (extra fields are ignored)."""
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EmptyParams":
-        return cls()
-
-    def to_json(self) -> dict:
-        return {}
 
 
 @dataclass
@@ -118,7 +83,7 @@ class HelloParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HelloParams":
-        return cls(protocol=_optional_str(obj, "protocol"))
+        return cls(protocol=optional_str(obj, "protocol"))
 
     def to_json(self) -> dict:
         return {} if self.protocol is None else {"protocol": self.protocol}
@@ -136,8 +101,8 @@ class CheckParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CheckParams":
-        return cls(uri=_require_str(obj, "uri"),
-                   text=_optional_str(obj, "text"))
+        return cls(uri=require_str(obj, "uri"),
+                   text=optional_str(obj, "text"))
 
     def to_json(self) -> dict:
         payload: dict = {"uri": self.uri}
@@ -154,7 +119,7 @@ class UriParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "UriParams":
-        return cls(uri=_require_str(obj, "uri"))
+        return cls(uri=require_str(obj, "uri"))
 
     def to_json(self) -> dict:
         return {"uri": self.uri}
@@ -168,7 +133,7 @@ class ProjectOpenParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProjectOpenParams":
-        return cls(root=_require_str(obj, "root"))
+        return cls(root=require_str(obj, "root"))
 
     def to_json(self) -> dict:
         return {"root": self.root}
@@ -177,36 +142,10 @@ class ProjectOpenParams:
 # ---------------------------------------------------------------------------
 # payload codecs (server -> client)
 # ---------------------------------------------------------------------------
-#
-# Field declaration order *is* the JSON key order (``to_json`` walks the
-# dataclass fields), which keeps v2 transcript replays byte-identical.
-
-
-class _Payload:
-    """Shared to_json/from_json over the dataclass fields."""
-
-    #: Fields added after a payload first shipped, keyed by the protocol
-    #: version that introduced them; ``to_json(version)`` omits fields
-    #: newer than the requested version, so growing a v2 payload (e.g.
-    #: ``CheckPayload.timings``) keeps v2 transcripts byte-identical.
-    FIELDS_SINCE: Dict[str, int] = {}
-
-    def to_json(self, version: int = 3) -> dict:
-        since = self.FIELDS_SINCE
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if since.get(f.name, 2) <= version}
-
-    @classmethod
-    def from_json(cls, obj: dict):
-        if not isinstance(obj, dict):
-            raise ProtocolError("parse-error",
-                                f"{cls.__name__} payload must be an object")
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in obj.items() if k in known})
 
 
 @dataclass
-class CheckPayload(_Payload):
+class CheckPayload(Payload):
     """Result of ``check``/``update`` — the per-edit verdict and counters.
 
     ``timings`` (v3 only) is the per-stage second breakdown from the span
@@ -229,7 +168,7 @@ class CheckPayload(_Payload):
 
 
 @dataclass
-class DiagnosticsPayload(_Payload):
+class DiagnosticsPayload(Payload):
     """Result of ``diagnostics`` — the current verdict, no re-check."""
 
     uri: str = ""
@@ -239,13 +178,13 @@ class DiagnosticsPayload(_Payload):
 
 
 @dataclass
-class ClosePayload(_Payload):
+class ClosePayload(Payload):
     uri: str = ""
     closed: bool = True
 
 
 @dataclass
-class HelloPayload(_Payload):
+class HelloPayload(Payload):
     """Result of ``hello`` — what the server speaks, rendered from the
     registry (so it can never disagree with what dispatch accepts)."""
 
@@ -255,7 +194,7 @@ class HelloPayload(_Payload):
 
 
 @dataclass
-class CancelPayload(_Payload):
+class CancelPayload(Payload):
     """Result of ``cancel`` — whether anything was actually cancelled.
 
     ``state`` reports what the URI's latest check was doing when the cancel
@@ -270,7 +209,7 @@ class CancelPayload(_Payload):
 
 
 @dataclass
-class StatsPayload(_Payload):
+class StatsPayload(Payload):
     """Result of ``stats`` — per-tenant queue/latency/cancel counters."""
 
     protocol: str = PROTOCOL_V3
@@ -279,7 +218,7 @@ class StatsPayload(_Payload):
 
 
 @dataclass
-class MetricsPayload(_Payload):
+class MetricsPayload(Payload):
     """Result of ``metrics`` — the unified registry snapshot
     (:class:`repro.obs.metrics.MetricsRegistry`), totals plus per-tenant."""
 
@@ -289,7 +228,7 @@ class MetricsPayload(_Payload):
 
 
 @dataclass
-class ShutdownPayload(_Payload):
+class ShutdownPayload(Payload):
     shutdown: bool = True
     protocol: str = PROTOCOL_V2
     requests_served: int = 0
@@ -298,7 +237,7 @@ class ShutdownPayload(_Payload):
 
 
 @dataclass
-class ModulePayload(_Payload):
+class ModulePayload(Payload):
     """One module's verdict inside the project methods' results."""
 
     uri: str = ""
@@ -308,7 +247,7 @@ class ModulePayload(_Payload):
 
 
 @dataclass
-class ProjectBuildPayload(_Payload):
+class ProjectBuildPayload(Payload):
     """Result of ``project_open`` — the initial build of the module graph."""
 
     status: str = ""
@@ -320,7 +259,7 @@ class ProjectBuildPayload(_Payload):
 
 
 @dataclass
-class ProjectUpdatePayload(_Payload):
+class ProjectUpdatePayload(Payload):
     """Result of ``project_update`` — what one module edit invalidated."""
 
     path: str = ""
@@ -337,74 +276,41 @@ class ProjectUpdatePayload(_Payload):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MethodSpec:
-    """One protocol method: its codecs, introduction version and doc."""
-
-    name: str
-    since: int
-    params: type
-    payload: type
-    doc: str
-
-
-def _spec(name: str, since: int, params: type, payload: type,
-          doc: str) -> Tuple[str, MethodSpec]:
-    return name, MethodSpec(name, since, params, payload, doc)
-
-
 #: The exhaustive method registry.  Insertion order is load-bearing: the
 #: first eight entries reproduce the v2 ``METHODS`` tuple (error messages
 #: enumerate them in this order), v3-only methods follow.
-METHODS: Dict[str, MethodSpec] = dict([
-    _spec("check", 2, CheckParams, CheckPayload,
-          "Open (or replace) a document and check it."),
-    _spec("update", 2, CheckParams, CheckPayload,
-          "Re-check an open document incrementally."),
-    _spec("diagnostics", 2, UriParams, DiagnosticsPayload,
-          "An open document's current verdict (no re-check)."),
-    _spec("close", 2, UriParams, ClosePayload,
-          "Close an open document, dropping its artifacts."),
-    _spec("shutdown", 2, EmptyParams, ShutdownPayload,
-          "Stop the server after responding."),
-    _spec("project_open", 2, ProjectOpenParams, ProjectBuildPayload,
-          "Open a directory as a module graph and build it."),
-    _spec("project_update", 2, CheckParams, ProjectUpdatePayload,
-          "Replace one module's text and re-check the cut."),
-    _spec("project_diagnostics", 2, UriParams, ModulePayload,
-          "One module's current diagnostics (no re-check)."),
-    _spec("hello", 3, HelloParams, HelloPayload,
-          "Identify the protocol and list the methods it speaks."),
-    _spec("cancel", 3, UriParams, CancelPayload,
-          "Cancel the in-flight or queued check of a URI."),
-    _spec("stats", 3, EmptyParams, StatsPayload,
-          "Per-tenant queue depth, latency percentiles and counters."),
-    _spec("metrics", 3, EmptyParams, MetricsPayload,
-          "The unified metrics registry: counters, gauges, histograms."),
-])
-
-
-def method_names(version: int = 3) -> Tuple[str, ...]:
-    """The methods available at ``version``, in registry order."""
-    return tuple(name for name, spec in METHODS.items()
-                 if spec.since <= version)
-
-
-def spec_for(method: Any, version: int = 3) -> MethodSpec:
-    """Resolve a method name, or raise the v2-exact unknown-method error."""
-    spec = METHODS.get(method) if isinstance(method, str) else None
-    if spec is None or spec.since > version:
-        raise ProtocolError(
-            "unknown-method",
-            f"unknown method {method!r} "
-            f"(expected one of {', '.join(method_names(version))})")
-    return spec
+METHODS: Dict[str, MethodSpec] = registry(
+    MethodSpec("check", 2, CheckParams, CheckPayload,
+               "Open (or replace) a document and check it."),
+    MethodSpec("update", 2, CheckParams, CheckPayload,
+               "Re-check an open document incrementally."),
+    MethodSpec("diagnostics", 2, UriParams, DiagnosticsPayload,
+               "An open document's current verdict (no re-check)."),
+    MethodSpec("close", 2, UriParams, ClosePayload,
+               "Close an open document, dropping its artifacts."),
+    MethodSpec("shutdown", 2, EmptyParams, ShutdownPayload,
+               "Stop the server after responding."),
+    MethodSpec("project_open", 2, ProjectOpenParams, ProjectBuildPayload,
+               "Open a directory as a module graph and build it."),
+    MethodSpec("project_update", 2, CheckParams, ProjectUpdatePayload,
+               "Replace one module's text and re-check the cut."),
+    MethodSpec("project_diagnostics", 2, UriParams, ModulePayload,
+               "One module's current diagnostics (no re-check)."),
+    MethodSpec("hello", 3, HelloParams, HelloPayload,
+               "Identify the protocol and list the methods it speaks."),
+    MethodSpec("cancel", 3, UriParams, CancelPayload,
+               "Cancel the in-flight or queued check of a URI."),
+    MethodSpec("stats", 3, EmptyParams, StatsPayload,
+               "Per-tenant queue depth, latency percentiles and counters."),
+    MethodSpec("metrics", 3, EmptyParams, MetricsPayload,
+               "The unified metrics registry: counters, gauges, histograms."),
+)
 
 
 def describe_methods(version: int = 3) -> List[dict]:
     """The registry rendered for docs and the ``hello`` response."""
     out = []
-    for name in method_names(version):
+    for name in method_names(METHODS, version):
         spec = METHODS[name]
         out.append({
             "method": name,
@@ -414,121 +320,3 @@ def describe_methods(version: int = 3) -> List[dict]:
             "doc": spec.doc,
         })
     return out
-
-
-# ---------------------------------------------------------------------------
-# envelopes
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Request:
-    """One decoded request: method + typed params (+ tenant/trace under v3).
-
-    ``trace`` carries the client's active trace id (:mod:`repro.obs.trace`)
-    so a fleet's service traffic can be stitched into one cross-process
-    trace; like ``tenant`` it only exists on the wire at v3.
-    """
-
-    method: str
-    id: Any = None
-    params: Any = None
-    tenant: Optional[str] = None
-    trace: Optional[str] = None
-
-    @property
-    def uri(self) -> Optional[str]:
-        """The target URI, when the params carry one (supersede matching)."""
-        return getattr(self.params, "uri", None)
-
-    def to_json(self, version: int = 3) -> dict:
-        obj: dict = {"id": self.id, "method": self.method}
-        if self.tenant is not None and version >= 3:
-            obj["tenant"] = self.tenant
-        if self.trace is not None and version >= 3:
-            obj["trace"] = self.trace
-        params = self.params.to_json() if self.params is not None else {}
-        if params:
-            obj["params"] = params
-        return obj
-
-
-def decode_request(obj: dict, version: int = 3) -> Request:
-    """Decode one request object; raises :class:`ProtocolError`.
-
-    Validation order matches the v2 server (method first, then the params
-    shape), so error transcripts replay identically.
-    """
-    spec = spec_for(obj.get("method"), version)
-    params = obj.get("params") or {}
-    if not isinstance(params, dict):
-        raise ProtocolError("bad-params", "params must be an object")
-    tenant = None
-    trace = None
-    if version >= 3:
-        tenant = _optional_str(obj, "tenant", where="request")
-        trace = _optional_str(obj, "trace", where="request")
-    return Request(method=spec.name, id=obj.get("id"),
-                   params=spec.params.from_json(params), tenant=tenant,
-                   trace=trace)
-
-
-@dataclass
-class Response:
-    """One response: ``ok`` with a result payload, or an error."""
-
-    id: Any = None
-    ok: bool = True
-    result: Optional[dict] = None
-    error_code: Optional[str] = None
-    error_message: Optional[str] = None
-
-    @classmethod
-    def success(cls, request_id: Any, payload: Any,
-                version: int = 3) -> "Response":
-        if isinstance(payload, _Payload):
-            result = payload.to_json(version)
-        elif hasattr(payload, "to_json"):
-            result = payload.to_json()
-        else:
-            result = payload
-        return cls(id=request_id, ok=True, result=result)
-
-    @classmethod
-    def failure(cls, request_id: Any, code: str,
-                message: str) -> "Response":
-        return cls(id=request_id, ok=False, error_code=code,
-                   error_message=message)
-
-    def raise_for_error(self) -> dict:
-        """The result payload, or the error re-raised client-side."""
-        if not self.ok:
-            raise ProtocolError(self.error_code or "internal-error",
-                                self.error_message or "unknown error")
-        return self.result if self.result is not None else {}
-
-    def to_json(self) -> dict:
-        if self.ok:
-            return {"id": self.id, "ok": True, "result": self.result}
-        return {"id": self.id, "ok": False,
-                "error": {"code": self.error_code,
-                          "message": self.error_message}}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Response":
-        if not isinstance(obj, dict):
-            raise ProtocolError("parse-error",
-                                "response must be a JSON object")
-        if obj.get("ok"):
-            return cls(id=obj.get("id"), ok=True, result=obj.get("result"))
-        error = obj.get("error") or {}
-        if not isinstance(error, dict):
-            error = {}
-        return cls(id=obj.get("id"), ok=False,
-                   error_code=error.get("code") or "internal-error",
-                   error_message=error.get("message") or "unknown error")
-
-
-def parse_error_response(message: str) -> Response:
-    """The ``id: null`` response for an undecodable input line."""
-    return Response.failure(None, "parse-error", message)

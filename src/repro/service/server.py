@@ -22,17 +22,16 @@ Lane state is only ever mutated on the event-loop thread (enqueue,
 supersede, the ``cancel`` method's hook, completion), so no locks are
 needed beyond the thread-safe cancellation token itself.
 
-:class:`ServerThread` hosts the server on a background thread for tests,
-the watch loop and ``repro bench serve``; :func:`run_server` is the
-blocking CLI entry point.
+The line loop, the listener and the background-thread host
+(:class:`repro.wire.ServerThread`, used by tests and ``repro bench
+serve``) are shared with the cache server (:mod:`repro.wire`);
+:func:`run_server` is the blocking CLI entry point.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
@@ -41,15 +40,16 @@ from repro.core.cancel import CancelToken
 from repro.core.config import CheckConfig
 from repro.obs.trace import span as trace_span
 from repro.service.core import ServiceCore
-from repro.service.protocol import (CancelPayload, ProtocolError, Request,
-                                    Response, decode_request,
-                                    parse_error_response)
+from repro.service.protocol import METHODS, PROTOCOL_V3, CancelPayload
+from repro.wire import (LineServer, Request, Response, line_sender,
+                        read_requests, run_blocking)
 
 #: Methods a later edit of the same URI supersedes.
 SUPERSEDABLE = frozenset({"check", "update"})
 
-#: NDJSON line limit for the stream reader (sources are whole lines).
-LINE_LIMIT = 16 * 1024 * 1024
+#: Methods answered inline on the event loop instead of on a tenant lane;
+#: they never check a workspace, so they cannot race a check.
+INLINE = frozenset({"hello", "stats", "metrics", "cancel", "shutdown"})
 
 
 @dataclass
@@ -74,50 +74,25 @@ class _Lane:
         return self.current is not None or bool(self.queue)
 
 
-class AsyncCheckServer:
+class AsyncCheckServer(LineServer):
     """The asyncio TCP server fronting one :class:`ServiceCore`."""
 
     def __init__(self, config: Optional[CheckConfig] = None,
                  host: str = "127.0.0.1", port: int = 0) -> None:
         from concurrent.futures import ThreadPoolExecutor
+        super().__init__(host, port)
         self.config = config or CheckConfig()
         self.core = ServiceCore(self.config)
         self.core.cancel_hook = self._cancel_uri
         self.core.manager.busy = self._tenant_busy
-        self.host = host
-        self.port = port
         self.lanes: Dict[str, _Lane] = {}
         self.executor = ThreadPoolExecutor(
             max_workers=self.config.service.workers,
             thread_name_prefix="repro-check")
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stop: Optional[asyncio.Event] = None
-
-    # -- lifecycle ---------------------------------------------------------
-
-    async def start(self) -> None:
-        self._stop = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._on_client, self.host, self.port, limit=LINE_LIMIT)
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve_until_shutdown(self) -> None:
-        """Block until a ``shutdown`` request (or :meth:`request_stop`)."""
-        assert self._stop is not None, "call start() first"
-        await self._stop.wait()
-        await self._drain()
-
-    def request_stop(self) -> None:
-        """Stop the server from the event-loop thread."""
-        if self._stop is not None:
-            self._stop.set()
 
     async def _drain(self) -> None:
-        """Stop accepting, flush queued work as cancelled, finish in-flight
-        checks (their clients may still be reading), release the pool."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        """Flush queued work as cancelled, finish in-flight checks (their
+        clients may still be reading), release the pool."""
         for name, lane in self.lanes.items():
             tenant = self.core.manager.peek(name)
             while lane.queue:
@@ -135,57 +110,19 @@ class AsyncCheckServer:
 
     async def _on_client(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> None:
-        lock = asyncio.Lock()
-
-        async def send(response: Response) -> None:
-            line = json.dumps(response.to_json()) + "\n"
-            try:
-                async with lock:
-                    writer.write(line.encode("utf-8"))
-                    await writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass  # the client went away; the check result is dropped
-
+        send = line_sender(writer)
+        requests = read_requests(reader, send, METHODS, version=3,
+                                 on_object=self.core.count_request)
         try:
-            while not self.core.shutting_down:
-                try:
-                    raw = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await send(parse_error_response("request line too long"))
-                    break
-                if not raw:
-                    break
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except ValueError as exc:
-                    await send(parse_error_response(
-                        f"malformed request: {exc}"))
-                    continue
-                if not isinstance(obj, dict):
-                    await send(parse_error_response(
-                        "request must be a JSON object"))
-                    continue
-                self.core.count_request()
-                try:
-                    request = decode_request(obj, version=3)
-                except ProtocolError as exc:
-                    await send(Response.failure(obj.get("id"), exc.code,
-                                                exc.message))
-                    continue
-                if request.method in ("hello", "stats", "metrics",
-                                      "cancel"):
-                    # Control methods answer inline on the event loop; they
-                    # never touch a workspace, so they cannot race a check.
-                    await send(self.core.execute(request, version=3))
-                    continue
-                if request.method == "shutdown":
-                    await send(self.core.execute(request, version=3))
-                    self.request_stop()
-                    break
-                self._route(request, send)
+            async with contextlib.aclosing(requests):
+                async for request in requests:
+                    if request.method in INLINE:
+                        await send(self.core.execute(request, version=3))
+                    else:
+                        self._route(request, send)
+                    if self.core.shutting_down:
+                        self.request_stop()
+                        break
         finally:
             with contextlib.suppress(ConnectionError):
                 writer.close()
@@ -283,84 +220,8 @@ class AsyncCheckServer:
         return CancelPayload(uri=uri, cancelled=False, state="idle")
 
 
-class ServerThread:
-    """Host an :class:`AsyncCheckServer` on a background thread.
-
-    Usage::
-
-        with ServerThread(config) as server:
-            client = Client.connect(server.host, server.port)
-            ...
-
-    ``port`` is the bound port (an ephemeral one unless pinned) once the
-    context is entered / :meth:`start` returns.
-    """
-
-    def __init__(self, config: Optional[CheckConfig] = None,
-                 host: str = "127.0.0.1", port: int = 0) -> None:
-        self.server = AsyncCheckServer(config, host=host, port=port)
-        self.host = host
-        self.port = port
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._startup_error: Optional[BaseException] = None
-
-    def start(self) -> "ServerThread":
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-serve", daemon=True)
-        self._thread.start()
-        self._ready.wait(timeout=30)
-        if self._startup_error is not None:
-            raise self._startup_error
-        if not self._ready.is_set():
-            raise RuntimeError("check server failed to start in time")
-        return self
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # surface bind errors to start()
-            if not self._ready.is_set():
-                self._startup_error = exc
-                self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_event_loop()
-        await self.server.start()
-        self.port = self.server.port
-        self._ready.set()
-        await self.server.serve_until_shutdown()
-
-    def stop(self) -> None:
-        if self._thread is None or not self._thread.is_alive():
-            return
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self.server.request_stop)
-        self._thread.join(timeout=30)
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
 def run_server(config: Optional[CheckConfig] = None,
                host: str = "127.0.0.1", port: int = 0) -> int:
     """Blocking entry point for ``repro serve --tcp``."""
-    import sys
-
-    async def main() -> None:
-        server = AsyncCheckServer(config, host=host, port=port)
-        await server.start()
-        print(json.dumps({"listening": {"host": server.host,
-                                        "port": server.port},
-                          "protocol": "repro-serve/3"}), flush=True)
-        await server.serve_until_shutdown()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        print("stopped", file=sys.stderr)
-    return 0
+    return run_blocking(AsyncCheckServer(config, host=host, port=port),
+                        {"protocol": PROTOCOL_V3})

@@ -18,9 +18,6 @@ scratch:
                               long-lived SAT solver per hypothesis
                               environment, goals checked under selector
                               assumptions, learned/theory clauses retained,
-* :mod:`repro.smt.backend`  — the pluggable ``Backend`` protocol and
-                              registry (the built-in engine is
-                              ``"internal"``; a z3 adapter can drop in),
 * :mod:`repro.smt.solver`   — the lazy-SMT loop and the public ``Solver``
                               facade (``is_valid`` / ``is_satisfiable``),
                               routing implications through contexts when
@@ -33,12 +30,6 @@ type errors), never unsoundness.
 """
 
 from repro.smt.solver import SMT_MODES, Result, Solver, SolverStats
-from repro.smt.backend import (
-    Backend,
-    available_backends,
-    create_backend,
-    register_backend,
-)
 from repro.smt.context import ContextManager, SolverContext, TheoryLemmaStore
 
 __all__ = [
@@ -46,10 +37,6 @@ __all__ = [
     "SolverStats",
     "Result",
     "SMT_MODES",
-    "Backend",
-    "available_backends",
-    "create_backend",
-    "register_backend",
     "ContextManager",
     "SolverContext",
     "TheoryLemmaStore",

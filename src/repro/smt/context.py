@@ -199,8 +199,9 @@ class SolverContext:
         (not valid, but also not a cacheable "satisfiable" verdict).
 
         ``stats`` is the owning solver's :class:`SolverStats`; the context
-        bumps ``sat_calls`` / ``theory_checks`` / ``blocking_clauses`` /
-        ``lemmas_reused`` / ``clauses_learned`` exactly like the fresh path.
+        bumps ``sat_calls`` / ``theory_checks`` / ``minimise_checks`` /
+        ``blocking_clauses`` / ``lemmas_reused`` / ``clauses_learned``
+        exactly like the fresh path.
         """
         self.goals_checked += 1
         if self._inconsistent:
@@ -347,6 +348,7 @@ class SolverContext:
             else:
                 stats.theory_checks += 1
                 result = check_with_core(literals)
+                stats.minimise_checks += result.minimise_checks
                 if result.satisfiable:
                     return False
                 core = frozenset(result.core or literals)

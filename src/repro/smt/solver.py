@@ -52,6 +52,9 @@ class SolverStats:
     invalid: int = 0
     sat_calls: int = 0
     theory_checks: int = 0
+    #: ``check_literals`` calls core minimisation made on top of
+    #: ``theory_checks`` (see :func:`repro.smt.theory.check_with_core`)
+    minimise_checks: int = 0
     blocking_clauses: int = 0
     cache_hits: int = 0
     contexts_created: int = 0
@@ -66,6 +69,7 @@ class SolverStats:
         self.invalid += other.invalid
         self.sat_calls += other.sat_calls
         self.theory_checks += other.theory_checks
+        self.minimise_checks += other.minimise_checks
         self.blocking_clauses += other.blocking_clauses
         self.cache_hits += other.cache_hits
         self.contexts_created += other.contexts_created
@@ -91,6 +95,7 @@ class SolverStats:
             "invalid": self.invalid,
             "sat_calls": self.sat_calls,
             "theory_checks": self.theory_checks,
+            "minimise_checks": self.minimise_checks,
             "blocking_clauses": self.blocking_clauses,
             "cache_hits": self.cache_hits,
             "contexts_created": self.contexts_created,
@@ -337,6 +342,7 @@ class Solver:
                         literals.append((atom, value))
                 self.stats.theory_checks += 1
                 result = check_with_core(literals)
+                self.stats.minimise_checks += result.minimise_checks
                 if result.satisfiable:
                     return Result.SAT
                 # Block this theory-inconsistent assignment.

@@ -67,6 +67,9 @@ class TheoryResult:
     #: when unsatisfiable, a (possibly minimised) subset of the input literals
     #: that is already inconsistent; used to build the blocking clause.
     core: Optional[List[TheoryLiteral]] = None
+    #: :func:`check_literals` calls spent minimising the core (every call
+    #: :func:`check_with_core` makes after its first).
+    minimise_checks: int = 0
 
 
 def check_literals(literals: Sequence[TheoryLiteral]) -> bool:
@@ -211,7 +214,7 @@ def check_with_core(literals: Sequence[TheoryLiteral]) -> TheoryResult:
             core = trial
         else:
             i += 1
-    return TheoryResult(False, core)
+    return TheoryResult(False, core, MINIMISE_CHECK_BUDGET - budget)
 
 
 # ---------------------------------------------------------------------------

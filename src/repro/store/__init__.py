@@ -56,7 +56,7 @@ from repro.store.codec import STORE_SCHEMA, CodecError, ModuleArtifact
 from repro.store.local import LocalStoreBackend
 from repro.store.protocol import STORE_PROTOCOL
 from repro.store.remote import RemoteStoreBackend, StoreUnavailableError
-from repro.store.server import FaultPlan, StoreServer, StoreServerThread
+from repro.store.server import FaultPlan, StoreServer
 from repro.store.tiered import TieredStoreBackend
 
 register_store_backend("local", LocalStoreBackend)
@@ -79,7 +79,6 @@ __all__ = [
     "STORE_SCHEMA",
     "StoreBackend",
     "StoreServer",
-    "StoreServerThread",
     "StoreStats",
     "StoreUnavailableError",
     "TieredStoreBackend",

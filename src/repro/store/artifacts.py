@@ -12,7 +12,7 @@ An :class:`ArtifactStore` persists three artifact kinds across processes:
 Solutions and verdicts are keyed by the document's content hash *combined
 with* :func:`config_fingerprint` — a digest of exactly the options that can
 change constraint generation, fixpoint behaviour or solver verdicts
-(qualifier set, fixpoint budget/strategy, theory budget, SMT backend), so a
+(qualifier set, fixpoint budget/strategy, theory budget), so a
 stale config can never alias a current one.  Deliberately *excluded*:
 ``smt_mode`` (verdicts are identical in both modes, asserted by the
 differential fuzz suite), cache sizing (capacity, not meaning), and output
@@ -68,7 +68,6 @@ def config_fingerprint(config) -> str:
         "max_fixpoint_iterations": config.max_fixpoint_iterations,
         "fixpoint_strategy": config.fixpoint_strategy,
         "max_theory_iterations": config.solver.max_theory_iterations,
-        "backend": config.solver.backend,
     }
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()

@@ -1,16 +1,17 @@
 """The pluggable artifact-store seam.
 
-Mirrors :mod:`repro.smt.backend`: the checking pipeline only ever talks to
-the store through the narrow byte-oriented surface below, captured as a
-runtime-checkable protocol, and backends are registered by name in a
-process-wide registry.  The built-in filesystem implementation
-(:class:`repro.store.local.LocalStoreBackend`, registered as ``"local"``)
-is the only one shipped; a shared networked store (redis, an artifact
-service) drops in by registering a factory::
+The checking pipeline only ever talks to the store through the narrow
+byte-oriented surface below, captured as a runtime-checkable protocol, and
+backends are registered by name in a process-wide registry keyed by the
+``store_path`` scheme.  Three are registered (:mod:`repro.store`):
 
-    from repro.store.backend import register_store_backend
-
-    register_store_backend("redis", lambda root, **opts: RedisStore(root))
+* a plain path (or ``local://PATH``) —
+  :class:`repro.store.local.LocalStoreBackend`, sharded files on disk;
+* ``remote://host:port`` — :class:`repro.store.remote.RemoteStoreBackend`,
+  a client of a cache server (``repro cache serve --tcp``);
+* ``tiered://PATH?remote=host:port`` —
+  :class:`repro.store.tiered.TieredStoreBackend`, a local store in front of
+  a cache server.
 
 Backends deal in opaque payload bytes — encoding, keying and corruption
 handling live above them in :class:`repro.store.ArtifactStore` — and their

@@ -1,11 +1,11 @@
 """The typed cache-server protocol: ``repro-store/1``.
 
-Mirrors the registry discipline of :mod:`repro.service.protocol`: every
-method the cache server speaks is declared **once**, in :data:`METHODS`,
-binding the method name to its params dataclass and its result payload
-dataclass.  The asyncio server, the pooled socket client and the rendered
-``ping`` response all consult the same registry, so a method cannot exist
-half-way.
+Every method the cache server speaks is declared **once**, in
+:data:`METHODS`, binding the method name to its params dataclass and its
+result payload dataclass.  The asyncio server, the pooled socket client
+and the rendered ``ping`` response all consult the same registry, so a
+method cannot exist half-way.  The envelope, the registry helpers and the
+line loop are the ones the check service uses (:mod:`repro.wire`).
 
 The protocol is deliberately tiny — a shared artifact store has exactly two
 data operations and a handful of admin operations::
@@ -32,8 +32,11 @@ from __future__ import annotations
 
 import base64
 import binascii
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
+
+from repro.wire import (EmptyParams, MethodSpec, Payload, ProtocolError,
+                        registry, require_int, require_str)
 
 #: Protocol identifier spoken by the cache server and its clients.
 STORE_PROTOCOL = "repro-store/1"
@@ -48,31 +51,6 @@ ERROR_CODES: Tuple[str, ...] = (
 )
 
 
-class StoreProtocolError(Exception):
-    """A request or response that cannot be served/decoded."""
-
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-        self.message = message
-
-
-def _require_str(obj: dict, name: str) -> str:
-    value = obj.get(name)
-    if not isinstance(value, str) or not value:
-        raise StoreProtocolError("bad-params",
-                                 f"params.{name} must be a string")
-    return value
-
-
-def _require_int(obj: dict, name: str) -> int:
-    value = obj.get(name)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise StoreProtocolError(
-            "bad-params", f"params.{name} must be a non-negative integer")
-    return value
-
-
 def encode_payload(payload: bytes) -> str:
     return base64.b64encode(payload).decode("ascii")
 
@@ -82,25 +60,13 @@ def decode_payload(text: str) -> bytes:
     try:
         return base64.b64decode(text.encode("ascii"), validate=True)
     except (ValueError, binascii.Error) as exc:
-        raise StoreProtocolError("parse-error",
-                                 f"malformed payload_b64: {exc}") from None
+        raise ProtocolError("parse-error",
+                            f"malformed payload_b64: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # params codecs (client -> server)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class EmptyParams:
-    """Params for methods that take none (extra fields are ignored)."""
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EmptyParams":
-        return cls()
-
-    def to_json(self) -> dict:
-        return {}
 
 
 @dataclass
@@ -112,7 +78,7 @@ class EntryParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EntryParams":
-        return cls(kind=_require_str(obj, "kind"), key=_require_str(obj, "key"))
+        return cls(kind=require_str(obj, "kind"), key=require_str(obj, "key"))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "key": self.key}
@@ -128,9 +94,9 @@ class PutParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PutParams":
-        return cls(kind=_require_str(obj, "kind"),
-                   key=_require_str(obj, "key"),
-                   payload_b64=_require_str(obj, "payload_b64"))
+        return cls(kind=require_str(obj, "kind"),
+                   key=require_str(obj, "key"),
+                   payload_b64=require_str(obj, "payload_b64"))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "key": self.key,
@@ -145,7 +111,7 @@ class GcParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GcParams":
-        return cls(max_bytes=_require_int(obj, "max_bytes"))
+        return cls(max_bytes=require_int(obj, "max_bytes"))
 
     def to_json(self) -> dict:
         return {"max_bytes": self.max_bytes}
@@ -156,24 +122,8 @@ class GcParams:
 # ---------------------------------------------------------------------------
 
 
-class _Payload:
-    """Shared to_json/from_json over the dataclass fields (unknown-field
-    tolerant both directions, like the serve payloads)."""
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_json(cls, obj: dict):
-        if not isinstance(obj, dict):
-            raise StoreProtocolError(
-                "parse-error", f"{cls.__name__} payload must be an object")
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in obj.items() if k in known})
-
-
 @dataclass
-class GetPayload(_Payload):
+class GetPayload(Payload):
     """Result of ``get`` — a hit carries the entry bytes, base64-encoded."""
 
     found: bool = False
@@ -181,14 +131,14 @@ class GetPayload(_Payload):
 
 
 @dataclass
-class PutPayload(_Payload):
+class PutPayload(Payload):
     """Result of ``put`` — whether the backend accepted the write."""
 
     stored: bool = False
 
 
 @dataclass
-class StatsPayload(_Payload):
+class StatsPayload(Payload):
     """Result of ``stats`` — the server-side store's per-kind usage."""
 
     kinds: Dict[str, dict] = field(default_factory=dict)
@@ -197,7 +147,7 @@ class StatsPayload(_Payload):
 
 
 @dataclass
-class GcPayload(_Payload):
+class GcPayload(Payload):
     """Result of ``gc`` — what the server-side pass evicted and kept."""
 
     evicted_entries: int = 0
@@ -207,14 +157,14 @@ class GcPayload(_Payload):
 
 
 @dataclass
-class ClearPayload(_Payload):
+class ClearPayload(Payload):
     """Result of ``clear`` — how many entries were dropped."""
 
     removed: int = 0
 
 
 @dataclass
-class PingPayload(_Payload):
+class PingPayload(Payload):
     """Result of ``ping`` — identification, liveness and server counters.
 
     ``faults`` reports the fault-injection counters when the server runs
@@ -230,7 +180,7 @@ class PingPayload(_Payload):
 
 
 @dataclass
-class ShutdownPayload(_Payload):
+class ShutdownPayload(Payload):
     """Result of ``shutdown`` — acknowledged; the server stops after this."""
 
     shutdown: bool = True
@@ -243,141 +193,20 @@ class ShutdownPayload(_Payload):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StoreMethodSpec:
-    """One protocol method: its codecs and documentation."""
-
-    name: str
-    params: type
-    payload: type
-    doc: str
-
-
-def _spec(name: str, params: type, payload: type,
-          doc: str) -> Tuple[str, StoreMethodSpec]:
-    return name, StoreMethodSpec(name, params, payload, doc)
-
-
 #: The exhaustive method registry (insertion order is the documented order).
-METHODS: Dict[str, StoreMethodSpec] = dict([
-    _spec("get", EntryParams, GetPayload,
-          "Fetch the payload stored under (kind, key), if any."),
-    _spec("put", PutParams, PutPayload,
-          "Store a payload under (kind, key); last write wins."),
-    _spec("stats", EmptyParams, StatsPayload,
-          "Per-kind entry counts and byte totals of the server's store."),
-    _spec("gc", GcParams, GcPayload,
-          "Evict oldest entries until at most max_bytes remain."),
-    _spec("clear", EmptyParams, ClearPayload,
-          "Drop every entry from the server's store."),
-    _spec("ping", EmptyParams, PingPayload,
-          "Liveness probe: protocol, methods and request counters."),
-    _spec("shutdown", EmptyParams, ShutdownPayload,
-          "Stop the server after responding."),
-])
-
-
-def method_names() -> Tuple[str, ...]:
-    return tuple(METHODS)
-
-
-def spec_for(method: Any) -> StoreMethodSpec:
-    spec = METHODS.get(method) if isinstance(method, str) else None
-    if spec is None:
-        raise StoreProtocolError(
-            "unknown-method",
-            f"unknown method {method!r} "
-            f"(expected one of {', '.join(method_names())})")
-    return spec
-
-
-# ---------------------------------------------------------------------------
-# envelopes
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StoreRequest:
-    """One decoded request: method plus typed params.
-
-    ``trace`` carries the client's active trace id (see
-    :mod:`repro.obs.trace`) so a fleet's store traffic can be stitched
-    into one cross-process trace; it is omitted when unset and silently
-    ignored by servers that predate it.
-    """
-
-    method: str
-    id: Any = None
-    params: Any = None
-    trace: Optional[str] = None
-
-    def to_json(self) -> dict:
-        obj: dict = {"id": self.id, "method": self.method}
-        params = self.params.to_json() if self.params is not None else {}
-        if params:
-            obj["params"] = params
-        if self.trace is not None:
-            obj["trace"] = self.trace
-        return obj
-
-
-def decode_request(obj: dict) -> StoreRequest:
-    """Decode one request object; raises :class:`StoreProtocolError`."""
-    spec = spec_for(obj.get("method"))
-    params = obj.get("params") or {}
-    if not isinstance(params, dict):
-        raise StoreProtocolError("bad-params", "params must be an object")
-    trace = obj.get("trace")
-    return StoreRequest(method=spec.name, id=obj.get("id"),
-                        params=spec.params.from_json(params),
-                        trace=trace if isinstance(trace, str) else None)
-
-
-@dataclass
-class StoreResponse:
-    """One response: ``ok`` with a result payload, or an error."""
-
-    id: Any = None
-    ok: bool = True
-    result: Optional[dict] = None
-    error_code: Optional[str] = None
-    error_message: Optional[str] = None
-
-    @classmethod
-    def success(cls, request_id: Any, payload: Any) -> "StoreResponse":
-        result = payload.to_json() if hasattr(payload, "to_json") else payload
-        return cls(id=request_id, ok=True, result=result)
-
-    @classmethod
-    def failure(cls, request_id: Any, code: str,
-                message: str) -> "StoreResponse":
-        return cls(id=request_id, ok=False, error_code=code,
-                   error_message=message)
-
-    def raise_for_error(self) -> dict:
-        """The result payload, or the error re-raised client-side."""
-        if not self.ok:
-            raise StoreProtocolError(self.error_code or "internal-error",
-                                     self.error_message or "unknown error")
-        return self.result if self.result is not None else {}
-
-    def to_json(self) -> dict:
-        if self.ok:
-            return {"id": self.id, "ok": True, "result": self.result}
-        return {"id": self.id, "ok": False,
-                "error": {"code": self.error_code,
-                          "message": self.error_message}}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "StoreResponse":
-        if not isinstance(obj, dict):
-            raise StoreProtocolError("parse-error",
-                                     "response must be a JSON object")
-        if obj.get("ok"):
-            return cls(id=obj.get("id"), ok=True, result=obj.get("result"))
-        error = obj.get("error") or {}
-        if not isinstance(error, dict):
-            error = {}
-        return cls(id=obj.get("id"), ok=False,
-                   error_code=error.get("code") or "internal-error",
-                   error_message=error.get("message") or "unknown error")
+METHODS: Dict[str, MethodSpec] = registry(
+    MethodSpec("get", 1, EntryParams, GetPayload,
+               "Fetch the payload stored under (kind, key), if any."),
+    MethodSpec("put", 1, PutParams, PutPayload,
+               "Store a payload under (kind, key); last write wins."),
+    MethodSpec("stats", 1, EmptyParams, StatsPayload,
+               "Per-kind entry counts and byte totals of the server's store."),
+    MethodSpec("gc", 1, GcParams, GcPayload,
+               "Evict oldest entries until at most max_bytes remain."),
+    MethodSpec("clear", 1, EmptyParams, ClearPayload,
+               "Drop every entry from the server's store."),
+    MethodSpec("ping", 1, EmptyParams, PingPayload,
+               "Liveness probe: protocol, methods and request counters."),
+    MethodSpec("shutdown", 1, EmptyParams, ShutdownPayload,
+               "Stop the server after responding."),
+)

@@ -44,9 +44,8 @@ from urllib.parse import parse_qsl
 
 from repro.obs.trace import current_trace_id, span as trace_span
 from repro.store.backend import GcResult, KindStats, StoreStats
-from repro.store.protocol import (StoreProtocolError, StoreRequest,
-                                  StoreResponse, decode_payload,
-                                  encode_payload, spec_for)
+from repro.store.protocol import METHODS, decode_payload, encode_payload
+from repro.wire import ProtocolError, Request, Response, spec_for
 
 #: Per-operation socket timeout (connect, send and receive), seconds.
 DEFAULT_TIMEOUT = 5.0
@@ -183,7 +182,7 @@ class _PooledClient:
         with self._lock:
             self._next_id += 1
             request_id = self._next_id
-        line = json.dumps(StoreRequest(method=method, id=request_id,
+        line = json.dumps(Request(method=method, id=request_id,
                                        params=params,
                                        trace=current_trace_id()
                                        ).to_json()) + "\n"
@@ -196,12 +195,12 @@ class _PooledClient:
             obj = json.loads(raw.decode("utf-8"))
             if not isinstance(obj, dict):
                 raise ValueError("response is not a JSON object")
-            response = StoreResponse.from_json(obj)
+            response = Response.from_json(obj)
             if response.id != request_id:
                 raise ValueError(f"response id {response.id!r} does not "
                                  f"match request id {request_id!r}")
             result = response.raise_for_error()
-        except (OSError, ValueError, StoreProtocolError) as exc:
+        except (OSError, ValueError, ProtocolError) as exc:
             if sock is not None:
                 sock.close()
             raise RemoteStoreError(f"{type(exc).__name__}: {exc}") from exc
@@ -337,7 +336,7 @@ class RemoteStoreBackend:
     # -- StoreBackend data protocol ----------------------------------------
 
     def get(self, kind: str, key: str) -> Optional[bytes]:
-        spec = spec_for("get")
+        spec = spec_for(METHODS, "get")
         result = self._call_degraded("get", spec.params(kind=kind, key=key))
         if result is None:
             self._count("degraded_gets")
@@ -347,14 +346,14 @@ class RemoteStoreBackend:
             return None
         try:
             return decode_payload(payload.payload_b64)
-        except StoreProtocolError:
+        except ProtocolError:
             # The transport worked but the bytes are unusable — a miss.
             self._count("remote_errors")
             self._count("degraded_gets")
             return None
 
     def put(self, kind: str, key: str, payload: bytes) -> bool:
-        spec = spec_for("put")
+        spec = spec_for(METHODS, "put")
         result = self._call_degraded(
             "put", spec.params(kind=kind, key=key,
                                payload_b64=encode_payload(payload)))
@@ -387,7 +386,7 @@ class RemoteStoreBackend:
             f"is unreachable ({last})")
 
     def stats(self) -> StoreStats:
-        spec = spec_for("stats")
+        spec = spec_for(METHODS, "stats")
         payload = spec.payload.from_json(
             self._call_admin("stats", spec.params()))
         stats = StoreStats(kinds={
@@ -398,7 +397,7 @@ class RemoteStoreBackend:
         return stats
 
     def gc(self, max_bytes: int) -> GcResult:
-        spec = spec_for("gc")
+        spec = spec_for(METHODS, "gc")
         payload = spec.payload.from_json(
             self._call_admin("gc", spec.params(max_bytes=max_bytes)))
         return GcResult(evicted_entries=payload.evicted_entries,
@@ -407,16 +406,16 @@ class RemoteStoreBackend:
                         kept_bytes=payload.kept_bytes)
 
     def clear(self) -> int:
-        spec = spec_for("clear")
+        spec = spec_for(METHODS, "clear")
         return int(spec.payload.from_json(
             self._call_admin("clear", spec.params())).removed)
 
     def ping(self) -> dict:
-        spec = spec_for("ping")
+        spec = spec_for(METHODS, "ping")
         return self._call_admin("ping", spec.params())
 
     def shutdown(self) -> dict:
-        spec = spec_for("shutdown")
+        spec = spec_for(METHODS, "shutdown")
         return self._call_admin("shutdown", spec.params())
 
     def close(self) -> None:

@@ -23,33 +23,29 @@ byte-identical under all three.  Faults only apply to ``get``/``put``;
 admin methods always answer, so liveness probes and stats collection work
 even on a maximally faulty server.
 
-:class:`StoreServerThread` hosts the server on a background thread for
-tests, benches and examples; :func:`run_store_server` is the blocking CLI
-entry point.
+The line loop, the listener and the background-thread host
+(:class:`repro.wire.ServerThread`, used by tests, benches and examples) are
+shared with the check server (:mod:`repro.wire`); :func:`run_store_server`
+is the blocking CLI entry point.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.store.backend import StoreBackend
 from repro.obs.trace import span as trace_span
 from repro.store.local import LocalStoreBackend
-from repro.store.protocol import (STORE_PROTOCOL, ClearPayload, GcPayload,
-                                  GetPayload, PingPayload, PutPayload,
-                                  ShutdownPayload, StatsPayload,
-                                  StoreProtocolError, StoreRequest,
-                                  StoreResponse, decode_payload,
-                                  decode_request, encode_payload,
-                                  method_names)
-
-#: NDJSON line limit for the stream reader (payloads are base64 lines).
-LINE_LIMIT = 64 * 1024 * 1024
+from repro.store.protocol import (METHODS, STORE_PROTOCOL, ClearPayload,
+                                  GcPayload, GetPayload, PingPayload,
+                                  PutPayload, ShutdownPayload, StatsPayload,
+                                  decode_payload, encode_payload)
+from repro.wire import (LineServer, ProtocolError, Request, Response,
+                        line_sender, method_names, read_requests,
+                        run_blocking)
 
 #: Methods fault injection applies to (admin methods always answer).
 DATA_METHODS = frozenset({"get", "put"})
@@ -115,8 +111,11 @@ class _Drop(Exception):
     closed without a response and without an unhandled-exception log."""
 
 
-class StoreServer:
+class StoreServer(LineServer):
     """The asyncio TCP server fronting one :class:`StoreBackend`."""
+
+    #: NDJSON line limit for the stream reader (payloads are base64 lines).
+    LINE_LIMIT = 64 * 1024 * 1024
 
     def __init__(self, root: Optional[str] = None,
                  backend: Optional[StoreBackend] = None,
@@ -126,30 +125,14 @@ class StoreServer:
             if root is None:
                 raise ValueError("StoreServer needs a root path or a backend")
             backend = LocalStoreBackend(root)
+        super().__init__(host, port)
         self.backend = backend
         self.root = str(root) if root is not None else ""
-        self.host = host
-        self.port = port
         self.faults = faults
         self.requests_served = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stop: Optional[asyncio.Event] = None
         self._connections: set = set()
 
-    # -- lifecycle ---------------------------------------------------------
-
-    async def start(self) -> None:
-        self._stop = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._on_client, self.host, self.port, limit=LINE_LIMIT)
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve_until_shutdown(self) -> None:
-        assert self._stop is not None, "call start() first"
-        await self._stop.wait()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _drain(self) -> None:
         # Close idle client connections so their handler tasks see EOF and
         # finish on their own — tearing the loop down with tasks parked in
         # readline() would spray CancelledError tracebacks.
@@ -158,61 +141,27 @@ class StoreServer:
                 writer.close()
         await asyncio.sleep(0)
 
-    def request_stop(self) -> None:
-        if self._stop is not None:
-            self._stop.set()
-
     # -- connection handling -----------------------------------------------
+
+    def _count_request(self) -> None:
+        self.requests_served += 1
 
     async def _on_client(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> None:
         self._connections.add(writer)
-
-        async def send(response: StoreResponse) -> None:
-            line = json.dumps(response.to_json()) + "\n"
-            try:
-                writer.write(line.encode("utf-8"))
-                await writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass  # the client went away; nothing to do
-
+        send = line_sender(writer)
+        requests = read_requests(reader, send, METHODS,
+                                 on_line=self._count_request)
         try:
-            while True:
-                try:
-                    raw = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await send(StoreResponse.failure(
-                        None, "parse-error", "request line too long"))
-                    break
-                if not raw:
-                    break
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                self.requests_served += 1
-                try:
-                    obj = json.loads(line)
-                except ValueError as exc:
-                    await send(StoreResponse.failure(
-                        None, "parse-error", f"malformed request: {exc}"))
-                    continue
-                if not isinstance(obj, dict):
-                    await send(StoreResponse.failure(
-                        None, "parse-error", "request must be a JSON object"))
-                    continue
-                try:
-                    request = decode_request(obj)
-                except StoreProtocolError as exc:
-                    await send(StoreResponse.failure(obj.get("id"), exc.code,
-                                                     exc.message))
-                    continue
-                try:
-                    await self._serve_one(request, send)
-                except _Drop:
-                    break
-                except _Shutdown:
-                    self.request_stop()
-                    break
+            async with contextlib.aclosing(requests):
+                async for request in requests:
+                    try:
+                        await self._serve_one(request, send)
+                    except _Drop:
+                        break
+                    except _Shutdown:
+                        self.request_stop()
+                        break
         except asyncio.CancelledError:
             pass  # loop teardown mid-read; the connection is going away
         finally:
@@ -220,7 +169,7 @@ class StoreServer:
             with contextlib.suppress(ConnectionError):
                 writer.close()
 
-    async def _serve_one(self, request: StoreRequest, send) -> None:
+    async def _serve_one(self, request: Request, send) -> None:
         """Execute one request, weaving in the fault plan for data ops."""
         drop = delay = corrupt = False
         if self.faults is not None and request.method in DATA_METHODS:
@@ -230,14 +179,12 @@ class StoreServer:
             with trace_span("store.serve", "store", method=request.method,
                             **extra):
                 payload = self._dispatch(request, corrupt=corrupt)
-            response = StoreResponse.success(request.id, payload)
-        except StoreProtocolError as exc:
-            response = StoreResponse.failure(request.id, exc.code, exc.message)
-        except _Shutdown:
-            raise
+            response = Response.success(request.id, payload)
+        except ProtocolError as exc:
+            response = Response.failure(request.id, exc.code, exc.message)
         except Exception as exc:  # noqa: BLE001 — one bad request must not
             # take the server down; the contract is one response per line.
-            response = StoreResponse.failure(
+            response = Response.failure(
                 request.id, "internal-error", f"{type(exc).__name__}: {exc}")
         if delay and self.faults is not None:
             await asyncio.sleep(self.faults.delay_seconds)
@@ -251,7 +198,7 @@ class StoreServer:
 
     # -- dispatch ----------------------------------------------------------
 
-    def _dispatch(self, request: StoreRequest, corrupt: bool = False):
+    def _dispatch(self, request: Request, corrupt: bool = False):
         method = request.method
         params = request.params
         if method == "get":
@@ -279,7 +226,7 @@ class StoreServer:
             return ClearPayload(removed=self.backend.clear())
         if method == "ping":
             return PingPayload(
-                protocol=STORE_PROTOCOL, methods=list(method_names()),
+                protocol=STORE_PROTOCOL, methods=list(method_names(METHODS)),
                 requests_served=self.requests_served, store=self.root,
                 faults=self.faults.counters() if self.faults else None)
         assert method == "shutdown", method
@@ -287,88 +234,9 @@ class StoreServer:
                                requests_served=self.requests_served)
 
 
-class StoreServerThread:
-    """Host a :class:`StoreServer` on a background thread.
-
-    Usage::
-
-        with StoreServerThread(root=tmpdir) as server:
-            backend = RemoteStoreBackend(f"{server.host}:{server.port}")
-            ...
-
-    ``port`` is the bound (ephemeral unless pinned) port once the context
-    is entered / :meth:`start` returns.
-    """
-
-    def __init__(self, root: Optional[str] = None,
-                 backend: Optional[StoreBackend] = None,
-                 host: str = "127.0.0.1", port: int = 0,
-                 faults: Optional[FaultPlan] = None) -> None:
-        self.server = StoreServer(root=root, backend=backend, host=host,
-                                  port=port, faults=faults)
-        self.host = host
-        self.port = port
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._startup_error: Optional[BaseException] = None
-
-    def start(self) -> "StoreServerThread":
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-cache-serve", daemon=True)
-        self._thread.start()
-        self._ready.wait(timeout=30)
-        if self._startup_error is not None:
-            raise self._startup_error
-        if not self._ready.is_set():
-            raise RuntimeError("cache server failed to start in time")
-        return self
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # surface bind errors to start()
-            if not self._ready.is_set():
-                self._startup_error = exc
-                self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_event_loop()
-        await self.server.start()
-        self.port = self.server.port
-        self._ready.set()
-        await self.server.serve_until_shutdown()
-
-    def stop(self) -> None:
-        if self._thread is None or not self._thread.is_alive():
-            return
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self.server.request_stop)
-        self._thread.join(timeout=30)
-
-    def __enter__(self) -> "StoreServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
 def run_store_server(root: str, host: str = "127.0.0.1", port: int = 0,
                      faults: Optional[FaultPlan] = None) -> int:
     """Blocking entry point for ``repro cache serve --tcp``."""
-    import sys
-
-    async def main() -> None:
-        server = StoreServer(root=root, host=host, port=port, faults=faults)
-        await server.start()
-        print(json.dumps({"listening": {"host": server.host,
-                                        "port": server.port},
-                          "protocol": STORE_PROTOCOL,
-                          "store": str(root)}), flush=True)
-        await server.serve_until_shutdown()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        print("stopped", file=sys.stderr)
-    return 0
+    return run_blocking(
+        StoreServer(root=root, host=host, port=port, faults=faults),
+        {"protocol": STORE_PROTOCOL, "store": str(root)})

@@ -26,7 +26,8 @@ from typing import IO, List, Optional, Sequence
 
 from repro.client import Client
 from repro.core.config import CheckConfig
-from repro.service.protocol import CheckPayload, ProtocolError
+from repro.service.protocol import CheckPayload
+from repro.wire import ProtocolError
 
 
 class Watcher:

@@ -37,7 +37,8 @@ from repro.obs.summary import (check_nesting, format_summary, load_trace,
                                merge_traces, summarize, validate_trace)
 from repro.obs.trace import (TRACE_SCHEMA, SlowQueryLog, current_trace_id,
                              span, stage_span, trace_document, tracer)
-from repro.service.protocol import CheckPayload, Request, spec_for
+from repro.service.protocol import METHODS, CheckPayload
+from repro.wire import Request, spec_for
 from repro.store.artifacts import config_fingerprint
 
 SAFE = """
@@ -378,6 +379,32 @@ def test_summarize_tables(tmp_path):
     assert "Subsystems" in rendered and "Pipeline stages" in rendered
 
 
+def test_summarize_self_times_add_up_to_the_wall_clock():
+    """Nested fixpoint spans: the totals count the inner spans once per
+    enclosing level, the self-times add up to the wall-clock."""
+    def event(name, cat, ts, dur, tid=0):
+        return {"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": dur,
+                "pid": 1, "tid": tid}
+
+    document = trace_document([
+        event("fixpoint.solve", "fixpoint", 0, 1_000_000),
+        event("fixpoint.round", "fixpoint", 100_000, 800_000),
+        event("fixpoint.batch", "fixpoint", 200_000, 600_000),
+        event("smt.query", "smt", 300_000, 400_000),
+        # another thread's span is not a child of the solve
+        event("fixpoint.solve", "fixpoint", 0, 500_000, tid=1),
+    ])
+    assert check_nesting(document) == []
+    fixpoint = summarize(document)["subsystems"]["fixpoint"]
+    smt = summarize(document)["subsystems"]["smt"]
+    assert fixpoint["seconds"] == pytest.approx(2.9)
+    assert fixpoint["self_seconds"] == pytest.approx(1.1)
+    assert smt["self_seconds"] == pytest.approx(0.4)
+    assert fixpoint["self_seconds"] + smt["self_seconds"] \
+        == pytest.approx(1.0 + 0.5)
+    assert "self(s)" in format_summary(summarize(document))
+
+
 def test_validate_trace_reports_problems():
     bad = {"traceEvents": [{"name": "x", "cat": "app", "ph": "B",
                             "ts": -1, "dur": 1, "pid": 1, "tid": 0}],
@@ -444,7 +471,7 @@ def test_check_payload_timings_gated_by_version():
 
 def test_request_trace_field_gated_by_version():
     request = Request(method="stats", id=1,
-                      params=spec_for("stats").params(),
+                      params=spec_for(METHODS, "stats").params(),
                       trace="cafebabe")
     assert request.to_json(version=3)["trace"] == "cafebabe"
     assert "trace" not in request.to_json(version=2)

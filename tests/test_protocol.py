@@ -11,15 +11,15 @@ import pytest
 from repro.service.protocol import (ERROR_CODES, METHODS, PROTOCOL_V2,
                                     PROTOCOL_V3, PROTOCOLS, CancelPayload,
                                     CheckParams, CheckPayload, ClosePayload,
-                                    DiagnosticsPayload, EmptyParams,
-                                    HelloParams, HelloPayload, MetricsPayload,
-                                    ModulePayload,
-                                    ProjectBuildPayload, ProjectOpenParams,
-                                    ProjectUpdatePayload, ProtocolError,
-                                    Request, Response, ShutdownPayload,
-                                    StatsPayload, UriParams, decode_request,
-                                    describe_methods, method_names,
-                                    parse_error_response, spec_for)
+                                    DiagnosticsPayload, HelloParams,
+                                    HelloPayload, MetricsPayload,
+                                    ModulePayload, ProjectBuildPayload,
+                                    ProjectOpenParams, ProjectUpdatePayload,
+                                    ShutdownPayload, StatsPayload, UriParams,
+                                    describe_methods)
+from repro.wire import (EmptyParams, ProtocolError, Request, Response,
+                        decode_request, method_names, parse_error_response,
+                        spec_for)
 
 #: The original stdio server's METHODS tuple, verbatim.  Error messages
 #: enumerate methods in this order, so it is part of the v2 wire contract.
@@ -29,22 +29,22 @@ V2_METHODS = ("check", "update", "diagnostics", "close", "shutdown",
 
 class TestRegistry:
     def test_v2_method_names_reproduce_the_legacy_tuple(self):
-        assert method_names(2) == V2_METHODS
+        assert method_names(METHODS, 2) == V2_METHODS
 
     def test_v3_extends_v2_without_reordering(self):
-        assert method_names(3)[:len(V2_METHODS)] == V2_METHODS
-        assert set(method_names(3)) - set(V2_METHODS) == {
+        assert method_names(METHODS, 3)[:len(V2_METHODS)] == V2_METHODS
+        assert set(method_names(METHODS, 3)) - set(V2_METHODS) == {
             "hello", "cancel", "stats", "metrics"}
 
     def test_v3_only_methods_are_invisible_at_v2(self):
         with pytest.raises(ProtocolError) as err:
-            spec_for("stats", version=2)
+            spec_for(METHODS, "stats", version=2)
         assert err.value.code == "unknown-method"
         assert "stats" not in err.value.message.split("(expected")[1]
 
     def test_unknown_method_message_is_v2_exact(self):
         with pytest.raises(ProtocolError) as err:
-            spec_for("solve", version=2)
+            spec_for(METHODS, "solve", version=2)
         assert err.value.message == (
             "unknown method 'solve' (expected one of check, update, "
             "diagnostics, close, shutdown, project_open, project_update, "
@@ -53,14 +53,14 @@ class TestRegistry:
     def test_non_string_method_is_unknown_not_a_crash(self):
         for bogus in (None, 7, ["check"]):
             with pytest.raises(ProtocolError) as err:
-                spec_for(bogus)
+                spec_for(METHODS, bogus)
             assert err.value.code == "unknown-method"
 
     def test_describe_methods_is_exhaustive(self):
         for version in (2, 3):
             described = describe_methods(version)
             assert [d["method"] for d in described] == \
-                list(method_names(version))
+                list(method_names(METHODS, version))
             for entry in described:
                 spec = METHODS[entry["method"]]
                 assert entry["since"] == PROTOCOLS[spec.since]
@@ -118,7 +118,7 @@ PAYLOAD_SAMPLES = {
     "project_diagnostics": ModulePayload(uri="lib.rsc", status="SAFE",
                                          ok=True),
     "hello": HelloPayload(protocol=PROTOCOL_V3,
-                          methods=list(method_names(3)), tenant="alice"),
+                          methods=list(method_names(METHODS, 3)), tenant="alice"),
     "cancel": CancelPayload(uri="a.rsc", cancelled=True, state="inflight"),
     "stats": StatsPayload(protocol=PROTOCOL_V3, tenants={"alice": {}},
                           totals={"requests_served": 7}),
@@ -203,7 +203,7 @@ class TestParamsRejection:
 class TestRequestEnvelope:
     def test_decode_binds_typed_params_and_tenant(self):
         request = decode_request(
-            {"id": 7, "method": "update", "tenant": "alice",
+            METHODS, {"id": 7, "method": "update", "tenant": "alice",
              "params": {"uri": "a.rsc", "text": "x"}}, version=3)
         assert request.method == "update" and request.id == 7
         assert request.params == CheckParams(uri="a.rsc", text="x")
@@ -211,38 +211,38 @@ class TestRequestEnvelope:
 
     def test_v2_decoding_ignores_the_tenant_field(self):
         request = decode_request(
-            {"id": 1, "method": "diagnostics", "tenant": "alice",
+            METHODS, {"id": 1, "method": "diagnostics", "tenant": "alice",
              "params": {"uri": "a.rsc"}}, version=2)
         assert request.tenant is None
 
     def test_v3_rejects_a_non_string_tenant(self):
         with pytest.raises(ProtocolError) as err:
-            decode_request({"id": 1, "method": "stats", "tenant": 7},
-                           version=3)
+            decode_request(METHODS, {"id": 1, "method": "stats",
+                                     "tenant": 7}, version=3)
         assert err.value.message == "request.tenant must be a string"
 
     def test_method_is_validated_before_params(self):
         # the v2 server checked the method first; a bogus method with bogus
         # params must report unknown-method, not bad-params
         with pytest.raises(ProtocolError) as err:
-            decode_request({"id": 1, "method": "solve", "params": "junk"})
+            decode_request(METHODS, {"id": 1, "method": "solve", "params": "junk"})
         assert err.value.code == "unknown-method"
 
     def test_non_object_params_rejected(self):
         with pytest.raises(ProtocolError) as err:
-            decode_request({"id": 1, "method": "check", "params": [1]})
+            decode_request(METHODS, {"id": 1, "method": "check", "params": [1]})
         assert err.value.message == "params must be an object"
 
     def test_null_params_mean_empty(self):
-        request = decode_request({"id": 1, "method": "shutdown",
-                                  "params": None})
+        request = decode_request(METHODS, {"id": 1, "method": "shutdown",
+                                           "params": None})
         assert request.params == EmptyParams()
 
     def test_encode_decode_loop(self):
         original = Request(method="check", id=3,
                            params=CheckParams(uri="a.rsc", text="x"),
                            tenant="bob")
-        assert decode_request(original.to_json(version=3)) == original
+        assert decode_request(METHODS, original.to_json(version=3)) == original
 
     def test_encoding_omits_tenant_below_v3_and_empty_params(self):
         request = Request(method="stats", id=1, params=EmptyParams(),

@@ -27,8 +27,9 @@ from repro.core.config import CheckConfig, ServiceOptions
 from repro.core.workspace import Workspace
 from repro.serve import Server, serve
 from repro.service.core import ServiceCore, percentile
-from repro.service.protocol import decode_request, method_names
-from repro.service.server import AsyncCheckServer, ServerThread
+from repro.service.protocol import METHODS
+from repro.service.server import AsyncCheckServer
+from repro.wire import ServerThread, decode_request, method_names
 
 SAFE = """
 type idx<a> = {v: number | 0 <= v && v < len(a)};
@@ -175,8 +176,9 @@ class TestCancellation:
 
     def test_core_maps_cancellation_to_a_cancelled_response(self):
         core = ServiceCore(CheckConfig())
-        request = decode_request({"id": 1, "method": "check",
-                                  "params": {"uri": "a.rsc", "text": SAFE}})
+        request = decode_request(METHODS, {
+            "id": 1, "method": "check",
+            "params": {"uri": "a.rsc", "text": SAFE}})
         response = core.execute(request, 3, CountdownToken(1))
         assert not response.ok
         assert response.error_code == "cancelled"
@@ -197,8 +199,8 @@ def make_request(request_id, method, uri, text=None):
     params = {"uri": uri}
     if text is not None:
         params["text"] = text
-    return decode_request({"id": request_id, "method": method,
-                           "params": params}, version=3)
+    return decode_request(METHODS, {"id": request_id, "method": method,
+                                    "params": params}, version=3)
 
 
 class TestLaneScheduling:
@@ -294,7 +296,7 @@ class TestLaneScheduling:
 
 class TestSocketServer:
     def test_two_tenants_over_tcp_stay_isolated(self):
-        with ServerThread(CheckConfig()) as st:
+        with ServerThread(AsyncCheckServer(CheckConfig())) as st:
             with Client.connect(st.host, st.port, tenant="alice") as alice, \
                  Client.connect(st.host, st.port, tenant="bob") as bob:
                 assert alice.check("a.rsc", SAFE).status == "SAFE"
@@ -306,7 +308,7 @@ class TestSocketServer:
                 assert stats.totals["tenants"] == 2
                 hello = bob.hello()
                 assert hello.protocol == "repro-serve/3"
-                assert tuple(hello.methods) == method_names(3)
+                assert tuple(hello.methods) == method_names(METHODS, 3)
                 assert hello.tenant == "bob"
                 assert alice.cancel("a.rsc").state == "idle"
                 alice.shutdown()
@@ -321,7 +323,7 @@ class TestSocketServer:
             f"spec f{i} :: (x: number) => number;\n"
             f"function f{i}(x) {{ return x; }}" for i in range(40))
         probe = big.replace("return x;", "var y = x; return y;")
-        with ServerThread(CheckConfig()) as st:
+        with ServerThread(AsyncCheckServer(CheckConfig())) as st:
             with Client.connect(st.host, st.port, timeout=120) as client:
                 assert client.check("big.rsc", big).ok
                 first = client.submit("update", uri="big.rsc", text=probe)

@@ -359,6 +359,44 @@ def test_trivial_goals_and_empty_hypotheses():
     assert incremental_solver().check_implication_batch([], goals) == expected
 
 
+@pytest.mark.parametrize("mode", ["fresh", "incremental"])
+def test_minimise_checks_counts_core_minimisation(monkeypatch, mode):
+    """``minimise_checks`` is the number of ``check_literals`` calls that
+    ``check_with_core`` makes after its first, on both query engines, and
+    it reaches ``check --format json`` through the solver stats."""
+    from repro.core.config import CheckConfig
+    from repro.core.session import Session
+    from repro.smt import context, solver as solver_module, theory
+
+    calls = {"cores": 0, "literals": 0}
+    real_check_literals = theory.check_literals
+    real_check_with_core = theory.check_with_core
+
+    def counting_check_literals(literals):
+        calls["literals"] += 1
+        return real_check_literals(literals)
+
+    def counting_check_with_core(literals):
+        calls["cores"] += 1
+        return real_check_with_core(literals)
+
+    monkeypatch.setattr(theory, "check_literals", counting_check_literals)
+    monkeypatch.setattr(context, "check_with_core", counting_check_with_core)
+    monkeypatch.setattr(solver_module, "check_with_core",
+                        counting_check_with_core)
+    session = Session(CheckConfig(smt_mode=mode))
+    result = session.check_source(
+        "function abs(x: number): {v: number | 0 <= v} {\n"
+        "  if (x < 0) { return 0 - x; }\n"
+        "  return x;\n"
+        "}\n")
+    stats = session.solver.stats
+    assert stats.theory_checks == calls["cores"] > 0
+    assert stats.minimise_checks == calls["literals"] - calls["cores"] > 0
+    assert result.to_dict()["solver_stats"]["minimise_checks"] \
+        == stats.minimise_checks
+
+
 def test_lemma_store_shared_across_contexts():
     """Theory conflicts derived under one environment are replayed under
     another: the second context answers with strictly fewer theory checks
@@ -490,50 +528,28 @@ def test_unknown_verdict_not_cached_as_sat():
     assert verdicts["incremental"] == verdicts["fresh"] == Result.UNKNOWN
 
 
-class TestBackendRegistry:
-    def test_internal_backend_is_the_solver(self):
-        from repro.smt.backend import available_backends, create_backend
-
-        assert "internal" in available_backends()
-        backend = create_backend("internal", smt_mode="incremental")
-        assert isinstance(backend, Solver)
-        assert backend.smt_mode == "incremental"
-
-    def test_unknown_backend_rejected_with_choices(self):
-        from repro.smt.backend import create_backend
-
-        with pytest.raises(ValueError, match="internal"):
-            create_backend("z5")
-
-    def test_config_selects_registered_backend(self):
-        """SolverOptions.backend routes Session/Workspace construction
-        through the registry — the drop-in seam a z3 adapter would use."""
+class TestSolverConstruction:
+    def test_workspace_builds_solver_from_options(self):
         from repro.core.config import CheckConfig, SolverOptions
+        from repro.core.workspace import Workspace
+
+        workspace = Workspace(CheckConfig(
+            smt_mode="fresh", solver=SolverOptions(context_cache_limit=7)))
+        assert isinstance(workspace.solver, Solver)
+        assert workspace.solver.smt_mode == "fresh"
+        assert workspace.solver.contexts.limit == 7
+
+    def test_session_uses_injected_solver(self):
+        """A caller-supplied solver (the seam a test fake uses) serves
+        every query of the session."""
         from repro.core.session import Session
-        from repro.smt.backend import _REGISTRY, register_backend
 
-        class RecordingSolver(Solver):
-            constructed = []
-
-            def __init__(self, **options):
-                type(self).constructed.append(options)
-                super().__init__(**options)
-
-        register_backend("recording", RecordingSolver)
-        try:
-            config = CheckConfig(
-                solver=SolverOptions(backend="recording",
-                                     context_cache_limit=7))
-            session = Session(config)
-            assert isinstance(session.solver, RecordingSolver)
-            assert RecordingSolver.constructed[-1]["context_cache_limit"] == 7
-            assert session.check_source(
-                "spec id :: (x: number) => number;\n"
-                "function id(x) { return x; }\n").ok
-        finally:
-            del _REGISTRY["recording"]
-
-    def test_solver_satisfies_backend_protocol(self):
-        from repro.smt.backend import Backend
-
-        assert isinstance(Solver(), Backend)
+        solver = Solver(context_cache_limit=7)
+        session = Session(solver=solver)
+        assert session.solver is solver
+        assert session.check_source(
+            "function abs(x: number): {v: number | 0 <= v} {\n"
+            "  if (x < 0) { return 0 - x; }\n"
+            "  return x;\n"
+            "}\n").ok
+        assert solver.stats.queries > 0

@@ -1,5 +1,5 @@
 """Tests for the raw-speed layer: hash-consed terms, memoised traversals,
-exact constant folding, integer LIA, and the rank-parallel fixpoint.
+exact constant folding and integer LIA.
 
 The constant-folding tests pin the documented *truncating* semantics of
 ``/`` and ``%`` on integer literals (round toward zero, remainder carries
@@ -283,40 +283,3 @@ class TestIntegerLia:
             finally:
                 lia.set_exact_ints(True)
             assert fast == reference
-
-
-# ---------------------------------------------------------------------------
-# rank-parallel fixpoint: byte-identical schedule at jobs 1..4
-# ---------------------------------------------------------------------------
-
-
-FIXTURE = """
-function abs(x: number): {v: number | 0 <= v} {
-  if (x < 0) { return 0 - x; }
-  return x;
-}
-
-function clamp(lo: {v: number | 0 <= v}, x: number): {v: number | 0 <= v} {
-  var a: number = abs(x);
-  if (a < lo) { return lo; }
-  return a;
-}
-
-function main(): {v: number | 0 <= v} {
-  return clamp(1, 0 - 5);
-}
-"""
-
-
-class TestRankParallelFixpoint:
-    def test_jobs_sweep_is_byte_identical(self):
-        def verdict(jobs):
-            result = Session(CheckConfig(jobs=jobs)).check_source(
-                FIXTURE, filename="fixture.rsc")
-            return ([d.to_dict() for d in result.diagnostics],
-                    {name: [str(q) for q in quals] for name, quals
-                     in sorted(result.kappa_solution.items())})
-
-        sequential = verdict(1)
-        for jobs in (2, 3, 4):
-            assert verdict(jobs) == sequential

@@ -7,9 +7,10 @@ import socket
 import pytest
 
 from repro import CheckConfig, Session
-from repro.store import (RemoteStoreBackend, StoreServerThread,
+from repro.store import (RemoteStoreBackend, StoreServer,
                          StoreUnavailableError, TieredStoreBackend,
                          open_store)
+from repro.wire import ServerThread
 from repro.store.remote import (CircuitBreaker, _parse_address,
                                 backoff_delays)
 
@@ -212,7 +213,7 @@ class TestDegradation:
                                      sleep=lambda _s: None, clock=clock)
         assert backend.get("verdicts", KEY) is None
         assert backend.breaker.state == CircuitBreaker.OPEN
-        with StoreServerThread(root=str(tmp_path), port=port):
+        with ServerThread(StoreServer(root=str(tmp_path), port=port)):
             clock.now = 10.0  # cooldown elapsed: half-open trial allowed
             assert backend.put("verdicts", KEY, b"back")
             assert backend.breaker.state == CircuitBreaker.CLOSED
@@ -230,7 +231,7 @@ class TestDegradation:
         backend.close()
 
     def test_degradation_counters_ride_store_stats(self, tmp_path):
-        with StoreServerThread(root=str(tmp_path)) as server:
+        with ServerThread(StoreServer(root=str(tmp_path))) as server:
             backend = RemoteStoreBackend(f"127.0.0.1:{server.port}")
             backend.degraded_gets = 3  # pretend some earlier degradation
             stats = backend.stats()
@@ -249,7 +250,7 @@ class TestDegradation:
 
 class TestTiered:
     def test_write_through_and_read_through(self, tmp_path):
-        with StoreServerThread(root=str(tmp_path / "server")) as server:
+        with ServerThread(StoreServer(root=str(tmp_path / "server"))) as server:
             first = TieredStoreBackend(
                 f"{tmp_path}/l1?remote=127.0.0.1:{server.port}")
             assert first.put("verdicts", KEY, b"shared")
@@ -267,7 +268,7 @@ class TestTiered:
             second.close()
 
     def test_keeps_working_at_local_speed_when_the_server_dies(self, tmp_path):
-        server = StoreServerThread(root=str(tmp_path / "server")).start()
+        server = ServerThread(StoreServer(root=str(tmp_path / "server"))).start()
         backend = TieredStoreBackend(
             f"{tmp_path}/l1?remote=127.0.0.1:{server.port}"
             "&retries=0&timeout=2")
@@ -285,7 +286,7 @@ class TestTiered:
         backend.close()
 
     def test_gc_and_clear_manage_the_local_tier_only(self, tmp_path):
-        with StoreServerThread(root=str(tmp_path / "server")) as server:
+        with ServerThread(StoreServer(root=str(tmp_path / "server"))) as server:
             backend = TieredStoreBackend(
                 f"{tmp_path}/l1?remote=127.0.0.1:{server.port}")
             backend.put("verdicts", KEY, b"entry")
@@ -295,7 +296,7 @@ class TestTiered:
             backend.close()
 
     def test_stats_merge_tier_and_remote_counters(self, tmp_path):
-        with StoreServerThread(root=str(tmp_path / "server")) as server:
+        with ServerThread(StoreServer(root=str(tmp_path / "server"))) as server:
             backend = TieredStoreBackend(
                 f"{tmp_path}/l1?remote=127.0.0.1:{server.port}")
             backend.put("verdicts", KEY, b"entry")
@@ -322,7 +323,7 @@ class TestKillServerMidCheck:
     def test_check_against_a_server_that_died(self, tmp_path):
         reference = Session(CheckConfig()).check_source(SAFE, "t.rsc")
 
-        server = StoreServerThread(root=str(tmp_path)).start()
+        server = ServerThread(StoreServer(root=str(tmp_path))).start()
         url = (f"remote://127.0.0.1:{server.port}"
                "?retries=0&timeout=2")
         cold = Session(CheckConfig(store_path=url)).check_source(
@@ -351,7 +352,7 @@ class TestKillServerMidCheck:
         assert counters["degraded_gets"] > 0
 
     def test_warm_replay_through_a_live_server_is_zero_sat(self, tmp_path):
-        with StoreServerThread(root=str(tmp_path)) as server:
+        with ServerThread(StoreServer(root=str(tmp_path))) as server:
             url = f"remote://127.0.0.1:{server.port}"
             cold = Session(CheckConfig(store_path=url)).check_source(
                 SAFE, "t.rsc")
@@ -362,7 +363,7 @@ class TestKillServerMidCheck:
         assert _verdict(cold) == _verdict(warm)
 
     def test_open_store_resolves_remote_and_tiered_schemes(self, tmp_path):
-        with StoreServerThread(root=str(tmp_path / "server")) as server:
+        with ServerThread(StoreServer(root=str(tmp_path / "server"))) as server:
             remote = open_store(CheckConfig(
                 store_path=f"remote://127.0.0.1:{server.port}"))
             assert isinstance(remote.backend, RemoteStoreBackend)

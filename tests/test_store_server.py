@@ -6,13 +6,15 @@ import socket
 
 import pytest
 
-from repro.store import FaultPlan, StoreServerThread
+from repro.core.config import CheckConfig
+from repro.service.server import AsyncCheckServer
+from repro.store import FaultPlan, StoreServer
 from repro.store.protocol import (METHODS, ClearPayload, EntryParams,
                                   GcParams, GetPayload, PingPayload,
-                                  PutParams, StatsPayload, StoreProtocolError,
-                                  StoreRequest, StoreResponse, decode_payload,
-                                  decode_request, encode_payload,
-                                  method_names, spec_for)
+                                  PutParams, StatsPayload, decode_payload,
+                                  encode_payload)
+from repro.wire import (ProtocolError, Request, Response, ServerThread,
+                        decode_request, method_names, spec_for)
 from repro.store.remote import RemoteStoreBackend
 from repro.store.server import _corrupt
 
@@ -26,22 +28,23 @@ KEY = "ab" + "0" * 62
 
 class TestProtocol:
     def test_registry_is_exhaustive(self):
-        assert method_names() == ("get", "put", "stats", "gc", "clear",
+        assert method_names(METHODS) == ("get", "put", "stats", "gc", "clear",
                                   "ping", "shutdown")
         for name, spec in METHODS.items():
             assert spec.name == name
             assert spec.doc
 
     def test_unknown_method_lists_methods(self):
-        with pytest.raises(StoreProtocolError) as excinfo:
-            spec_for("steal")
+        with pytest.raises(ProtocolError) as excinfo:
+            spec_for(METHODS, "steal")
         assert excinfo.value.code == "unknown-method"
         assert "get, put" in excinfo.value.message
 
     def test_request_roundtrip(self):
-        request = StoreRequest(method="get", id=7,
+        request = Request(method="get", id=7,
                                params=EntryParams(kind="verdicts", key=KEY))
-        decoded = decode_request(json.loads(json.dumps(request.to_json())))
+        decoded = decode_request(METHODS,
+                                 json.loads(json.dumps(request.to_json())))
         assert decoded.method == "get"
         assert decoded.id == 7
         assert decoded.params == EntryParams(kind="verdicts", key=KEY)
@@ -52,27 +55,28 @@ class TestProtocol:
         {"kind": "verdicts", "key": 3},  # mistyped key
     ])
     def test_bad_entry_params_rejected(self, params):
-        with pytest.raises(StoreProtocolError) as excinfo:
-            decode_request({"method": "get", "params": params})
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_request(METHODS, {"method": "get", "params": params})
         assert excinfo.value.code == "bad-params"
 
     def test_gc_params_require_non_negative_int(self):
-        assert decode_request({"method": "gc",
-                               "params": {"max_bytes": 0}}).params \
+        assert decode_request(METHODS, {"method": "gc",
+                                        "params": {"max_bytes": 0}}).params \
             == GcParams(max_bytes=0)
         for bad in (-1, "10", True, None):
-            with pytest.raises(StoreProtocolError):
-                decode_request({"method": "gc", "params": {"max_bytes": bad}})
+            with pytest.raises(ProtocolError):
+                decode_request(METHODS, {"method": "gc",
+                                         "params": {"max_bytes": bad}})
 
     def test_params_must_be_an_object(self):
-        with pytest.raises(StoreProtocolError) as excinfo:
-            decode_request({"method": "stats", "params": [1, 2]})
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_request(METHODS, {"method": "stats", "params": [1, 2]})
         assert excinfo.value.code == "bad-params"
 
     def test_payload_base64_roundtrip_and_validation(self):
         payload = bytes(range(256))
         assert decode_payload(encode_payload(payload)) == payload
-        with pytest.raises(StoreProtocolError):
+        with pytest.raises(ProtocolError):
             decode_payload("not*base64!")
 
     def test_payloads_tolerate_unknown_fields(self):
@@ -84,20 +88,20 @@ class TestProtocol:
         assert ping.protocol == "repro-store/9"
 
     def test_response_envelope(self):
-        ok = StoreResponse.success(3, ClearPayload(removed=2))
+        ok = Response.success(3, ClearPayload(removed=2))
         assert ok.to_json() == {"id": 3, "ok": True, "result": {"removed": 2}}
-        err = StoreResponse.from_json(
+        err = Response.from_json(
             {"id": 4, "ok": False,
              "error": {"code": "bad-params", "message": "nope"}})
-        with pytest.raises(StoreProtocolError) as excinfo:
+        with pytest.raises(ProtocolError) as excinfo:
             err.raise_for_error()
         assert excinfo.value.code == "bad-params"
 
     def test_put_params_roundtrip(self):
         params = PutParams(kind="solutions", key=KEY,
                            payload_b64=encode_payload(b"data"))
-        decoded = decode_request({"method": "put", "id": 1,
-                                  "params": params.to_json()})
+        decoded = decode_request(METHODS, {"method": "put", "id": 1,
+                                           "params": params.to_json()})
         assert decoded.params == params
 
     def test_stats_payload_shape(self):
@@ -128,7 +132,7 @@ def _raw_call(port, line: str) -> dict:
 
 class TestStoreServer:
     def test_full_method_surface_roundtrip(self, tmp_path):
-        with StoreServerThread(root=str(tmp_path)) as server:
+        with ServerThread(StoreServer(root=str(tmp_path))) as server:
             backend = RemoteStoreBackend(f"127.0.0.1:{server.port}")
             assert backend.get("verdicts", KEY) is None
             assert backend.put("verdicts", KEY, b'{"v": 1}')
@@ -138,7 +142,7 @@ class TestStoreServer:
             assert stats.remote["remote_errors"] == 0
             ping = backend.ping()
             assert ping["protocol"] == "repro-store/1"
-            assert set(ping["methods"]) == set(method_names())
+            assert set(ping["methods"]) == set(method_names(METHODS))
             gc = backend.gc(0)
             assert gc.evicted_entries == 1
             assert backend.put("verdicts", KEY, b'{"v": 2}')
@@ -146,7 +150,7 @@ class TestStoreServer:
             backend.close()
 
     def test_entries_land_in_the_owned_local_store(self, tmp_path):
-        with StoreServerThread(root=str(tmp_path)) as server:
+        with ServerThread(StoreServer(root=str(tmp_path))) as server:
             backend = RemoteStoreBackend(f"127.0.0.1:{server.port}")
             backend.put("solutions", KEY, b"shared")
             backend.close()
@@ -155,7 +159,7 @@ class TestStoreServer:
 
     def test_concurrent_clients(self, tmp_path):
         from concurrent.futures import ThreadPoolExecutor
-        with StoreServerThread(root=str(tmp_path)) as server:
+        with ServerThread(StoreServer(root=str(tmp_path))) as server:
             def worker(i):
                 backend = RemoteStoreBackend(f"127.0.0.1:{server.port}")
                 key = f"{i:02d}" + "a" * 62
@@ -170,23 +174,36 @@ class TestStoreServer:
             assert backend.stats().total_entries == 8
             backend.close()
 
-    def test_malformed_lines_get_error_responses(self, tmp_path):
-        with StoreServerThread(root=str(tmp_path)) as server:
-            bad_json = _raw_call(server.port, "{not json")
+    @pytest.mark.parametrize("make_server, bad_params", [
+        pytest.param(lambda root: StoreServer(root=root),
+                     '{"id": 2, "method": "get", "params": {}}', id="cache"),
+        pytest.param(lambda root: AsyncCheckServer(CheckConfig()),
+                     '{"id": 2, "method": "check", "params": {}}', id="check"),
+    ])
+    def test_malformed_lines_get_error_responses(self, tmp_path, make_server,
+                                                 bad_params):
+        server = make_server(str(tmp_path))
+        server.LINE_LIMIT = 1024
+        with ServerThread(server) as thread:
+            bad_json = _raw_call(thread.port, "{not json")
             assert bad_json["ok"] is False
             assert bad_json["error"]["code"] == "parse-error"
-            not_object = _raw_call(server.port, '"a string"')
+            not_object = _raw_call(thread.port, '"a string"')
             assert not_object["error"]["code"] == "parse-error"
-            unknown = _raw_call(server.port,
+            unknown = _raw_call(thread.port,
                                 '{"id": 1, "method": "steal"}')
             assert unknown["error"]["code"] == "unknown-method"
             assert unknown["id"] == 1
-            bad_params = _raw_call(
-                server.port, '{"id": 2, "method": "get", "params": {}}')
-            assert bad_params["error"]["code"] == "bad-params"
+            bad = _raw_call(thread.port, bad_params)
+            assert bad["error"]["code"] == "bad-params"
+            assert bad["id"] == 2
+            too_long = _raw_call(
+                thread.port, '{"id": 3, "pad": "' + "x" * 2048 + '"}')
+            assert too_long == {"id": None, "ok": False, "error": {
+                "code": "parse-error", "message": "request line too long"}}
 
     def test_one_bad_request_does_not_kill_the_connection(self, tmp_path):
-        with StoreServerThread(root=str(tmp_path)) as server:
+        with ServerThread(StoreServer(root=str(tmp_path))) as server:
             with socket.create_connection(("127.0.0.1", server.port),
                                           timeout=5) as sock:
                 reader = sock.makefile("rb")
@@ -199,7 +216,7 @@ class TestStoreServer:
             assert second["result"]["protocol"] == "repro-store/1"
 
     def test_shutdown_method_stops_the_server(self, tmp_path):
-        server = StoreServerThread(root=str(tmp_path)).start()
+        server = ServerThread(StoreServer(root=str(tmp_path))).start()
         backend = RemoteStoreBackend(f"127.0.0.1:{server.port}")
         ack = backend.shutdown()
         assert ack["shutdown"] is True
@@ -211,7 +228,7 @@ class TestStoreServer:
         from repro.store import LocalStoreBackend
         local = LocalStoreBackend(tmp_path)
         local.put("verdicts", KEY, b"pre-seeded")
-        with StoreServerThread(backend=local) as server:
+        with ServerThread(StoreServer(backend=local)) as server:
             backend = RemoteStoreBackend(f"127.0.0.1:{server.port}")
             assert backend.get("verdicts", KEY) == b"pre-seeded"
             backend.close()
@@ -247,7 +264,7 @@ class TestFaultPlan:
 
     def test_dropped_data_op_degrades_to_miss(self, tmp_path):
         plan = FaultPlan(drop_every=1)  # drop every data response
-        with StoreServerThread(root=str(tmp_path), faults=plan) as server:
+        with ServerThread(StoreServer(root=str(tmp_path), faults=plan)) as server:
             backend = RemoteStoreBackend(
                 f"127.0.0.1:{server.port}?retries=1",
                 sleep=lambda _s: None)
@@ -263,7 +280,7 @@ class TestFaultPlan:
         from repro import CheckConfig
         from repro.store import ArtifactStore, open_store
         plan = FaultPlan(corrupt_every=1)  # corrupt every get hit
-        with StoreServerThread(root=str(tmp_path), faults=plan) as server:
+        with ServerThread(StoreServer(root=str(tmp_path), faults=plan)) as server:
             url = f"remote://127.0.0.1:{server.port}"
             store = open_store(CheckConfig(store_path=url))
             assert isinstance(store, ArtifactStore)
@@ -276,7 +293,7 @@ class TestFaultPlan:
 
     def test_delay_fault_still_answers(self, tmp_path):
         plan = FaultPlan(delay_every=1, delay_seconds=0.01)
-        with StoreServerThread(root=str(tmp_path), faults=plan) as server:
+        with ServerThread(StoreServer(root=str(tmp_path), faults=plan)) as server:
             backend = RemoteStoreBackend(f"127.0.0.1:{server.port}")
             assert backend.put("verdicts", KEY, b"slow")
             assert backend.get("verdicts", KEY) == b"slow"
@@ -322,7 +339,7 @@ class TestCacheServeCli:
 
     def test_admin_actions_over_a_live_server(self, tmp_path, capsys):
         from repro.__main__ import main
-        with StoreServerThread(root=str(tmp_path)) as server:
+        with ServerThread(StoreServer(root=str(tmp_path))) as server:
             url = f"remote://127.0.0.1:{server.port}"
             backend = RemoteStoreBackend(f"127.0.0.1:{server.port}")
             backend.put("verdicts", KEY, b"entry")
