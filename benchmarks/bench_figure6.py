@@ -35,7 +35,8 @@ def test_benchmark_checks_clean(name, benchmark):
     A single round is enough: checking is deterministic and each run takes
     seconds (matching how the paper reports one wall-clock time per file)."""
     row = benchmark.pedantic(check_benchmark, args=(name,), rounds=1, iterations=1)
-    assert row.safe, f"{name} should verify but reported {row.errors} errors"
+    assert row.ok, (f"{name} should verify but reported "
+                    f"{row.counters['errors']} errors")
 
 
 @pytest.mark.parametrize("name", BENCHMARKS)

@@ -25,7 +25,7 @@ from harness import (
 
 def test_figure7_table_renders():
     table = format_figure7()
-    assert "ImpDiff" in table
+    assert "imp_diff" in table
     for name in BENCHMARKS:
         assert name in table
 

@@ -1,13 +1,8 @@
 """Shared harness for regenerating the paper's evaluation tables.
 
-The implementation now lives in :mod:`repro.bench` (so that the
-``python -m repro bench`` subcommand can drive it); this module re-exports
-the public names the benchmark suites import and pins the programs
-directory to the one next to this file.
-
-All checking goes through one shared :class:`repro.Session`, so a Figure 6
-run amortises a single solver (and its query cache) across all seven
-benchmarks.
+The implementation lives in :mod:`repro.bench` (so that the ``python -m
+repro bench`` subcommand can drive it); this module re-exports the public
+names the benchmark suites import and renders the two paper tables.
 """
 
 from __future__ import annotations
@@ -19,63 +14,34 @@ _SRC = str(pathlib.Path(__file__).parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.bench import (  # noqa: E402  (path setup must precede the import)
+from repro import bench  # noqa: E402  (path setup must precede the import)
+from repro.bench import (  # noqa: E402
     BENCHMARKS,
     CODE_CHANGES,
     PAPER_FIGURE6,
     PAPER_FIGURE7,
-    BenchmarkRow,
+    check_benchmark,
     count_annotations,
     count_loc,
-    format_figure6,
-    shared_session,
+    source_of,
 )
-from repro.bench import check_benchmark as _check_benchmark  # noqa: E402
-from repro.bench import figure6_with_comparison as _figure6_with_comparison  # noqa: E402
-from repro.bench import fixpoint_report, format_fixpoint_comparison  # noqa: E402,F401
-from repro.bench import figure6_rows as _figure6_rows  # noqa: E402
-from repro.bench import format_figure7 as _format_figure7  # noqa: E402
-from repro.bench import source_of as _source_of  # noqa: E402
-
-PROGRAMS_DIR = pathlib.Path(__file__).parent / "programs"
 
 __all__ = [
     "BENCHMARKS", "CODE_CHANGES", "PAPER_FIGURE6", "PAPER_FIGURE7",
-    "PROGRAMS_DIR", "BenchmarkRow", "check_benchmark", "count_annotations",
-    "count_loc", "figure6_rows", "format_figure6", "format_figure7",
-    "shared_session", "source_of", "figure6_with_comparison",
-    "format_fixpoint_comparison", "fixpoint_report",
+    "check_benchmark", "count_annotations", "count_loc", "format_figure7",
+    "source_of",
 ]
 
 
-def source_of(name: str) -> str:
-    return _source_of(name, PROGRAMS_DIR)
-
-
-def check_benchmark(name: str, session=None) -> BenchmarkRow:
-    return _check_benchmark(name, session=session, programs_dir=PROGRAMS_DIR)
-
-
-def figure6_rows(names=None, session=None):
-    return _figure6_rows(names, session=session, programs_dir=PROGRAMS_DIR)
-
-
-def figure6_with_comparison(names=None):
-    return _figure6_with_comparison(names, programs_dir=PROGRAMS_DIR)
-
-
 def format_figure7(names=None) -> str:
-    return _format_figure7(names, programs_dir=PROGRAMS_DIR)
+    return bench.render(bench.run(["figure7"], names))
 
 
 def main() -> None:
     which = sys.argv[1] if len(sys.argv) > 1 else "figure6"
-    if which == "figure6":
-        print(format_figure6(figure6_rows()))
-    elif which == "figure7":
-        print(format_figure7())
-    else:
+    if which not in ("figure6", "figure7"):
         raise SystemExit(f"unknown table {which!r} (expected figure6 or figure7)")
+    print(bench.render(bench.run([which])))
 
 
 if __name__ == "__main__":

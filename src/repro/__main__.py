@@ -5,9 +5,9 @@ Subcommands:
 * ``check FILES...`` — check nanoTS source files (the classic mode); exits
   non-zero if any file fails to verify.  ``--format json`` emits structured
   diagnostics with stable error codes; ``--jobs N`` checks in parallel.
-* ``bench figure6|figure7|incremental|modules|smt`` — regenerate the
-  paper's evaluation tables, the edit-recheck and module-graph scenarios,
-  and the fresh-vs-incremental SMT engine comparison.
+* ``bench [FAMILY ...]`` — regenerate the paper's evaluation tables and
+  the other bench families (edit replay, engine comparisons, serve load,
+  cache fleet, tracing overhead) into one ``bench-report.json``.
 * ``serve`` — a newline-delimited JSON check/update/diagnostics/shutdown
   loop over stdin/stdout backed by an incremental workspace.
 * ``watch FILES...`` — re-check files on mtime change, printing per-edit
@@ -95,51 +95,18 @@ def build_parser() -> argparse.ArgumentParser:
     _store_flags(check)
 
     bench = sub.add_parser(
-        "bench", help="regenerate the paper's evaluation tables")
-    bench.add_argument("table",
-                       choices=("figure6", "figure7", "incremental",
-                                "modules", "smt", "store", "serve", "cache",
-                                "obs", "speed"),
-                       help="which table to regenerate (incremental replays "
-                            "a scripted edit sequence per benchmark; modules "
-                            "replays project edits over the module-split "
-                            "ports; smt compares the fresh-solver and "
-                            "incremental-context SMT engines; store measures "
-                            "cold vs store-warm fresh-process re-checks; "
-                            "serve load-tests the multi-tenant socket "
-                            "server with concurrent editing clients; cache "
-                            "spawns a cache server plus a fleet of fresh "
-                            "worker processes sharing it, then re-runs "
-                            "under fault injection; obs measures the "
-                            "overhead of the tracing layer, disabled vs "
-                            "enabled; speed re-checks every port under the "
-                            "reference engine configuration and the fast "
-                            "one, asserting byte-identical verdicts)")
+        "bench", help="regenerate the paper's evaluation tables and the "
+                      "bench report CI gates against benchmarks/baseline.json")
+    bench.add_argument("families", nargs="*", metavar="FAMILY",
+                       help="families to run, in order (default: all of "
+                            "figure6 figure7 incremental modules smt store "
+                            "serve cache obs speed)")
     bench.add_argument("--only", metavar="NAME", action="append",
-                       help="restrict to the named benchmark(s)")
-    bench.add_argument("--programs-dir", metavar="DIR", default=None,
-                       help="directory holding the benchmark .rsc ports "
-                            "(or, for modules, the per-project module "
-                            "directories)")
-    bench.add_argument("--format", choices=("text", "json"), default="text",
-                       help="output format (default: text)")
-    bench.add_argument("--out", metavar="FILE", default=None,
-                       help="where to write the machine-readable report "
-                            "(default: BENCH_fixpoint.json for figure6, "
-                            "BENCH_incremental.json for incremental, in the "
-                            "current directory, i.e. the repo root in CI)")
-    bench.add_argument("--no-compare", action="store_true",
-                       help="figure6: skip the naive-engine comparison run "
-                            "and the report dump")
-    bench.add_argument("--clients", type=int, default=4, metavar="N",
-                       help="serve: number of concurrent editing clients "
-                            "(default: 4)")
-    bench.add_argument("--edit-rate", type=float, default=2.0, metavar="R",
-                       help="serve: edits per second each client replays "
-                            "(default: 2.0)")
-    bench.add_argument("--workers", type=int, default=3, metavar="N",
-                       help="cache: fleet worker processes sharing the "
-                            "cache server (default: 3)")
+                       help="restrict every family to the named benchmark "
+                            "port(s)")
+    bench.add_argument("--out", metavar="FILE", default="bench-report.json",
+                       help="where to write the report (default: "
+                            "bench-report.json)")
 
     serve = sub.add_parser(
         "serve", help="check service: stdio NDJSON loop (repro-serve/2 "
@@ -464,161 +431,28 @@ def cmd_watch(args: argparse.Namespace) -> int:
                  max_scans=args.max_scans)
 
 
-def _emit_bench_report(args: argparse.Namespace, report: dict,
-                       default_out: str, label: str, partial: bool,
-                       render_text) -> None:
-    """Dump and print a machine-readable bench report.
-
-    A partial (--only) run would clobber a full report with one the
-    regression gate reads as missing benchmarks, so it is only written for
-    full runs unless the user redirected the output explicitly."""
-    import pathlib
-    out = args.out or default_out
-    dump = not partial or args.out is not None
-    if dump:
-        pathlib.Path(out).write_text(json.dumps(report, indent=2) + "\n")
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-        return
-    print(render_text())
-    if dump:
-        print(f"\n{label} report written to {out}")
-    else:
-        print(f"\npartial run: {label} report not written "
-              "(pass --out FILE to dump it)")
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro import bench
     import pathlib
-    programs_dir = pathlib.Path(args.programs_dir) if args.programs_dir else None
+    from repro import bench
+    families = args.families or list(bench.FAMILIES)
+    unknown = ([f for f in families if f not in bench.FAMILIES]
+               + [n for n in args.only or [] if n not in bench.BENCHMARKS])
+    if unknown:
+        print(f"repro: unknown bench family or benchmark(s): "
+              f"{', '.join(unknown)}", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        if args.table == "serve":
-            if args.clients < 1 or args.edit_rate <= 0:
-                print("repro: --clients must be >= 1 and --edit-rate > 0",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            load = bench.serve_load(clients=args.clients,
-                                    edit_rate=args.edit_rate,
-                                    programs_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.serve_report(load),
-                "BENCH_serve.json", "serve", False,
-                lambda: bench.format_serve(load))
-            return EXIT_OK if load.ok else EXIT_UNSAFE
-        if args.table == "cache":
-            if args.workers < 2:
-                print("repro: --workers must be >= 2 (one cold worker plus "
-                      "warm fleet)", file=sys.stderr)
-                return EXIT_USAGE
-            unknown = [n for n in (args.only or [])
-                       if n not in bench.BENCHMARKS]
-            if unknown:
-                print(f"repro: unknown benchmark(s): {', '.join(unknown)}",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            fleet = bench.cache_fleet(workers=args.workers,
-                                      names=args.only,
-                                      programs_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.cache_report(fleet),
-                "BENCH_cache.json", "cache", False,
-                lambda: bench.format_cache(fleet))
-            return EXIT_OK if fleet.ok else EXIT_UNSAFE
-        if args.table == "obs":
-            names = args.only or list(bench.OBS_BENCHMARKS)
-            unknown = [n for n in names if n not in bench.BENCHMARKS]
-            if unknown:
-                print(f"repro: unknown benchmark(s): {', '.join(unknown)}",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            partial = set(names) != set(bench.OBS_BENCHMARKS)
-            rows = bench.obs_rows(names, programs_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.obs_report(rows),
-                "BENCH_obs.json", "obs", partial,
-                lambda: bench.format_obs(rows))
-            return EXIT_OK if all(row.safe for row in rows) else EXIT_UNSAFE
-        known = (bench.MODULE_BENCHMARKS if args.table == "modules"
-                 else bench.BENCHMARKS)
-        names = args.only or known
-        unknown = [n for n in names if n not in known]
-        if unknown:
-            print(f"repro: unknown benchmark(s): {', '.join(unknown)}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        partial = set(names) != set(known)
-        if args.table == "modules":
-            rows = bench.modules_rows(names, modules_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.modules_report(rows),
-                "BENCH_modules.json", "modules", partial,
-                lambda: bench.format_modules(rows))
-            return EXIT_OK if all(row.safe for row in rows) else EXIT_UNSAFE
-        if args.table == "store":
-            rows = bench.store_rows(names if partial else None,
-                                    programs_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.store_report(rows),
-                "BENCH_store.json", "store", partial,
-                lambda: bench.format_store(rows))
-            ok = all(row.safe and row.identical for row in rows)
-            return EXIT_OK if ok else EXIT_UNSAFE
-        if args.table == "speed":
-            rows = bench.speed_rows(names if partial else None,
-                                    programs_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.speed_report(rows),
-                "BENCH_speed.json", "speed", partial,
-                lambda: bench.format_speed(rows))
-            ok = all(row.safe and row.identical for row in rows)
-            return EXIT_OK if ok else EXIT_UNSAFE
-        if args.table == "smt":
-            rows = bench.smt_mode_rows(names, programs_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.smt_report(rows),
-                "BENCH_smt.json", "smt", partial,
-                lambda: bench.format_smt(rows))
-            ok = all(row.safe and row.identical for row in rows)
-            return EXIT_OK if ok else EXIT_UNSAFE
-        if args.table == "incremental":
-            rows = bench.incremental_rows(names, programs_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.incremental_report(rows),
-                "BENCH_incremental.json", "incremental", partial,
-                lambda: bench.format_incremental(rows))
-            return EXIT_OK if all(row.safe for row in rows) else EXIT_UNSAFE
-        if args.table == "figure6":
-            if args.no_compare:
-                rows = bench.figure6_rows(names, programs_dir=programs_dir)
-                if args.format == "json":
-                    print(json.dumps([row.to_dict() for row in rows],
-                                     indent=2))
-                else:
-                    print(bench.format_figure6(rows))
-                return EXIT_OK if all(row.safe for row in rows) else EXIT_UNSAFE
-            rows, comparisons = bench.figure6_with_comparison(
-                names, programs_dir=programs_dir)
-            _emit_bench_report(
-                args, bench.fixpoint_report(rows, comparisons),
-                "BENCH_fixpoint.json", "fixpoint", partial,
-                lambda: "\n".join([bench.format_figure6(rows), "",
-                                   bench.format_fixpoint_comparison(
-                                       comparisons)]))
-            return EXIT_OK if all(row.safe for row in rows) else EXIT_UNSAFE
-        if args.format == "json":
-            payload = [{"name": n, "loc": bench.count_loc(
-                            bench.source_of(n, programs_dir)),
-                        "imp_diff": bench.CODE_CHANGES[n][0],
-                        "all_diff": bench.CODE_CHANGES[n][1]}
-                       for n in names]
-            print(json.dumps(payload, indent=2))
-        else:
-            print(bench.format_figure7(names, programs_dir=programs_dir))
-        return EXIT_OK
+        report = bench.run(families, args.only)
     except FileNotFoundError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    pathlib.Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    print(bench.render(report))
+    print(f"\nreport written to {args.out}")
+    failures = bench.gate(report)
+    for failure in failures:
+        print(f"repro: {failure}", file=sys.stderr)
+    return EXIT_UNSAFE if failures else EXIT_OK
 
 
 def cmd_cache(args: argparse.Namespace) -> int:

@@ -1,4 +1,4 @@
-"""Benchmark support: regenerating the paper's evaluation tables.
+"""Benchmark support: the paper's evaluation tables and CI's counter gate.
 
 Figure 6 reports, per benchmark: LOC, the number of trivial (T), mutability
 (M) and refinement (R) annotations, and the checking time.  Figure 7 reports
@@ -18,36 +18,31 @@ The ImpDiff/AllDiff columns of Figure 7 describe the effort of porting the
 original JavaScript to RSC; for our nanoTS ports these were recorded while
 the ports were written and are stored in :data:`CODE_CHANGES`.
 
-All checking goes through one shared :class:`repro.Session`, so a Figure 6
-run amortises a single solver (and its query cache) across all seven
-benchmarks — pass an explicit session to :func:`check_benchmark` to control
-the lifetime yourself.
-
-A Figure 6 run also reports the liquid-fixpoint engine's counters and a
-before/after comparison of the worklist scheduler against the reference
-naive global-round loop (:func:`figure6_with_comparison`); the machine
-readable report (:func:`fixpoint_report`) is what ``repro bench figure6``
-dumps as ``BENCH_fixpoint.json`` and what CI diffs against
-``benchmarks/baseline.json``.
-
-``repro bench smt`` (:func:`smt_mode_rows`) runs every port under both SMT
-engines — a fresh solver per query vs persistent assumption-based contexts
-— asserting byte-identical verdicts and reporting the SAT-search savings;
-the report lands in ``BENCH_smt.json`` and is gated against the baseline's
-``smt`` section.
+Every bench family in :data:`FAMILIES` is a driver ``family(names) ->
+List[Row]`` under one schema, :class:`Row`.  :func:`run` collects the rows
+into one report (``repro bench`` writes it as ``bench-report.json``),
+:func:`render` prints it as one table per family and :func:`gate` checks it:
+every row must be ``ok``, the rows of one input must agree on their verdict
+digest, and with a baseline (``benchmarks/baseline.json``, applied by
+``benchmarks/check_regression.py``) every rule on every metric must hold.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import pathlib
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import sys
+import time
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import CheckConfig
 from repro.core.session import Session
 from repro.core.workspace import Workspace
+from repro.smt.solver import SolverStats
 
 #: Paper's Figure 6 numbers: benchmark -> (LOC, T, M, R, time seconds)
 PAPER_FIGURE6: Dict[str, tuple] = {
@@ -85,103 +80,182 @@ CODE_CHANGES: Dict[str, tuple] = {
 
 BENCHMARKS = list(PAPER_FIGURE6.keys())
 
+#: Benchmark ports that exist as multi-module splits under
+#: ``benchmarks/modules/<name>/``.
+MODULE_BENCHMARKS = ["d3-arrays", "splay"]
+
+#: Ports the serve load generator replays; client ``i`` edits
+#: ``SERVE_BENCHMARKS[i % len]`` under its own tenant.
+SERVE_BENCHMARKS = ["splay", "d3-arrays", "richards", "transducers"]
+
+#: Concurrent editing clients of ``bench serve``, and the edits per second
+#: each one replays.
+SERVE_CLIENTS = 4
+SERVE_EDIT_RATE = 2.0
+
+#: Fresh worker processes sharing the cache server in ``bench cache``: one
+#: cold worker populates it, the rest must replay with zero SMT work.
+CACHE_WORKERS = 3
+
+#: Fast subset the fault-injection phase replays (the point is exercising
+#: the degraded paths, not re-timing the whole suite).
+FAULT_BENCHMARKS = ["tsc-checker", "d3-arrays"]
+
+#: Fast subset the tracing-overhead measurement replays (the point is the
+#: cost of the tracing seams, not re-timing the whole suite).
+OBS_BENCHMARKS = ["tsc-checker", "navier-stokes"]
+
+#: No-op span calls timed by the disabled-path microbenchmark.
+OBS_NOOP_CALLS = 200_000
+
 _REFINEMENT_MARKERS = re.compile(
     r"\{\s*v\s*:|idx<|grid<|okW|okH|len\(|mask\(|impl\(|flagsT|rgb\b|nat\b|pos\b")
 _MUTABILITY_MARKERS = re.compile(
     r"\bimmutable\b|\bIArray\b|\bROArray\b|\bUArray\b|Array<\s*(IM|MU|RO|UQ)")
 
 
-def default_programs_dir() -> pathlib.Path:
-    """Locate ``benchmarks/programs`` (env override, cwd, then repo root)."""
-    env = os.environ.get("RSC_BENCH_PROGRAMS")
-    candidates = [pathlib.Path(env)] if env else []
-    candidates.append(pathlib.Path.cwd() / "benchmarks" / "programs")
-    candidates.append(pathlib.Path(__file__).resolve().parents[2]
-                      / "benchmarks" / "programs")
+# ---------------------------------------------------------------------------
+# the row schema
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Row:
+    """One measured step of one bench family.
+
+    ``counters`` holds deterministic work counts (and derived values such as
+    ``saved_sat_calls``, the comparison a family asserts), ``seconds`` the
+    step's wall-clock, ``digest`` a hash of the verdict the step produced
+    (diagnostics and kappa solutions; empty for rows without one) and
+    ``ok`` whether the step verified.  Rows of one family named
+    ``INPUT`` and ``INPUT/VARIANT`` check the same input, so they must
+    carry the same digest.
+    """
+
+    bench: str
+    name: str
+    counters: Dict[str, float] = field(default_factory=dict)
+    seconds: float = 0.0
+    digest: str = ""
+    ok: bool = True
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
+def verdict(result) -> list:
+    """The byte-comparable verdict of a check, a batch or a project build:
+    every diagnostic and the solved kappa refinements, rendered to
+    JSON-shaped values (a batch or project becomes a list of
+    ``[filename, verdict]`` pairs sorted by filename)."""
+    results = getattr(result, "results", None)
+    if results is not None:
+        return sorted([r.filename, verdict(r)] for r in results)
+    return [[d.to_dict() for d in result.diagnostics],
+            {name: [str(q) for q in quals]
+             for name, quals in result.kappa_solution.items()}]
+
+
+def digest(value) -> str:
+    """Short content hash of a JSON-shaped verdict."""
+    text = json.dumps(value, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _row(bench: str, name: str, result, seconds: Optional[float] = None,
+         **counters) -> Row:
+    """The row of one check: its SMT work counters plus ``counters``."""
+    stats = result.stats or SolverStats()
+    return Row(bench, name,
+               counters={"queries": stats.queries,
+                         "sat_calls": stats.sat_calls,
+                         "giveups": stats.giveups, **counters},
+               seconds=result.time_seconds if seconds is None else seconds,
+               digest=digest(verdict(result)), ok=result.ok)
+
+
+# ---------------------------------------------------------------------------
+# benchmark inputs
+# ---------------------------------------------------------------------------
+
+
+def benchmarks_dir() -> pathlib.Path:
+    """Locate ``benchmarks/`` (current directory, then the source tree)."""
+    candidates = (pathlib.Path.cwd() / "benchmarks",
+                  pathlib.Path(__file__).resolve().parents[2] / "benchmarks")
     for candidate in candidates:
-        if candidate.is_dir():
+        if (candidate / "programs").is_dir():
             return candidate
     raise FileNotFoundError(
-        "cannot locate the benchmark programs directory; set "
-        "RSC_BENCH_PROGRAMS or run from the repository root")
+        "cannot locate the benchmarks directory; run from the repository "
+        "root")
 
 
-@dataclass
-class BenchmarkRow:
-    name: str
-    loc: int
-    trivial: int
-    mutability: int
-    refinements: int
-    time_seconds: float
-    errors: int
-    safe: bool
-    queries: int = 0            # SMT validity/sat queries issued for this file
-    solve_rounds: int = 0       # fixpoint scheduler steps
-    queries_pruned: int = 0     # candidates discharged without an SMT query
-    cache_hits: int = 0         # solver-cache hits while checking this file
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "loc": self.loc,
-            "trivial": self.trivial,
-            "mutability": self.mutability,
-            "refinements": self.refinements,
-            "time_seconds": self.time_seconds,
-            "errors": self.errors,
-            "safe": self.safe,
-            "queries": self.queries,
-            "solve_rounds": self.solve_rounds,
-            "queries_pruned": self.queries_pruned,
-            "cache_hits": self.cache_hits,
-        }
+def source_of(name: str) -> str:
+    return (benchmarks_dir() / "programs" / f"{name}.rsc").read_text()
 
 
-@dataclass
-class FixpointComparison:
-    """Per-benchmark before/after numbers: naive rounds vs the worklist."""
-
-    name: str
-    naive_queries: int
-    worklist_queries: int
-    naive_time_seconds: float
-    worklist_time_seconds: float
-    rounds: int
-    queries_pruned: int
-    cache_hits: int
-    safe: bool
-
-    @property
-    def query_reduction(self) -> float:
-        """Fraction of the naive engine's solve queries the worklist avoided."""
-        if self.naive_queries == 0:
-            return 0.0
-        return 1.0 - self.worklist_queries / self.naive_queries
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "naive": {
-                "queries": self.naive_queries,
-                "time_seconds": self.naive_time_seconds,
-            },
-            "worklist": {
-                "queries": self.worklist_queries,
-                "time_seconds": self.worklist_time_seconds,
-                "rounds": self.rounds,
-                "queries_pruned": self.queries_pruned,
-                "cache_hits": self.cache_hits,
-            },
-            "query_reduction": self.query_reduction,
-            "safe": self.safe,
-        }
+def _inputs(names: Optional[Sequence[str]],
+            default: Sequence[str] = BENCHMARKS,
+            projects: bool = False) -> List[Tuple[str, pathlib.Path]]:
+    """``(name, path)`` of every port to check (``names`` or ``default``)
+    and, with ``projects``, of the module splits among them as
+    ``NAME-modules`` directories."""
+    root = benchmarks_dir()
+    inputs = [(name, root / "programs" / f"{name}.rsc")
+              for name in (names or default)]
+    if projects:
+        inputs += [(f"{name}-modules", root / "modules" / name)
+                   for name in MODULE_BENCHMARKS
+                   if names is None or name in names]
+    for _name, path in inputs:
+        if not path.exists():
+            raise FileNotFoundError(f"no benchmark at {path}")
+    return inputs
 
 
-def source_of(name: str,
-              programs_dir: Optional[pathlib.Path] = None) -> str:
-    directory = programs_dir or default_programs_dir()
-    return (directory / f"{name}.rsc").read_text()
+def _check(path: pathlib.Path, session: Session):
+    """Check one port (a file) or module split (a directory)."""
+    if path.is_dir():
+        return session.check_project(path)
+    return session.check_source(path.read_text(), filename=path.name)
+
+
+Runner = Callable[[pathlib.Path], Tuple[object, dict]]
+
+
+def _compare(bench: str, inputs: List[Tuple[str, pathlib.Path]],
+             variants: List[Tuple[str, Runner]],
+             saved: Sequence[str] = ()) -> List[Row]:
+    """Check every input under each variant in turn, one row per check.
+
+    ``variants`` lists ``(suffix, run)`` in run order; ``run(path)``
+    returns ``(result, counters)``.  The row of the ``""`` variant is named
+    after the input, the other's ``INPUT<suffix>``, so both land in one
+    digest group; ``seconds`` is the wall-clock of ``run``.  For each
+    counter in ``saved`` the main row also gets ``saved_<counter>``: the
+    other variant's count minus its own.
+    """
+    rows: List[Row] = []
+    for name, path in inputs:
+        checked: Dict[str, Row] = {}
+        for suffix, run in variants:
+            start = time.perf_counter()
+            result, counters = run(path)
+            checked[suffix] = _row(bench, name + suffix, result,
+                                   time.perf_counter() - start, **counters)
+        main = checked[""]
+        for counter in saved:
+            other, = (row for suffix, row in checked.items() if suffix)
+            main.counters[f"saved_{counter}"] = (other.counters[counter]
+                                                 - main.counters[counter])
+        rows.extend(checked.values())
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Figures 6 and 7 (`repro bench figure6`, `repro bench figure7`)
+# ---------------------------------------------------------------------------
 
 
 def count_loc(source: str) -> int:
@@ -223,330 +297,56 @@ def count_annotations(source: str) -> tuple:
     return trivial, mutability, refinements
 
 
-_SHARED_SESSION: Optional[Session] = None
+def _figure6_runner(session: Session, annotate: bool) -> Runner:
+    def run(path: pathlib.Path) -> Tuple[object, dict]:
+        result = _check(path, session)
+        solve = result.solve_stats
+        counters = {"queries_issued": solve.queries_issued if solve else 0,
+                    "queries_pruned": solve.queries_pruned if solve else 0,
+                    "rounds": solve.rounds if solve else 0}
+        if annotate:
+            source = path.read_text()
+            trivial, mutability, refinements = count_annotations(source)
+            counters = {"loc": count_loc(source), "trivial": trivial,
+                        "mutability": mutability,
+                        "refinements": refinements,
+                        "errors": len(result.errors), **counters}
+        return result, counters
+    return run
 
 
-def shared_session() -> Session:
-    """The module-wide session used when no explicit session is passed.
-
-    One long-lived solver across every benchmark is exactly how Figure 6
-    runs are amortised."""
-    global _SHARED_SESSION
-    if _SHARED_SESSION is None:
-        _SHARED_SESSION = Session(CheckConfig())
-    return _SHARED_SESSION
+def check_benchmark(name: str, session: Optional[Session] = None) -> Row:
+    """The Figure 6 row of one port (a fresh session unless given one)."""
+    run = _figure6_runner(session or Session(CheckConfig()), annotate=True)
+    row, = _compare("figure6", _inputs([name]), [("", run)])
+    return row
 
 
-def check_benchmark(name: str, session: Optional[Session] = None,
-                    programs_dir: Optional[pathlib.Path] = None) -> BenchmarkRow:
-    source = source_of(name, programs_dir)
-    session = session or shared_session()
-    result = session.check_source(source, filename=f"{name}.rsc")
-    trivial, mut, refs = count_annotations(source)
-    solve = result.solve_stats
-    return BenchmarkRow(name=name, loc=count_loc(source), trivial=trivial,
-                        mutability=mut, refinements=refs,
-                        time_seconds=result.time_seconds,
-                        errors=len(result.errors), safe=result.ok,
-                        queries=result.stats.queries if result.stats else 0,
-                        solve_rounds=solve.rounds if solve else 0,
-                        queries_pruned=solve.queries_pruned if solve else 0,
-                        cache_hits=result.stats.cache_hits if result.stats else 0)
-
-
-def figure6_rows(names: Optional[List[str]] = None,
-                 session: Optional[Session] = None,
-                 programs_dir: Optional[pathlib.Path] = None
-                 ) -> List[BenchmarkRow]:
-    session = session or shared_session()
-    return [check_benchmark(name, session, programs_dir)
-            for name in (names or BENCHMARKS)]
-
-
-def figure6_with_comparison(names: Optional[List[str]] = None,
-                            programs_dir: Optional[pathlib.Path] = None
-                            ) -> tuple:
-    """Run Figure 6 under both fixpoint strategies.
-
-    Returns ``(rows, comparisons)``: the worklist-engine benchmark rows plus
-    a per-benchmark :class:`FixpointComparison` against the naive
-    global-round engine.  Each strategy gets its own fresh session so the
-    query counts are not distorted by the other strategy's solver cache.
-    """
-    names = list(names or BENCHMARKS)
-    worklist = Session(CheckConfig(fixpoint_strategy="worklist"))
+def figure6(names: Optional[Sequence[str]] = None) -> List[Row]:
+    """Figure 6 under the worklist fixpoint, with the naive global-round
+    engine as ``NAME/naive``; ``saved_queries_issued`` is the solve queries
+    the worklist avoided.  Each engine keeps one session across all ports,
+    amortising its solver exactly like a Figure 6 run."""
     naive = Session(CheckConfig(fixpoint_strategy="naive"))
-    rows: List[BenchmarkRow] = []
-    comparisons: List[FixpointComparison] = []
-    for name in names:
-        source = source_of(name, programs_dir)
-        filename = f"{name}.rsc"
-        naive_result = naive.check_source(source, filename=filename)
-        worklist_result = worklist.check_source(source, filename=filename)
-        trivial, mut, refs = count_annotations(source)
-        solve = worklist_result.solve_stats
-        stats = worklist_result.stats
-        rows.append(BenchmarkRow(
-            name=name, loc=count_loc(source), trivial=trivial,
-            mutability=mut, refinements=refs,
-            time_seconds=worklist_result.time_seconds,
-            errors=len(worklist_result.errors), safe=worklist_result.ok,
-            queries=stats.queries if stats else 0,
-            solve_rounds=solve.rounds if solve else 0,
-            queries_pruned=solve.queries_pruned if solve else 0,
-            cache_hits=stats.cache_hits if stats else 0))
-        naive_solve = naive_result.solve_stats
-        comparisons.append(FixpointComparison(
-            name=name,
-            naive_queries=naive_solve.queries_issued if naive_solve else 0,
-            worklist_queries=solve.queries_issued if solve else 0,
-            naive_time_seconds=naive_result.time_seconds,
-            worklist_time_seconds=worklist_result.time_seconds,
-            rounds=solve.rounds if solve else 0,
-            queries_pruned=solve.queries_pruned if solve else 0,
-            cache_hits=solve.cache_hits if solve else 0,
-            safe=worklist_result.ok and naive_result.ok))
-    return rows, comparisons
+    worklist = Session(CheckConfig(fixpoint_strategy="worklist"))
+    return _compare("figure6", _inputs(names),
+                    [("/naive", _figure6_runner(naive, annotate=False)),
+                     ("", _figure6_runner(worklist, annotate=True))],
+                    saved=("queries_issued",))
 
 
-def format_fixpoint_comparison(comparisons: List[FixpointComparison]) -> str:
-    """The before/after table printed under the Figure 6 results."""
-    lines = [
-        "Fixpoint engine: naive global rounds vs dependency-directed worklist",
-        "Benchmark        Queries(naive)  Queries(worklist)  Saved%  "
-        "Time(naive)  Time(worklist)",
-        "-" * 86,
-    ]
-    tot_nq = tot_wq = 0
-    tot_nt = tot_wt = 0.0
-    for cmp in comparisons:
-        lines.append(
-            f"{cmp.name:15s} {cmp.naive_queries:14d} {cmp.worklist_queries:18d} "
-            f"{100 * cmp.query_reduction:6.1f} {cmp.naive_time_seconds:12.2f} "
-            f"{cmp.worklist_time_seconds:15.2f}")
-        tot_nq += cmp.naive_queries
-        tot_wq += cmp.worklist_queries
-        tot_nt += cmp.naive_time_seconds
-        tot_wt += cmp.worklist_time_seconds
-    lines.append("-" * 86)
-    saved = 100 * (1.0 - tot_wq / tot_nq) if tot_nq else 0.0
-    lines.append(f"{'TOTAL':15s} {tot_nq:14d} {tot_wq:18d} {saved:6.1f} "
-                 f"{tot_nt:12.2f} {tot_wt:15.2f}")
-    return "\n".join(lines)
-
-
-#: Schema identifier stamped into fixpoint reports (bump on layout changes).
-FIXPOINT_REPORT_SCHEMA = "repro-bench-fixpoint/1"
-
-
-def fixpoint_report(rows: List[BenchmarkRow],
-                    comparisons: List[FixpointComparison]) -> dict:
-    """The machine-readable report dumped as ``BENCH_fixpoint.json``."""
-    benchmarks = {}
-    by_name = {row.name: row for row in rows}
-    for cmp in comparisons:
-        entry = cmp.to_dict()
-        row = by_name.get(cmp.name)
-        if row is not None:
-            entry["figure6"] = row.to_dict()
-        benchmarks[cmp.name] = entry
-    return {
-        "schema": FIXPOINT_REPORT_SCHEMA,
-        "benchmarks": benchmarks,
-        "totals": {
-            "naive_queries": sum(c.naive_queries for c in comparisons),
-            "worklist_queries": sum(c.worklist_queries for c in comparisons),
-            "naive_time_seconds": sum(c.naive_time_seconds
-                                      for c in comparisons),
-            "worklist_time_seconds": sum(c.worklist_time_seconds
-                                         for c in comparisons),
-        },
-    }
-
-
-def format_figure6(rows: List[BenchmarkRow]) -> str:
-    lines = ["Benchmark        LOC    T    M    R   Time(s)  Errors  "
-             "Queries  Pruned",
-             "-" * 74]
-    total_loc = total_t = total_m = total_r = 0
-    total_q = total_p = 0
-    for row in rows:
-        lines.append(f"{row.name:15s} {row.loc:4d} {row.trivial:4d} "
-                     f"{row.mutability:4d} {row.refinements:4d} "
-                     f"{row.time_seconds:8.2f} {row.errors:6d} "
-                     f"{row.queries:8d} {row.queries_pruned:7d}")
-        total_loc += row.loc
-        total_t += row.trivial
-        total_m += row.mutability
-        total_r += row.refinements
-        total_q += row.queries
-        total_p += row.queries_pruned
-    lines.append("-" * 74)
-    lines.append(f"{'TOTAL':15s} {total_loc:4d} {total_t:4d} {total_m:4d} "
-                 f"{total_r:4d} {'':8s} {'':6s} {total_q:8d} {total_p:7d}")
-    return "\n".join(lines)
+def figure7(names: Optional[Sequence[str]] = None) -> List[Row]:
+    """Figure 7: LOC and the recorded ImpDiff/AllDiff porting effort."""
+    return [Row("figure7", name,
+                counters={"loc": count_loc(path.read_text()),
+                          "imp_diff": CODE_CHANGES[name][0],
+                          "all_diff": CODE_CHANGES[name][1]})
+            for name, path in _inputs(names)]
 
 
 # ---------------------------------------------------------------------------
-# SMT-mode comparison (`repro bench smt`)
+# edit replay (`repro bench incremental`, `repro bench modules`)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SmtModeRow:
-    """Fresh-solver vs incremental-context numbers for one benchmark.
-
-    ``identical`` asserts the differential property the incremental engine
-    must preserve: byte-identical diagnostics and kappa solutions under both
-    modes.  ``sat_calls`` is the comparison metric — SAT search episodes —
-    while the context counters explain *why* incremental wins (persistent
-    contexts, replayed theory lemmas, propagation-evident refutations).
-    """
-
-    name: str
-    fresh_sat_calls: int
-    incremental_sat_calls: int
-    fresh_theory_checks: int
-    incremental_theory_checks: int
-    fresh_time_seconds: float
-    incremental_time_seconds: float
-    queries: int
-    contexts_created: int
-    contexts_reused: int
-    clauses_learned: int
-    lemmas_reused: int
-    identical: bool
-    safe: bool
-
-    @property
-    def sat_call_reduction(self) -> float:
-        """Fraction of the fresh engine's SAT searches incremental avoided."""
-        if self.fresh_sat_calls == 0:
-            return 0.0
-        return 1.0 - self.incremental_sat_calls / self.fresh_sat_calls
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "fresh": {
-                "sat_calls": self.fresh_sat_calls,
-                "theory_checks": self.fresh_theory_checks,
-                "time_seconds": self.fresh_time_seconds,
-            },
-            "incremental": {
-                "sat_calls": self.incremental_sat_calls,
-                "theory_checks": self.incremental_theory_checks,
-                "time_seconds": self.incremental_time_seconds,
-                "contexts_created": self.contexts_created,
-                "contexts_reused": self.contexts_reused,
-                "clauses_learned": self.clauses_learned,
-                "lemmas_reused": self.lemmas_reused,
-            },
-            "queries": self.queries,
-            "sat_call_reduction": self.sat_call_reduction,
-            "identical": self.identical,
-            "safe": self.safe,
-        }
-
-
-def _comparable_verdict(result) -> tuple:
-    """The parts of a :class:`CheckResult` that must match across SMT modes:
-    every diagnostic (code, message, span, severity) and the solved kappa
-    refinements, rendered to strings so the comparison is byte-level."""
-    return (
-        [d.to_dict() for d in result.diagnostics],
-        {name: [str(q) for q in quals]
-         for name, quals in sorted(result.kappa_solution.items())},
-    )
-
-
-def smt_mode_rows(names: Optional[List[str]] = None,
-                  programs_dir: Optional[pathlib.Path] = None
-                  ) -> List[SmtModeRow]:
-    """Check every benchmark under both SMT modes and compare.
-
-    Each mode gets its own fresh session (and solver) per benchmark, so the
-    counters are not distorted by the other mode's result cache or by
-    earlier benchmarks' contexts.
-    """
-    rows: List[SmtModeRow] = []
-    for name in (names or BENCHMARKS):
-        source = source_of(name, programs_dir)
-        filename = f"{name}.rsc"
-        fresh = Session(CheckConfig(smt_mode="fresh")).check_source(
-            source, filename=filename)
-        incremental = Session(CheckConfig(smt_mode="incremental")).check_source(
-            source, filename=filename)
-        fs, inc = fresh.stats, incremental.stats
-        rows.append(SmtModeRow(
-            name=name,
-            fresh_sat_calls=fs.sat_calls if fs else 0,
-            incremental_sat_calls=inc.sat_calls if inc else 0,
-            fresh_theory_checks=fs.theory_checks if fs else 0,
-            incremental_theory_checks=inc.theory_checks if inc else 0,
-            fresh_time_seconds=fresh.time_seconds,
-            incremental_time_seconds=incremental.time_seconds,
-            queries=inc.queries if inc else 0,
-            contexts_created=inc.contexts_created if inc else 0,
-            contexts_reused=inc.contexts_reused if inc else 0,
-            clauses_learned=inc.clauses_learned if inc else 0,
-            lemmas_reused=inc.lemmas_reused if inc else 0,
-            identical=_comparable_verdict(fresh) == _comparable_verdict(
-                incremental),
-            safe=fresh.ok and incremental.ok))
-    return rows
-
-
-#: Schema identifier stamped into SMT-mode reports.
-SMT_REPORT_SCHEMA = "repro-bench-smt/1"
-
-
-def smt_report(rows: List[SmtModeRow]) -> dict:
-    """The machine-readable report dumped as ``BENCH_smt.json``."""
-    return {
-        "schema": SMT_REPORT_SCHEMA,
-        "benchmarks": {row.name: row.to_dict() for row in rows},
-        "totals": {
-            "fresh_sat_calls": sum(r.fresh_sat_calls for r in rows),
-            "incremental_sat_calls": sum(r.incremental_sat_calls
-                                         for r in rows),
-            "fresh_time_seconds": sum(r.fresh_time_seconds for r in rows),
-            "incremental_time_seconds": sum(r.incremental_time_seconds
-                                            for r in rows),
-        },
-    }
-
-
-def format_smt(rows: List[SmtModeRow]) -> str:
-    """The table printed by ``repro bench smt``."""
-    lines = [
-        "SMT engine: fresh solver per query vs persistent assumption-based "
-        "contexts",
-        "Benchmark        Sat(fresh)  Sat(incr)  Saved%  Ctx(new/reuse)  "
-        "Lemmas  Same  Time(f)  Time(i)",
-        "-" * 92,
-    ]
-    tot_f = tot_i = 0
-    tot_ft = tot_it = 0.0
-    for row in rows:
-        ctx = f"{row.contexts_created}/{row.contexts_reused}"
-        lines.append(
-            f"{row.name:15s} {row.fresh_sat_calls:11d} "
-            f"{row.incremental_sat_calls:10d} "
-            f"{100 * row.sat_call_reduction:6.1f} {ctx:>14s} "
-            f"{row.lemmas_reused:7d} {'yes' if row.identical else 'NO':>5s} "
-            f"{row.fresh_time_seconds:8.2f} "
-            f"{row.incremental_time_seconds:8.2f}")
-        tot_f += row.fresh_sat_calls
-        tot_i += row.incremental_sat_calls
-        tot_ft += row.fresh_time_seconds
-        tot_it += row.incremental_time_seconds
-    lines.append("-" * 92)
-    saved = 100 * (1.0 - tot_i / tot_f) if tot_f else 0.0
-    lines.append(f"{'TOTAL':15s} {tot_f:11d} {tot_i:10d} {saved:6.1f} "
-                 f"{'':14s} {'':7s} {'':5s} {tot_ft:8.2f} {tot_it:8.2f}")
-    return "\n".join(lines)
-
 
 #: Function edited by the scripted ``incremental`` scenario, per benchmark.
 #: The edit inserts a harmless statement at the top of this function's body,
@@ -559,6 +359,26 @@ EDIT_TARGETS: Dict[str, str] = {
     "transducers": "sum",
     "d3-arrays": "min",
     "tsc-checker": "countMembers",
+}
+
+#: Body-only edit per module benchmark: (module file, function to edit).
+#: Must re-check exactly one module — the edit stops at the module boundary.
+MODULE_BODY_EDITS: Dict[str, tuple] = {
+    "d3-arrays": ("extrema.rsc", "min"),
+    "splay": ("stats.rsc", "findMax"),
+}
+
+#: Signature edit per module benchmark: (module file, old line, new line).
+#: Rewrites an exported alias to an equivalent-but-different refinement, so
+#: the interface fingerprint moves, every transitive dependent re-checks,
+#: and the project still verifies.
+MODULE_SIG_EDITS: Dict[str, tuple] = {
+    "d3-arrays": ("types.rsc",
+                  "export type NEArray<T> = {v: T[] | 0 < len(v)};",
+                  "export type NEArray<T> = {v: T[] | 1 <= len(v)};"),
+    "splay": ("types.rsc",
+              "export type nat = {v: number | 0 <= v};",
+              "export type nat = {v: number | v >= 0};"),
 }
 
 
@@ -594,272 +414,79 @@ def scripted_edits(name: str, source: str) -> List[tuple]:
     ]
 
 
-@dataclass
-class IncrementalEdit:
-    """Counters for one replayed edit of the incremental scenario."""
+def incremental(names: Optional[Sequence[str]] = None) -> List[Row]:
+    """Replay the scripted edits per port through one fresh workspace.
 
-    label: str
-    queries: int
-    time_seconds: float
-    warm: bool
-    declarations_rechecked: int
-    declarations_reused: int
-    safe: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "queries": self.queries,
-            "time_seconds": self.time_seconds,
-            "warm": self.warm,
-            "declarations_rechecked": self.declarations_rechecked,
-            "declarations_reused": self.declarations_reused,
-            "safe": self.safe,
-        }
-
-
-@dataclass
-class IncrementalRow:
-    """Cold-check vs. edit-replay numbers for one benchmark."""
-
-    name: str
-    cold_queries: int
-    cold_time_seconds: float
-    edits: List[IncrementalEdit] = field(default_factory=list)
-
-    @property
-    def safe(self) -> bool:
-        return all(edit.safe for edit in self.edits)
-
-    @property
-    def body_edit(self) -> Optional[IncrementalEdit]:
-        for edit in self.edits:
-            if edit.label == "body":
-                return edit
-        return None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "cold": {
-                "queries": self.cold_queries,
-                "time_seconds": self.cold_time_seconds,
-            },
-            "edits": [edit.to_dict() for edit in self.edits],
-            "safe": self.safe,
-        }
-
-
-def incremental_rows(names: Optional[List[str]] = None,
-                     programs_dir: Optional[pathlib.Path] = None
-                     ) -> List[IncrementalRow]:
-    """Replay the scripted edit sequence per benchmark through a workspace.
-
-    Each benchmark gets a fresh :class:`repro.Workspace` (cold solver) so
-    the cold-open numbers are comparable across runs; the per-edit numbers
-    then show what the incremental machinery saves inside one editing loop.
+    The cold open is ``NAME``; the comment-only and revert edits leave the
+    program as it was, so they are ``NAME/comment`` and ``NAME/revert`` in
+    its digest group; the body edit is a new program, ``NAME+body``, with
+    ``saved_queries`` against the cold open.
     """
-    rows: List[IncrementalRow] = []
-    for name in (names or BENCHMARKS):
-        source = source_of(name, programs_dir)
-        uri = f"{name}.rsc"
+    rows: List[Row] = []
+    for name, path in _inputs(names):
+        source = path.read_text()
         workspace = Workspace(CheckConfig())
-        cold = workspace.open(uri, source)
-        row = IncrementalRow(
-            name=name,
-            cold_queries=cold.stats.queries if cold.stats else 0,
-            cold_time_seconds=cold.time_seconds)
+        cold = _row("incremental", name, workspace.open(path.name, source))
+        rows.append(cold)
         for label, text in scripted_edits(name, source):
-            result = workspace.update(uri, text)
+            result = workspace.update(path.name, text)
             solve = result.solve_stats
-            row.edits.append(IncrementalEdit(
-                label=label,
-                queries=result.stats.queries if result.stats else 0,
-                time_seconds=result.time_seconds,
-                warm=bool(solve and solve.warm_starts),
-                declarations_rechecked=(solve.declarations_rechecked
-                                        if solve else 0),
-                declarations_reused=solve.declarations_reused if solve else 0,
-                safe=result.ok))
-        rows.append(row)
+            row = _row("incremental",
+                       f"{name}+body" if label == "body"
+                       else f"{name}/{label}", result,
+                       warm=int(bool(solve and solve.warm_starts)),
+                       rechecked=solve.declarations_rechecked if solve else 0,
+                       reused=solve.declarations_reused if solve else 0)
+            if label == "body":
+                row.counters["saved_queries"] = (cold.counters["queries"]
+                                                 - row.counters["queries"])
+            rows.append(row)
     return rows
 
 
-#: Schema identifier stamped into incremental reports.
-INCREMENTAL_REPORT_SCHEMA = "repro-bench-incremental/1"
+def modules(names: Optional[Sequence[str]] = None) -> List[Row]:
+    """Replay project edits over the module splits.
 
-
-def incremental_report(rows: List[IncrementalRow]) -> dict:
-    """The machine-readable report dumped as ``BENCH_incremental.json``."""
-    body_total = sum(r.body_edit.queries for r in rows if r.body_edit)
-    return {
-        "schema": INCREMENTAL_REPORT_SCHEMA,
-        "benchmarks": {row.name: row.to_dict() for row in rows},
-        "totals": {
-            "cold_queries": sum(r.cold_queries for r in rows),
-            "body_edit_queries": body_total,
-        },
-    }
-
-
-def format_incremental(rows: List[IncrementalRow]) -> str:
-    """The edit-recheck table printed by ``repro bench incremental``."""
-    lines = [
-        "Incremental re-check: cold open vs scripted edits "
-        "(comment-only / one body / revert)",
-        "Benchmark        Cold-q  Comment-q  Body-q  Saved%  Re/Reused  "
-        "Cold(s)  Body(s)",
-        "-" * 82,
-    ]
-    tot_cold = tot_body = 0
-    for row in rows:
-        by_label = {edit.label: edit for edit in row.edits}
-        comment = by_label.get("comment")
-        body = by_label.get("body")
-        saved = (100 * (1 - body.queries / row.cold_queries)
-                 if body and row.cold_queries else 0.0)
-        rechecked = body.declarations_rechecked if body else 0
-        reused = body.declarations_reused if body else 0
-        lines.append(
-            f"{row.name:15s} {row.cold_queries:7d} "
-            f"{comment.queries if comment else 0:10d} "
-            f"{body.queries if body else 0:7d} {saved:6.1f} "
-            f"{rechecked:4d}/{reused:<4d} "
-            f"{row.cold_time_seconds:8.2f} "
-            f"{body.time_seconds if body else 0.0:8.2f}")
-        tot_cold += row.cold_queries
-        tot_body += body.queries if body else 0
-    lines.append("-" * 82)
-    saved = 100 * (1 - tot_body / tot_cold) if tot_cold else 0.0
-    lines.append(f"{'TOTAL':15s} {tot_cold:7d} {'':10s} {tot_body:7d} "
-                 f"{saved:6.1f}")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# module-split benchmarks (`repro bench modules`)
-# ---------------------------------------------------------------------------
-
-#: Benchmark ports that exist as multi-module splits under
-#: ``benchmarks/modules/<name>/``.
-MODULE_BENCHMARKS = ["d3-arrays", "splay"]
-
-#: Body-only edit per module benchmark: (module file, function to edit).
-#: Must re-check exactly one module — the edit stops at the module boundary.
-MODULE_BODY_EDITS: Dict[str, tuple] = {
-    "d3-arrays": ("extrema.rsc", "min"),
-    "splay": ("stats.rsc", "findMax"),
-}
-
-#: Signature edit per module benchmark: (module file, old line, new line).
-#: Rewrites an exported alias to an equivalent-but-different refinement, so
-#: the interface fingerprint moves, every transitive dependent re-checks,
-#: and the project still verifies.
-MODULE_SIG_EDITS: Dict[str, tuple] = {
-    "d3-arrays": ("types.rsc",
-                  "export type NEArray<T> = {v: T[] | 0 < len(v)};",
-                  "export type NEArray<T> = {v: T[] | 1 <= len(v)};"),
-    "splay": ("types.rsc",
-              "export type nat = {v: number | 0 <= v};",
-              "export type nat = {v: number | v >= 0};"),
-}
-
-
-def default_modules_dir() -> pathlib.Path:
-    """Locate ``benchmarks/modules`` (env override, cwd, then repo root)."""
-    env = os.environ.get("RSC_BENCH_MODULES")
-    candidates = [pathlib.Path(env)] if env else []
-    candidates.append(pathlib.Path.cwd() / "benchmarks" / "modules")
-    candidates.append(pathlib.Path(__file__).resolve().parents[2]
-                      / "benchmarks" / "modules")
-    for candidate in candidates:
-        if candidate.is_dir():
-            return candidate
-    raise FileNotFoundError(
-        "cannot locate the module benchmarks directory; set "
-        "RSC_BENCH_MODULES or run from the repository root")
-
-
-@dataclass
-class ModulesRow:
-    """Cold project build vs scripted module edits for one split port."""
-
-    name: str
-    modules: int
-    batches: int
-    cold_queries: int
-    cold_time_seconds: float
-    body_module: str = ""
-    body_rechecked: int = 0
-    body_queries: int = 0
-    body_warm: bool = False
-    sig_module: str = ""
-    sig_rechecked: int = 0
-    sig_queries: int = 0
-    safe: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "modules": self.modules,
-            "batches": self.batches,
-            "cold": {
-                "queries": self.cold_queries,
-                "time_seconds": self.cold_time_seconds,
-            },
-            "body_edit": {
-                "module": self.body_module,
-                "rechecked": self.body_rechecked,
-                "queries": self.body_queries,
-                "warm": self.body_warm,
-            },
-            "sig_edit": {
-                "module": self.sig_module,
-                "rechecked": self.sig_rechecked,
-                "queries": self.sig_queries,
-            },
-            "safe": self.safe,
-        }
-
-
-def modules_rows(names: Optional[List[str]] = None,
-                 modules_dir: Optional[pathlib.Path] = None
-                 ) -> List[ModulesRow]:
-    """Replay the module-edit scenario per split benchmark.
-
-    For each project: a cold build through a fresh
-    :class:`repro.project.ProjectWorkspace`, then a body-only edit of one
-    leaf dependency (must re-check exactly that module, warm-started) and a
-    signature edit of the shared types module (must re-check its transitive
-    dependents, still verifying).
+    ``NAME`` is the cold build of a fresh project workspace;
+    ``NAME+body`` a body-only edit of one leaf dependency (must re-check
+    exactly that module, warm-started); ``NAME+sig`` a signature edit of
+    the shared types module (must re-check its transitive dependents,
+    still verifying, with the interface fingerprint moved).
     """
     from repro.project.workspace import ProjectWorkspace
 
-    directory = modules_dir or default_modules_dir()
-    rows: List[ModulesRow] = []
+    def edit(name: str, workspace, path: pathlib.Path, text: str) -> tuple:
+        start = time.perf_counter()
+        update = workspace.update(path, text)
+        seconds = time.perf_counter() - start
+        return update, Row(
+            "modules", name,
+            counters={"queries": update.queries,
+                      "rechecked": len(update.rechecked)},
+            seconds=seconds, digest=digest(verdict(workspace.project_result())),
+            ok=update.ok)
+
+    rows: List[Row] = []
     for name in (names or MODULE_BENCHMARKS):
-        root = directory / name
+        if name not in MODULE_BENCHMARKS:
+            continue
+        root = benchmarks_dir() / "modules" / name
         if not root.is_dir():
             raise FileNotFoundError(f"no module benchmark at {root}")
         workspace = ProjectWorkspace(root=root)
-        cold = workspace.check()
-        row = ModulesRow(
-            name=name, modules=cold.num_modules, batches=cold.num_batches,
-            cold_queries=cold.stats.queries,
-            cold_time_seconds=cold.time_seconds,
-            safe=cold.ok)
+        built = workspace.check()
+        cold = _row("modules", name, built, modules=built.num_modules,
+                    batches=built.num_batches)
 
         body_file, function = MODULE_BODY_EDITS[name]
         body_path = root / body_file
-        edited = edit_function_body(body_path.read_text(), function)
-        update = workspace.update(body_path, edited)
-        edited_result = update.results[str(body_path.resolve())]
-        solve = edited_result.solve_stats
-        row.body_module = body_file
-        row.body_rechecked = len(update.rechecked)
-        row.body_queries = update.queries
-        row.body_warm = bool(solve and solve.warm_starts)
-        row.safe = row.safe and update.ok
+        update, body = edit(f"{name}+body", workspace, body_path,
+                            edit_function_body(body_path.read_text(),
+                                               function))
+        solve = update.results[str(body_path.resolve())].solve_stats
+        body.counters["warm"] = int(bool(solve and solve.warm_starts))
+        body.counters["saved_queries"] = (cold.counters["queries"]
+                                          - body.counters["queries"])
 
         sig_file, old_line, new_line = MODULE_SIG_EDITS[name]
         sig_path = root / sig_file
@@ -867,360 +494,218 @@ def modules_rows(names: Optional[List[str]] = None,
         if old_line not in source:
             raise ValueError(f"{name}: signature-edit anchor not found "
                              f"in {sig_file}")
-        update = workspace.update(sig_path, source.replace(old_line, new_line))
-        row.sig_module = sig_file
-        row.sig_rechecked = len(update.rechecked)
-        row.sig_queries = update.queries
-        row.safe = row.safe and update.ok and update.summary_changed
-        rows.append(row)
+        update, sig = edit(f"{name}+sig", workspace, sig_path,
+                           source.replace(old_line, new_line))
+        sig.ok = update.ok and update.summary_changed
+        rows += [cold, body, sig]
     return rows
 
 
-#: Schema identifier stamped into module-bench reports.
-MODULES_REPORT_SCHEMA = "repro-bench-modules/1"
-
-
-def modules_report(rows: List[ModulesRow]) -> dict:
-    """The machine-readable report dumped as ``BENCH_modules.json``."""
-    return {
-        "schema": MODULES_REPORT_SCHEMA,
-        "benchmarks": {row.name: row.to_dict() for row in rows},
-        "totals": {
-            "cold_queries": sum(r.cold_queries for r in rows),
-            "body_edit_queries": sum(r.body_queries for r in rows),
-            "sig_edit_queries": sum(r.sig_queries for r in rows),
-        },
-    }
-
-
-def format_modules(rows: List[ModulesRow]) -> str:
-    """The table printed by ``repro bench modules``."""
-    lines = [
-        "Module-graph re-check: cold build vs body-only and signature edits",
-        "Project          Mods  Batches  Cold-q  Body-re  Body-q  Warm  "
-        "Sig-re  Sig-q",
-        "-" * 78,
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.name:15s} {row.modules:5d} {row.batches:8d} "
-            f"{row.cold_queries:7d} {row.body_rechecked:8d} "
-            f"{row.body_queries:7d} {'yes' if row.body_warm else 'no':>5s} "
-            f"{row.sig_rechecked:7d} {row.sig_queries:6d}")
-    lines.append("-" * 78)
-    lines.append(
-        f"{'TOTAL':15s} {sum(r.modules for r in rows):5d} {'':8s} "
-        f"{sum(r.cold_queries for r in rows):7d} "
-        f"{sum(r.body_rechecked for r in rows):8d} "
-        f"{sum(r.body_queries for r in rows):7d} {'':5s} "
-        f"{sum(r.sig_rechecked for r in rows):7d} "
-        f"{sum(r.sig_queries for r in rows):6d}")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
-# persistent-store benchmarks (`repro bench store`)
+# engine comparisons (`repro bench smt|store|obs|speed`)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class StoreRow:
-    """Cold-process vs store-warm numbers for one benchmark.
-
-    ``kind`` is ``"file"`` (single-file port through a fresh
-    :class:`Session` per run) or ``"project"`` (module split through
-    :func:`repro.project.build.check_project`).  The warm run is a *fresh*
-    session/build against the store the cold run populated — exactly the
-    cross-process replay scenario — and must issue **zero** SMT queries and
-    zero SAT searches while producing byte-identical diagnostics and kappa
-    solutions (``identical``).
-    """
-
-    name: str
-    kind: str
-    cold_queries: int
-    cold_sat_calls: int
-    cold_time_seconds: float
-    warm_queries: int
-    warm_sat_calls: int
-    warm_time_seconds: float
-    identical: bool
-    safe: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "cold": {
-                "queries": self.cold_queries,
-                "sat_calls": self.cold_sat_calls,
-                "time_seconds": self.cold_time_seconds,
-            },
-            "warm": {
-                "queries": self.warm_queries,
-                "sat_calls": self.warm_sat_calls,
-                "time_seconds": self.warm_time_seconds,
-            },
-            "identical": self.identical,
-            "safe": self.safe,
-        }
+def smt(names: Optional[Sequence[str]] = None) -> List[Row]:
+    """Every port under the incremental-context SMT engine and, as
+    ``NAME/fresh``, the fresh-solver-per-query engine; a fresh session per
+    check so neither engine's cache distorts the other.
+    ``saved_sat_calls`` is the SAT searches the contexts avoided."""
+    def engine(mode: str) -> Runner:
+        def run(path: pathlib.Path) -> Tuple[object, dict]:
+            result = _check(path, Session(CheckConfig(smt_mode=mode)))
+            stats = result.stats or SolverStats()
+            return result, {"theory_checks": stats.theory_checks,
+                            "contexts_created": stats.contexts_created,
+                            "contexts_reused": stats.contexts_reused,
+                            "lemmas_reused": stats.lemmas_reused}
+        return run
+    return _compare("smt", _inputs(names),
+                    [("/fresh", engine("fresh")),
+                     ("", engine("incremental"))],
+                    saved=("sat_calls",))
 
 
-def _project_verdicts(result) -> list:
-    return [_comparable_verdict(r) for r in result.results]
-
-
-def store_rows(names: Optional[List[str]] = None,
-               programs_dir: Optional[pathlib.Path] = None,
-               modules_dir: Optional[pathlib.Path] = None,
-               store_dir: Optional[pathlib.Path] = None) -> List[StoreRow]:
-    """Run every port cold then store-warm against one persistent store.
-
-    Each benchmark's cold run populates a store (a throwaway temporary
-    directory unless ``store_dir`` pins one), then a completely fresh
-    session — new solver, new caches, nothing shared but the store —
-    re-checks the identical sources.  The module splits go through the
-    project build the same way.
-    """
+def store(names: Optional[Sequence[str]] = None) -> List[Row]:
+    """Every port and module split cold, then (``NAME/warm``) in a fresh
+    session whose only link to the first is the persistent store the cold
+    run populated — a store-warm check must issue zero queries and zero
+    SAT searches."""
     import shutil
     import tempfile
-    from repro.project.build import check_project
 
-    root = pathlib.Path(store_dir) if store_dir else \
-        pathlib.Path(tempfile.mkdtemp(prefix="repro-bench-store-"))
-    rows: List[StoreRow] = []
+    root = tempfile.mkdtemp(prefix="repro-bench-store-")
     try:
-        config = CheckConfig(store_path=str(root))
-        for name in (names or BENCHMARKS):
-            source = source_of(name, programs_dir)
-            filename = f"{name}.rsc"
-            cold = Session(config).check_source(source, filename=filename)
-            warm = Session(config).check_source(source, filename=filename)
-            rows.append(StoreRow(
-                name=name, kind="file",
-                cold_queries=cold.stats.queries if cold.stats else 0,
-                cold_sat_calls=cold.stats.sat_calls if cold.stats else 0,
-                cold_time_seconds=cold.time_seconds,
-                warm_queries=warm.stats.queries if warm.stats else 0,
-                warm_sat_calls=warm.stats.sat_calls if warm.stats else 0,
-                warm_time_seconds=warm.time_seconds,
-                identical=_comparable_verdict(cold)
-                == _comparable_verdict(warm),
-                safe=cold.ok and warm.ok))
-        module_names = [n for n in (names or MODULE_BENCHMARKS)
-                        if n in MODULE_BENCHMARKS]
-        for name in module_names:
-            project_root = (modules_dir or default_modules_dir()) / name
-            if not project_root.is_dir():
-                raise FileNotFoundError(f"no module benchmark at "
-                                        f"{project_root}")
-            cold = check_project(project_root, config=config)
-            warm = check_project(project_root, config=config)
-            rows.append(StoreRow(
-                name=f"{name}-modules", kind="project",
-                cold_queries=cold.stats.queries,
-                cold_sat_calls=cold.stats.sat_calls,
-                cold_time_seconds=cold.time_seconds,
-                warm_queries=warm.stats.queries,
-                warm_sat_calls=warm.stats.sat_calls,
-                warm_time_seconds=warm.time_seconds,
-                identical=_project_verdicts(cold) == _project_verdicts(warm),
-                safe=cold.ok and warm.ok))
+        config = CheckConfig(store_path=root)
+
+        def run(path: pathlib.Path) -> Tuple[object, dict]:
+            return _check(path, Session(config)), {}
+        return _compare("store", _inputs(names, projects=True),
+                        [("", run), ("/warm", run)])
     finally:
-        if store_dir is None:
-            shutil.rmtree(root, ignore_errors=True)
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def noop_span_cost(calls: int = OBS_NOOP_CALLS) -> dict:
+    """Time the disabled fast path: one ``span()`` call, tracer off.
+
+    This is the only cost an untraced check pays per instrumentation seam,
+    so ``per_call_ns`` × the span count of a traced run bounds the
+    disabled-tracer overhead — the number CI gates below 2%."""
+    from repro.obs.trace import span, tracer
+    t = tracer()
+    was_enabled = t.enabled
+    t.enabled = False
+    start = time.perf_counter()
+    for _ in range(calls):
+        with span("bench.noop", "bench"):
+            pass
+    elapsed = time.perf_counter() - start
+    t.enabled = was_enabled
+    return {"calls": calls, "seconds": elapsed,
+            "per_call_ns": elapsed / calls * 1e9}
+
+
+def obs_total(rows: List[Row], noop: dict) -> Row:
+    """The ``total`` row of ``bench obs``.
+
+    ``off_overhead_pct`` is the gated number: the no-op span cost times
+    the span count of the traced runs, as a share of the untraced
+    wall-clock — what tracing costs every user who never turns it on.
+    ``on_overhead_pct`` is the measured enabled-tracer overhead (noisy;
+    reported, not gated)."""
+    off = sum(row.seconds for row in rows if "/" not in row.name)
+    on = sum(row.seconds for row in rows if row.name.endswith("/traced"))
+    spans = sum(row.counters.get("spans", 0) for row in rows)
+    return Row("obs", "total", counters={
+        "spans": spans,
+        "noop_ns": noop["per_call_ns"],
+        "off_overhead_pct": (spans * noop["per_call_ns"] / 1e9 / off * 100.0
+                             if off > 0.0 else 0.0),
+        "on_overhead_pct": (on - off) / off * 100.0 if off > 0.0 else 0.0,
+    }, seconds=off + on)
+
+
+def obs(names: Optional[Sequence[str]] = None) -> List[Row]:
+    """Check each port with the tracer disabled, then (``NAME/traced``)
+    enabled, in fresh sessions; enabling the tracer must not change a
+    verdict."""
+    from repro.obs.trace import tracer
+    t = tracer()
+
+    def untraced(path: pathlib.Path) -> Tuple[object, dict]:
+        t.reset()
+        return _check(path, Session(CheckConfig())), {}
+
+    def traced(path: pathlib.Path) -> Tuple[object, dict]:
+        t.enable()
+        result = _check(path, Session(CheckConfig()))
+        spans = len(t.drain()["events"])
+        t.reset()
+        return result, {"spans": spans}
+
+    rows = _compare("obs", _inputs(names, OBS_BENCHMARKS),
+                    [("", untraced), ("/traced", traced)])
+    rows.append(obs_total(rows, noop_span_cost()))
     return rows
 
 
-#: Schema identifier stamped into persistent-store reports.
-STORE_REPORT_SCHEMA = "repro-bench-store/1"
+def speed(names: Optional[Sequence[str]] = None) -> List[Row]:
+    """Every port and module split under the reference engine
+    (``NAME/reference``: memoisation off, Fraction LIA — the engine before
+    hash-consing) and the fast one, verdicts byte-identical.
 
+    The reference phase counts term-constructor *invocations* (what the old
+    engine allocated), the fast phase intern *misses* (objects actually
+    created); ``saved_allocations`` must stay positive.  The ``total`` row's
+    ``speedup`` is reference over fast wall-clock, measured in one process
+    so machine noise largely cancels.  The fast configuration is restored
+    on exit, even if a check raises.
+    """
+    from repro.logic.terms import (
+        intern_stats,
+        reset_intern_stats,
+        set_memoisation,
+    )
+    from repro.project.workspace import ProjectWorkspace
+    from repro.smt.lia import set_exact_ints
 
-def store_report(rows: List[StoreRow]) -> dict:
-    """The machine-readable report dumped as ``BENCH_store.json``."""
-    return {
-        "schema": STORE_REPORT_SCHEMA,
-        "benchmarks": {row.name: row.to_dict() for row in rows},
-        "totals": {
-            "cold_queries": sum(r.cold_queries for r in rows),
-            "cold_sat_calls": sum(r.cold_sat_calls for r in rows),
-            "warm_queries": sum(r.warm_queries for r in rows),
-            "warm_sat_calls": sum(r.warm_sat_calls for r in rows),
-            "cold_time_seconds": sum(r.cold_time_seconds for r in rows),
-            "warm_time_seconds": sum(r.warm_time_seconds for r in rows),
-        },
-    }
+    def engine(fast: bool, allocations: str) -> Runner:
+        def run(path: pathlib.Path) -> Tuple[object, dict]:
+            set_memoisation(fast)   # switching on also clears the memos
+            set_exact_ints(fast)
+            reset_intern_stats()
+            if path.is_dir():
+                result = ProjectWorkspace(root=path).check()
+            else:
+                result = _check(path, Session(CheckConfig()))
+            stats = intern_stats()
+            return result, {"allocations": stats[allocations],
+                            "intern_hit_rate": stats["hit_rate"]}
+        return run
 
-
-def format_store(rows: List[StoreRow]) -> str:
-    """The table printed by ``repro bench store``."""
-    lines = [
-        "Persistent store: cold process vs store-warm fresh process",
-        "Benchmark            Kind     Cold-q  Cold-sat  Warm-q  Warm-sat  "
-        "Same  Cold(s)  Warm(s)",
-        "-" * 88,
-    ]
-    tot_cq = tot_cs = tot_wq = tot_ws = 0
-    tot_ct = tot_wt = 0.0
-    for row in rows:
-        lines.append(
-            f"{row.name:20s} {row.kind:8s} {row.cold_queries:6d} "
-            f"{row.cold_sat_calls:9d} {row.warm_queries:7d} "
-            f"{row.warm_sat_calls:9d} "
-            f"{'yes' if row.identical else 'NO':>5s} "
-            f"{row.cold_time_seconds:8.2f} {row.warm_time_seconds:8.2f}")
-        tot_cq += row.cold_queries
-        tot_cs += row.cold_sat_calls
-        tot_wq += row.warm_queries
-        tot_ws += row.warm_sat_calls
-        tot_ct += row.cold_time_seconds
-        tot_wt += row.warm_time_seconds
-    lines.append("-" * 88)
-    lines.append(f"{'TOTAL':20s} {'':8s} {tot_cq:6d} {tot_cs:9d} "
-                 f"{tot_wq:7d} {tot_ws:9d} {'':5s} {tot_ct:8.2f} "
-                 f"{tot_wt:8.2f}")
-    return "\n".join(lines)
+    try:
+        rows = _compare("speed", _inputs(names, projects=True),
+                        [("/reference", engine(False, "constructions")),
+                         ("", engine(True, "misses"))],
+                        saved=("allocations",))
+    finally:
+        set_memoisation(True)
+        set_exact_ints(True)
+    reference = sum(row.seconds for row in rows if "/" in row.name)
+    fast = sum(row.seconds for row in rows if "/" not in row.name)
+    rows.append(Row("speed", "total",
+                    counters={"speedup": reference / fast if fast else 0.0},
+                    seconds=reference + fast))
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # check-service load generator (`repro bench serve`)
 # ---------------------------------------------------------------------------
 
-#: Benchmark ports the serve load-generator replays; client ``i`` edits
-#: ``SERVE_BENCHMARKS[i % len]`` under its own tenant.
-SERVE_BENCHMARKS = ["splay", "d3-arrays", "richards", "transducers"]
+
+def _replay(uri: str, texts: List[str]) -> list:
+    """The diagnostics of ``texts`` checked in order by one fresh
+    sequential workspace — the reference a concurrent client must match."""
+    workspace = Workspace(CheckConfig())
+    served = []
+    for index, text in enumerate(texts):
+        result = (workspace.open(uri, text) if index == 0
+                  else workspace.update(uri, text))
+        served.append([d.to_dict() for d in result.diagnostics])
+    return served
 
 
-@dataclass
-class ServeClientResult:
-    """What one concurrent editing client observed."""
-
-    tenant: str
-    benchmark: str
-    requests: int = 0
-    checks_ok: int = 0
-    cancelled: int = 0
-    backpressure: int = 0
-    latencies_ms: List[float] = field(default_factory=list)
-    identical: bool = False
-    safe: bool = False
-    error: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        from repro.obs.metrics import percentile
-        return {
-            "tenant": self.tenant,
-            "benchmark": self.benchmark,
-            "requests": self.requests,
-            "checks_ok": self.checks_ok,
-            "cancelled": self.cancelled,
-            "backpressure": self.backpressure,
-            "p50_ms": percentile(self.latencies_ms, 50.0),
-            "p99_ms": percentile(self.latencies_ms, 99.0),
-            "identical": self.identical,
-            "safe": self.safe,
-            "error": self.error,
-        }
-
-
-@dataclass
-class ServeLoadResult:
-    """The aggregate of one ``repro bench serve`` run."""
-
-    clients: int
-    edit_rate: float
-    wall_seconds: float
-    rows: List[ServeClientResult] = field(default_factory=list)
-    server_stats: dict = field(default_factory=dict)
-
-    @property
-    def latencies_ms(self) -> List[float]:
-        return [ms for row in self.rows for ms in row.latencies_ms]
-
-    @property
-    def checks_ok(self) -> int:
-        return sum(row.checks_ok for row in self.rows)
-
-    @property
-    def cancelled_queued(self) -> int:
-        return int(self.server_stats.get("totals", {})
-                   .get("cancelled_queued", 0))
-
-    @property
-    def cancelled_inflight(self) -> int:
-        return int(self.server_stats.get("totals", {})
-                   .get("cancelled_inflight", 0))
-
-    @property
-    def cancelled(self) -> int:
-        return self.cancelled_queued + self.cancelled_inflight
-
-    @property
-    def throughput_cps(self) -> float:
-        return self.checks_ok / self.wall_seconds if self.wall_seconds else 0.0
-
-    @property
-    def identical(self) -> bool:
-        return all(row.identical for row in self.rows)
-
-    @property
-    def safe(self) -> bool:
-        return all(row.safe for row in self.rows)
-
-    @property
-    def ok(self) -> bool:
-        """Load run acceptance: every client's diagnostics byte-identical
-        to its sequential replay, every verdict safe, and at least one
-        check observably cancelled by a superseding edit."""
-        return self.identical and self.safe and self.cancelled >= 1
-
-
-def _replay_sequentially(uri: str, transcript: List[tuple],
-                         config: Optional[CheckConfig] = None) -> bool:
-    """Re-run one client's successful edit texts through a fresh sequential
-    workspace; True iff every diagnostics list matches byte-for-byte."""
-    workspace = Workspace(config or CheckConfig())
-    for index, (text, diagnostics) in enumerate(transcript):
-        if index == 0:
-            result = workspace.open(uri, text)
-        else:
-            result = workspace.update(uri, text)
-        if [d.to_dict() for d in result.diagnostics] != diagnostics:
-            return False
-    return True
-
-
-def _run_serve_client(host: str, port: int, name: str, source: str,
-                      edit_rate: float, row: ServeClientResult,
-                      config: Optional[CheckConfig] = None) -> None:
-    """One editing client: cold check, paced scripted edits, then a
-    pipelined superseding pair, then a sequential-replay comparison."""
-    import time as _time
-
+def _serve_client(host: str, port: int, tenant: str, name: str,
+                  source: str, rows: List[Row],
+                  latencies: List[float]) -> None:
+    """One editing client: cold check, paced scripted edits, a pipelined
+    superseding pair, then a sequential replay of what it was served
+    (``TENANT/replay``, in the client's digest group)."""
     from repro.client import Client
+    from repro.obs.metrics import percentile
     from repro.wire import ProtocolError
 
     uri = f"{name}.rsc"
-    period = 1.0 / edit_rate
+    row = Row("serve", tenant, counters={"requests": 0, "checks_ok": 0,
+                                         "cancelled": 0, "backpressure": 0})
     transcript: List[tuple] = []  # (text, diagnostics) of served checks
-    safe = True
+    replay: List[Row] = []
     try:
-        with Client.connect(host, port, tenant=row.tenant,
-                            timeout=600) as client:
+        with Client.connect(host, port, tenant=tenant, timeout=600) as client:
             def timed(method: str, text: str) -> None:
-                nonlocal safe
-                row.requests += 1
-                start = _time.perf_counter()
+                row.counters["requests"] += 1
+                start = time.perf_counter()
                 payload = getattr(client, method)(uri, text)
-                row.latencies_ms.append(
-                    (_time.perf_counter() - start) * 1000.0)
-                row.checks_ok += 1
-                safe = safe and payload.ok
+                latencies.append((time.perf_counter() - start) * 1000.0)
+                row.counters["checks_ok"] += 1
+                row.ok = row.ok and payload.ok
                 transcript.append((text, payload.diagnostics))
 
             timed("check", source)
             for _label, text in scripted_edits(name, source):
-                _time.sleep(period)
+                time.sleep(1.0 / SERVE_EDIT_RATE)
                 timed("update", text)
 
             # The superseding pair: two pipelined updates of the same URI.
@@ -1229,259 +714,106 @@ def _run_serve_client(host: str, port: int, name: str, source: str,
             probe = edit_function_body(source, EDIT_TARGETS[name], marker=1)
             first = client.submit("update", uri=uri, text=probe)
             second = client.submit("update", uri=uri, text=source)
-            row.requests += 2
+            row.counters["requests"] += 2
             for request_id, text in ((first, probe), (second, source)):
                 response = client.wait(request_id)
                 if response.ok:
-                    row.checks_ok += 1
+                    row.counters["checks_ok"] += 1
                     payload = response.result or {}
-                    safe = safe and bool(payload.get("ok"))
+                    row.ok = row.ok and bool(payload.get("ok"))
                     transcript.append((text, payload.get("diagnostics", [])))
                 elif response.error_code == "cancelled":
-                    row.cancelled += 1
+                    row.counters["cancelled"] += 1
                 elif response.error_code == "backpressure":
-                    row.backpressure += 1
+                    row.counters["backpressure"] += 1
                 else:
                     raise ProtocolError(response.error_code or "?",
                                         response.error_message or "?")
-        row.identical = _replay_sequentially(uri, transcript, config)
-        row.safe = safe
+        row.digest = digest([diagnostics for _text, diagnostics in transcript])
+        start = time.perf_counter()
+        replayed = _replay(uri, [text for text, _diagnostics in transcript])
+        replay.append(Row("serve", f"{tenant}/replay",
+                          seconds=time.perf_counter() - start,
+                          digest=digest(replayed)))
     except Exception as exc:  # noqa: BLE001 — one client's failure must
         # surface in the report, not kill the other load threads.
-        row.error = f"{type(exc).__name__}: {exc}"
-        row.identical = False
-        row.safe = False
+        print(f"repro bench serve: {tenant} failed: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        row.ok = False
+    row.counters["p50_ms"] = percentile(latencies, 50.0)
+    row.counters["p99_ms"] = percentile(latencies, 99.0)
+    row.seconds = sum(latencies) / 1000.0
+    rows += [row, *replay]
 
 
-def serve_load(clients: int = 4, edit_rate: float = 2.0,
-               programs_dir: Optional[pathlib.Path] = None,
-               config: Optional[CheckConfig] = None) -> ServeLoadResult:
+def serve(names: Optional[Sequence[str]] = None) -> List[Row]:
     """Load-test the socket server with concurrent editing clients.
 
-    Starts an in-process :class:`repro.service.server.AsyncCheckServer`, points
-    ``clients`` threads at it (each under its own tenant, replaying its
-    benchmark's scripted edit sequence at ``edit_rate`` edits/second, plus
-    one pipelined superseding pair), then collects the server's ``stats``
-    and compares every client's served diagnostics against a sequential
-    single-client replay.
+    Starts an in-process :class:`repro.service.server.AsyncCheckServer` and
+    points :data:`SERVE_CLIENTS` threads at it, each under its own tenant,
+    replaying its port's scripted edits at :data:`SERVE_EDIT_RATE` plus one
+    pipelined superseding pair; every client's served diagnostics must
+    match a sequential replay.  The ``total`` row carries the server's
+    cancellation counts, latency percentiles and throughput.
     """
     import threading
-    import time as _time
 
     from repro.client import Client
+    from repro.obs.metrics import percentile
     from repro.service.server import AsyncCheckServer
     from repro.wire import ServerThread
 
-    config = config or CheckConfig()
-    rows = [ServeClientResult(
-                tenant=f"client-{index}",
-                benchmark=SERVE_BENCHMARKS[index % len(SERVE_BENCHMARKS)])
-            for index in range(clients)]
-    sources = {row.benchmark: source_of(row.benchmark, programs_dir)
-               for row in rows}
-    start = _time.perf_counter()
-    with ServerThread(AsyncCheckServer(config)) as server:
-        threads = [
-            threading.Thread(
-                target=_run_serve_client,
-                args=(server.host, server.port, row.benchmark,
-                      sources[row.benchmark], edit_rate, row, config),
-                name=row.tenant)
-            for row in rows]
+    ports = [name for name, _path in _inputs(names, SERVE_BENCHMARKS)]
+    # Each client thread fills only its own lists.
+    per_client: List[List[Row]] = [[] for _ in range(SERVE_CLIENTS)]
+    latencies: List[List[float]] = [[] for _ in range(SERVE_CLIENTS)]
+    start = time.perf_counter()
+    with ServerThread(AsyncCheckServer(CheckConfig())) as server:
+        threads = []
+        for index in range(SERVE_CLIENTS):
+            name = ports[index % len(ports)]
+            threads.append(threading.Thread(
+                target=_serve_client,
+                args=(server.host, server.port, f"client-{index}", name,
+                      source_of(name), per_client[index], latencies[index]),
+                name=f"client-{index}"))
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        wall = _time.perf_counter() - start
+        wall = time.perf_counter() - start
         with Client.connect(server.host, server.port) as control:
-            stats = control.stats()
+            totals = control.stats().to_json().get("totals", {})
             control.shutdown()
-    return ServeLoadResult(clients=clients, edit_rate=edit_rate,
-                           wall_seconds=wall, rows=rows,
-                           server_stats=stats.to_json())
-
-
-#: Schema identifier stamped into serve-load reports.
-SERVE_REPORT_SCHEMA = "repro-bench-serve/1"
-
-
-def serve_report(load: ServeLoadResult) -> dict:
-    """The machine-readable report dumped as ``BENCH_serve.json``."""
-    from repro.obs.metrics import percentile
-    return {
-        "schema": SERVE_REPORT_SCHEMA,
-        "clients": load.clients,
-        "edit_rate": load.edit_rate,
-        "wall_seconds": load.wall_seconds,
-        "checks_ok": load.checks_ok,
-        "cancelled_queued": load.cancelled_queued,
-        "cancelled_inflight": load.cancelled_inflight,
-        "p50_ms": percentile(load.latencies_ms, 50.0),
-        "p99_ms": percentile(load.latencies_ms, 99.0),
-        "throughput_cps": load.throughput_cps,
-        "identical": load.identical,
-        "safe": load.safe,
-        "tenants": {row.tenant: row.to_dict() for row in load.rows},
-        "server": load.server_stats.get("totals", {}),
-    }
-
-
-def format_serve(load: ServeLoadResult) -> str:
-    """The table printed by ``repro bench serve``."""
-    from repro.obs.metrics import percentile
-    lines = [
-        f"Check service: {load.clients} concurrent clients x "
-        f"{load.edit_rate:g} edits/s (supersede pair per client)",
-        "Tenant       Benchmark        Reqs  OK  Cancel  p50(ms)  p99(ms)  "
-        "Same  Safe",
-        "-" * 78,
-    ]
-    for row in load.rows:
-        lines.append(
-            f"{row.tenant:12s} {row.benchmark:15s} {row.requests:5d} "
-            f"{row.checks_ok:3d} {row.cancelled:7d} "
-            f"{percentile(row.latencies_ms, 50.0):8.1f} "
-            f"{percentile(row.latencies_ms, 99.0):8.1f} "
-            f"{'yes' if row.identical else 'NO':>5s} "
-            f"{'yes' if row.safe else 'NO':>5s}"
-            + (f"  [{row.error}]" if row.error else ""))
-    lines.append("-" * 78)
-    lines.append(
-        f"{'TOTAL':12s} {'':15s} {sum(r.requests for r in load.rows):5d} "
-        f"{load.checks_ok:3d} {load.cancelled:7d} "
-        f"{percentile(load.latencies_ms, 50.0):8.1f} "
-        f"{percentile(load.latencies_ms, 99.0):8.1f}")
-    lines.append(
-        f"cancelled: {load.cancelled_queued} queued + "
-        f"{load.cancelled_inflight} in-flight; throughput "
-        f"{load.throughput_cps:.2f} checks/s over {load.wall_seconds:.2f}s; "
-        f"diagnostics identical to sequential replay: "
-        f"{'yes' if load.identical else 'NO'}")
-    return "\n".join(lines)
+    rows = [row for client_rows in per_client for row in client_rows]
+    clients = [row for row in rows if "/" not in row.name]
+    queued = int(totals.get("cancelled_queued", 0))
+    inflight = int(totals.get("cancelled_inflight", 0))
+    checks_ok = sum(row.counters["checks_ok"] for row in clients)
+    every = [ms for client in latencies for ms in client]
+    rows.append(Row("serve", "total", counters={
+        "requests": sum(row.counters["requests"] for row in clients),
+        "checks_ok": checks_ok,
+        "cancelled": queued + inflight,
+        "cancelled_queued": queued,
+        "cancelled_inflight": inflight,
+        "p50_ms": percentile(every, 50.0),
+        "p99_ms": percentile(every, 99.0),
+        "throughput_cps": checks_ok / wall if wall else 0.0,
+    }, seconds=wall))
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # shared cache fleet (`repro bench cache`)
 # ---------------------------------------------------------------------------
 
-#: Fast subset the fault-injection phase replays (the point is exercising
-#: the degraded paths, not re-timing the whole suite).
-FAULT_BENCHMARKS = ["tsc-checker", "d3-arrays"]
 
-
-@dataclass
-class CacheWorkerRow:
-    """One fleet worker: a fresh ``repro check`` subprocess sharing the
-    cache server.  ``role`` is ``"cold"`` (first worker, populates the
-    server) or ``"warm-N"`` (must replay with zero queries and zero SAT
-    searches)."""
-
-    role: str
-    queries: int = 0
-    sat_calls: int = 0
-    time_seconds: float = 0.0
-    identical: bool = False
-    safe: bool = False
-    store: dict = field(default_factory=dict)
-    error: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "role": self.role,
-            "queries": self.queries,
-            "sat_calls": self.sat_calls,
-            "time_seconds": self.time_seconds,
-            "identical": self.identical,
-            "safe": self.safe,
-            "store": self.store,
-            "error": self.error,
-        }
-
-
-@dataclass
-class CacheFleetResult:
-    """What ``repro bench cache`` measured and asserted.
-
-    The contract: N fresh worker processes sharing one cache server are
-    byte-identical to an in-process sequential replay, the warm workers
-    issue zero fixpoint queries and zero SAT searches, and the whole
-    fleet's SAT total equals the one cold worker's — shared caching makes
-    fleet cost independent of fleet size.  The fault phase re-runs two
-    workers against a server that drops, delays and corrupts responses
-    and requires the same verdicts with the degradation *counted*.
-    """
-
-    workers: int
-    names: List[str]
-    rows: List[CacheWorkerRow] = field(default_factory=list)
-    server: dict = field(default_factory=dict)
-    fault: Optional[dict] = None
-
-    @property
-    def cold_row(self) -> Optional[CacheWorkerRow]:
-        return next((r for r in self.rows if r.role == "cold"), None)
-
-    @property
-    def identical(self) -> bool:
-        return bool(self.rows) and all(r.identical and not r.error
-                                       for r in self.rows)
-
-    @property
-    def safe(self) -> bool:
-        return bool(self.rows) and all(r.safe for r in self.rows)
-
-    @property
-    def warm_zero(self) -> bool:
-        warm = [r for r in self.rows if r.role != "cold"]
-        return bool(warm) and all(r.queries == 0 and r.sat_calls == 0
-                                  for r in warm)
-
-    @property
-    def fleet_sat_calls(self) -> int:
-        return sum(r.sat_calls for r in self.rows)
-
-    @property
-    def sat_budget_ok(self) -> bool:
-        """The fleet's entire SAT spend is exactly one cold worker's."""
-        cold = self.cold_row
-        return cold is not None and self.fleet_sat_calls == cold.sat_calls
-
-    @property
-    def fault_ok(self) -> bool:
-        if self.fault is None:
-            return True
-        return bool(self.fault.get("identical")
-                    and self.fault.get("safe")
-                    and self.fault.get("degraded_ops", 0) > 0
-                    and self.fault.get("injected_ops", 0) > 0)
-
-    @property
-    def ok(self) -> bool:
-        return (self.identical and self.safe and self.warm_zero
-                and self.sat_budget_ok and self.fault_ok)
-
-
-def _sequential_verdicts(paths: List[str]) -> list:
-    """The reference: one fresh in-process session, no store, JSON-shaped
-    so it compares byte-for-byte with a worker subprocess's report."""
-    import json as _json
-    batch = Session(CheckConfig()).check_files(paths)
-    return _json.loads(_json.dumps(
-        [_comparable_verdict(r) for r in batch.results]))
-
-
-def _worker_verdicts(report: dict) -> list:
-    return [[f.get("diagnostics", []), f.get("kappas", {})]
-            for f in report.get("files", [])]
-
-
-def _run_cache_worker(role: str, paths: List[str], store_url: str,
-                      reference: list) -> CacheWorkerRow:
+def _cache_worker(name: str, paths: List[str], store_url: str) -> Row:
     """One fresh ``repro check --format json`` subprocess against the
-    shared server; nothing but the store URL connects it to this process."""
-    import json as _json
+    shared server; nothing but the store URL connects it to this process.
+    ``degraded`` counts its remote errors and degraded gets/puts."""
     import subprocess
-    import sys
 
     src_dir = str(pathlib.Path(__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -1494,54 +826,50 @@ def _run_cache_worker(role: str, paths: List[str], store_url: str,
     trace_id = current_trace_id()
     if env.get("REPRO_TRACE") and trace_id and "REPRO_TRACE_ID" not in env:
         env["REPRO_TRACE_ID"] = trace_id
-    row = CacheWorkerRow(role=role)
+    row = Row("cache", name, ok=False)
     proc = subprocess.run(
         [sys.executable, "-m", "repro", "check", "--format", "json",
          "--store", store_url, *paths],
         capture_output=True, text=True, env=env, timeout=600)
-    if proc.returncode not in (0, 1):
-        row.error = (f"worker exited {proc.returncode}: "
-                     f"{proc.stderr.strip()[:200]}")
-        return row
     try:
-        report = _json.loads(proc.stdout)
+        if proc.returncode not in (0, 1):
+            raise ValueError(f"exited {proc.returncode}: "
+                             f"{proc.stderr.strip()[:200]}")
+        report = json.loads(proc.stdout)
     except ValueError as exc:
-        row.error = f"unparseable worker output: {exc}"
+        print(f"repro bench cache: worker {name} failed: {exc}",
+              file=sys.stderr)
         return row
     stats = report.get("solver_stats") or {}
-    row.queries = int(stats.get("queries", 0))
-    row.sat_calls = int(stats.get("sat_calls", 0))
-    row.time_seconds = float(report.get("time_seconds", 0.0))
-    row.safe = bool(report.get("ok"))
-    row.store = report.get("store") or {}
-    row.identical = _worker_verdicts(report) == reference
+    backend = (report.get("store") or {}).get("backend", {})
+    row.counters = {
+        "queries": int(stats.get("queries", 0)),
+        "sat_calls": int(stats.get("sat_calls", 0)),
+        "giveups": int(stats.get("giveups", 0)),
+        "degraded": sum(int(backend.get(key, 0)) for key in
+                        ("remote_errors", "degraded_gets", "degraded_puts")),
+    }
+    row.seconds = float(report.get("time_seconds", 0.0))
+    row.ok = bool(report.get("ok"))
+    row.digest = digest(sorted(
+        [f["file"], [f.get("diagnostics", []), f.get("kappas", {})]]
+        for f in report.get("files", [])))
     return row
 
 
-def _bench_paths(names: List[str],
-                 programs_dir: Optional[pathlib.Path]) -> List[str]:
-    base = programs_dir or default_programs_dir()
-    paths = [str(base / f"{name}.rsc") for name in names]
-    for path in paths:
-        if not pathlib.Path(path).is_file():
-            raise FileNotFoundError(f"no benchmark program at {path}")
-    return paths
-
-
-def cache_fleet(workers: int = 3, names: Optional[List[str]] = None,
-                programs_dir: Optional[pathlib.Path] = None,
-                fault_names: Optional[List[str]] = None) -> CacheFleetResult:
+def cache(names: Optional[Sequence[str]] = None) -> List[Row]:
     """Run the shared-cache fleet scenario end to end.
 
-    Phase 1: start a cache server over a throwaway store, run one cold
-    worker subprocess (populates the server), then ``workers - 1`` warm
-    worker subprocesses concurrently — every one a fresh process whose only
-    connection to the others is ``remote://`` pointing at the server.
-
-    Phase 2 (fault injection): a fresh server configured to drop every 3rd,
-    delay every 4th and corrupt every 5th data response serves two workers
-    over a fast benchmark subset; their verdicts must still match the
-    sequential reference, with the degradation visible in the counters.
+    ``fleet`` is the reference: every port checked by one fresh in-process
+    session without a store.  A cache server over a throwaway store then
+    serves ``fleet/cold`` (populates it) and ``fleet/warm-N``
+    (:data:`CACHE_WORKERS` ``- 1`` concurrent fresh processes, which must
+    replay with zero queries and SAT searches).  ``fault`` repeats this
+    for two workers over a fast subset against a server that drops every
+    3rd, delays every 4th and corrupts every 5th data response: verdicts
+    must not change, and the degradation must be counted.  The ``total``
+    row carries ``extra_sat_calls`` (fleet SAT searches beyond the cold
+    worker's) and the injected and client-counted fault operations.
     """
     import shutil
     import tempfile
@@ -1551,521 +879,198 @@ def cache_fleet(workers: int = 3, names: Optional[List[str]] = None,
     from repro.store.server import FaultPlan, StoreServer
     from repro.wire import ServerThread
 
-    names = list(names or BENCHMARKS)
-    unknown = [n for n in names if n not in BENCHMARKS]
-    if unknown:
-        raise ValueError(f"unknown benchmark(s): {', '.join(unknown)}")
-    paths = _bench_paths(names, programs_dir)
-    reference = _sequential_verdicts(paths)
-    result = CacheFleetResult(workers=workers, names=names)
-
-    root = tempfile.mkdtemp(prefix="repro-bench-cache-")
-    try:
-        with ServerThread(StoreServer(root=root)) as server:
-            url = f"remote://127.0.0.1:{server.port}"
-            result.rows.append(
-                _run_cache_worker("cold", paths, url, reference))
-            warm_count = max(0, workers - 1)
-            with ThreadPoolExecutor(max_workers=max(1, warm_count)) as pool:
-                futures = [
-                    pool.submit(_run_cache_worker, f"warm-{i + 1}", paths,
-                                url, reference)
-                    for i in range(warm_count)]
-                result.rows.extend(f.result() for f in futures)
-            probe = RemoteStoreBackend(f"127.0.0.1:{server.port}")
-            result.server = probe.ping()
-            probe.shutdown()
-
-        fault_names = [n for n in (fault_names or FAULT_BENCHMARKS)
-                       if n in names] or names[:1]
-        fault_paths = _bench_paths(fault_names, programs_dir)
-        fault_reference = _sequential_verdicts(fault_paths)
-        plan = FaultPlan(drop_every=3, delay_every=4, corrupt_every=5,
-                         delay_seconds=0.02)
-        fault_root = tempfile.mkdtemp(prefix="repro-bench-cache-fault-")
+    def fleet(label: str, paths: List[str], roles: List[str],
+              faults: Optional[FaultPlan] = None) -> Tuple[List[Row], dict]:
+        rows = [_row("cache", label,
+                     Session(CheckConfig()).check_files(paths))]
+        root = tempfile.mkdtemp(prefix=f"repro-bench-{label}-")
         try:
-            with ServerThread(StoreServer(root=fault_root,
-                                          faults=plan)) as server:
-                url = (f"remote://127.0.0.1:{server.port}"
-                       "?retries=1&timeout=10")
-                fault_rows = [
-                    _run_cache_worker("fault-cold", fault_paths, url,
-                                      fault_reference),
-                    _run_cache_worker("fault-warm", fault_paths, url,
-                                      fault_reference),
-                ]
+            with ServerThread(StoreServer(root=root, faults=faults)) as server:
+                url = f"remote://127.0.0.1:{server.port}"
+                if faults is not None:
+                    url += "?retries=1&timeout=10"
+                cold, warm = roles[0], roles[1:]
+                rows.append(_cache_worker(f"{label}/{cold}", paths, url))
+                with ThreadPoolExecutor(max_workers=len(warm)) as pool:
+                    rows.extend(pool.map(
+                        lambda role: _cache_worker(f"{label}/{role}",
+                                                   paths, url), warm))
                 probe = RemoteStoreBackend(f"127.0.0.1:{server.port}")
-                fault_server = probe.ping()
+                served = probe.ping()
                 probe.shutdown()
         finally:
-            shutil.rmtree(fault_root, ignore_errors=True)
-        degraded = 0
-        for row in fault_rows:
-            backend = row.store.get("backend", {})
-            degraded += int(backend.get("remote_errors", 0))
-            degraded += int(backend.get("degraded_gets", 0))
-            degraded += int(backend.get("degraded_puts", 0))
-        injected = fault_server.get("faults") or {}
-        result.fault = {
-            "benchmarks": fault_names,
-            "plan": {"drop_every": plan.drop_every,
-                     "delay_every": plan.delay_every,
-                     "corrupt_every": plan.corrupt_every},
-            "workers": [row.to_dict() for row in fault_rows],
-            "identical": all(r.identical and not r.error
-                             for r in fault_rows),
-            "safe": all(r.safe for r in fault_rows),
-            "degraded_ops": degraded,
-            "injected_ops": (int(injected.get("dropped", 0))
-                             + int(injected.get("delayed", 0))
-                             + int(injected.get("corrupted", 0))),
-            "server_faults": injected,
-        }
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-    return result
+            shutil.rmtree(root, ignore_errors=True)
+        return rows, served
 
-
-#: Schema identifier stamped into shared-cache fleet reports.
-CACHE_REPORT_SCHEMA = "repro-bench-cache/1"
-
-
-def cache_report(fleet: CacheFleetResult) -> dict:
-    """The machine-readable report dumped as ``BENCH_cache.json``."""
-    cold = fleet.cold_row
-    return {
-        "schema": CACHE_REPORT_SCHEMA,
-        "workers": fleet.workers,
-        "benchmarks": fleet.names,
-        "rows": [row.to_dict() for row in fleet.rows],
-        "totals": {
-            "cold_queries": cold.queries if cold else 0,
-            "cold_sat_calls": cold.sat_calls if cold else 0,
-            "fleet_sat_calls": fleet.fleet_sat_calls,
-            "warm_queries": sum(r.queries for r in fleet.rows
-                                if r.role != "cold"),
-            "warm_sat_calls": sum(r.sat_calls for r in fleet.rows
-                                  if r.role != "cold"),
-        },
-        "identical": fleet.identical,
-        "warm_zero": fleet.warm_zero,
-        "sat_budget_ok": fleet.sat_budget_ok,
-        "safe": fleet.safe,
-        "server": {"requests_served":
-                   fleet.server.get("requests_served", 0)},
-        "fault": fleet.fault,
-        "ok": fleet.ok,
-    }
-
-
-def format_cache(fleet: CacheFleetResult) -> str:
-    """The table printed by ``repro bench cache``."""
-    lines = [
-        f"Shared cache fleet: {fleet.workers} fresh worker processes over "
-        f"one cache server ({len(fleet.names)} benchmarks)",
-        "Worker      Queries  SAT-calls  Time(s)  Same  Safe",
-        "-" * 56,
-    ]
-    for row in fleet.rows:
-        lines.append(
-            f"{row.role:11s} {row.queries:7d} {row.sat_calls:10d} "
-            f"{row.time_seconds:8.2f} "
-            f"{'yes' if row.identical else 'NO':>5s} "
-            f"{'yes' if row.safe else 'NO':>5s}"
-            + (f"  [{row.error}]" if row.error else ""))
-    lines.append("-" * 56)
-    cold = fleet.cold_row
-    lines.append(
-        f"fleet SAT total {fleet.fleet_sat_calls} vs cold worker "
-        f"{cold.sat_calls if cold else 0} "
-        f"({'within' if fleet.sat_budget_ok else 'OVER'} budget); "
-        f"warm workers zero-query: {'yes' if fleet.warm_zero else 'NO'}")
-    if fleet.fault is not None:
-        fault = fleet.fault
-        lines.append(
-            f"fault injection over {', '.join(fault['benchmarks'])}: "
-            f"verdicts identical: {'yes' if fault['identical'] else 'NO'}; "
-            f"degraded ops counted: {fault['degraded_ops']} "
-            f"(server injected: {fault['server_faults']})")
-    return "\n".join(lines)
+    inputs = dict(_inputs(names))
+    paths = [str(path) for path in inputs.values()]
+    fault_paths = [str(inputs[name]) for name in FAULT_BENCHMARKS
+                   if name in inputs] or paths[:1]
+    rows, served = fleet("fleet", paths, ["cold"] + [
+        f"warm-{i}" for i in range(1, CACHE_WORKERS)])
+    fault_rows, fault_served = fleet(
+        "fault", fault_paths, ["cold", "warm"],
+        FaultPlan(drop_every=3, delay_every=4, corrupt_every=5,
+                  delay_seconds=0.02))
+    injected = fault_served.get("faults") or {}
+    workers = [row for row in rows if "/" in row.name]
+    return rows + fault_rows + [Row("cache", "total", counters={
+        "requests_served": int(served.get("requests_served", 0)),
+        "extra_sat_calls": (sum(row.counters.get("sat_calls", 0)
+                                for row in workers)
+                            - workers[0].counters.get("sat_calls", 0)),
+        "injected_ops": sum(int(injected.get(key, 0)) for key in
+                            ("dropped", "delayed", "corrupted")),
+        "degraded_ops": sum(row.counters.get("degraded", 0)
+                            for row in fault_rows),
+    })]
 
 
 # ---------------------------------------------------------------------------
-# tracing overhead (`repro bench obs`)
+# one report, one table renderer, one gate
 # ---------------------------------------------------------------------------
 
-#: Fast subset the overhead measurement replays (the point is the cost of
-#: the tracing seams, not re-timing the whole suite).
-OBS_BENCHMARKS = ["tsc-checker", "navier-stokes"]
+#: Every bench family, in run order: ``family(names) -> List[Row]``.
+FAMILIES: Dict[str, Callable[[Optional[Sequence[str]]], List[Row]]] = {
+    "figure6": figure6,
+    "figure7": figure7,
+    "incremental": incremental,
+    "modules": modules,
+    "smt": smt,
+    "store": store,
+    "serve": serve,
+    "cache": cache,
+    "obs": obs,
+    "speed": speed,
+}
 
-#: No-op span calls timed by the disabled-path microbenchmark.
-OBS_NOOP_CALLS = 200_000
+#: Schema identifier stamped into bench reports.
+REPORT_SCHEMA = "repro-bench/2"
 
-#: Schema identifier stamped into tracing-overhead reports.
-OBS_REPORT_SCHEMA = "repro-bench-obs/1"
-
-
-@dataclass
-class ObsRow:
-    """One benchmark checked twice: tracer disabled, then enabled."""
-
-    name: str
-    off_seconds: float = 0.0
-    on_seconds: float = 0.0
-    events: int = 0
-    safe: bool = False
-    identical: bool = False
-
-    @property
-    def on_overhead_pct(self) -> float:
-        """Measured enabled-tracer overhead (noisy; reported, not gated)."""
-        if self.off_seconds <= 0.0:
-            return 0.0
-        return (self.on_seconds - self.off_seconds) / self.off_seconds * 100.0
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "off_seconds": self.off_seconds,
-            "on_seconds": self.on_seconds,
-            "events": self.events,
-            "on_overhead_pct": self.on_overhead_pct,
-            "safe": self.safe,
-            "identical": self.identical,
-        }
+#: ``base`` bounds: counters may grow to ``max(base * COUNTER_FACTOR,
+#: base + COUNTER_SLACK)`` (small counts wobble with solver-cache layout);
+#: timings (``seconds``, ``*_ms``) to ``base * TIME_FACTOR`` and
+#: throughputs (``*_cps``) down to ``base / TIME_FACTOR`` — generous,
+#: because CI machines are noisy.
+COUNTER_FACTOR = 1.25
+COUNTER_SLACK = 5
+TIME_FACTOR = 4.0
 
 
-def noop_span_cost(calls: int = OBS_NOOP_CALLS) -> dict:
-    """Time the disabled fast path: one ``span()`` call, tracer off.
-
-    This is the only cost an untraced check pays per instrumentation seam,
-    so ``per_call_ns`` × the span count of a traced run bounds the
-    disabled-tracer overhead — the number CI gates below 2%."""
-    import time as _time
-
-    from repro.obs.trace import span, tracer
-    t = tracer()
-    was_enabled = t.enabled
-    t.enabled = False
-    start = _time.perf_counter()
-    for _ in range(calls):
-        with span("bench.noop", "bench"):
-            pass
-    elapsed = _time.perf_counter() - start
-    t.enabled = was_enabled
-    return {"calls": calls, "seconds": elapsed,
-            "per_call_ns": elapsed / calls * 1e9}
+def run(families: Sequence[str],
+        names: Optional[Sequence[str]] = None) -> dict:
+    """Run the named families (restricted to the ``names`` ports, if
+    given) and collect their rows into one report."""
+    rows: List[Row] = []
+    for family in families:
+        rows.extend(FAMILIES[family](names))
+    return {"schema": REPORT_SCHEMA, "rows": [row.to_dict() for row in rows]}
 
 
-def obs_rows(names: Optional[List[str]] = None,
-             programs_dir: Optional[pathlib.Path] = None) -> List[ObsRow]:
-    """Check each benchmark twice — tracer off, then on — in fresh
-    sessions, asserting byte-identical verdicts."""
-    import time as _time
-
-    from repro.obs.trace import tracer
-    rows: List[ObsRow] = []
-    t = tracer()
-    for name in (names or OBS_BENCHMARKS):
-        source = source_of(name, programs_dir)
-        filename = f"{name}.rsc"
-        t.reset()
-        start = _time.perf_counter()
-        off_result = Session(CheckConfig()).check_source(source,
-                                                         filename=filename)
-        off_seconds = _time.perf_counter() - start
-        t.enable()
-        start = _time.perf_counter()
-        on_result = Session(CheckConfig()).check_source(source,
-                                                        filename=filename)
-        on_seconds = _time.perf_counter() - start
-        events = len(t.drain()["events"])
-        t.reset()
-        rows.append(ObsRow(
-            name=name, off_seconds=off_seconds, on_seconds=on_seconds,
-            events=events, safe=off_result.ok and on_result.ok,
-            identical=(_comparable_verdict(off_result)
-                       == _comparable_verdict(on_result))))
-    return rows
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.3f}"
+    return str(value)
 
 
-def obs_report(rows: List[ObsRow]) -> dict:
-    """The machine-readable report dumped as ``BENCH_obs.json``.
-
-    ``totals.off_overhead_pct`` is the gated number: the no-op span cost
-    times the span count of a traced run, as a fraction of the untraced
-    wall-clock — what tracing costs every user who never turns it on."""
-    noop = noop_span_cost()
-    off_total = sum(row.off_seconds for row in rows)
-    on_total = sum(row.on_seconds for row in rows)
-    events_total = sum(row.events for row in rows)
-    off_overhead_pct = 0.0
-    if off_total > 0.0:
-        off_overhead_pct = (events_total * noop["per_call_ns"] / 1e9
-                            / off_total * 100.0)
-    return {
-        "schema": OBS_REPORT_SCHEMA,
-        "noop": noop,
-        "rows": [row.to_dict() for row in rows],
-        "totals": {
-            "off_seconds": off_total,
-            "on_seconds": on_total,
-            "events": events_total,
-            "off_overhead_pct": off_overhead_pct,
-            "on_overhead_pct": ((on_total - off_total) / off_total * 100.0
-                                if off_total > 0.0 else 0.0),
-        },
-        "safe": all(row.safe for row in rows),
-        "identical": all(row.identical for row in rows),
-    }
+def render(report: dict) -> str:
+    """One table per family, drawn from the report exactly as written and
+    gated (so a printed number is never a second measurement)."""
+    blocks = []
+    benches = dict.fromkeys(row["bench"] for row in report["rows"])
+    for bench in benches:
+        rows = [row for row in report["rows"] if row["bench"] == bench]
+        columns = list(dict.fromkeys(
+            name for row in rows for name in row["counters"]))
+        table = [["name", *columns, "seconds", "digest", "ok"]]
+        for row in rows:
+            table.append([row["name"],
+                          *(_cell(row["counters"].get(c)) for c in columns),
+                          f"{row['seconds']:.2f}", row["digest"][:8],
+                          "yes" if row["ok"] else "NO"])
+        widths = [max(len(line[i]) for line in table)
+                  for i in range(len(table[0]))]
+        lines = ["  ".join(cell.ljust(width) if i == 0 else cell.rjust(width)
+                           for i, (cell, width)
+                           in enumerate(zip(line, widths)))
+                 for line in table]
+        lines.insert(1, "-" * len(lines[0]))
+        blocks.append("\n".join([f"[{bench}]", *lines]))
+    return "\n\n".join(blocks)
 
 
-def format_obs(rows: List[ObsRow]) -> str:
-    """The table printed by ``repro bench obs``."""
-    report = obs_report(rows)
-    noop = report["noop"]
-    lines = [
-        "Tracing overhead: each benchmark checked with the tracer "
-        "disabled, then enabled",
-        "Benchmark        Off(s)    On(s)   Spans  On-ovh%  Same  Safe",
-        "-" * 62,
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.name:15s} {row.off_seconds:7.2f} {row.on_seconds:8.2f} "
-            f"{row.events:7d} {row.on_overhead_pct:8.1f} "
-            f"{'yes' if row.identical else 'NO':>5s} "
-            f"{'yes' if row.safe else 'NO':>5s}")
-    lines.append("-" * 62)
-    lines.append(
-        f"no-op span: {noop['per_call_ns']:.0f} ns/call over "
-        f"{noop['calls']} calls; disabled-tracer overhead "
-        f"{report['totals']['off_overhead_pct']:.3f}% of untraced "
-        f"wall-clock (CI gates < 2%)")
-    return "\n".join(lines)
+def _violation(kind: str, metric: str, value: float,
+               bound: float) -> Optional[str]:
+    """Why ``value`` breaks the rule ``{kind: bound}``, or None."""
+    if kind == "eq":
+        return None if value == bound else f"expected exactly {bound:g}"
+    if kind == "min":
+        return None if value >= bound else f"below the minimum {bound:g}"
+    if kind == "max":
+        return None if value < bound else f"not below the ceiling {bound:g}"
+    if kind != "base":
+        raise ValueError(f"unknown rule kind {kind!r} for {metric}")
+    if metric == "seconds" or metric.endswith("_ms"):
+        limit = bound * TIME_FACTOR
+        return None if value <= limit else (
+            f"above baseline {bound:g} x{TIME_FACTOR:g} = {limit:g}")
+    if metric.endswith("_cps"):
+        limit = bound / TIME_FACTOR
+        return None if value >= limit else (
+            f"below baseline {bound:g} /{TIME_FACTOR:g} = {limit:g}")
+    limit = max(bound * COUNTER_FACTOR, bound + COUNTER_SLACK)
+    return None if value <= limit else (
+        f"above baseline {bound:g} (allowed up to {limit:g})")
 
 
-def format_figure7(names: Optional[List[str]] = None,
-                   programs_dir: Optional[pathlib.Path] = None) -> str:
-    lines = ["Benchmark        LOC  ImpDiff  AllDiff",
-             "-" * 40]
-    for name in (names or BENCHMARKS):
-        loc = count_loc(source_of(name, programs_dir))
-        imp, all_diff = CODE_CHANGES[name]
-        lines.append(f"{name:15s} {loc:4d} {imp:8d} {all_diff:8d}")
-    return "\n".join(lines)
+def gate(report: dict, baseline: Optional[dict] = None) -> List[str]:
+    """Every failure of ``report``, each naming bench, row and metric.
 
-
-# ---------------------------------------------------------------------------
-# raw-speed benchmarks (`repro bench speed`)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SpeedRow:
-    """Memoisation-off vs memoisation-on numbers for one benchmark.
-
-    The *baseline* phase checks in the previous engine's configuration:
-    :func:`repro.logic.terms.set_memoisation` disabled — every traversal
-    (``simplify``, ``free_vars``, ``substitute``, CNF conversion, theory
-    verdicts) recomputes from scratch — and
-    :func:`repro.smt.lia.set_exact_ints` disabled, running Fourier–Motzkin
-    elimination on the historical ``fractions.Fraction`` arithmetic.  The
-    *speed* phase re-checks the same source with memoisation on (cold memo
-    tables) and integer LIA arithmetic; the reference configuration doubles
-    as a differential oracle, since both phases must produce byte-identical
-    diagnostics and kappa solutions.
-
-    ``baseline_allocations`` counts term-constructor invocations during the
-    baseline phase — exactly the number of fresh objects the pre-hash-cons
-    engine allocated, since back then every construction allocated.
-    ``speed_allocations`` counts the term objects actually created (intern
-    misses) during the speed phase; the acceptance gate requires it to be
-    strictly smaller.
-
-    ``kind`` is ``"file"`` (single-file port, fresh :class:`Session` per
-    phase) or ``"project"`` (module split through a fresh
-    :class:`repro.project.ProjectWorkspace` per phase).
+    Without a baseline: every row must be ``ok``, and the rows of one
+    input (``INPUT`` and ``INPUT/VARIANT`` within a family) must share one
+    verdict digest.  A baseline (``{bench: {row: {metric: {kind:
+    bound}}}}``) adds: each named row must be present and each rule must
+    hold — ``eq`` (exactly), ``min`` (at least), ``max`` (strictly below)
+    or ``base`` (the bound :func:`_violation` derives from a recorded
+    baseline value).  ``seconds`` names the row's wall-clock, any other
+    metric a counter.
     """
-
-    name: str
-    kind: str
-    baseline_time_seconds: float
-    speed_time_seconds: float
-    baseline_allocations: int
-    speed_allocations: int
-    intern_hit_rate: float
-    queries: int
-    identical: bool
-    safe: bool
-
-    @property
-    def speedup(self) -> float:
-        if self.speed_time_seconds <= 0:
-            return 0.0
-        return self.baseline_time_seconds / self.speed_time_seconds
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "baseline": {
-                "time_seconds": self.baseline_time_seconds,
-                "allocations": self.baseline_allocations,
-            },
-            "speed": {
-                "time_seconds": self.speed_time_seconds,
-                "allocations": self.speed_allocations,
-                "intern_hit_rate": self.intern_hit_rate,
-            },
-            "speedup": self.speedup,
-            "queries": self.queries,
-            "identical": self.identical,
-            "safe": self.safe,
-        }
-
-
-def _project_verdict(project) -> list:
-    """Byte-level comparable verdict of a whole project build."""
-    return sorted((result.filename, _comparable_verdict(result))
-                  for result in project.results)
-
-
-def speed_rows(names: Optional[List[str]] = None,
-               programs_dir: Optional[pathlib.Path] = None,
-               modules_dir: Optional[pathlib.Path] = None) -> List[SpeedRow]:
-    """Check every port twice — reference configuration, then fast — and
-    compare.
-
-    Phase order matters for the allocation counters: the baseline phase
-    counts constructor *invocations* (what the engine allocated before
-    hash-consing existed — memoisation off makes every traversal recompute
-    exactly as the old code did), while the speed phase counts intern
-    *misses* (objects actually created).  Verdicts must be byte-identical
-    between the phases.  Both module-split projects run the same two phases
-    through fresh project workspaces.
-
-    The fast configuration is always restored on exit, even if a check
-    raises.
-    """
-    from repro.logic.terms import (
-        intern_stats,
-        reset_intern_stats,
-        set_memoisation,
-    )
-    from repro.project.workspace import ProjectWorkspace
-    from repro.smt.lia import set_exact_ints
-
-    rows: List[SpeedRow] = []
-    try:
-        for name in (names or BENCHMARKS):
-            source = source_of(name, programs_dir)
-            filename = f"{name}.rsc"
-            set_memoisation(False)
-            set_exact_ints(False)
-            reset_intern_stats()
-            baseline = Session(CheckConfig()).check_source(
-                source, filename=filename)
-            base_stats = intern_stats()
-            set_memoisation(True)   # also clears the memo tables
-            set_exact_ints(True)
-            reset_intern_stats()
-            speed = Session(CheckConfig()).check_source(
-                source, filename=filename)
-            fast_stats = intern_stats()
-            rows.append(SpeedRow(
-                name=name, kind="file",
-                baseline_time_seconds=baseline.time_seconds,
-                speed_time_seconds=speed.time_seconds,
-                baseline_allocations=base_stats["constructions"],
-                speed_allocations=fast_stats["misses"],
-                intern_hit_rate=fast_stats["hit_rate"],
-                queries=speed.stats.queries if speed.stats else 0,
-                identical=(_comparable_verdict(baseline)
-                           == _comparable_verdict(speed)),
-                safe=baseline.ok and speed.ok))
-
-        directory = modules_dir or default_modules_dir()
-        wanted = [n for n in MODULE_BENCHMARKS
-                  if names is None or n in names]
-        for name in wanted:
-            root = directory / name
-            if not root.is_dir():
-                raise FileNotFoundError(f"no module benchmark at {root}")
-            set_memoisation(False)
-            set_exact_ints(False)
-            reset_intern_stats()
-            baseline_build = ProjectWorkspace(root=root).check()
-            base_stats = intern_stats()
-            set_memoisation(True)
-            set_exact_ints(True)
-            reset_intern_stats()
-            speed_build = ProjectWorkspace(root=root).check()
-            fast_stats = intern_stats()
-            rows.append(SpeedRow(
-                name=f"{name} (project)", kind="project",
-                baseline_time_seconds=baseline_build.time_seconds,
-                speed_time_seconds=speed_build.time_seconds,
-                baseline_allocations=base_stats["constructions"],
-                speed_allocations=fast_stats["misses"],
-                intern_hit_rate=fast_stats["hit_rate"],
-                queries=speed_build.stats.queries,
-                identical=(_project_verdict(baseline_build)
-                           == _project_verdict(speed_build)),
-                safe=baseline_build.ok and speed_build.ok))
-    finally:
-        set_memoisation(True)
-        set_exact_ints(True)
-    return rows
-
-
-#: Schema identifier stamped into raw-speed reports.
-SPEED_REPORT_SCHEMA = "repro-bench-speed/1"
-
-
-def speed_report(rows: List[SpeedRow]) -> dict:
-    """The machine-readable report dumped as ``BENCH_speed.json``."""
-    baseline_time = sum(r.baseline_time_seconds for r in rows)
-    speed_time = sum(r.speed_time_seconds for r in rows)
-    return {
-        "schema": SPEED_REPORT_SCHEMA,
-        "benchmarks": {row.name: row.to_dict() for row in rows},
-        "totals": {
-            "baseline_time_seconds": baseline_time,
-            "speed_time_seconds": speed_time,
-            "speedup": baseline_time / speed_time if speed_time else 0.0,
-            "baseline_allocations": sum(r.baseline_allocations for r in rows),
-            "speed_allocations": sum(r.speed_allocations for r in rows),
-            "fewer_allocations": all(
-                r.speed_allocations < r.baseline_allocations for r in rows),
-            "identical": all(r.identical for r in rows),
-            "safe": all(r.safe for r in rows),
-        },
-    }
-
-
-def format_speed(rows: List[SpeedRow]) -> str:
-    """The table printed by ``repro bench speed``."""
-    lines = [
-        "Raw speed: reference engine (no memos, Fraction LIA) vs fast "
-        "(memoised, integer LIA)",
-        "Benchmark            Base(s)  Fast(s)  Speedup     Alloc(base)  "
-        "Alloc(fast)  Hit%  Same",
-        "-" * 89,
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.name:20s} {row.baseline_time_seconds:7.2f} "
-            f"{row.speed_time_seconds:8.2f} {row.speedup:7.2f}x "
-            f"{row.baseline_allocations:14d} {row.speed_allocations:12d} "
-            f"{100 * row.intern_hit_rate:5.1f} "
-            f"{'yes' if row.identical else 'NO':>5s}")
-    lines.append("-" * 89)
-    report = speed_report(rows)
-    totals = report["totals"]
-    lines.append(
-        f"{'TOTAL':20s} {totals['baseline_time_seconds']:7.2f} "
-        f"{totals['speed_time_seconds']:8.2f} {totals['speedup']:7.2f}x "
-        f"{totals['baseline_allocations']:14d} "
-        f"{totals['speed_allocations']:12d}")
-    return "\n".join(lines)
+    failures: List[str] = []
+    by_key = {}
+    groups: Dict[tuple, Dict[str, List[str]]] = {}
+    for row in report["rows"]:
+        by_key[row["bench"], row["name"]] = row
+        if not row["ok"]:
+            failures.append(f"{row['bench']}/{row['name']}: not ok "
+                            "(unsafe, or the step failed)")
+        if row["digest"]:
+            group = groups.setdefault(
+                (row["bench"], row["name"].split("/")[0]), {})
+            group.setdefault(row["digest"], []).append(row["name"])
+    for (bench, name), digests in groups.items():
+        if len(digests) > 1:
+            failures.append(
+                f"{bench}/{name}: verdict digests differ ("
+                + "; ".join(f"{', '.join(rows)}: {value[:8]}"
+                            for value, rows in digests.items())
+                + ") — fix before merging")
+    for bench, expected in (baseline or {}).items():
+        for name, metrics in expected.items():
+            row = by_key.get((bench, name))
+            if row is None:
+                failures.append(f"{bench}/{name}: missing from the report")
+                continue
+            for metric, rule in metrics.items():
+                value = (row["seconds"] if metric == "seconds"
+                         else row["counters"].get(metric))
+                if value is None:
+                    failures.append(f"{bench}/{name} {metric}: missing")
+                    continue
+                for kind, bound in rule.items():
+                    why = _violation(kind, metric, value, bound)
+                    if why:
+                        failures.append(
+                            f"{bench}/{name} {metric}: {value:g} {why}")
+    return failures

@@ -24,7 +24,8 @@ FIXPOINT_STRATEGIES: Tuple[str, ...] = ("worklist", "naive")
 #: SMT query engines (see :mod:`repro.smt.context`): ``"incremental"`` keeps
 #: persistent assumption-based contexts per hypothesis environment,
 #: ``"fresh"`` rebuilds CNF and a SAT solver per query (the historical
-#: behaviour, kept as the differential oracle for ``repro bench smt``).
+#: behaviour, kept as the differential oracle: ``repro bench smt`` runs it
+#: as the ``NAME/fresh`` rows).
 SMT_MODES: Tuple[str, ...] = ("incremental", "fresh")
 
 #: Persistent artifact store modes (see :mod:`repro.store`):

@@ -11,7 +11,8 @@ The tracer is **disabled by default** and designed so the disabled path is
 as close to free as Python allows: :func:`span` is one attribute load and
 one truthiness test before returning a shared no-op context manager (no
 allocation, no clock read).  ``repro bench obs`` measures this cost and CI
-gates it below 2% of check wall-clock.
+gates it below 2% of check wall-clock (the ``obs/total off_overhead_pct``
+rule in ``benchmarks/baseline.json``).
 
 Enabling:
 

@@ -55,6 +55,9 @@ class SolverStats:
     #: ``check_literals`` calls core minimisation made on top of
     #: ``theory_checks`` (see :func:`repro.smt.theory.check_with_core`)
     minimise_checks: int = 0
+    #: queries answered UNKNOWN (theory-iteration budget exhausted, or a
+    #: conflict over no decidable atom); never cached or persisted
+    giveups: int = 0
     blocking_clauses: int = 0
     cache_hits: int = 0
     contexts_created: int = 0
@@ -70,6 +73,7 @@ class SolverStats:
         self.sat_calls += other.sat_calls
         self.theory_checks += other.theory_checks
         self.minimise_checks += other.minimise_checks
+        self.giveups += other.giveups
         self.blocking_clauses += other.blocking_clauses
         self.cache_hits += other.cache_hits
         self.contexts_created += other.contexts_created
@@ -96,6 +100,7 @@ class SolverStats:
             "sat_calls": self.sat_calls,
             "theory_checks": self.theory_checks,
             "minimise_checks": self.minimise_checks,
+            "giveups": self.giveups,
             "blocking_clauses": self.blocking_clauses,
             "cache_hits": self.cache_hits,
             "contexts_created": self.contexts_created,
@@ -121,7 +126,9 @@ class Solver:
       :attr:`repro.core.config.CheckConfig.smt_mode`.
 
     Verdicts are identical in both modes (asserted by the differential fuzz
-    suite and ``repro bench smt``); only the work counters differ.
+    suite, and by the shared verdict digest of the ``NAME`` and
+    ``NAME/fresh`` rows of ``repro bench smt``); only the work counters
+    differ.
 
     The query/result cache is keyed by the (hashable) formula, evicts
     least-recently-used entries past ``cache_size_limit``, and survives for
@@ -196,6 +203,8 @@ class Solver:
         self._recorders = [r for r in self._recorders if r is not sink]
 
     def _record(self, formula: Expr, result: Result) -> None:
+        if result is Result.UNKNOWN:
+            return  # a give-up is not a verdict a later check may replay
         for sink in self._recorders:
             sink[formula] = result
 
@@ -210,7 +219,8 @@ class Solver:
         return result
 
     def _cache_store(self, formula: Expr, result: Result) -> None:
-        if not self.cache_results or self.cache_size_limit <= 0:
+        if (not self.cache_results or self.cache_size_limit <= 0
+                or result is Result.UNKNOWN):
             return
         self._cache[formula] = result
         self._cache.move_to_end(formula)
@@ -293,6 +303,7 @@ class Solver:
                     # exhausted) is UNKNOWN and must not be cached as a
                     # real SAT answer.
                     if verdict is None:
+                        self.stats.giveups += 1
                         result = Result.UNKNOWN
                     else:
                         result = Result.UNSAT if verdict else Result.SAT
@@ -357,15 +368,16 @@ class Solver:
                     # The conflict does not mention any decidable atom; give
                     # up conservatively (formula may or may not be
                     # satisfiable).
+                    self.stats.giveups += 1
                     return Result.UNKNOWN
                 self.stats.blocking_clauses += 1
                 if not sat.add_clause(blocking):
                     return Result.UNSAT
+            self.stats.giveups += 1
             return Result.UNKNOWN
         finally:
-            # Everything this throwaway solver learned is discarded with it;
-            # the counter is what `repro bench smt` compares against the
-            # incremental engine's persistent contexts.
+            # Everything this throwaway solver learned is discarded with it,
+            # unlike the incremental engine's persistent contexts.
             self.stats.clauses_learned += sat.num_learned
 
 

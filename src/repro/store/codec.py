@@ -176,7 +176,8 @@ def decode_verdicts(obj) -> List[Tuple[Expr, Result]]:
             result = Result(value)
         except ValueError as exc:
             raise CodecError(f"unknown verdict {value!r}") from exc
-        pairs.append((decode_expr(encoded), result))
+        if result is not Result.UNKNOWN:  # older stores hold give-ups
+            pairs.append((decode_expr(encoded), result))
     return pairs
 
 

@@ -578,12 +578,32 @@ def test_noop_span_cost_shape():
 
 
 def test_obs_report_gate_fields():
-    from repro.bench import ObsRow, obs_report
-    rows = [ObsRow(name="x", off_seconds=1.0, on_seconds=1.1,
-                   events=100, safe=True, identical=True)]
-    report = obs_report(rows)
-    assert report["schema"] == "repro-bench-obs/1"
-    assert report["totals"]["events"] == 100
-    assert report["totals"]["off_overhead_pct"] < 2.0
-    assert report["safe"] and report["identical"]
-    assert rows[0].on_overhead_pct == pytest.approx(10.0)
+    from repro.bench import Row, gate, obs_total
+    rows = [Row("obs", "x", seconds=1.0, digest="d"),
+            Row("obs", "x/traced", counters={"spans": 100}, seconds=1.1,
+                digest="d")]
+    total = obs_total(rows, {"calls": 10, "seconds": 1e-6,
+                             "per_call_ns": 100.0})
+    assert (total.bench, total.name) == ("obs", "total")
+    assert total.counters["spans"] == 100
+    assert total.counters["off_overhead_pct"] == pytest.approx(0.001)
+    assert total.counters["on_overhead_pct"] == pytest.approx(10.0)
+    report = {"rows": [row.to_dict() for row in rows + [total]]}
+    baseline = {"obs": {"total": {"spans": {"min": 50},
+                                  "off_overhead_pct": {"max": 2.0}}}}
+    assert gate(report, baseline) == []
+
+
+def test_bench_obs_prints_the_gated_overhead(monkeypatch):
+    """The table shows the off_overhead_pct that is written and gated, not
+    a second measurement of the no-op span cost."""
+    from repro import bench
+    costs = iter([100.0, 900.0])
+    monkeypatch.setattr(bench, "noop_span_cost", lambda: {
+        "calls": 1, "seconds": 0.0, "per_call_ns": next(costs)})
+    report = bench.run(["obs"], ["tsc-checker"])
+    total = next(row for row in report["rows"] if row["name"] == "total")
+    assert total["counters"]["noop_ns"] == 100.0
+    line = next(line for line in bench.render(report).splitlines()
+                if line.startswith("total"))
+    assert f"{total['counters']['off_overhead_pct']:.3f}" in line.split()

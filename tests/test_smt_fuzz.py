@@ -397,6 +397,40 @@ def test_minimise_checks_counts_core_minimisation(monkeypatch, mode):
         == stats.minimise_checks
 
 
+@pytest.mark.parametrize("mode", ["fresh", "incremental"])
+def test_giveups_are_counted_and_never_cached(mode):
+    """A query the theory-iteration budget cuts short is UNKNOWN: counted
+    in ``giveups``, never cached, and never handed to a recording sink
+    (which is how verdicts reach the persistent store)."""
+    solver = Solver(max_theory_iterations=0, smt_mode=mode)
+    sink: Dict[Expr, Result] = {}
+    solver.record_queries(sink)
+    x = Var("x", INT)
+    hypotheses = [BinOp("<", IntLit(0), x, BOOL)]
+    goal = BinOp("<=", IntLit(1), x, BOOL)
+    for _ in range(2):
+        assert solver.check_implication(hypotheses, goal) is False
+    assert solver.stats.queries == 2
+    assert solver.stats.cache_hits == 0
+    assert solver.stats.giveups == 2
+    assert sink == {} and solver.cache_size == 0
+    doubled = solver.stats.copy()
+    doubled.merge(solver.stats)
+    assert doubled.delta_since(solver.stats).giveups == 2
+
+
+def test_giveups_reach_check_json(tmp_path, capsys):
+    import json
+
+    from repro.__main__ import main
+    source = tmp_path / "id.rsc"
+    source.write_text("spec id :: (x: number) => number;\n"
+                      "function id(x) { return x; }\n")
+    assert main(["check", "--format", "json", str(source)]) == 0
+    stats = json.loads(capsys.readouterr().out)["files"][0]["solver_stats"]
+    assert stats["giveups"] == 0
+
+
 def test_lemma_store_shared_across_contexts():
     """Theory conflicts derived under one environment are replayed under
     another: the second context answers with strictly fewer theory checks
@@ -505,8 +539,8 @@ def test_compaction_happens_across_a_long_batch():
 
 
 def test_unknown_verdict_not_cached_as_sat():
-    """A budget-exhausted incremental query is UNKNOWN — it must be cached
-    (and reported) exactly like the fresh engine's UNKNOWN, never as a
+    """A budget-exhausted incremental query is UNKNOWN — reported exactly
+    like the fresh engine's UNKNOWN and never cached, least of all as a
     definitive SAT answer (regression: a poisoned formula cache would make
     is_satisfiable claim a model exists for a valid implication)."""
     from repro.logic.terms import conj, implies, neg
@@ -523,8 +557,9 @@ def test_unknown_verdict_not_cached_as_sat():
     for mode in ("fresh", "incremental"):
         solver = Solver(smt_mode=mode, max_theory_iterations=1)
         assert solver.check_implication(hyps, goal) is False  # budget, not proof
-        verdicts[mode] = solver.check(formula)  # served from the cache
-        assert solver.stats.cache_hits == 1
+        verdicts[mode] = solver.check(formula)  # asked again, not cached
+        assert solver.stats.cache_hits == 0
+        assert solver.stats.giveups == 2
     assert verdicts["incremental"] == verdicts["fresh"] == Result.UNKNOWN
 
 

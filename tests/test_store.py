@@ -72,11 +72,13 @@ class TestExprCodec:
 
 class TestVerdictAndSolutionCodec:
     def test_verdicts_round_trip_all_results(self):
+        """SAT and UNSAT round-trip; an UNKNOWN a store written before
+        give-ups stopped being persisted still holds is dropped on load."""
         pairs = [(_deep_formula(), Result.UNSAT),
                  (Var("p", BOOL), Result.SAT),
                  (IntLit(3), Result.UNKNOWN)]
         assert decode_verdicts(json.loads(json.dumps(
-            [[encode_expr(f), r.value] for f, r in pairs]))) == pairs
+            [[encode_expr(f), r.value] for f, r in pairs]))) == pairs[:2]
 
     def test_unknown_result_value_rejected(self):
         with pytest.raises(CodecError):
