@@ -37,7 +37,8 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core.config import CheckConfig
 from repro.core.session import Session
@@ -147,13 +148,34 @@ def verdict(result) -> list:
     """The byte-comparable verdict of a check, a batch or a project build:
     every diagnostic and the solved kappa refinements, rendered to
     JSON-shaped values (a batch or project becomes a list of
-    ``[filename, verdict]`` pairs sorted by filename)."""
+    ``[filename, verdict]`` pairs, see :func:`files_verdict`)."""
     results = getattr(result, "results", None)
     if results is not None:
-        return sorted([r.filename, verdict(r)] for r in results)
+        return files_verdict([r.filename, verdict(r)] for r in results)
     return [[d.to_dict() for d in result.diagnostics],
             {name: [str(q) for q in quals]
              for name, quals in result.kappa_solution.items()}]
+
+
+def files_verdict(files: Iterable[list]) -> list:
+    """``[filename, [diagnostics, kappas]]`` pairs sorted by filename, with
+    every absolute filename (of a pair or a diagnostic's span) relative to
+    the directory that holds all the files: two copies of one project at
+    different paths have one verdict."""
+    files = list(files)
+    dirs = [os.path.dirname(name) for name, _verdict in files]
+    root = os.path.commonpath(dirs) \
+        if dirs and all(map(os.path.isabs, dirs)) else ""
+
+    def relative(filename: str) -> str:
+        if root and os.path.isabs(filename):
+            return os.path.relpath(filename, root)
+        return filename
+
+    for _name, (diagnostics, _kappas) in files:
+        for d in diagnostics:
+            d["span"]["file"] = relative(d["span"]["file"])
+    return sorted([relative(name), checked] for name, checked in files)
 
 
 def digest(value) -> str:
@@ -851,7 +873,7 @@ def _cache_worker(name: str, paths: List[str], store_url: str) -> Row:
     }
     row.seconds = float(report.get("time_seconds", 0.0))
     row.ok = bool(report.get("ok"))
-    row.digest = digest(sorted(
+    row.digest = digest(files_verdict(
         [f["file"], [f.get("diagnostics", []), f.get("kappas", {})]]
         for f in report.get("files", [])))
     return row

@@ -123,10 +123,15 @@ class Checker:
         self._kappa_counters: Dict[Optional[str], "itertools.count"] = {}
         self._in_constructor = False
         self._signatures: Dict[str, RType] = {}
-        # Class-typed binders carry their class invariant in their embedding
-        # (rule [T-NEW] / the `inv` structural constraint of section 3.2).
-        from repro.rtypes.types import set_invariant_hook
-        set_invariant_hook(self.table.invariant)
+
+    def invariants(self):
+        """Context manager that makes this program's class table provide
+        the class invariants while constraints are generated and split:
+        class-typed binders carry their invariant in their embedding (rule
+        [T-NEW] / the `inv` structural constraint of section 3.2).  Scoped
+        to the calling thread, so concurrent checks keep their own."""
+        from repro.rtypes.types import invariant_hook
+        return invariant_hook(self.table.invariant)
 
     # ------------------------------------------------------------------
     # program-level driving

@@ -558,10 +558,12 @@ class Workspace:
                 diags.extend(parsed.diagnostics)
                 checker = Checker(parsed.program, diags, self.solver,
                                   pool=self._new_pool())
-                checker.run()
-                splitter = SubtypeSplitter(checker.table, checker.constraints)
-                for constraint in list(checker.constraints.subtypings):
-                    splitter.split(constraint)
+                with checker.invariants():
+                    checker.run()
+                    splitter = SubtypeSplitter(checker.table,
+                                               checker.constraints)
+                    for constraint in list(checker.constraints.subtypings):
+                        splitter.split(constraint)
             except BaseException:
                 if recorded is not None:
                     self.solver.stop_recording(recorded)

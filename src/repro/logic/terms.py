@@ -114,12 +114,11 @@ def clear_memos() -> None:
     # which would shadow the module under a plain ``from ... import``.)
     import importlib
     importlib.import_module("repro.logic.simplify")._clear_local_memos()
-    for mod_name in ("repro.smt.cnf", "repro.smt.theory"):
-        try:
-            mod = importlib.import_module(mod_name)
-        except ImportError:  # pragma: no cover - smt layer absent
-            continue
-        mod._clear_local_memos()
+    try:
+        cnf = importlib.import_module("repro.smt.cnf")
+    except ImportError:  # pragma: no cover - smt layer absent
+        return
+    cnf._clear_local_memos()
 
 
 def _interned(cls):

@@ -18,8 +18,11 @@ substitutions to kappas for free.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.logic import builtins
 from repro.logic.sorts import BOOL
@@ -314,15 +317,20 @@ _TTAG_BY_PRIM = {
 }
 
 #: Optional hook installed by the checker: maps (class name, term) to the
-#: class invariant predicate ``inv(C, term)``.  Kept as a module-level hook so
-#: the type layer does not depend on the class table.
-_INVARIANT_HOOK = None
+#: class invariant predicate ``inv(C, term)``.  A hook keeps the type layer
+#: independent of the class table; a context variable keeps concurrent
+#: checks (service threads, asyncio tasks) on their own class tables.
+_INVARIANT_HOOK: ContextVar = ContextVar("invariant_hook", default=None)
 
 
-def set_invariant_hook(hook) -> None:
-    """Install (or clear, with ``None``) the class-invariant provider."""
-    global _INVARIANT_HOOK
-    _INVARIANT_HOOK = hook
+@contextmanager
+def invariant_hook(hook) -> Iterator[None]:
+    """Use ``hook`` as the class-invariant provider inside the block."""
+    token = _INVARIANT_HOOK.set(hook)
+    try:
+        yield
+    finally:
+        _INVARIANT_HOOK.reset(token)
 
 
 def shape_pred(t: RType, term: Expr) -> Expr:
@@ -344,8 +352,9 @@ def shape_pred(t: RType, term: Expr) -> Expr:
         facts = [eq(builtins.ttag_of(term), Expr_str("object")),
                  builtins.instanceof_of(term, Expr_str(t.name)),
                  builtins.impl_of(term, Expr_str(t.name))]
-        if _INVARIANT_HOOK is not None:
-            facts.append(_INVARIANT_HOOK(t.name, term))
+        hook = _INVARIANT_HOOK.get()
+        if hook is not None:
+            facts.append(hook(t.name, term))
         return conj(*facts)
     if isinstance(t, (TFun, TInter)):
         return eq(builtins.ttag_of(term), Expr_str("function"))

@@ -7,13 +7,16 @@ scratch:
 * :mod:`repro.smt.sat`      — a CDCL propositional SAT solver,
 * :mod:`repro.smt.cnf`      — NNF / Tseitin conversion of formulas to CNF over
                               theory atoms,
-* :mod:`repro.smt.euf`      — congruence closure for equality and
-                              uninterpreted functions,
+* :mod:`repro.smt.euf`      — proof-forest congruence closure for equality
+                              and uninterpreted functions, with
+                              explanations,
 * :mod:`repro.smt.lia`      — linear integer arithmetic (Fourier–Motzkin with
-                              integer-tightened strict inequalities),
+                              integer-tightened strict inequalities and
+                              tagged constraints),
 * :mod:`repro.smt.bvmask`   — the constant bit-mask bit-vector fragment used
                               by the tsc interface-hierarchy benchmark,
 * :mod:`repro.smt.theory`   — Nelson–Oppen-style combination of the theories,
+                              returning an explained unsat core per conflict,
 * :mod:`repro.smt.context`  — persistent assumption-based contexts: one
                               long-lived SAT solver per hypothesis
                               environment, goals checked under selector

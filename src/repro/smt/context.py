@@ -195,13 +195,13 @@ class SolverContext:
 
         Returns True (valid: the conjunction is unsat), False (not valid: a
         theory-consistent model exists), or ``None`` when the theory
-        iteration budget ran out — the caller must treat that as *unknown*
-        (not valid, but also not a cacheable "satisfiable" verdict).
+        iteration budget ran out or Fourier–Motzkin gave up — the caller
+        must treat that as *unknown* (not valid, but also not a cacheable
+        "satisfiable" verdict).
 
         ``stats`` is the owning solver's :class:`SolverStats`; the context
-        bumps ``sat_calls`` / ``theory_checks`` / ``minimise_checks`` /
-        ``blocking_clauses`` / ``lemmas_reused`` / ``clauses_learned``
-        exactly like the fresh path.
+        bumps ``sat_calls`` / ``theory_checks`` / ``blocking_clauses`` /
+        ``lemmas_reused`` / ``clauses_learned`` exactly like the fresh path.
         """
         self.goals_checked += 1
         if self._inconsistent:
@@ -252,8 +252,9 @@ class SolverContext:
     def _env_satisfiable(self, stats) -> Optional[bool]:
         """Satisfiability of the bare environment (no goal).
 
-        ``None`` means the iteration budget ran out — unknown, and not
-        memoised so a later (cheaper-after-lemmas) attempt may still decide.
+        ``None`` means the iteration budget ran out or the theory gave up —
+        unknown, and not memoised so a later (cheaper-after-lemmas) attempt
+        may still decide.
         """
         if self._env_result is None:
             learned_before = self.sat.num_learned
@@ -323,7 +324,8 @@ class SolverContext:
         """The lazy CDCL(T) loop over the persistent solver.
 
         Returns True for UNSAT, False for SAT (a theory-consistent model
-        exists), None when the iteration budget runs out.
+        exists), None when the iteration budget runs out or the theory
+        gives up.
         """
         for _ in range(self.max_theory_iterations):
             stats.sat_calls += 1
@@ -348,9 +350,9 @@ class SolverContext:
             else:
                 stats.theory_checks += 1
                 result = check_with_core(literals)
-                stats.minimise_checks += result.minimise_checks
                 if result.satisfiable:
-                    return False
+                    # A Fourier–Motzkin give-up is no model: unknown.
+                    return None if result.gave_up else False
                 core = frozenset(result.core or literals)
                 index = self.lemmas.record(core)
             if not any(self.atoms.atom_to_var.get(atom) is not None

@@ -1,15 +1,28 @@
-"""Congruence closure for equality with uninterpreted functions (EUF).
+"""Congruence closure with explanations for equality with uninterpreted
+functions (EUF).
 
-The algorithm is the classic union-find based congruence closure:
+The algorithm is the proof-forest congruence closure of Nieuwenhuis &
+Oliveras, "Fast congruence closure and extensions" (2007):
 
 * every ground term appearing in the literal set becomes a node,
-* asserted equalities merge equivalence classes,
+* asserted equalities merge equivalence classes; each class keeps its member
+  list, and the smaller class is relabelled into the larger, so ``find`` is
+  a single array lookup,
 * the congruence rule (equal arguments imply equal applications) is applied
-  to fixpoint,
+  to fixpoint through a signature table and per-class use lists,
 * distinct literals (integer, boolean and string constants) act as pairwise
-  distinct constants — merging two classes that contain different constants
-  is a conflict,
-* asserted disequalities are checked at the end and after every merge.
+  distinct constants — every class records the one constant node it holds,
+  and merging two classes with different constants is a conflict,
+* asserted disequalities are checked after every merge.
+
+Every merge also adds one edge to a *proof forest*, labelled with its reason:
+the bit of the input literal that asserted it, or the pair of applications
+that became congruent.  :meth:`CongruenceClosure.explain` walks the forest to
+return the input literals behind ``a = b`` as a bitmask (bit ``i`` stands for
+literal ``i``), expanding congruence edges into explanations of their
+arguments.  A conflict carries its own explanation in
+:attr:`CongruenceClosure.conflict`, so the caller gets an unsat core without
+re-solving.
 
 The class also exposes the discovered equivalence classes so that the LIA and
 bit-mask theories can canonicalise their terms by EUF representative (a poor
@@ -18,7 +31,7 @@ man's Nelson–Oppen equality propagation, sufficient for RSC's VCs).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.logic.terms import (
     App,
@@ -34,44 +47,67 @@ from repro.logic.terms import (
     children,
 )
 
-#: Arithmetic / bitwise operators are *not* interpreted by EUF; they are still
-#: registered as function nodes so congruence propagates through them.
-_ATOM_OPS = ("=", "!=", "<", "<=", ">", ">=")
+#: Why two nodes were merged: the bit of an input literal (0 for an
+#: assertion that stands for no literal), or the two congruent applications.
+Reason = Union[int, Tuple[int, int]]
+
+_CONSTANTS = (IntLit, BoolLit, StrLit)
 
 
 class CongruenceClosure:
-    """Incremental congruence closure over ground terms."""
+    """Incremental congruence closure over ground terms, with explanations."""
 
     def __init__(self) -> None:
         self._ids: Dict[Expr, int] = {}
         self._terms: List[Expr] = []
-        self._parent: List[int] = []
-        self._rank: List[int] = []
-        # signature table: (label, tuple of child representatives) -> node id
+        #: class representative of every node
+        self._rep: List[int] = []
+        #: members of every class, indexed by representative
+        self._members: List[List[int]] = []
+        #: the constant node of every class, indexed by representative
+        self._const: List[Optional[int]] = []
+        #: applications with an argument in the class, by representative
+        self._use: List[List[int]] = []
+        #: signature table: (label, child representatives) -> node id
         self._sig: Dict[Tuple[object, Tuple[int, ...]], int] = {}
         self._children: List[Tuple[int, ...]] = []
         self._labels: List[object] = []
-        self._use: Dict[int, List[int]] = {}
-        self._diseqs: List[Tuple[int, int]] = []
-        self._conflict = False
+        #: proof forest: the edge out of every node and its reason
+        self._proof: List[int] = []
+        self._reason: List[Reason] = []
+        #: asserted disequalities as (node, node, literal bit)
+        self._diseqs: List[Tuple[int, int, int]] = []
+        #: bitmask of the input literals behind the conflict, if any
+        self.conflict: Optional[int] = None
 
     # -- term registration --------------------------------------------------
 
     def add_term(self, e: Expr) -> int:
         """Register ``e`` (and all its subterms); return its node id."""
-        if e in self._ids:
-            return self._ids[e]
+        node = self._ids.get(e)
+        if node is not None:
+            return node
         child_ids = tuple(self.add_term(c) for c in children(e))
         node = len(self._terms)
         self._ids[e] = node
         self._terms.append(e)
-        self._parent.append(node)
-        self._rank.append(0)
+        self._rep.append(node)
+        self._members.append([node])
+        self._const.append(node if isinstance(e, _CONSTANTS) else None)
+        self._use.append([])
         self._children.append(child_ids)
         self._labels.append(self._label(e))
+        self._proof.append(node)
+        self._reason.append(0)
         for c in child_ids:
-            self._use.setdefault(self.find(c), []).append(node)
-        self._insert_signature(node)
+            self._use[self._rep[c]].append(node)
+        if child_ids or isinstance(e, (App, Field)):
+            sig = self._signature(node)
+            existing = self._sig.get(sig)
+            if existing is None:
+                self._sig[sig] = node
+            else:
+                self._merge(existing, node, (existing, node))
         return node
 
     @staticmethod
@@ -96,120 +132,176 @@ class CongruenceClosure:
             return ("ite",)
         return ("opaque", repr(e))
 
-    # -- union-find ----------------------------------------------------------
-
-    def find(self, node: int) -> int:
-        root = node
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[node] != root:
-            self._parent[node], node = root, self._parent[node]
-        return root
-
-    def _insert_signature(self, node: int) -> None:
-        kids = self._children[node]
-        if not kids and not isinstance(self._terms[node], (App, Field)):
-            return
-        sig = (self._labels[node], tuple(self.find(c) for c in kids))
-        existing = self._sig.get(sig)
-        if existing is not None and self.find(existing) != self.find(node):
-            self._merge_nodes(existing, node)
-        else:
-            self._sig[sig] = node
+    def _signature(self, node: int) -> Tuple[object, Tuple[int, ...]]:
+        rep = self._rep
+        return self._labels[node], tuple(rep[c] for c in self._children[node])
 
     # -- assertions ----------------------------------------------------------
 
-    def assert_eq(self, a: Expr, b: Expr) -> None:
-        if self._conflict:
+    def assert_eq(self, a: Expr, b: Expr, reason: int = 0) -> None:
+        """Assert ``a = b``; ``reason`` is the literal's bit (0: none)."""
+        if self.conflict is not None:
             return
         na, nb = self.add_term(a), self.add_term(b)
-        self._merge_nodes(na, nb)
+        if self.conflict is None:
+            self._merge(na, nb, reason)
 
-    def assert_neq(self, a: Expr, b: Expr) -> None:
-        if self._conflict:
+    def assert_neq(self, a: Expr, b: Expr, reason: int = 0) -> None:
+        """Assert ``a != b``; ``reason`` is the literal's bit (0: none)."""
+        if self.conflict is not None:
             return
         na, nb = self.add_term(a), self.add_term(b)
-        self._diseqs.append((na, nb))
-        if self.find(na) == self.find(nb):
-            self._conflict = True
-
-    def _merge_nodes(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        if self.conflict is not None:
             return
-        ca, cb = self._constant_of(ra), self._constant_of(rb)
-        if ca is not None and cb is not None and ca != cb:
-            self._conflict = True
-            return
-        # union by rank
-        if self._rank[ra] < self._rank[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        if self._rank[ra] == self._rank[rb]:
-            self._rank[ra] += 1
-        # move constants up: nothing to do, _constant_of scans the class lazily
-        # re-process signatures of parents of the absorbed class
-        pending = self._use.pop(rb, [])
-        self._use.setdefault(ra, []).extend(pending)
-        for parent in list(self._use.get(ra, [])):
-            self._insert_signature(parent)
-        # re-check disequalities
-        for (x, y) in self._diseqs:
-            if self.find(x) == self.find(y):
-                self._conflict = True
-                return
+        self._diseqs.append((na, nb, reason))
+        if self._rep[na] == self._rep[nb]:
+            self.conflict = self._explain(na, nb) | reason
 
-    def _constant_of(self, rep: int) -> Optional[object]:
-        """The distinguishing constant contained in a class, if any."""
-        for node, term in enumerate(self._terms):
-            if self.find(node) != rep:
+    def _merge(self, a: int, b: int, reason: Reason) -> None:
+        """Merge the classes of ``a`` and ``b``, then close under
+        congruence; records the first conflict in :attr:`conflict`."""
+        pending = [(a, b, reason)]
+        rep = self._rep
+        while pending and self.conflict is None:
+            a, b, reason = pending.pop()
+            ra, rb = rep[a], rep[b]
+            if ra == rb:
                 continue
-            if isinstance(term, IntLit):
-                return ("int", term.value)
-            if isinstance(term, BoolLit):
-                return ("bool", term.value)
-            if isinstance(term, StrLit):
-                return ("str", term.value)
-        return None
+            # Relabel the smaller class into the larger one.
+            if len(self._members[ra]) < len(self._members[rb]):
+                a, b, ra, rb = b, a, rb, ra
+            self._link(b, a, reason)
+            ca, cb = self._const[ra], self._const[rb]
+            if ca is not None and cb is not None:
+                self.conflict = self._explain(ca, cb)
+                return
+            for m in self._members[rb]:
+                rep[m] = ra
+            self._members[ra].extend(self._members[rb])
+            self._members[rb] = []
+            if ca is None:
+                self._const[ra] = cb
+            for x, y, bit in self._diseqs:
+                if rep[x] == rep[y]:
+                    self.conflict = self._explain(x, y) | bit
+                    return
+            moved, self._use[rb] = self._use[rb], []
+            for parent in moved:
+                sig = self._signature(parent)
+                existing = self._sig.get(sig)
+                if existing is None:
+                    self._sig[sig] = parent
+                elif rep[existing] != rep[parent]:
+                    pending.append((existing, parent, (existing, parent)))
+            self._use[ra].extend(moved)
+
+    # -- the proof forest ---------------------------------------------------
+
+    def _link(self, node: int, target: int, reason: Reason) -> None:
+        """Add the proof edge ``node -> target``: reroot ``node``'s tree at
+        ``node`` by reversing its path to the root, then hang it below
+        ``target``."""
+        proof, why = self._proof, self._reason
+        prev, prev_reason = target, reason
+        while True:
+            nxt, nxt_reason = proof[node], why[node]
+            proof[node], why[node] = prev, prev_reason
+            if nxt == node:
+                return
+            prev, prev_reason, node = node, nxt_reason, nxt
+
+    def _explain(self, a: int, b: int) -> int:
+        """Bitmask of the input literals behind ``a = b`` (same class)."""
+        proof, why = self._proof, self._reason
+        mask = 0
+        seen = set()
+        todo = [(a, b)]
+        while todo:
+            a, b = todo.pop()
+            if a == b:
+                continue
+            # Nearest common ancestor: mark a's path to the root, then walk
+            # up from b until the path is hit.
+            path = {a}
+            node = a
+            while proof[node] != node:
+                node = proof[node]
+                path.add(node)
+            ancestor = b
+            while ancestor not in path:
+                ancestor = proof[ancestor]
+            for start in (a, b):
+                node = start
+                while node != ancestor:
+                    if node not in seen:
+                        seen.add(node)
+                        reason = why[node]
+                        if isinstance(reason, int):
+                            mask |= reason
+                        else:
+                            left, right = reason
+                            todo.extend(zip(self._children[left],
+                                            self._children[right]))
+                    node = proof[node]
+        return mask
+
+    def explain(self, a: Expr, b: Expr) -> int:
+        """Bitmask of the literal bits whose assertions entail ``a = b``.
+
+        Both terms must already be in one class."""
+        return self._explain(self._ids[a], self._ids[b])
 
     # -- queries ------------------------------------------------------------
 
     @property
     def in_conflict(self) -> bool:
-        return self._conflict
+        return self.conflict is not None
 
     def are_equal(self, a: Expr, b: Expr) -> bool:
         if a == b:
             return True
         # Registering the terms lets congruence fire for queries about terms
         # that were not part of any asserted literal (f(a) = f(b) after a = b).
-        return self.find(self.add_term(a)) == self.find(self.add_term(b))
+        return self._rep[self.add_term(a)] == self._rep[self.add_term(b)]
 
     def representative(self, e: Expr) -> int:
         """The class representative id for ``e`` (registering it if needed)."""
-        return self.find(self.add_term(e))
+        return self._rep[self.add_term(e)]
+
+    def explain_representative(self, e: Expr) -> int:
+        """The explanation of ``e`` being equal to its representative."""
+        node = self.add_term(e)
+        return self._explain(node, self._rep[node])
 
     def classes(self) -> Dict[int, List[Expr]]:
         """All equivalence classes as representative-id -> member terms."""
-        out: Dict[int, List[Expr]] = {}
-        for node, term in enumerate(self._terms):
-            out.setdefault(self.find(node), []).append(term)
-        return out
+        terms = self._terms
+        return {rep: [terms[m] for m in members]
+                for rep, members in enumerate(self._members) if members}
+
+    def int_constants(self) -> Iterable[Tuple[int, int, int]]:
+        """``(representative, value, explanation)`` for every class that
+        holds an integer constant; the explanation is why the
+        representative equals the constant."""
+        terms = self._terms
+        for rep, const in enumerate(self._const):
+            if const is not None and self._rep[rep] == rep:
+                term = terms[const]
+                if isinstance(term, IntLit):
+                    yield rep, term.value, self._explain(rep, const)
 
     def int_value_of(self, e: Expr) -> Optional[int]:
         """If the class of ``e`` contains an integer literal, its value."""
-        if e not in self._ids:
+        node = self._ids.get(e)
+        if node is None:
             return None
-        rep = self.find(self._ids[e])
-        for node, term in enumerate(self._terms):
-            if isinstance(term, IntLit) and self.find(node) == rep:
-                return term.value
-        return None
+        const = self._const[self._rep[node]]
+        if const is None:
+            return None
+        term = self._terms[const]
+        return term.value if isinstance(term, IntLit) else None
 
-    def equal_pairs(self) -> Iterable[Tuple[Expr, Expr]]:
-        """Representative pairs (t, u) for every non-singleton class."""
-        for members in self.classes().values():
-            if len(members) > 1:
-                base = members[0]
-                for other in members[1:]:
-                    yield (base, other)
+    def explain_value(self, e: Expr) -> int:
+        """The explanation of :meth:`int_value_of` for ``e``."""
+        node = self._ids[e]
+        return self._explain(node, self._const[self._rep[node]])

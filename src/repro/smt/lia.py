@@ -29,6 +29,16 @@ elimination loop an order of magnitude cheaper than the historical
 bit-for-bit, as the reference implementation: :func:`set_exact_ints`
 switches back to it, and ``repro bench speed`` runs both (rows
 ``NAME/reference`` and ``NAME``) and requires one verdict digest.
+
+Conflicts explain themselves.  Every constraint carries a bitmask ``tag``
+naming the input literals it stands for; when Fourier–Motzkin combines two
+constraints it ORs their tags, so the constant contradiction it finally
+derives names exactly the inputs of its Farkas combination.
+:func:`is_satisfiable` leaves that mask on :attr:`LiaProblem.conflict`, which
+is how the theory combination gets an unsat core in a single pass.  When the
+elimination exceeds :data:`MAX_CONSTRAINTS` it gives up, answers
+"satisfiable" and sets :attr:`LiaProblem.gave_up`, so callers can report the
+answer as unknown instead of as a real model.
 """
 
 from __future__ import annotations
@@ -42,8 +52,8 @@ from repro.logic.terms import BinOp, Expr, IntLit, UnOp
 
 VarKey = Hashable
 
-#: Safety valve for Fourier–Motzkin blow-up; beyond this we give up and answer
-#: "satisfiable" (sound for validity checking).
+#: Safety valve for Fourier–Motzkin blow-up; beyond this we give up, answer
+#: "satisfiable" (sound for validity checking) and flag the give-up.
 MAX_CONSTRAINTS = 4000
 
 #: Seed plain ints (the fast path) instead of Fractions (the reference).
@@ -74,13 +84,17 @@ def _seed(value: "int | Fraction") -> "int | Fraction":
 
 @dataclass
 class LinExpr:
-    """A linear expression ``sum(coeffs[k] * k) + const`` over variable keys."""
+    """A linear expression ``sum(coeffs[k] * k) + const`` over variable keys.
+
+    As a constraint, ``tag`` is the bitmask of the input literals it was
+    derived from; sums OR the tags of their operands."""
 
     coeffs: Dict[VarKey, "int | Fraction"] = field(default_factory=dict)
     const: "int | Fraction" = 0
+    tag: int = 0
 
     def copy(self) -> "LinExpr":
-        return LinExpr(dict(self.coeffs), self.const)
+        return LinExpr(dict(self.coeffs), self.const, self.tag)
 
     def add(self, other: "LinExpr", factor: "int | Fraction" = 1) -> "LinExpr":
         out = self.copy()
@@ -89,11 +103,12 @@ class LinExpr:
             if out.coeffs[k] == 0:
                 del out.coeffs[k]
         out.const += factor * other.const
+        out.tag |= other.tag
         return out
 
     def scale(self, factor: "int | Fraction") -> "LinExpr":
         return LinExpr({k: c * factor for k, c in self.coeffs.items() if c * factor != 0},
-                       self.const * factor)
+                       self.const * factor, self.tag)
 
     def is_constant(self) -> bool:
         return not self.coeffs
@@ -159,56 +174,99 @@ def linearize(e: Expr, opaque: Callable[[Expr], VarKey],
 
 @dataclass
 class LiaProblem:
-    """A conjunction of linear constraints plus disequalities."""
+    """A conjunction of linear constraints plus disequalities.
+
+    Every ``add_*`` takes the constraint's ``tag`` (default 0).  After
+    :func:`is_satisfiable` answers False, :attr:`conflict` is the OR of the
+    tags of the constraints the contradiction was derived from; after it
+    answers True, :attr:`gave_up` says whether the answer is really
+    "unknown"."""
 
     #: each entry is a LinExpr ``t`` meaning ``t <= 0``
     leqs: List[LinExpr] = field(default_factory=list)
     #: each entry is a LinExpr ``t`` meaning ``t != 0``
     diseqs: List[LinExpr] = field(default_factory=list)
+    conflict: Optional[int] = None
+    gave_up: bool = False
 
-    def add_le(self, lhs: LinExpr, rhs: LinExpr) -> None:
-        self.leqs.append(lhs.add(rhs, -1))
+    def add_le(self, lhs: LinExpr, rhs: LinExpr, tag: int = 0) -> None:
+        diff = lhs.add(rhs, -1)
+        diff.tag = tag
+        self.leqs.append(diff)
 
-    def add_lt(self, lhs: LinExpr, rhs: LinExpr) -> None:
+    def add_lt(self, lhs: LinExpr, rhs: LinExpr, tag: int = 0) -> None:
         # a < b  over integers: a - b + 1 <= 0
         diff = lhs.add(rhs, -1)
         diff.const += 1
+        diff.tag = tag
         self.leqs.append(diff)
 
-    def add_eq(self, lhs: LinExpr, rhs: LinExpr) -> None:
-        self.add_le(lhs, rhs)
-        self.add_le(rhs, lhs)
+    def add_eq(self, lhs: LinExpr, rhs: LinExpr, tag: int = 0) -> None:
+        self.add_le(lhs, rhs, tag)
+        self.add_le(rhs, lhs, tag)
 
-    def add_neq(self, lhs: LinExpr, rhs: LinExpr) -> None:
-        self.diseqs.append(lhs.add(rhs, -1))
+    def add_neq(self, lhs: LinExpr, rhs: LinExpr, tag: int = 0) -> None:
+        diff = lhs.add(rhs, -1)
+        diff.tag = tag
+        self.diseqs.append(diff)
+
+
+class _GiveUp(Exception):
+    """Fourier–Motzkin exceeded :data:`MAX_CONSTRAINTS`."""
 
 
 def is_satisfiable(problem: LiaProblem) -> bool:
-    """Decide satisfiability of the problem (sound "unsat" answers only)."""
-    if not _leqs_satisfiable(problem.leqs):
-        return False
+    """Decide satisfiability of the problem (sound "unsat" answers only).
+
+    Sets ``problem.conflict`` when the answer is False and
+    ``problem.gave_up`` when a True answer comes from a give-up."""
+    problem.gave_up = False
+    problem.conflict = _conflict(problem)
+    return problem.conflict is None
+
+
+def _conflict(problem: LiaProblem) -> Optional[int]:
+    conflict = _eliminate(problem, problem.leqs)
+    if conflict is not None:
+        return conflict
+    bounded = {v for c in problem.leqs for v in c.coeffs}
     for d in problem.diseqs:
         if d.is_constant():
             if d.const == 0:
-                return False
+                return d.tag
+            continue
+        if not bounded.issuperset(d.coeffs):
+            # A variable no inequality mentions can always move t off 0.
             continue
         # The disequality t != 0 conflicts only if the inequalities entail
         # t == 0, i.e. both t >= 1 and t <= -1 are infeasible (integers).
         ge_one = d.scale(-1)
         ge_one.const += 1  # -t + 1 <= 0  <=>  t >= 1
+        above = _eliminate(problem, problem.leqs + [ge_one])
+        if above is None:
+            continue
         le_minus_one = d.copy()
         le_minus_one.const += 1  # t + 1 <= 0  <=>  t <= -1
-        if not _leqs_satisfiable(problem.leqs + [ge_one]) and \
-           not _leqs_satisfiable(problem.leqs + [le_minus_one]):
-            return False
-    return True
+        below = _eliminate(problem, problem.leqs + [le_minus_one])
+        if below is not None:
+            return above | below | d.tag
+    return None
+
+
+def _eliminate(problem: LiaProblem, leqs: Sequence[LinExpr]) -> Optional[int]:
+    """:func:`_leqs_conflict`, recording a give-up on ``problem``."""
+    try:
+        return _leqs_conflict(leqs)
+    except _GiveUp:
+        problem.gave_up = True
+        return None
 
 
 def entails(problem: LiaProblem, goal_leq: LinExpr) -> bool:
     """Does the problem entail ``goal_leq <= 0``?  (Used by tests/qualifiers.)"""
     negated = goal_leq.scale(-1)
     negated.const += 1  # goal > 0  <=>  -goal + 1 <= 0 over integers
-    return not _leqs_satisfiable(problem.leqs + [negated])
+    return _eliminate(problem, problem.leqs + [negated]) is not None
 
 
 def _gcd_normalised(c: LinExpr) -> LinExpr:
@@ -228,16 +286,19 @@ def _gcd_normalised(c: LinExpr) -> LinExpr:
         g = gcd(g, coeff)
     if g <= 1 or not isinstance(c.const, int) or c.const % g:
         return c
-    return LinExpr({k: v // g for k, v in c.coeffs.items()}, c.const // g)
+    return LinExpr({k: v // g for k, v in c.coeffs.items()}, c.const // g,
+                   c.tag)
 
 
-def _leqs_satisfiable(leqs: Sequence[LinExpr]) -> bool:
-    """Fourier–Motzkin elimination; True means "satisfiable or unknown"."""
-    constraints = [c.copy() for c in leqs]
+def _leqs_conflict(leqs: Sequence[LinExpr]) -> Optional[int]:
+    """Fourier–Motzkin elimination: None when the constraints are
+    satisfiable, else the tag of a derived contradiction ``k <= 0`` with
+    ``k > 0``.  Raises :class:`_GiveUp` past :data:`MAX_CONSTRAINTS`."""
+    constraints = list(leqs)
     # Quick constant check first.
     for c in constraints:
         if c.is_constant() and c.const > 0:
-            return False
+            return c.tag
     variables = sorted({v for c in constraints for v in c.variables()},
                        key=lambda v: str(v))
     for v in variables:
@@ -254,7 +315,7 @@ def _leqs_satisfiable(leqs: Sequence[LinExpr]) -> bool:
                 lowers.append(c)
         new_constraints = rest
         if len(uppers) * len(lowers) + len(rest) > MAX_CONSTRAINTS:
-            return True  # give up: treat as satisfiable (sound for validity)
+            raise _GiveUp
         for up in uppers:
             cu = up.coeffs[v]
             for lo in lowers:
@@ -262,11 +323,18 @@ def _leqs_satisfiable(leqs: Sequence[LinExpr]) -> bool:
                 # up: cu*v + ru <= 0 with cu > 0  =>  v <= -ru/cu
                 # lo: cl*v + rl <= 0 with cl < 0  =>  v >= -rl/cl
                 # combine: (-rl/cl) <= (-ru/cu)  i.e.  ru*(-cl) + rl*cu <= 0
-                combined = up.scale(-cl).add(lo.scale(cu))
-                combined.coeffs.pop(v, None)
-                if combined.is_constant():
+                coeffs = {k: c * -cl for k, c in up.coeffs.items()}
+                for k, c in lo.coeffs.items():
+                    c = coeffs.get(k, 0) + c * cu
+                    if c:
+                        coeffs[k] = c
+                    else:
+                        coeffs.pop(k, None)  # zero sums drop out, v's too
+                combined = LinExpr(coeffs, up.const * -cl + lo.const * cu,
+                                   up.tag | lo.tag)
+                if not coeffs:
                     if combined.const > 0:
-                        return False
+                        return combined.tag
                 else:
                     if _EXACT_INTS[0]:
                         combined = _gcd_normalised(combined)
@@ -274,8 +342,8 @@ def _leqs_satisfiable(leqs: Sequence[LinExpr]) -> bool:
         constraints = new_constraints
         for c in constraints:
             if c.is_constant() and c.const > 0:
-                return False
+                return c.tag
     for c in constraints:
         if c.is_constant() and c.const > 0:
-            return False
-    return True
+            return c.tag
+    return None

@@ -52,11 +52,9 @@ class SolverStats:
     invalid: int = 0
     sat_calls: int = 0
     theory_checks: int = 0
-    #: ``check_literals`` calls core minimisation made on top of
-    #: ``theory_checks`` (see :func:`repro.smt.theory.check_with_core`)
-    minimise_checks: int = 0
-    #: queries answered UNKNOWN (theory-iteration budget exhausted, or a
-    #: conflict over no decidable atom); never cached or persisted
+    #: queries answered UNKNOWN (theory-iteration budget exhausted, a
+    #: Fourier–Motzkin give-up, or a conflict over no decidable atom);
+    #: never cached or persisted
     giveups: int = 0
     blocking_clauses: int = 0
     cache_hits: int = 0
@@ -72,7 +70,6 @@ class SolverStats:
         self.invalid += other.invalid
         self.sat_calls += other.sat_calls
         self.theory_checks += other.theory_checks
-        self.minimise_checks += other.minimise_checks
         self.giveups += other.giveups
         self.blocking_clauses += other.blocking_clauses
         self.cache_hits += other.cache_hits
@@ -99,7 +96,6 @@ class SolverStats:
             "invalid": self.invalid,
             "sat_calls": self.sat_calls,
             "theory_checks": self.theory_checks,
-            "minimise_checks": self.minimise_checks,
             "giveups": self.giveups,
             "blocking_clauses": self.blocking_clauses,
             "cache_hits": self.cache_hits,
@@ -353,8 +349,10 @@ class Solver:
                         literals.append((atom, value))
                 self.stats.theory_checks += 1
                 result = check_with_core(literals)
-                self.stats.minimise_checks += result.minimise_checks
                 if result.satisfiable:
+                    if result.gave_up:
+                        self.stats.giveups += 1
+                        return Result.UNKNOWN
                     return Result.SAT
                 # Block this theory-inconsistent assignment.
                 core = result.core or literals

@@ -19,6 +19,17 @@ The combination is a simplified Nelson–Oppen scheme:
 Equalities discovered by LIA are not propagated back to EUF; for the VC
 shapes RSC produces this direction is not needed, and omitting it only makes
 the solver prove fewer formulas valid (sound).
+
+Unsat cores are explained, not searched for.  Literal ``i`` of the input is
+bit ``i`` of a mask.  EUF conflicts come with the literals behind them (see
+:mod:`repro.smt.euf`).  Each LIA constraint is tagged with its literal's bit,
+plus the EUF explanation of every term it reads through a class
+representative or a class constant, so the contradiction Fourier–Motzkin
+derives names its own literals (see :mod:`repro.smt.lia`).  Bit-mask
+literals are decided per EUF class, and a conflict names the class's
+bit-mask literals and the explanations of their base terms.
+:func:`check_with_core` therefore decides and explains a conflict in one
+pass; the core is sound but not necessarily minimal.
 """
 
 from __future__ import annotations
@@ -34,7 +45,6 @@ from repro.logic.terms import (
     Expr,
     IntLit,
     UnOp,
-    memoisation_enabled,
 )
 from repro.smt.bvmask import BvMaskSolver
 from repro.smt.euf import CongruenceClosure
@@ -46,175 +56,145 @@ TheoryLiteral = Tuple[Expr, bool]
 _CMP_NEGATION = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}
 _CMP_OPS = ("<", "<=", ">", ">=", "=", "!=")
 
-#: Verdict memo for :func:`check_literals`, keyed by the exact literal
-#: tuple (order-preserving, so a hit replays precisely the call that was
-#: made before — no reliance on the solvers being order-insensitive).
-#: Theory checks are pure functions of their input, and with hash-consed
-#: terms the key is a tuple of pointers; core minimisation and repeated
-#: blocking-clause loops re-check the same conjunctions constantly.
-#: Cleared by :func:`repro.logic.terms.clear_memos`.
-_CHECK_MEMO: Dict[Tuple[TheoryLiteral, ...], bool] = {}
-_CHECK_MEMO_LIMIT = 100_000
-
-
-def _clear_local_memos() -> None:
-    _CHECK_MEMO.clear()
-
 
 @dataclass
 class TheoryResult:
     satisfiable: bool
-    #: when unsatisfiable, a (possibly minimised) subset of the input literals
-    #: that is already inconsistent; used to build the blocking clause.
+    #: when unsatisfiable, the subset of the input literals the conflict was
+    #: derived from; used to build the blocking clause.
     core: Optional[List[TheoryLiteral]] = None
-    #: :func:`check_literals` calls spent minimising the core (every call
-    #: :func:`check_with_core` makes after its first).
-    minimise_checks: int = 0
+    #: the "satisfiable" answer is really "unknown": Fourier–Motzkin gave up.
+    gave_up: bool = False
 
 
 def check_literals(literals: Sequence[TheoryLiteral]) -> bool:
-    """Satisfiability of the conjunction of theory literals (memoised)."""
-    if not memoisation_enabled():
-        return _check_literals_uncached(literals)
-    key = tuple(literals)
-    hit = _CHECK_MEMO.get(key)
-    if hit is not None:
-        return hit
-    result = _check_literals_uncached(key)
-    if len(_CHECK_MEMO) < _CHECK_MEMO_LIMIT:
-        _CHECK_MEMO[key] = result
-    return result
+    """Satisfiability of the conjunction of theory literals (sound
+    "unsatisfiable" answers only: a give-up answers True)."""
+    return check_with_core(literals).satisfiable
 
 
-def _check_literals_uncached(literals: Sequence[TheoryLiteral]) -> bool:
+def check_with_core(literals: Sequence[TheoryLiteral]) -> TheoryResult:
+    """Check a conjunction; on conflict, return the literals it came from."""
     lits = list(literals)
+    conflict, gave_up = _explained_conflict(lits)
+    if conflict is None:
+        return TheoryResult(True, None, gave_up)
+    return TheoryResult(False, [lit for index, lit in enumerate(lits)
+                                if conflict >> index & 1])
 
+
+def _explained_conflict(
+        lits: List[TheoryLiteral]) -> Tuple[Optional[int], bool]:
+    """``(conflict, gave_up)``: the bitmask of the literals behind a
+    conflict (None when satisfiable), and whether a satisfiable answer
+    comes from a Fourier–Motzkin give-up."""
     cc = CongruenceClosure()
     true_const = BoolLit(True)
     false_const = BoolLit(False)
     cc.assert_neq(true_const, false_const)
 
-    arith: List[Tuple[str, Expr, Expr]] = []   # (op, lhs, rhs) with op already polarised
-    mask_lits: List[Tuple[Expr, int, bool]] = []  # (base term, mask, positive)
+    # (op, lhs, rhs, literal bit) with op already polarised
+    arith: List[Tuple[str, Expr, Expr, int]] = []
+    # (base term, mask, positive, literal bit)
+    mask_lits: List[Tuple[Expr, int, bool, int]] = []
 
-    for atom, polarity in lits:
-        atom = _strip_not(atom, polarity)
-        if atom is None:
-            return False  # literal was a constant false
-        expr, pol = atom
+    for index, (atom, polarity) in enumerate(lits):
+        bit = 1 << index
+        stripped = _strip_not(atom, polarity)
+        if stripped is None:
+            return bit, False  # literal was a constant false
+        expr, pol = stripped
         if isinstance(expr, BoolLit):
-            if expr.value != pol:
-                return False
             continue
         if isinstance(expr, BinOp) and expr.op in _CMP_OPS:
             op = expr.op if pol else _CMP_NEGATION[expr.op]
             lhs, rhs = expr.left, expr.right
             masked = _as_mask_test(op, lhs, rhs)
             if masked is not None:
-                mask_lits.append(masked)
+                mask_lits.append((*masked, bit))
                 cc.add_term(lhs)
                 cc.add_term(rhs)
                 continue
             if op == "=":
-                cc.assert_eq(lhs, rhs)
+                cc.assert_eq(lhs, rhs, bit)
             elif op == "!=":
-                cc.assert_neq(lhs, rhs)
+                cc.assert_neq(lhs, rhs, bit)
             else:
                 cc.add_term(lhs)
                 cc.add_term(rhs)
-            arith.append((op, lhs, rhs))
+            arith.append((op, lhs, rhs, bit))
             continue
         # Boolean-sorted application / variable / field access.
         mask_atom = _as_mask_builtin(expr)
         if mask_atom is not None:
-            mask_lits.append((mask_atom[0], mask_atom[1], pol))
-        cc.assert_eq(expr, true_const if pol else false_const)
+            mask_lits.append((mask_atom[0], mask_atom[1], pol, bit))
+        cc.assert_eq(expr, true_const if pol else false_const, bit)
 
-    if cc.in_conflict:
-        return False
+    if cc.conflict is not None:
+        return cc.conflict, False
 
     # ---- LIA -------------------------------------------------------------
+    # ``reasons`` collects the explanations of the EUF facts one literal's
+    # linearisation relies on.
+    reasons = 0
+
     def opaque(term: Expr) -> Hashable:
+        nonlocal reasons
+        reasons |= cc.explain_representative(term)
         return ("t", cc.representative(term))
 
-    def const_of(term: Expr):
-        return cc.int_value_of(term)
+    def const_of(term: Expr) -> Optional[int]:
+        nonlocal reasons
+        value = cc.int_value_of(term)
+        if value is not None:
+            reasons |= cc.explain_value(term)
+        return value
 
     problem = LiaProblem()
-    for op, lhs, rhs in arith:
+    for op, lhs, rhs, bit in arith:
+        reasons = bit
         l = linearize(lhs, opaque, const_of)
         r = linearize(rhs, opaque, const_of)
         if op == "<":
-            problem.add_lt(l, r)
+            problem.add_lt(l, r, reasons)
         elif op == "<=":
-            problem.add_le(l, r)
+            problem.add_le(l, r, reasons)
         elif op == ">":
-            problem.add_lt(r, l)
+            problem.add_lt(r, l, reasons)
         elif op == ">=":
-            problem.add_le(r, l)
+            problem.add_le(r, l, reasons)
         elif op == "=":
-            problem.add_eq(l, r)
+            problem.add_eq(l, r, reasons)
         elif op == "!=":
-            problem.add_neq(l, r)
+            problem.add_neq(l, r, reasons)
 
-    # Pin every class containing an integer constant to that constant, and
-    # link every member term's opaque variable to it.
-    pinned: dict[Hashable, int] = {}
-    for rep, members in cc.classes().items():
-        value = None
-        for m in members:
-            if isinstance(m, IntLit):
-                value = m.value
-                break
-        if value is None:
-            continue
-        key = ("t", rep)
-        pinned[key] = value
-        problem.add_eq(LinExpr.variable(key), LinExpr.constant(value))
+    # Pin every class containing an integer constant to that constant.
+    for rep, value, why in cc.int_constants():
+        problem.add_eq(LinExpr.variable(("t", rep)), LinExpr.constant(value),
+                       why)
 
     if not is_satisfiable(problem):
-        return False
+        return problem.conflict, False
 
     # ---- bit-masks ---------------------------------------------------------
-    if mask_lits:
-        bv = BvMaskSolver()
-        for base, mask, positive in mask_lits:
-            key = ("t", cc.representative(base))
-            bv.assert_mask(key, mask, positive)
-            fixed = cc.int_value_of(base)
-            if fixed is not None:
-                bv.assert_value(key, fixed)
+    # Base terms of different classes are independent, so each class is
+    # decided, and explained, on its own.
+    by_class: Dict[int, Tuple[BvMaskSolver, int]] = {}
+    for base, mask, positive, bit in mask_lits:
+        rep = cc.representative(base)
+        bv, why = by_class.get(rep) or (BvMaskSolver(), 0)
+        why |= bit | cc.explain_representative(base)
+        bv.assert_mask(rep, mask, positive)
+        fixed = cc.int_value_of(base)
+        if fixed is not None:
+            why |= cc.explain_value(base)
+            bv.assert_value(rep, fixed)
+        by_class[rep] = (bv, why)
+    for bv, why in by_class.values():
         if not bv.check():
-            return False
+            return why, False
 
-    return True
-
-
-#: Cap on the number of `check_literals` calls one core minimisation may
-#: spend.  Bounding by *work* instead of by input size means even very wide
-#: conflicts get partially minimised — small cores make better blocking
-#: clauses and far more reusable lemmas for the incremental context memo.
-MINIMISE_CHECK_BUDGET = 150
-
-
-def check_with_core(literals: Sequence[TheoryLiteral]) -> TheoryResult:
-    """Check a conjunction; on conflict, greedily minimise an unsat core."""
-    lits = list(literals)
-    if check_literals(lits):
-        return TheoryResult(True, None)
-    core = list(lits)
-    budget = MINIMISE_CHECK_BUDGET
-    i = 0
-    while i < len(core) and budget > 0:
-        trial = core[:i] + core[i + 1:]
-        if not trial:
-            break
-        budget -= 1
-        if not check_literals(trial):
-            core = trial
-        else:
-            i += 1
-    return TheoryResult(False, core, MINIMISE_CHECK_BUDGET - budget)
+    return None, problem.gave_up
 
 
 # ---------------------------------------------------------------------------

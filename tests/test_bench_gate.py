@@ -170,3 +170,30 @@ def test_bench_report_passes_the_gate_end_to_end(tmp_path, capsys):
         capture_output=True, text=True, timeout=120)
     assert gated.returncode == 1
     assert "figure6/tsc-checker saved_queries_issued" in gated.stderr
+
+
+def test_project_digest_is_path_independent(tmp_path):
+    """Two copies of one project at different paths have one verdict
+    digest, diagnostics included (the broken module's spans carry its
+    filename)."""
+    import shutil
+
+    from repro.bench import benchmarks_dir, digest, verdict
+    from repro.core.session import Session
+
+    source = benchmarks_dir() / "modules" / "splay"
+    digests = set()
+    for copy_root in (tmp_path / "a", tmp_path / "b" / "nested" / "deeper"):
+        project = copy_root / "splay"
+        shutil.copytree(source, project)
+        (project / "broken.rsc").write_text(
+            'import {missing} from "./nowhere";\n'
+            "spec f :: (x: number) => {v: number | v > x};\n"
+            "function f(x) { return x; }\n")
+        result = Session().check_project(project)
+        assert not result.ok
+        rendered = json.dumps(verdict(result))
+        assert str(tmp_path) not in rendered
+        assert '"broken.rsc"' in rendered
+        digests.add(digest(verdict(result)))
+    assert len(digests) == 1

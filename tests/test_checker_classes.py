@@ -269,3 +269,46 @@ class TestStatsAndResultApi:
         inferred = [str(q) for quals in result.kappa_solution.values() for q in quals]
         assert any("len" in q for q in inferred), (
             "the loop invariant should mention len(a)")
+
+
+def test_class_invariants_are_per_thread():
+    """Two checks running at once each keep their own class table's
+    invariants: both threads install theirs before either embeds a
+    class-typed term (a ``threading.Barrier`` forces the interleaving)."""
+    import threading
+
+    from repro.core.checker import Checker
+    from repro.errors import DiagnosticBag
+    from repro.lang.parser import parse_program
+    from repro.logic.terms import Var
+    from repro.rtypes.types import TRef, shape_pred
+
+    sources = {
+        "positive": "class Box { immutable n : {v: number | 0 < v};"
+                    " constructor(n: number) { this.n = n; } }",
+        "negative": "class Box { immutable n : {v: number | v < 0};"
+                    " constructor(n: number) { this.n = n; } }",
+    }
+    barrier = threading.Barrier(len(sources))
+    seen = {}
+
+    def embed_box(name: str) -> None:
+        checker = Checker(parse_program(sources[name]), DiagnosticBag())
+        checker._resolve_class_members()
+        with checker.invariants():
+            barrier.wait()
+            seen[name] = str(shape_pred(TRef(name="Box"), Var("b")))
+            barrier.wait()
+
+    threads = [threading.Thread(target=embed_box, args=(name,))
+               for name in sources]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert "(0 < b.n)" in seen["positive"]
+    assert "(b.n < 0)" in seen["negative"]
+    assert "(b.n < 0)" not in seen["positive"]
+    assert "(0 < b.n)" not in seen["negative"]
+    # Outside a check no class table provides invariants.
+    assert "b.n" not in str(shape_pred(TRef(name="Box"), Var("b")))

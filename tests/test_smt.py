@@ -1,5 +1,6 @@
 """Tests for the SMT substrate: SAT core, theories, and the combined solver."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logic import (
@@ -23,7 +24,13 @@ from repro.logic.terms import Field
 from repro.smt import Result, Solver
 from repro.smt.bvmask import BvMaskSolver, mask_implies
 from repro.smt.euf import CongruenceClosure
-from repro.smt.lia import LiaProblem, LinExpr, is_satisfiable, linearize
+from repro.smt.lia import (
+    LiaProblem,
+    LinExpr,
+    is_satisfiable,
+    linearize,
+    set_exact_ints,
+)
 from repro.smt.sat import SatSolver, solve_cnf
 
 
@@ -162,6 +169,67 @@ class TestEuf:
         cc.assert_eq(a, b)
         assert cc.are_equal(plus(len_of(a), IntLit(1)), plus(len_of(b), IntLit(1)))
 
+    def test_explain_congruence_chain(self):
+        """a = b, b = c |- len(a) = len(c), explained by the chain alone."""
+        cc = CongruenceClosure()
+        a, b, c, d = var("a"), var("b"), var("c"), var("d")
+        cc.assert_eq(a, b, 1 << 0)
+        cc.assert_eq(d, IntLit(5), 1 << 1)
+        cc.assert_eq(b, c, 1 << 2)
+        assert cc.are_equal(len_of(a), len_of(c))
+        assert cc.explain(len_of(a), len_of(c)) == 0b101
+        assert cc.explain(a, a) == 0
+
+    def test_explain_nested_congruence(self):
+        """Congruence edges expand into the explanations of their
+        arguments, recursively."""
+        cc = CongruenceClosure()
+        a, b = var("a"), var("b")
+        cc.assert_eq(var("z"), IntLit(0), 1 << 0)
+        cc.assert_eq(a, b, 1 << 1)
+        left = plus(len_of(a), IntLit(1))
+        right = plus(len_of(b), IntLit(1))
+        assert cc.are_equal(left, right)
+        assert cc.explain(left, right) == 0b10
+
+    def test_constant_clash_through_a_chain(self):
+        cc = CongruenceClosure()
+        x, y, z, u, v = (var(n) for n in "xyzuv")
+        cc.assert_eq(x, y, 1 << 0)
+        cc.assert_eq(y, IntLit(1), 1 << 1)
+        cc.assert_eq(u, v, 1 << 2)
+        cc.assert_eq(z, IntLit(2), 1 << 3)
+        assert not cc.in_conflict
+        cc.assert_eq(x, z, 1 << 4)
+        assert cc.conflict == 0b11011
+
+    def test_violated_disequality_is_explained(self):
+        cc = CongruenceClosure()
+        a, b, c = var("a"), var("b"), var("c")
+        cc.assert_neq(a, c, 1 << 0)
+        cc.assert_eq(var("p"), var("q"), 1 << 1)
+        cc.assert_eq(a, b, 1 << 2)
+        cc.assert_eq(b, c, 1 << 3)
+        assert cc.conflict == 0b1101
+
+    def test_disequality_violated_by_congruence(self):
+        cc = CongruenceClosure()
+        a, b = var("a"), var("b")
+        cc.assert_neq(len_of(a), len_of(b), 1 << 0)
+        cc.assert_eq(a, b, 1 << 1)
+        assert cc.conflict == 0b11
+
+    def test_one_constant_per_class(self):
+        cc = CongruenceClosure()
+        x, y = var("x"), var("y")
+        cc.assert_eq(x, y, 1 << 0)
+        assert cc.int_value_of(x) is None
+        cc.assert_eq(y, IntLit(7), 1 << 1)
+        assert cc.int_value_of(x) == 7
+        assert cc.explain_value(x) == 0b11
+        rep = cc.representative(x)
+        assert [(r, v) for r, v, _why in cc.int_constants()] == [(rep, 7)]
+
 
 # ---------------------------------------------------------------------------
 # Linear integer arithmetic
@@ -221,6 +289,45 @@ class TestLia:
         prod = _lin(times(var("x"), var("y")))
         p.add_le(prod, LinExpr.constant(10))
         assert is_satisfiable(p)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["int", "fraction"])
+    def test_conflict_names_only_contributing_constraints(self, exact):
+        set_exact_ints(exact)
+        try:
+            p = LiaProblem()
+            x, y, z = (_lin(var(n)) for n in "xyz")
+            p.add_le(x, y, tag=1 << 0)                      # x <= y
+            p.add_le(z, LinExpr.constant(10), tag=1 << 1)   # unrelated
+            p.add_le(y, LinExpr.constant(0), tag=1 << 2)    # y <= 0
+            p.add_lt(LinExpr.constant(0), x, tag=1 << 3)    # x > 0
+            p.add_le(LinExpr.constant(-5), z, tag=1 << 4)   # unrelated
+            assert not is_satisfiable(p)
+            assert p.conflict == 0b1101
+        finally:
+            set_exact_ints(True)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["int", "fraction"])
+    def test_disequality_conflict_unions_both_branches(self, exact):
+        set_exact_ints(exact)
+        try:
+            p = LiaProblem()
+            x, y = _lin(var("x")), _lin(var("y"))
+            p.add_le(x, LinExpr.constant(4), tag=1 << 0)    # x <= 4
+            p.add_le(y, LinExpr.constant(3), tag=1 << 1)    # unrelated
+            p.add_le(LinExpr.constant(4), x, tag=1 << 2)    # x >= 4
+            p.add_neq(x, LinExpr.constant(4), tag=1 << 3)
+            assert not is_satisfiable(p)
+            assert p.conflict == 0b1101
+            assert not p.gave_up
+        finally:
+            set_exact_ints(True)
+
+    def test_satisfiable_problem_has_no_conflict(self):
+        p = LiaProblem()
+        x = _lin(var("x"))
+        p.add_le(x, LinExpr.constant(4), tag=1)
+        assert is_satisfiable(p)
+        assert p.conflict is None and not p.gave_up
 
 
 # ---------------------------------------------------------------------------

@@ -359,42 +359,45 @@ def test_trivial_goals_and_empty_hypotheses():
     assert incremental_solver().check_implication_batch([], goals) == expected
 
 
+def literals_satisfiable(literals: Sequence[Tuple[Expr, bool]]) -> bool:
+    """Does any sampled assignment make every theory literal true?"""
+    for f in F_INTERPRETATIONS:
+        for env in assignments():
+            if all(bool(eval_expr(atom, env, f)) == polarity
+                   for atom, polarity in literals):
+                return True
+    return False
+
+
 @pytest.mark.parametrize("mode", ["fresh", "incremental"])
-def test_minimise_checks_counts_core_minimisation(monkeypatch, mode):
-    """``minimise_checks`` is the number of ``check_literals`` calls that
-    ``check_with_core`` makes after its first, on both query engines, and
-    it reaches ``check --format json`` through the solver stats."""
-    from repro.core.config import CheckConfig
-    from repro.core.session import Session
+def test_explained_cores_are_unsat_subsets(monkeypatch, mode):
+    """Every core ``check_with_core`` explains, over every fuzz batch of
+    ``test_batch_differential``: a subset of its input that the theory
+    check refutes on its own and the brute-force oracle finds no model
+    of."""
     from repro.smt import context, solver as solver_module, theory
 
-    calls = {"cores": 0, "literals": 0}
-    real_check_literals = theory.check_literals
+    cores = {}
     real_check_with_core = theory.check_with_core
 
-    def counting_check_literals(literals):
-        calls["literals"] += 1
-        return real_check_literals(literals)
+    def recording_check_with_core(literals):
+        result = real_check_with_core(literals)
+        if not result.satisfiable:
+            assert set(result.core) <= set(literals)
+            cores[frozenset(result.core)] = result.core
+        return result
 
-    def counting_check_with_core(literals):
-        calls["cores"] += 1
-        return real_check_with_core(literals)
-
-    monkeypatch.setattr(theory, "check_literals", counting_check_literals)
-    monkeypatch.setattr(context, "check_with_core", counting_check_with_core)
+    monkeypatch.setattr(context, "check_with_core", recording_check_with_core)
     monkeypatch.setattr(solver_module, "check_with_core",
-                        counting_check_with_core)
-    session = Session(CheckConfig(smt_mode=mode))
-    result = session.check_source(
-        "function abs(x: number): {v: number | 0 <= v} {\n"
-        "  if (x < 0) { return 0 - x; }\n"
-        "  return x;\n"
-        "}\n")
-    stats = session.solver.stats
-    assert stats.theory_checks == calls["cores"] > 0
-    assert stats.minimise_checks == calls["literals"] - calls["cores"] > 0
-    assert result.to_dict()["solver_stats"]["minimise_checks"] \
-        == stats.minimise_checks
+                        recording_check_with_core)
+    for seed in range(120):
+        hyps, goals = FormulaGen(random.Random(1000 + seed)).batch()
+        Solver(smt_mode=mode).check_implication_batch(hyps, goals)
+    assert len(cores) >= 20
+    for core in cores.values():
+        assert core
+        assert not theory.check_literals(core), core
+        assert not literals_satisfiable(core), core
 
 
 @pytest.mark.parametrize("mode", ["fresh", "incremental"])
@@ -417,6 +420,51 @@ def test_giveups_are_counted_and_never_cached(mode):
     doubled = solver.stats.copy()
     doubled.merge(solver.stats)
     assert doubled.delta_since(solver.stats).giveups == 2
+
+
+@pytest.mark.parametrize("mode", ["fresh", "incremental"])
+def test_fourier_motzkin_giveup_is_unknown(monkeypatch, tmp_path, mode):
+    """A Fourier–Motzkin give-up is no model: the query is UNKNOWN, counted
+    in ``giveups``, and lands neither in the solver's LRU nor in the
+    artifact store."""
+    from repro.core.config import CheckConfig
+    from repro.core.session import Session
+    from repro.smt import lia
+    from repro.store.artifacts import ArtifactStore
+
+    monkeypatch.setattr(lia, "MAX_CONSTRAINTS", 0)
+    solver = Solver(smt_mode=mode)
+    sink: Dict[Expr, Result] = {}
+    solver.record_queries(sink)
+    x = Var("x", INT)
+    hypotheses = [BinOp("<", IntLit(0), x, BOOL)]
+    goal = BinOp("<=", IntLit(1), x, BOOL)
+    for _ in range(2):
+        assert solver.check_implication(hypotheses, goal) is False
+    assert solver.stats.giveups == 2
+    assert solver.stats.cache_hits == 0
+    assert sink == {} and solver.cache_size == 0
+
+    saved: List[Tuple[Expr, Result]] = []
+    real_save = ArtifactStore.save_verdicts
+
+    def spying_save(store, key, pairs):
+        pairs = list(pairs)
+        saved.extend(pairs)
+        return real_save(store, key, pairs)
+
+    monkeypatch.setattr(ArtifactStore, "save_verdicts", spying_save)
+    session = Session(CheckConfig(smt_mode=mode, store_path=str(tmp_path)))
+    session.check_source(
+        "function abs(x: number): {v: number | 0 <= v} {\n"
+        "  if (x < 0) { return 0 - x; }\n"
+        "  return x;\n"
+        "}\n"
+        "function id(x: number): {v: number | v = x} { return x; }\n")
+    stats = session.solver.stats
+    assert stats.giveups > 0
+    assert saved and Result.UNKNOWN not in {result for _f, result in saved}
+    assert len(saved) == stats.queries - stats.giveups
 
 
 def test_giveups_reach_check_json(tmp_path, capsys):

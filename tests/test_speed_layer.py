@@ -266,12 +266,13 @@ class TestIntegerLia:
 
         def solve(constraints):
             problem = lia.LiaProblem()
-            for coeffs, const, kind in constraints:
+            for index, (coeffs, const, kind) in enumerate(constraints):
                 lhs = lia.LinExpr.constant(const)
                 for k, c in coeffs.items():
                     lhs = lhs.add(lia.LinExpr.variable(k), c)
-                getattr(problem, "add_" + kind)(lhs, lia.LinExpr.constant(0))
-            return lia.is_satisfiable(problem)
+                getattr(problem, "add_" + kind)(lhs, lia.LinExpr.constant(0),
+                                                tag=1 << index)
+            return lia.is_satisfiable(problem), problem.conflict
 
         assert lia.exact_ints_enabled()
         for _ in range(300):
@@ -282,4 +283,11 @@ class TestIntegerLia:
                 reference = solve(constraints)
             finally:
                 lia.set_exact_ints(True)
+            # Same verdict and the same explained conflict; the conflict
+            # names a subset that is unsatisfiable on its own.
             assert fast == reference
+            sat, conflict = fast
+            if not sat:
+                core = [c for index, c in enumerate(constraints)
+                        if conflict >> index & 1]
+                assert core and solve(core)[0] is False
