@@ -552,18 +552,33 @@ def store(names: Optional[Sequence[str]] = None) -> List[Row]:
     """Every port and module split cold, then (``NAME/warm``) in a fresh
     session whose only link to the first is the persistent store the cold
     run populated — a store-warm check must issue zero queries and zero
-    SAT searches."""
+    SAT searches.  Each input gets a store of its own, so the cold row's
+    ``verdict_bytes``/``solution_bytes`` are the size of exactly the
+    entries that input's check wrote."""
     import shutil
     import tempfile
 
-    root = tempfile.mkdtemp(prefix="repro-bench-store-")
-    try:
-        config = CheckConfig(store_path=root)
+    from repro.store import SOLUTIONS, VERDICTS
+    from repro.store.backend import KindStats
 
-        def run(path: pathlib.Path) -> Tuple[object, dict]:
-            return _check(path, Session(config)), {}
+    root = pathlib.Path(tempfile.mkdtemp(prefix="repro-bench-store-"))
+
+    def session(path: pathlib.Path) -> Session:
+        return Session(CheckConfig(store_path=str(root / path.name)))
+
+    def cold(path: pathlib.Path) -> Tuple[object, dict]:
+        checking = session(path)
+        result = _check(path, checking)
+        kinds = checking.store.stats().kinds
+        return result, {
+            "verdict_bytes": kinds.get(VERDICTS, KindStats()).bytes,
+            "solution_bytes": kinds.get(SOLUTIONS, KindStats()).bytes}
+
+    def warm(path: pathlib.Path) -> Tuple[object, dict]:
+        return _check(path, session(path)), {}
+    try:
         return _compare("store", _inputs(names, projects=True),
-                        [("", run), ("/warm", run)])
+                        [("", cold), ("/warm", warm)])
     finally:
         shutil.rmtree(root, ignore_errors=True)
 

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.errors import Diagnostic, ErrorKind, SourceSpan
 from repro.lang import ast
 from repro.smt.solver import Solver, SolverStats
-from repro.core.cancel import CancelToken, CheckCancelled, checkpoint
+from repro.core.cancel import CancelToken, checkpoint
 from repro.core.config import CheckConfig
 from repro.obs.trace import tracer
 from repro.core.result import BatchResult, CheckResult, StageTimings
@@ -50,6 +50,7 @@ from repro.core.workspace import (  # noqa: F401  (re-exported stage types)
     SolveStage,
     SsaStage,
     Workspace,
+    nesting_too_deep,
 )
 
 PathLike = Union[str, pathlib.Path]
@@ -139,21 +140,35 @@ class Session:
                                time_seconds=parsed.timings.total,
                                filename=filename, timings=parsed.timings)
         checkpoint(token)
-        cons = self.constraints(parsed)
-        try:
-            return self.verify(self.solve(cons, token), token)
-        except CheckCancelled:
-            # Leave no trace: the store recording sink attached by the
-            # constraints stage must not survive a cancelled check.
-            self.workspace._store_abort(cons)
-            raise
+        return self._check_parsed(parsed, token)
 
     def check_program(self, program: ast.Program) -> CheckResult:
         """Run the pipeline from stage 3 on an already-parsed program."""
         parsed = ParseStage(source="", filename=program.source_name,
                             program=program, diagnostics=[],
                             timings=StageTimings())
-        return self.verify(self.solve(self.constraints(parsed)))
+        return self._check_parsed(parsed)
+
+    def _check_parsed(self, parsed: ParseStage,
+                      token: Optional[CancelToken] = None) -> CheckResult:
+        """Stages 3-5; input nested too deeply for the checker is an
+        RSC-INT-001 verdict, not a crash."""
+        try:
+            cons = self.constraints(parsed)
+            try:
+                return self.verify(self.solve(cons, token), token)
+            except BaseException:
+                # Leave no trace: the store recording sink attached by the
+                # constraints stage must not survive a cancelled or failed
+                # check.
+                self.workspace._store_abort(cons)
+                raise
+        except RecursionError:
+            self.files_checked += 1
+            return CheckResult(
+                diagnostics=[nesting_too_deep(parsed.filename)],
+                time_seconds=parsed.timings.total,
+                filename=parsed.filename, timings=parsed.timings)
 
     def check_file(self, path: PathLike,
                    token: Optional[CancelToken] = None) -> CheckResult:

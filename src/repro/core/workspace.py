@@ -79,6 +79,21 @@ from repro.core.subtype import SubtypeSplitter
 from repro.store import ArtifactStore, config_fingerprint, open_store
 
 
+def nesting_too_deep(filename: str) -> Diagnostic:
+    """RSC-INT-001 for an input nested past the interpreter stack.
+
+    The logic-layer traversals are iterative, but the recursive-descent
+    parser and the checker's expression synthesis follow the source's
+    nesting depth; a pathological input must surface as this diagnostic,
+    not as a crash."""
+    return Diagnostic(
+        ErrorKind.INTERNAL,
+        "expression nesting is too deep for the checker "
+        "(interpreter recursion limit reached); flatten the "
+        "expression or split the declaration",
+        SourceSpan(filename=filename), code="RSC-INT-001")
+
+
 # ---------------------------------------------------------------------------
 # stage artifacts
 # ---------------------------------------------------------------------------
@@ -339,19 +354,10 @@ class Workspace:
             self.checks_cancelled += 1
             raise
         except RecursionError:
-            # The logic-layer traversals are iterative, but a pathologically
-            # nested *input* can still exhaust the interpreter stack inside
-            # the parser or the embedding.  Surface a diagnostic instead of
-            # crashing the workspace; nothing is cached for this text.
+            # Nothing is cached for this text.
             self.checks_run += 1
-            diag = Diagnostic(
-                ErrorKind.INTERNAL,
-                "expression nesting is too deep for the checker "
-                "(interpreter recursion limit reached); flatten the "
-                "expression or split the declaration",
-                SourceSpan(filename=document.uri),
-                code="RSC-INT-001")
-            return CheckResult(diagnostics=[diag], filename=document.uri)
+            return CheckResult(diagnostics=[nesting_too_deep(document.uri)],
+                               filename=document.uri)
 
     def _check_document_inner(self, document: Document, text: str,
                               token: Optional[CancelToken] = None
@@ -402,10 +408,10 @@ class Workspace:
                     solved.liquid.stats.declarations_rechecked = len(unit_fps)
                 checkpoint(token)
                 result, outcomes = self._verify(solved, plan, token)
-            except CheckCancelled:
-                # A cancelled check must leave no trace: detach the store
-                # recording sink so nothing is written back and unwind —
-                # the previous snapshot stays current.
+            except BaseException:
+                # A cancelled or failed check must leave no trace: detach
+                # the store recording sink so nothing is written back and
+                # unwind — the previous snapshot stays current.
                 self._store_abort(cons)
                 raise
             snapshot = Snapshot(
@@ -511,15 +517,7 @@ class Workspace:
                 diagnostics.append(Diagnostic(ErrorKind.PARSE, exc.message,
                                               span, code="RSC-PARSE-001"))
             except RecursionError:
-                # The recursive-descent parser follows the source's nesting
-                # depth; pathological inputs must surface as a diagnostic,
-                # not an interpreter crash.
-                diagnostics.append(Diagnostic(
-                    ErrorKind.INTERNAL,
-                    "expression nesting is too deep for the checker "
-                    "(interpreter recursion limit reached); flatten the "
-                    "expression or split the declaration",
-                    SourceSpan(filename=filename), code="RSC-INT-001"))
+                diagnostics.append(nesting_too_deep(filename))
         return ParseStage(source, filename, program, diagnostics, timings)
 
     def ssa(self, parsed: ParseStage) -> SsaStage:
@@ -697,9 +695,9 @@ class Workspace:
         return result, results
 
     def _store_abort(self, cons: ConstraintsStage) -> None:
-        """Cancelled-check store teardown: detach the recording sink and
-        drop the key so neither the solution nor the verdict memos of the
-        aborted check can ever reach the persistent store."""
+        """Cancelled- or failed-check store teardown: detach the recording
+        sink and drop the key so neither the solution nor the verdict memos
+        of the aborted check can ever reach the persistent store."""
         if cons.store_recorded is not None:
             self.solver.stop_recording(cons.store_recorded)
         cons.store_recorded = None

@@ -20,7 +20,8 @@ options (they never touch the pipeline).
 
 Every load that fails to decode counts as a miss and the artifact is
 recomputed — the store can serve wrong-version, truncated or corrupted
-bytes and the worst case is a cold check.
+bytes and the worst case is a cold check.  Every save that fails to
+encode is dropped, like a backend write error.
 """
 
 from __future__ import annotations
@@ -167,8 +168,14 @@ class ArtifactStore:
         if self.readonly:
             return
         with trace_span("store.put", "store", kind=kind) as sp:
-            written = self.backend.put(kind, key,
-                                       codec.encode_entry(kind, data))
+            try:
+                payload = codec.encode_entry(kind, data)
+            except (CodecError, RecursionError):
+                # A write the codec cannot express is a dropped write, the
+                # same as a backend write error: the check goes on.
+                sp.note(written=False, encode_error=True)
+                return
+            written = self.backend.put(kind, key, payload)
             sp.note(written=written)
         if written:
             self.writes += 1

@@ -9,17 +9,38 @@ Three artifact kinds cross process boundaries (see :mod:`repro.store`):
 * **module artifacts** — a module's parse outcome: interface summary,
   raw import declarations and parse diagnostics.
 
-Formulas are encoded as tagged JSON arrays, one tag per
-:mod:`repro.logic.terms` node, and decode back to the *identical* frozen
-dataclass values (same hash, same equality) — that exactness is what lets a
-decoded memo hit the solver cache and a decoded solution replay to a
-byte-identical verdict.
+Formulas are stored as one **node table per entry**: every distinct
+(hash-consed) term the entry holds is one row, written in post-order, so a
+term shared by many verdict memos or qualifiers is written — and decoded —
+once.  A row is a tagged JSON array, one tag per :mod:`repro.logic.terms`
+node::
+
+    ["v", name, sort]           ["i", int]    ["b", bool]    ["s", str]
+    ["a", fn, [arg, ...], sort] ["f", target, name, sort]
+    ["o", op, left, right, sort]
+    ["u", op, operand, sort]    ["t", cond, then, els, sort]
+
+where every child (``arg``, ``target``, ``left`` ...) is the integer index
+of an earlier row.  A verdicts entry is ``{"nodes": rows, "pairs":
+[[row, "sat"|"unsat"], ...]}``; a solutions entry is ``{"nodes": rows,
+"kappas": {kappa: [row, ...]}}``.  The encoder is an iterative walk keyed on
+the interned term (no depth limit); the decoder is one forward loop that
+builds each row's term once, through the interning constructors, so it
+decodes back to the *identical* frozen dataclass values (same object, same
+hash) — that exactness is what lets a decoded memo hit the solver cache and
+a decoded solution replay to a byte-identical verdict.
+
+**The reference rule.**  A reference must be an ``int`` (not a ``bool``)
+with ``0 <= ref < k`` inside row ``k``, and ``0 <= ref < len(rows)`` in a
+pair or a qualifier list.  That makes cycles, forward references and
+out-of-range roots unwritable.  Module artifacts hold no terms and are plain
+JSON objects.
 
 Every persisted entry is wrapped in an envelope carrying
 :data:`STORE_SCHEMA`; decoding anything malformed — truncated payloads,
 garbage bytes, entries written by a different schema version, unknown tags
-or result values — raises :class:`CodecError`, which the store treats as a
-cache miss (recompute, never crash, never a wrong verdict).
+or result values, bad references — raises :class:`CodecError`, which the
+store treats as a cache miss (recompute, never crash, never a wrong verdict).
 """
 
 from __future__ import annotations
@@ -41,6 +62,7 @@ from repro.logic.terms import (
     StrLit,
     UnOp,
     Var,
+    children,
 )
 from repro.smt.solver import Result
 
@@ -51,8 +73,11 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep the store package
 
 #: Version stamp of every on-disk entry.  Bump whenever the encoding of any
 #: artifact kind changes shape or meaning; old entries then decode as misses
-#: and are recomputed (and overwritten) instead of being misread.
-STORE_SCHEMA = 1
+#: and are recomputed (and overwritten) instead of being misread.  The stamp
+#: is also folded into ``config_fingerprint``, so the document keys move with
+#: it.  Schema 2: verdicts and solutions as one node table per entry
+#: (schema 1 wrote one JSON tree per term).
+STORE_SCHEMA = 2
 
 
 class CodecError(ValueError):
@@ -60,12 +85,12 @@ class CodecError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# formulas
+# formulas: the node table
 # ---------------------------------------------------------------------------
 
 
-def encode_expr(expr: Expr) -> list:
-    """One logic term as a tagged JSON array (exact round trip)."""
+def _row(expr: Expr, index: Dict[Expr, int]) -> list:
+    """One node as a table row; its children are already in ``index``."""
     if isinstance(expr, Var):
         return ["v", expr.name, expr.sort.name]
     if isinstance(expr, IntLit):
@@ -75,19 +100,49 @@ def encode_expr(expr: Expr) -> list:
     if isinstance(expr, StrLit):
         return ["s", expr.value]
     if isinstance(expr, App):
-        return ["a", expr.fn, [encode_expr(arg) for arg in expr.args],
+        return ["a", expr.fn, [index[arg] for arg in expr.args],
                 expr.sort.name]
     if isinstance(expr, Field):
-        return ["f", encode_expr(expr.target), expr.name, expr.sort.name]
+        return ["f", index[expr.target], expr.name, expr.sort.name]
     if isinstance(expr, BinOp):
-        return ["o", expr.op, encode_expr(expr.left),
-                encode_expr(expr.right), expr.sort.name]
+        return ["o", expr.op, index[expr.left], index[expr.right],
+                expr.sort.name]
     if isinstance(expr, UnOp):
-        return ["u", expr.op, encode_expr(expr.operand), expr.sort.name]
+        return ["u", expr.op, index[expr.operand], expr.sort.name]
     if isinstance(expr, Ite):
-        return ["t", encode_expr(expr.cond), encode_expr(expr.then),
-                encode_expr(expr.els), expr.sort.name]
+        return ["t", index[expr.cond], index[expr.then], index[expr.els],
+                expr.sort.name]
     raise CodecError(f"cannot encode expression node {type(expr).__name__}")
+
+
+class NodeTable:
+    """The encoder's side of one entry: every distinct term it holds, once.
+
+    Terms are hash-consed, so the index is keyed on the interned term
+    itself (an O(1) hash and an identity comparison per probe)."""
+
+    def __init__(self) -> None:
+        self.rows: list = []
+        self._index: Dict[Expr, int] = {}
+
+    def add(self, root: Expr) -> int:
+        """The row of ``root``, appending every node of it not yet in the
+        table in post-order (an explicit stack: no depth limit)."""
+        index = self._index
+        stack = [(root, False)]
+        while stack:
+            expr, expanded = stack.pop()
+            if expr in index:
+                continue
+            if expanded:
+                index[expr] = len(self.rows)
+                self.rows.append(_row(expr, index))
+                continue
+            stack.append((expr, True))
+            stack.extend((child, False)
+                         for child in reversed(children(expr))
+                         if child not in index)
+        return index[root]
 
 
 def _sort(name) -> Sort:
@@ -96,63 +151,101 @@ def _sort(name) -> Sort:
     return sort_named(name)
 
 
+def _ref(nodes: List[Expr], ref) -> Expr:
+    """The node ``ref`` names: an ``int`` (not a ``bool``) below the current
+    row — which is what makes cycles and forward references unwritable."""
+    if type(ref) is not int or not 0 <= ref < len(nodes):
+        raise CodecError(f"bad node reference {ref!r} "
+                         f"(table has {len(nodes)} rows so far)")
+    return nodes[ref]
+
+
+def decode_table(rows) -> List[Expr]:
+    """Build every row's term once, in order; :class:`CodecError` on garbage.
+
+    Row ``k`` may only reference rows ``0 .. k-1``, so ``nodes`` holds
+    exactly the rows a reference may name when it is resolved."""
+    if not isinstance(rows, list):
+        raise CodecError("node table must be a list")
+    nodes: List[Expr] = []
+    for row in rows:
+        if not isinstance(row, list) or not row:
+            raise CodecError(f"node row {len(nodes)} must be a tagged "
+                             f"array, got {row!r}")
+        tag = row[0]
+        try:
+            if tag == "v":
+                _, name, sort = row
+                if not isinstance(name, str):
+                    raise CodecError("Var name must be a string")
+                expr = Var(name, _sort(sort))
+            elif tag == "i":
+                _, value = row
+                # bool is an int subclass; IntLit(True) would not round-trip.
+                if type(value) is not int:
+                    raise CodecError("IntLit value must be an integer")
+                expr = IntLit(value)
+            elif tag == "b":
+                _, value = row
+                if not isinstance(value, bool):
+                    raise CodecError("BoolLit value must be a boolean")
+                expr = BoolLit(value)
+            elif tag == "s":
+                _, value = row
+                if not isinstance(value, str):
+                    raise CodecError("StrLit value must be a string")
+                expr = StrLit(value)
+            elif tag == "a":
+                _, fn, args, sort = row
+                if not isinstance(fn, str) or not isinstance(args, list):
+                    raise CodecError("App needs a function name and an "
+                                     "argument list")
+                expr = App(fn, tuple(_ref(nodes, arg) for arg in args),
+                           _sort(sort))
+            elif tag == "f":
+                _, target, name, sort = row
+                if not isinstance(name, str):
+                    raise CodecError("Field name must be a string")
+                expr = Field(_ref(nodes, target), name, _sort(sort))
+            elif tag == "o":
+                _, op, left, right, sort = row
+                if not isinstance(op, str):
+                    raise CodecError("BinOp operator must be a string")
+                expr = BinOp(op, _ref(nodes, left), _ref(nodes, right),
+                             _sort(sort))
+            elif tag == "u":
+                _, op, operand, sort = row
+                if not isinstance(op, str):
+                    raise CodecError("UnOp operator must be a string")
+                expr = UnOp(op, _ref(nodes, operand), _sort(sort))
+            elif tag == "t":
+                _, cond, then, els, sort = row
+                expr = Ite(_ref(nodes, cond), _ref(nodes, then),
+                           _ref(nodes, els), _sort(sort))
+            else:
+                raise CodecError(f"unknown expression tag {tag!r}")
+        except CodecError:
+            raise
+        except ValueError as exc:
+            # Arity mismatches surface as unpacking ValueErrors.
+            raise CodecError(f"malformed {tag!r} row: {exc}") from exc
+        nodes.append(expr)
+    return nodes
+
+
+def encode_expr(expr: Expr) -> list:
+    """One term as its own node table (the root is the last row)."""
+    table = NodeTable()
+    table.add(expr)
+    return table.rows
+
+
 def decode_expr(obj) -> Expr:
     """The inverse of :func:`encode_expr`; :class:`CodecError` on garbage."""
-    if not isinstance(obj, list) or not obj:
-        raise CodecError(f"expression must be a tagged array, got {obj!r}")
-    tag = obj[0]
-    try:
-        if tag == "v":
-            _, name, sort = obj
-            if not isinstance(name, str):
-                raise CodecError("Var name must be a string")
-            return Var(name, _sort(sort))
-        if tag == "i":
-            _, value = obj
-            # bool is an int subclass; an IntLit(True) would not round-trip.
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise CodecError("IntLit value must be an integer")
-            return IntLit(value)
-        if tag == "b":
-            _, value = obj
-            if not isinstance(value, bool):
-                raise CodecError("BoolLit value must be a boolean")
-            return BoolLit(value)
-        if tag == "s":
-            _, value = obj
-            if not isinstance(value, str):
-                raise CodecError("StrLit value must be a string")
-            return StrLit(value)
-        if tag == "a":
-            _, fn, args, sort = obj
-            if not isinstance(fn, str) or not isinstance(args, list):
-                raise CodecError("App needs a function name and an arg list")
-            return App(fn, tuple(decode_expr(arg) for arg in args),
-                       _sort(sort))
-        if tag == "f":
-            _, target, name, sort = obj
-            if not isinstance(name, str):
-                raise CodecError("Field name must be a string")
-            return Field(decode_expr(target), name, _sort(sort))
-        if tag == "o":
-            _, op, left, right, sort = obj
-            if not isinstance(op, str):
-                raise CodecError("BinOp operator must be a string")
-            return BinOp(op, decode_expr(left), decode_expr(right),
-                         _sort(sort))
-        if tag == "u":
-            _, op, operand, sort = obj
-            if not isinstance(op, str):
-                raise CodecError("UnOp operator must be a string")
-            return UnOp(op, decode_expr(operand), _sort(sort))
-        if tag == "t":
-            _, cond, then, els, sort = obj
-            return Ite(decode_expr(cond), decode_expr(then),
-                       decode_expr(els), _sort(sort))
-    except ValueError as exc:
-        # Arity mismatches surface as unpacking ValueErrors.
-        raise CodecError(f"malformed {tag!r} node: {exc}") from exc
-    raise CodecError(f"unknown expression tag {tag!r}")
+    nodes = decode_table(obj)
+    if not nodes:
+        raise CodecError("empty node table has no root")
+    return nodes[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -160,40 +253,53 @@ def decode_expr(obj) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def encode_verdicts(pairs: Iterable[Tuple[Expr, Result]]) -> list:
-    return [[encode_expr(formula), result.value] for formula, result in pairs]
+def encode_verdicts(pairs: Iterable[Tuple[Expr, Result]]) -> dict:
+    table = NodeTable()
+    encoded = [[table.add(formula), result.value] for formula, result in pairs]
+    return {"nodes": table.rows, "pairs": encoded}
 
 
 def decode_verdicts(obj) -> List[Tuple[Expr, Result]]:
-    if not isinstance(obj, list):
-        raise CodecError("verdict memos must be a list")
+    if not isinstance(obj, dict):
+        raise CodecError("verdict memos must be an object")
+    nodes = decode_table(obj.get("nodes"))
+    raw_pairs = obj.get("pairs")
+    if not isinstance(raw_pairs, list):
+        raise CodecError("verdict pairs must be a list")
     pairs: List[Tuple[Expr, Result]] = []
-    for item in obj:
+    for item in raw_pairs:
         if not isinstance(item, list) or len(item) != 2:
             raise CodecError(f"verdict memo must be a pair, got {item!r}")
-        encoded, value = item
+        ref, value = item
         try:
             result = Result(value)
         except ValueError as exc:
             raise CodecError(f"unknown verdict {value!r}") from exc
-        if result is not Result.UNKNOWN:  # older stores hold give-ups
-            pairs.append((decode_expr(encoded), result))
+        formula = _ref(nodes, ref)
+        if result is not Result.UNKNOWN:  # a give-up is never replayed
+            pairs.append((formula, result))
     return pairs
 
 
 def encode_solution(solution: Dict[str, List[Expr]]) -> dict:
-    return {kappa: [encode_expr(q) for q in quals]
-            for kappa, quals in solution.items()}
+    table = NodeTable()
+    kappas = {kappa: [table.add(q) for q in quals]
+              for kappa, quals in solution.items()}
+    return {"nodes": table.rows, "kappas": kappas}
 
 
 def decode_solution(obj) -> Dict[str, List[Expr]]:
     if not isinstance(obj, dict):
         raise CodecError("kappa solution must be an object")
+    nodes = decode_table(obj.get("nodes"))
+    kappas = obj.get("kappas")
+    if not isinstance(kappas, dict):
+        raise CodecError("kappa solution needs a kappa object")
     solution: Dict[str, List[Expr]] = {}
-    for kappa, quals in obj.items():
-        if not isinstance(kappa, str) or not isinstance(quals, list):
+    for kappa, refs in kappas.items():
+        if not isinstance(kappa, str) or not isinstance(refs, list):
             raise CodecError(f"malformed solution entry for {kappa!r}")
-        solution[kappa] = [decode_expr(q) for q in quals]
+        solution[kappa] = [_ref(nodes, ref) for ref in refs]
     return solution
 
 

@@ -62,6 +62,28 @@ class TestExitCodes:
         assert main([safe_file]) == EXIT_OK
 
 
+class TestDeepExpression:
+    """A 600-term sum overflows the checker's recursion: RSC-INT-001 and
+    the internal-error exit code, never a traceback, store or no store."""
+
+    @pytest.mark.parametrize("with_store", [False, True],
+                             ids=["no-store", "store"])
+    def test_deep_sum_is_a_diagnostic(self, tmp_path, capsys, with_store):
+        path = tmp_path / "deep.rsc"
+        path.write_text("spec f :: (x: number) => number;\n"
+                        "function f(x) { var y = x" + " + 1" * 599
+                        + "; return y; }\n")
+        store = tmp_path / "store"
+        argv = ["check", str(path)]
+        if with_store:
+            argv += ["--store", str(store)]
+        assert main(argv) == EXIT_USAGE
+        assert "RSC-INT-001" in capsys.readouterr().out
+        # Nothing of the failed check is persisted.
+        assert not (store / "verdicts").exists()
+        assert not (store / "solutions").exists()
+
+
 class TestTextOutput:
     def test_verdict_not_duplicated(self, safe_file, capsys):
         """The old CLI printed `name: SAFE (SAFE: ...)`; the status must

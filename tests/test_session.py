@@ -208,3 +208,55 @@ class TestCheckProgram:
         result = Session().check_program(program)
         assert result.ok
         assert result.filename == "wrapped.rsc"
+
+
+#: A function body whose one expression is a 600-term left-nested sum: past
+#: the interpreter's recursion limit in the checker's expression synthesis.
+DEEP_SUM_SOURCE = ("spec f :: (x: number) => number;\n"
+                   "function f(x) { var y = x" + " + 1" * 599
+                   + "; return y; }\n")
+
+
+class TestDeepExpressions:
+    def _assert_too_deep(self, result, filename):
+        assert not result.ok
+        [diag] = result.diagnostics
+        assert diag.code == "RSC-INT-001"
+        assert "too deep" in diag.message
+        assert result.filename == filename
+
+    def test_check_source_reports_too_deep(self):
+        session = Session()
+        result = session.check_source(DEEP_SUM_SOURCE, "deep.rsc")
+        self._assert_too_deep(result, "deep.rsc")
+        assert session.files_checked == 1
+        # The shared solver stays usable.
+        assert session.check_source(SAFE_SOURCE, "safe.rsc").ok
+
+    def test_check_program_reports_too_deep(self):
+        from repro.lang import parse_program
+        program = parse_program(DEEP_SUM_SOURCE, "deep.rsc")
+        self._assert_too_deep(Session().check_program(program), "deep.rsc")
+
+    def test_nothing_from_the_failed_check_is_stored(self, tmp_path):
+        session = Session(CheckConfig(store_path=str(tmp_path)))
+        self._assert_too_deep(
+            session.check_source(DEEP_SUM_SOURCE, "deep.rsc"), "deep.rsc")
+        assert session.solver._recorders == []
+        assert session.store.stats().total_entries == 0
+        assert session.check_source(SAFE_SOURCE, "safe.rsc").ok
+        assert session.store.stats().total_entries == 2
+
+    def test_failure_after_constraints_detaches_the_store_sink(
+            self, tmp_path, monkeypatch):
+        from repro.core.liquid.fixpoint import LiquidSolver
+
+        def overflow(*args, **kwargs):
+            raise RecursionError("injected solve overflow")
+
+        session = Session(CheckConfig(store_path=str(tmp_path)))
+        monkeypatch.setattr(LiquidSolver, "solve", overflow)
+        self._assert_too_deep(session.check_source(SAFE_SOURCE, "a.rsc"),
+                              "a.rsc")
+        assert session.solver._recorders == []
+        assert session.store.stats().total_entries == 0

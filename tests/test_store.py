@@ -2,10 +2,11 @@
 registry, keying and configuration."""
 
 import json
+import pathlib
 
 import pytest
 
-from repro import CheckConfig
+from repro import CheckConfig, Session, bench
 from repro.core.config import SolverOptions
 from repro.errors import Diagnostic, ErrorKind, Severity, SourceSpan
 from repro.logic.sorts import BOOL, INT, STR
@@ -19,6 +20,7 @@ from repro.store import (
     ModuleArtifact,
     STORE_SCHEMA,
     available_store_backends,
+    codec,
     config_fingerprint,
     create_store_backend,
     default_store_path,
@@ -27,7 +29,8 @@ from repro.store import (
 )
 from repro.store.codec import (decode_entry, decode_expr, decode_module,
                                decode_solution, decode_verdicts, encode_entry,
-                               encode_expr, encode_module)
+                               encode_expr, encode_module, encode_solution,
+                               encode_verdicts)
 from repro.project.summary import ModuleSummary
 
 
@@ -48,8 +51,17 @@ class TestExprCodec:
     def test_every_node_type_round_trips_identically(self):
         formula = _deep_formula()
         decoded = decode_expr(encode_expr(formula))
-        assert decoded == formula
+        assert decoded is formula
         assert hash(decoded) == hash(formula)
+
+    def test_shared_subterms_are_one_row(self):
+        x = Var("x", INT)
+        shared = BinOp("+", x, IntLit(1), INT)
+        rows = encode_expr(BinOp("<", shared, shared, BOOL))
+        # x, 1, x + 1, (x + 1) < (x + 1): each distinct node once, children
+        # before their parents, the root last.
+        assert rows == [["v", "x", "Int"], ["i", 1], ["o", "+", 0, 1, "Int"],
+                        ["o", "<", 2, 2, "Bool"]]
 
     def test_atoms_round_trip(self):
         for expr in (Var("v", STR), IntLit(-7), BoolLit(True), StrLit("")):
@@ -58,12 +70,12 @@ class TestExprCodec:
     def test_bool_is_not_an_intlit(self):
         # bool subclasses int; a smuggled true must not decode as IntLit(1).
         with pytest.raises(CodecError):
-            decode_expr(["i", True])
+            decode_expr([["i", True]])
 
     @pytest.mark.parametrize("garbage", [
-        None, 42, "x", [], ["zz", 1], ["v", 7, "Int"], ["i", "7"],
-        ["b", 1], ["s", 0], ["a", "f"], ["o", "+", ["i", 1]],
-        ["t", ["b", True], ["i", 1]],
+        None, 42, "x", [], [["zz", 1]], [["v", 7, "Int"]], [["i", "7"]],
+        [["b", 1]], [["s", 0]], [["a", "f"]], [["i", 1], ["o", "+", 0]],
+        [["b", True], ["i", 1], ["t", 0, 1]],
     ])
     def test_garbage_raises_codec_error(self, garbage):
         with pytest.raises(CodecError):
@@ -78,19 +90,118 @@ class TestVerdictAndSolutionCodec:
                  (Var("p", BOOL), Result.SAT),
                  (IntLit(3), Result.UNKNOWN)]
         assert decode_verdicts(json.loads(json.dumps(
-            [[encode_expr(f), r.value] for f, r in pairs]))) == pairs[:2]
+            encode_verdicts(pairs)))) == pairs[:2]
 
     def test_unknown_result_value_rejected(self):
         with pytest.raises(CodecError):
-            decode_verdicts([[encode_expr(IntLit(1)), "maybe"]])
+            decode_verdicts({"nodes": [["i", 1]], "pairs": [[0, "maybe"]]})
 
     def test_solution_round_trips_qualifier_order(self):
         solution = {"k_1": [BinOp("<=", IntLit(0), Var("v", INT), BOOL),
                             BinOp("<", Var("v", INT), IntLit(9), BOOL)],
                     "k_2": []}
-        encoded = json.loads(json.dumps(
-            {k: [encode_expr(q) for q in qs] for k, qs in solution.items()}))
+        encoded = json.loads(json.dumps(encode_solution(solution)))
         assert decode_solution(encoded) == solution
+
+
+PROGRAMS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "programs"
+
+
+def _entry(kind: str, data, schema: int = STORE_SCHEMA) -> bytes:
+    return json.dumps({"schema": schema, "kind": kind,
+                       "data": data}).encode()
+
+
+class TestNodeTable:
+    @pytest.mark.parametrize("name", bench.BENCHMARKS)
+    def test_cold_check_artifacts_round_trip_identically(self, name):
+        """What a cold check of each port persists comes back as the very
+        interned objects it recorded, in the recorded order."""
+        session = Session(CheckConfig())
+        recorded = {}
+        session.solver.record_queries(recorded)
+        result = session.check_source((PROGRAMS / f"{name}.rsc").read_text(),
+                                      filename=f"{name}.rsc")
+        session.solver.stop_recording(recorded)
+        assert recorded and result.kappa_solution
+
+        pairs = list(recorded.items())
+        decoded = decode_entry("verdicts", encode_entry("verdicts", pairs))
+        assert len(decoded) == len(pairs)
+        assert all(got is want and got_r is want_r
+                   for (got, got_r), (want, want_r) in zip(decoded, pairs))
+
+        solution = result.kappa_solution
+        back = decode_entry("solutions", encode_entry("solutions", solution))
+        # The envelope sorts object keys, so kappas come back sorted;
+        # each kappa's qualifiers keep their order.
+        assert list(back) == sorted(solution)
+        for kappa, quals in solution.items():
+            assert len(back[kappa]) == len(quals)
+            assert all(got is want for got, want in zip(back[kappa], quals))
+
+    def test_deep_term_round_trips(self, tmp_path):
+        term = IntLit(0)
+        for i in range(5000):
+            term = BinOp("+", term, Var(f"v{i % 7}", INT), INT)
+        pairs = [(BinOp("<=", IntLit(0), term, BOOL), Result.UNSAT)]
+        [(formula, result)] = decode_entry(
+            "verdicts", encode_entry("verdicts", pairs))
+        assert formula is pairs[0][0] and result is Result.UNSAT
+        back = decode_entry("solutions",
+                            encode_entry("solutions", {"k": [term]}))
+        assert back["k"][0] is term
+        store = open_store(CheckConfig(store_path=str(tmp_path)))
+        store.save_solution("d" * 64, {"k": [term]})
+        assert store.writes == 1
+        assert store.load_solution("d" * 64)["k"][0] is term
+
+    @pytest.mark.parametrize("nodes,pairs", [
+        ([["o", "+", 1, 1, "Int"], ["i", 1]], [[0, "sat"]]),   # forward
+        ([["i", 1], ["o", "+", 0, 1, "Int"]], [[1, "sat"]]),   # self
+        ([["i", 1], ["i", 2], ["u", "-", True, "Int"]],
+         [[2, "sat"]]),                                        # bool index
+        ([["i", 1], ["u", "-", -1, "Int"]], [[1, "sat"]]),     # negative
+        ([["i", 1]], [[1, "sat"]]),                            # root range
+        ([["i", 1]], [[-1, "sat"]]),                           # negative root
+        ([["i", 1]], [[False, "sat"]]),                        # bool root
+        ([["i", 1], "i"], [[0, "sat"]]),                       # non-list row
+        ([["i", 1], ["a", "f", [0, 2], "Int"]], [[1, "sat"]]),  # arg range
+        ([["i", 1], ["u", "-", 1.0, "Int"]], [[1, "sat"]]),    # float index
+    ], ids=["forward", "self", "bool-index", "negative-index",
+            "root-out-of-range", "negative-root", "bool-root",
+            "non-list-row", "arg-out-of-range", "float-index"])
+    def test_malformed_table_is_a_miss(self, tmp_path, nodes, pairs):
+        data = {"nodes": nodes, "pairs": pairs}
+        # The decoder itself rejects it (not the envelope's catch-all).
+        with pytest.raises(CodecError):
+            decode_verdicts(data)
+        payload = _entry("verdicts", data)
+        store = open_store(CheckConfig(store_path=str(tmp_path)))
+        key = "e" * 64
+        assert store.backend.put("verdicts", key, payload)
+        assert store.load_verdicts(key) is None
+        assert store.counters() == {"hits": 0, "misses": 1, "writes": 0}
+
+    def test_malformed_solution_reference_is_a_miss(self, tmp_path):
+        payload = _entry("solutions",
+                         {"nodes": [["b", True]], "kappas": {"k": [0, 1]}})
+        store = open_store(CheckConfig(store_path=str(tmp_path)))
+        store.backend.put("solutions", "f" * 64, payload)
+        assert store.load_solution("f" * 64) is None
+        assert store.misses == 1
+
+    def test_schema_1_tree_entry_is_a_miss(self, tmp_path):
+        """An entry in the previous per-term tree format, under its own
+        schema stamp, is never misread as a node table."""
+        tree = [[["o", "<=", ["i", 0], ["v", "x", "Int"], "Bool"], "unsat"]]
+        payload = _entry("verdicts", tree, schema=1)
+        with pytest.raises(CodecError):
+            decode_entry("verdicts", payload)
+        store = open_store(CheckConfig(store_path=str(tmp_path)))
+        store.backend.put("verdicts", "a" * 64, payload)
+        assert store.load_verdicts("a" * 64) is None
+        assert store.misses == 1
 
 
 class TestEntryEnvelope:
@@ -115,7 +226,8 @@ class TestEntryEnvelope:
 
     @pytest.mark.parametrize("payload", [
         b"", b"garbage", b"{", b"[1,2,3]", b'{"schema":1}',
-        b'\x00\xff\xfe', encode_entry("verdicts", [])[:-10],
+        b'\x00\xff\xfe', b'{"data":[],"kind":"verdicts","',
+        encode_entry("verdicts", [])[:-10],
     ])
     def test_truncated_or_garbage_bytes(self, payload):
         with pytest.raises(CodecError):
@@ -370,6 +482,23 @@ class TestArtifactStoreRobustness:
         obj["schema"] = STORE_SCHEMA + 1
         path.write_text(json.dumps(obj))
         assert store.load_solution(key) is None
+
+    def test_unencodable_save_is_a_dropped_write(self, tmp_path):
+        store = open_store(CheckConfig(store_path=str(tmp_path)))
+        store.save_solution("a" * 64, {"k": [object()]})
+        assert store.writes == 0
+        assert store.stats().total_entries == 0
+
+    def test_encoder_recursion_is_a_dropped_write(self, tmp_path,
+                                                  monkeypatch):
+        def overflow(kind, data):
+            raise RecursionError("injected encoder overflow")
+
+        monkeypatch.setattr(codec, "encode_entry", overflow)
+        store = open_store(CheckConfig(store_path=str(tmp_path)))
+        store.save_verdicts("b" * 64, [(Var("p", BOOL), Result.UNSAT)])
+        assert store.writes == 0
+        assert store.stats().total_entries == 0
 
     def test_hit_and_counter_accounting(self, tmp_path):
         store = open_store(CheckConfig(store_path=str(tmp_path)))
