@@ -540,7 +540,9 @@ def smt(names: Optional[Sequence[str]] = None) -> List[Row]:
             return result, {"theory_checks": stats.theory_checks,
                             "contexts_created": stats.contexts_created,
                             "contexts_reused": stats.contexts_reused,
-                            "lemmas_reused": stats.lemmas_reused}
+                            "lemmas_reused": stats.lemmas_reused,
+                            "euf_terms_added": stats.euf_terms_added,
+                            "linearize_calls": stats.linearize_calls}
         return run
     return _compare("smt", _inputs(names),
                     [("/fresh", engine("fresh")),

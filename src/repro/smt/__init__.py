@@ -16,11 +16,15 @@ scratch:
 * :mod:`repro.smt.bvmask`   — the constant bit-mask bit-vector fragment used
                               by the tsc interface-hierarchy benchmark,
 * :mod:`repro.smt.theory`   — Nelson–Oppen-style combination of the theories,
-                              returning an explained unsat core per conflict,
+                              returning an explained unsat core per conflict;
+                              a model is checked as a root theory state plus
+                              its own literals,
 * :mod:`repro.smt.context`  — persistent assumption-based contexts: one
                               long-lived SAT solver per hypothesis
                               environment, goals checked under selector
                               assumptions, learned/theory clauses retained,
+                              one root theory state for the hypotheses
+                              fixed at decision level 0,
 * :mod:`repro.smt.solver`   — the lazy-SMT loop and the public ``Solver``
                               facade (``is_valid`` / ``is_satisfiable``),
                               routing implications through contexts when

@@ -37,6 +37,13 @@ every clause mentioning it is permanently satisfied and
 :meth:`repro.smt.sat.SatSolver.compact` can drop it.  Theory checks are
 restricted to the *active* atoms (hypotheses plus the current goal): retired
 goals' atoms are unconstrained and would only enlarge cores.
+
+Theory checks do not start from scratch either.  The hypothesis literals
+that the SAT solver fixes at decision level 0 hold in every model of the
+context, so the context keeps one :class:`repro.smt.theory.RootState` for
+them: their congruence closure and LIA rows are built by the first theory
+check and every later model adds only its other literals on top (see
+:mod:`repro.smt.theory`).  A reset drops the root state with the SAT solver.
 """
 
 from __future__ import annotations
@@ -48,7 +55,8 @@ from repro.logic.simplify import simplify
 from repro.logic.terms import BoolLit, Expr, neg
 from repro.smt.cnf import AtomMap, collect_atoms, to_nnf, tseitin
 from repro.smt.sat import SatSolver
-from repro.smt.theory import TheoryLiteral, check_with_core
+from repro.smt.theory import (ModelLiterals, RootState, TheoryLiteral,
+                              check_with_core)
 from repro.obs.trace import span as trace_span
 
 #: Retire this many goals before compacting the clause database.
@@ -156,6 +164,12 @@ class SolverContext:
         self._inconsistent = False
         #: lemma-store indices whose blocking clause this context asserted
         self._asserted_cores: Set[int] = set()
+        self._assert_hypotheses()
+        #: made by the first theory loop after each (re)build
+        self._root: Optional[RootState] = None
+        self._root_vars: Tuple[int, ...] = ()
+
+    def _assert_hypotheses(self) -> None:
         antecedent = simplify(self.antecedent)
         if isinstance(antecedent, BoolLit):
             self._inconsistent = not antecedent.value
@@ -171,7 +185,8 @@ class SolverContext:
         self._replay_lemmas(atoms_before, None)
 
     def _reset(self) -> None:
-        """Rebuild the SAT solver from the hypotheses alone.
+        """Rebuild the SAT solver and the root theory state from the
+        hypotheses alone.
 
         Bounds variable growth; the :class:`TheoryLemmaStore` (shared by
         all of the owning solver's contexts) re-supplies discovered theory
@@ -180,6 +195,30 @@ class SolverContext:
         """
         self.resets += 1
         self._build()
+
+    def root_state(self) -> RootState:
+        """The theory state every model of this context shares: the
+        hypothesis literals the SAT solver has fixed at decision level 0,
+        plus the terms of the other hypothesis atoms (every model assigns
+        them).  Made by the first theory loop after each (re)build; its
+        first theory check builds it."""
+        if self._root is None:
+            fixed = {abs(lit): lit > 0 for lit in self.sat.fixed_literals()}
+            root_vars: List[int] = []
+            literals: List[TheoryLiteral] = []
+            others: List[Expr] = []
+            for var in sorted(self._hyp_vars):
+                atom = self.atoms.atom_of(var)
+                if atom is None:
+                    continue
+                if var in fixed:
+                    root_vars.append(var)
+                    literals.append((atom, fixed[var]))
+                else:
+                    others.append(atom)
+            self._root = RootState(literals, others)
+            self._root_vars = tuple(root_vars)
+        return self._root
 
     def _vars_of(self, nnf: Expr) -> Set[int]:
         # collect_atoms is memoised per interned term, so repeat goals cost
@@ -327,19 +366,26 @@ class SolverContext:
         exists), None when the iteration budget runs out or the theory
         gives up.
         """
+        root = self.root_state()
+        root_vars = set(self._root_vars)  # kept as a tuple: it is smaller
         for _ in range(self.max_theory_iterations):
             stats.sat_calls += 1
             if not self.sat.solve(assumptions):
                 return True
             model = self.sat.model()
-            literals: List[TheoryLiteral] = []
+            # The root's literals are fixed at level 0, so every model
+            # holds them; only the rest is checked on top of the root.
+            delta: List[TheoryLiteral] = []
             for var in active:
+                if var in root_vars:
+                    continue
                 value = model.get(var)
                 if value is None:
                     continue
                 atom = self.atoms.atom_of(var)
                 if atom is not None:
-                    literals.append((atom, value))
+                    delta.append((atom, value))
+            literals = ModelLiterals(root, delta)
             litset = frozenset(literals)
             index = self.lemmas.find(litset)
             if index is not None:
@@ -350,6 +396,8 @@ class SolverContext:
             else:
                 stats.theory_checks += 1
                 result = check_with_core(literals)
+                stats.euf_terms_added += result.terms_added
+                stats.linearize_calls += result.linearize_calls
                 if result.satisfiable:
                     # A Fourier–Motzkin give-up is no model: unknown.
                     return None if result.gave_up else False

@@ -27,6 +27,14 @@ re-solving.
 The class also exposes the discovered equivalence classes so that the LIA and
 bit-mask theories can canonicalise their terms by EUF representative (a poor
 man's Nelson–Oppen equality propagation, sufficient for RSC's VCs).
+
+:meth:`CongruenceClosure.copy` snapshots a closure so that the theory layer
+can build the closure of a hypothesis environment once and assert each SAT
+model's remaining literals on a copy (see :mod:`repro.smt.theory`).  Merges
+never rewrite the proof-forest path between two nodes that are already in
+one class, so an explanation computed on the snapshot stays valid on every
+copy whose class of that node was neither relabelled nor given a constant;
+:meth:`CongruenceClosure.class_unchanged` is how the theory layer tells.
 """
 
 from __future__ import annotations
@@ -79,6 +87,29 @@ class CongruenceClosure:
         self._diseqs: List[Tuple[int, int, int]] = []
         #: bitmask of the input literals behind the conflict, if any
         self.conflict: Optional[int] = None
+        #: nodes :meth:`add_term` created in this instance (a copy starts
+        #: from 0)
+        self.terms_added = 0
+
+    def copy(self) -> "CongruenceClosure":
+        """An independent closure in the same state; later assertions on
+        either one leave the other untouched."""
+        other = object.__new__(CongruenceClosure)
+        other._ids = dict(self._ids)
+        other._terms = list(self._terms)
+        other._rep = list(self._rep)
+        other._members = [list(members) for members in self._members]
+        other._const = list(self._const)
+        other._use = [list(parents) for parents in self._use]
+        other._sig = dict(self._sig)
+        other._children = list(self._children)
+        other._labels = list(self._labels)
+        other._proof = list(self._proof)
+        other._reason = list(self._reason)
+        other._diseqs = list(self._diseqs)
+        other.conflict = self.conflict
+        other.terms_added = 0
+        return other
 
     # -- term registration --------------------------------------------------
 
@@ -89,6 +120,7 @@ class CongruenceClosure:
             return node
         child_ids = tuple(self.add_term(c) for c in children(e))
         node = len(self._terms)
+        self.terms_added += 1
         self._ids[e] = node
         self._terms.append(e)
         self._rep.append(node)
@@ -263,6 +295,15 @@ class CongruenceClosure:
         # Registering the terms lets congruence fire for queries about terms
         # that were not part of any asserted literal (f(a) = f(b) after a = b).
         return self._rep[self.add_term(a)] == self._rep[self.add_term(b)]
+
+    def class_unchanged(self, rep: int,
+                        snapshot: "CongruenceClosure") -> bool:
+        """Is ``rep``, a representative in ``snapshot`` (this closure or one
+        it was copied from), still the representative of its class, with
+        the constant it had there?  If so, the representative, constant and
+        explanations of the class's members in ``snapshot`` still hold."""
+        return (self._rep[rep] == rep
+                and self._const[rep] == snapshot._const[rep])
 
     def representative(self, e: Expr) -> int:
         """The class representative id for ``e`` (registering it if needed)."""

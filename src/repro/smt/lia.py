@@ -82,7 +82,7 @@ def _seed(value: "int | Fraction") -> "int | Fraction":
     return Fraction(value)
 
 
-@dataclass
+@dataclass(slots=True)
 class LinExpr:
     """A linear expression ``sum(coeffs[k] * k) + const`` over variable keys.
 

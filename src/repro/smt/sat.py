@@ -211,6 +211,15 @@ class SatSolver:
         self._backtrack(0)
         return False
 
+    def fixed_literals(self) -> List[int]:
+        """The literals assigned at decision level 0, in trail order.
+
+        They hold in every model of the current clause set: clauses added
+        later can only extend this prefix of the trail (or make the solver
+        unsatisfiable), and no search ever retracts it."""
+        end = self._trail_lim[0] if self._trail_lim else len(self._trail)
+        return self._trail[:end]
+
     def model(self) -> Dict[int, bool]:
         """The satisfying assignment found by the last successful solve()."""
         return {v: val for v, val in self._assign.items() if val is not None}

@@ -62,6 +62,12 @@ class SolverStats:
     contexts_reused: int = 0
     clauses_learned: int = 0
     lemmas_reused: int = 0
+    #: congruence-closure nodes created by theory checks (and, in
+    #: incremental mode, by building each context's root theory state)
+    euf_terms_added: int = 0
+    #: top-level ``linearize`` calls made by theory checks (two per
+    #: arithmetic literal linearised; reused root rows cost none)
+    linearize_calls: int = 0
     time_seconds: float = 0.0
 
     def merge(self, other: "SolverStats") -> None:
@@ -77,6 +83,8 @@ class SolverStats:
         self.contexts_reused += other.contexts_reused
         self.clauses_learned += other.clauses_learned
         self.lemmas_reused += other.lemmas_reused
+        self.euf_terms_added += other.euf_terms_added
+        self.linearize_calls += other.linearize_calls
         self.time_seconds += other.time_seconds
 
     def copy(self) -> "SolverStats":
@@ -103,6 +111,8 @@ class SolverStats:
             "contexts_reused": self.contexts_reused,
             "clauses_learned": self.clauses_learned,
             "lemmas_reused": self.lemmas_reused,
+            "euf_terms_added": self.euf_terms_added,
+            "linearize_calls": self.linearize_calls,
             "time_seconds": self.time_seconds,
         }
 
@@ -349,6 +359,8 @@ class Solver:
                         literals.append((atom, value))
                 self.stats.theory_checks += 1
                 result = check_with_core(literals)
+                self.stats.euf_terms_added += result.terms_added
+                self.stats.linearize_calls += result.linearize_calls
                 if result.satisfiable:
                     if result.gave_up:
                         self.stats.giveups += 1

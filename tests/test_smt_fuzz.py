@@ -500,6 +500,197 @@ def test_lemma_store_shared_across_contexts():
 
 
 # ---------------------------------------------------------------------------
+# root theory state: a context's level-0 literals checked once, each model
+# as root + delta
+# ---------------------------------------------------------------------------
+
+
+def random_literals(rng: random.Random, count: int) -> List[Tuple[Expr, bool]]:
+    gen = FormulaGen(rng)
+    return [(gen.atom(), rng.random() < 0.5) for _ in range(count)]
+
+
+def same_answer(left, right) -> bool:
+    return (left.satisfiable, left.gave_up) == (right.satisfiable,
+                                               right.gave_up)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_root_plus_delta_matches_check_with_core(seed):
+    """Seeded literal sets split into a root and deltas.  Root + delta
+    answers as ``check_with_core`` on the whole list, from an empty root;
+    without pre-registered atoms the core is the same too.  Every core is
+    an unsat subset under the brute-force oracle.  A run of deltas over
+    one root state answers exactly as each delta on a root of its own, so
+    no model leaks state into the next."""
+    from repro.smt.theory import ModelLiterals, RootState, check_with_core
+
+    rng = random.Random(7000 + seed)
+    root_lits = random_literals(rng, rng.randint(0, 5))
+    deltas = [random_literals(rng, rng.randint(0, 4)) for _ in range(4)]
+    # The atoms a context pre-registers: those of its other hypotheses.
+    atoms = [atom for atom, _ in random_literals(rng, rng.randint(0, 3))]
+    shared = RootState(root_lits)
+    shared_with_atoms = RootState(root_lits, atoms)
+    for delta in deltas:
+        scratch = check_with_core(root_lits + delta)
+        for root in (shared, shared_with_atoms):
+            result = check_with_core(ModelLiterals(root, delta))
+            assert same_answer(result, scratch), (root_lits, delta)
+            alone = RootState(root.literals, root.atoms).check(delta)
+            assert (alone.satisfiable, alone.core, alone.gave_up) == \
+                (result.satisfiable, result.core, result.gave_up)
+            if not result.satisfiable:
+                assert set(result.core) <= set(root_lits + delta)
+                assert not literals_satisfiable(result.core), result.core
+        assert check_with_core(ModelLiterals(shared, delta)).core == scratch.core
+
+
+def _le(a: Expr, b: Expr) -> Expr:
+    return BinOp("<=", a, b, BOOL)
+
+
+def _eq(a: Expr, b: Expr) -> Expr:
+    return BinOp("=", a, b, BOOL)
+
+
+X, Y, Z = Var("x", INT), Var("y", INT), Var("z", INT)
+
+
+def test_delta_merging_root_classes_relinearises_their_rows():
+    """A delta that merges two classes a root row reads makes the row
+    dirty: reusing its old linear form would miss ``x + 1 <= x``."""
+    from repro.smt.theory import RootState, check_with_core
+
+    root_lits = [(_le(BinOp("+", X, IntLit(1), INT), Y), True)]
+    root = RootState(root_lits)
+    built = root.check([])
+    assert built.satisfiable and built.linearize_calls == 2
+    untouched = root.check([(_le(IntLit(0), Z), True)])
+    assert untouched.satisfiable
+    assert untouched.linearize_calls == 2  # the delta row only
+    merged = root.check([(_eq(X, Y), True)])
+    assert not merged.satisfiable
+    assert merged.linearize_calls == 4  # the delta row and the dirty row
+    assert set(merged.core) == set(root_lits + [(_eq(X, Y), True)])
+    assert not check_with_core(root_lits + [(_eq(X, Y), True)]).satisfiable
+
+
+def test_delta_pinning_a_constant_under_a_nonlinear_root_term():
+    """Root ``x*y <= 5, x >= 2``; the delta ``y = 3`` pins ``y``, so the
+    opaque product becomes ``3x`` and the model is unsat, as it is when
+    checked from scratch."""
+    from repro.smt.theory import RootState, check_with_core
+
+    root_lits = [(_le(BinOp("*", X, Y, INT), IntLit(5)), True),
+                 (BinOp(">=", X, IntLit(2), BOOL), True)]
+    delta = [(_eq(Y, IntLit(3)), True)]
+    root = RootState(root_lits)
+    assert root.check([]).satisfiable
+    assert not check_with_core(root_lits + delta).satisfiable
+    result = root.check(delta)
+    assert not result.satisfiable
+    assert set(result.core) == set(root_lits + delta)
+    # y = 4 pins it too; y = x is a merge with no constant: still sat.
+    assert not root.check([(_eq(Y, IntLit(4)), True)]).satisfiable
+    assert root.check([(_eq(Y, X), True)]).satisfiable
+
+
+def test_delta_conflict_leaves_the_root_untouched():
+    """A delta whose congruence closure conflicts is checked on a copy:
+    the root closure, rows and answers for the next model are as before."""
+    from repro.smt.theory import RootState
+
+    f = lambda t: App("f", (t,), INT)
+    root = RootState([(_eq(X, Y), True),
+                      (_le(f(X), IntLit(3)), True)], [_eq(f(Y), Z)])
+    first = root.check([])
+    assert first.satisfiable and first.terms_added > 0
+    snapshot = (list(root.cc._rep), list(root.cc._proof), root.cc.conflict,
+                [row.leqs for row in root.rows])
+    conflict = root.check([(_eq(f(X), f(Y)), False)])
+    assert not conflict.satisfiable
+    assert set(conflict.core) == {(_eq(X, Y), True), (_eq(f(X), f(Y)), False)}
+    assert snapshot == (list(root.cc._rep), list(root.cc._proof),
+                        root.cc.conflict, [row.leqs for row in root.rows])
+    after = root.check([(_eq(f(Y), IntLit(3)), True)])
+    assert after.satisfiable
+    assert after.terms_added == 0  # f(y) and 3 were registered by the root
+    assert not root.check([(_le(IntLit(4), f(Y)), True)]).satisfiable
+
+
+def test_root_inconsistent_environment():
+    """A root whose own literals conflict refutes every model with a core
+    of root literals, at the theory level and through a context."""
+    from repro.smt.theory import RootState
+
+    root_lits = [(_eq(X, IntLit(1)), True), (_eq(X, IntLit(2)), True)]
+    root = RootState(root_lits)
+    for delta in ([], [(_le(Z, IntLit(0)), True)], [(_eq(Y, Z), False)]):
+        result = root.check(delta)
+        assert not result.satisfiable
+        assert set(result.core) == set(root_lits)
+    falsum = RootState([(BoolLit(True), False), (_eq(X, Y), True)])
+    assert falsum.check([(_eq(X, Y), False)]).core == [(BoolLit(True), False)]
+
+    hyps = [atom for atom, _ in root_lits]
+    goals = [_le(Z, IntLit(0)), BinOp("<", X, X, BOOL)]
+    assert incremental_solver().check_implication_batch(hyps, goals) == \
+        fresh_solver().check_implication_batch(hyps, goals) == [True, True]
+
+
+def test_context_root_is_the_level_zero_hypotheses():
+    """A context's root holds the hypothesis literals fixed at level 0, in
+    polarity; the disjunction's atoms are only registered."""
+    from repro.logic.terms import conj
+
+    p, q = Var("p", BOOL), Var("q", BOOL)
+    hyps = [_le(X, Y), UnOp("!", _eq(Y, Z), BOOL), BinOp("||", p, q, BOOL)]
+    solver = incremental_solver()
+    assert solver.check_implication_batch(hyps, [_le(X, Z)]) == [False]
+    ctx = solver.contexts.context_for(conj(*hyps), solver.stats)
+    root = ctx.root_state()
+    assert set(root.literals) == {(_le(X, Y), True), (_eq(Y, Z), False)}
+    assert set(root.atoms) == {p, q}
+    fixed = ctx.sat.fixed_literals()
+    assert len(fixed) >= 2 and all(lit in fixed for lit in
+                                   (ctx.atoms.atom_to_var[_le(X, Y)],
+                                    -ctx.atoms.atom_to_var[_eq(Y, Z)]))
+
+
+def test_work_counters_reach_stats_and_json(tmp_path, capsys):
+    """``euf_terms_added`` and ``linearize_calls`` are solver counters:
+    merged, dumped by ``to_dict`` and printed by ``check --format json``;
+    the root state makes the incremental engine do less of both."""
+    import json
+
+    from repro.__main__ import main
+
+    gen = FormulaGen(random.Random(6000))
+    hyps, goals = gen.batch()
+    fresh, incremental = fresh_solver(), incremental_solver()
+    assert fresh.check_implication_batch(hyps, goals) == \
+        incremental.check_implication_batch(hyps, goals)
+    assert fresh.stats.euf_terms_added > 0 and fresh.stats.linearize_calls > 0
+    both = fresh.stats.copy()
+    both.merge(incremental.stats)
+    assert both.euf_terms_added == (fresh.stats.euf_terms_added
+                                    + incremental.stats.euf_terms_added)
+    assert both.to_dict()["linearize_calls"] == (
+        fresh.stats.linearize_calls + incremental.stats.linearize_calls)
+
+    source = tmp_path / "bound.rsc"
+    source.write_text("function abs(x: number): {v: number | 0 <= v} {\n"
+                      "  if (x < 0) { return 0 - x; }\n"
+                      "  return x;\n"
+                      "}\n")
+    assert main(["check", "--format", "json", str(source)]) == 0
+    stats = json.loads(capsys.readouterr().out)["files"][0]["solver_stats"]
+    assert stats["theory_checks"] > 0
+    assert stats["euf_terms_added"] > 0 and stats["linearize_calls"] > 0
+
+
+# ---------------------------------------------------------------------------
 # context-layer unit tests (selector retirement, compaction, resets)
 # ---------------------------------------------------------------------------
 
@@ -569,6 +760,17 @@ def test_context_reset_preserves_verdicts(monkeypatch):
         __import__("repro.logic.terms", fromlist=["conj"]).conj(*hyps),
         churn.stats)
     assert ctx.resets > 0, "the var cap should have forced at least one reset"
+
+    # A reset drops the root theory state with the SAT solver; the next
+    # theory check builds a new one from the rebuilt solver's level-0 trail.
+    root = ctx.root_state()
+    assert ctx.root_state() is root
+    ctx._reset()
+    rebuilt = ctx.root_state()
+    assert rebuilt is not root and rebuilt.cc is None
+    assert rebuilt.literals == root.literals
+    assert rebuilt.check([]).satisfiable == root.check([]).satisfiable
+    assert rebuilt.cc is not None
 
 
 def test_compaction_happens_across_a_long_batch():
