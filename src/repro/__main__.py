@@ -7,16 +7,14 @@ Subcommands:
   diagnostics with stable error codes; ``--jobs N`` checks in parallel.
 * ``bench [FAMILY ...]`` — regenerate the paper's evaluation tables and
   the other bench families (edit replay, engine comparisons, serve load,
-  cache fleet, tracing overhead) into one ``bench-report.json``.
+  tracing overhead) into one ``bench-report.json``.
 * ``serve`` — a newline-delimited JSON check/update/diagnostics/shutdown
   loop over stdin/stdout backed by an incremental workspace.
 * ``watch FILES...`` — re-check files on mtime change, printing per-edit
   timing deltas.
-* ``cache stats|gc|clear|serve|shutdown`` — inspect, maintain and serve
-  the persistent artifact store (``--store PATH``, the ``REPRO_STORE``
-  environment variable, or the XDG default ``~/.cache/repro/store``).
-  ``cache serve --tcp`` runs the fleet cache server; the admin actions
-  also accept ``--store remote://host:port`` to manage one remotely.
+* ``cache stats|gc|clear`` — inspect and maintain the persistent artifact
+  store (``--store PATH``, the ``REPRO_STORE`` environment variable, or
+  the XDG default ``~/.cache/repro/store``).
 * ``trace summarize|merge|validate FILES...`` — post-process the Chrome
   trace-event files written by ``check --trace`` / ``REPRO_TRACE``.
 * ``explain CODE`` — describe a diagnostic code (e.g. ``RSC-SUB-003``).
@@ -100,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("families", nargs="*", metavar="FAMILY",
                        help="families to run, in order (default: all of "
                             "figure6 figure7 incremental modules smt store "
-                            "serve cache obs speed)")
+                            "serve obs speed)")
     bench.add_argument("--only", metavar="NAME", action="append",
                        help="restrict every family to the named benchmark "
                             "port(s)")
@@ -142,46 +140,18 @@ def build_parser() -> argparse.ArgumentParser:
     _workspace_flags(watchp)
 
     cache = sub.add_parser(
-        "cache", help="inspect, maintain and serve the persistent "
-                      "artifact store")
-    cache.add_argument("action",
-                       choices=("stats", "gc", "clear", "serve", "shutdown"),
+        "cache", help="inspect and maintain the persistent artifact store")
+    cache.add_argument("action", choices=("stats", "gc", "clear"),
                        help="stats: entry counts and bytes per artifact "
                             "kind; gc: evict oldest entries down to "
-                            "--max-bytes; clear: delete every entry; "
-                            "serve: run the TCP cache server over a local "
-                            "store; shutdown: stop a running cache server "
-                            "(--store remote://host:port)")
+                            "--max-bytes; clear: delete every entry")
     cache.add_argument("--store", metavar="PATH", default=None,
-                       help="store location: a path, remote://host:port or "
-                            "tiered://PATH?remote=host:port (default: "
-                            "$REPRO_STORE, then the XDG cache path "
-                            "~/.cache/repro/store)")
+                       help="store directory (default: $REPRO_STORE, then "
+                            "the XDG cache path ~/.cache/repro/store)")
     cache.add_argument("--max-bytes", type=int, default=None, metavar="N",
                        help="gc: target size in bytes (default: 256 MiB)")
     cache.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (default: text)")
-    cache.add_argument("--tcp", action="store_true",
-                       help="serve: required flag confirming the TCP "
-                            "listener (mirrors `repro serve --tcp`)")
-    cache.add_argument("--host", default="127.0.0.1", metavar="HOST",
-                       help="serve: TCP bind address (default: 127.0.0.1)")
-    cache.add_argument("--port", type=int, default=0, metavar="PORT",
-                       help="serve: TCP port (default: 0 = ephemeral; the "
-                            "bound port is printed as a JSON line on "
-                            "startup)")
-    cache.add_argument("--fault-drop", type=int, default=0, metavar="N",
-                       help="serve: drop every Nth data response (fault "
-                            "injection for degradation testing; 0 = off)")
-    cache.add_argument("--fault-delay", type=int, default=0, metavar="N",
-                       help="serve: delay every Nth data response (0 = off)")
-    cache.add_argument("--fault-delay-seconds", type=float, default=0.05,
-                       metavar="S",
-                       help="serve: how long a --fault-delay response "
-                            "sleeps (default: 0.05)")
-    cache.add_argument("--fault-corrupt", type=int, default=0, metavar="N",
-                       help="serve: corrupt every Nth get-hit payload "
-                            "(0 = off)")
 
     trace = sub.add_parser(
         "trace", help="summarize, merge and validate exported Chrome "
@@ -191,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="summarize: per-subsystem / per-stage / "
                             "per-module / per-tenant breakdown tables; "
                             "merge: combine several per-process traces "
-                            "(a fleet's REPRO_TRACE dumps) into one; "
+                            "(per-pid REPRO_TRACE dumps) into one; "
                             "validate: check the trace-event schema")
     trace.add_argument("files", nargs="+",
                        help="trace JSON files (merge accepts several)")
@@ -343,28 +313,19 @@ def _metrics_section(results, solver_stats, store) -> dict:
         if result.timings is not None:
             for stage in STAGES:
                 timings.record(stage, getattr(result.timings, stage))
-    backend = None
-    if store is not None and hasattr(store.backend, "counters"):
-        backend = store.backend.counters()
     registry = registry_from_stats(
         timings=timings, solver=solver_stats,
-        store=store.counters() if store is not None else None,
-        backend=backend)
+        store=store.counters() if store is not None else None)
     return registry.to_dict()
 
 
 def _store_section(session) -> Optional[dict]:
     """The ``"store"`` block of the JSON report: this process's cache
-    traffic plus, for networked backends, their degradation counters —
-    how a fleet worker proves (or a bench asserts) it ran warm or ran
-    degraded."""
+    traffic — how a re-check proves it ran warm."""
     store = session.store
     if store is None:
         return None
-    section = dict(store.counters())
-    if hasattr(store.backend, "counters"):
-        section["backend"] = store.backend.counters()
-    return section
+    return store.counters()
 
 
 def _check_project_dir(root: str, config: CheckConfig,
@@ -457,52 +418,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     import os
-    from repro.store import (ArtifactStore, StoreUnavailableError,
-                             default_store_path, resolve_store_backend)
+    from repro.store import (ArtifactStore, LocalStoreBackend,
+                             default_store_path)
     path = (args.store or os.environ.get("REPRO_STORE")
             or default_store_path())
-    if args.action == "serve":
-        if not args.tcp:
-            print("repro: cache serve requires --tcp", file=sys.stderr)
-            return EXIT_USAGE
-        if "://" in path:
-            print(f"repro: cache serve needs a local store path, not "
-                  f"{path!r} (the server owns the store it fronts)",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        from repro.store.server import FaultPlan, run_store_server
-        faults = None
-        if args.fault_drop or args.fault_delay or args.fault_corrupt:
-            faults = FaultPlan(drop_every=args.fault_drop,
-                               delay_every=args.fault_delay,
-                               corrupt_every=args.fault_corrupt,
-                               delay_seconds=args.fault_delay_seconds)
-        return run_store_server(path, host=args.host, port=args.port,
-                                faults=faults)
     try:
-        store = ArtifactStore(resolve_store_backend(path))
-        if args.action == "shutdown":
-            backend = store.backend
-            if not hasattr(backend, "shutdown"):
-                print(f"repro: cache shutdown needs a remote store "
-                      f"(--store remote://host:port), got {path!r}",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            ack = backend.shutdown()
-            if args.format == "json":
-                print(json.dumps({"store": str(path), **ack}, indent=2))
-            else:
-                print(f"store: {path}")
-                print(f"  server stopped after "
-                      f"{ack.get('requests_served', 0)} requests")
-            return EXIT_OK
-        return _cache_admin(args, store, path)
-    except StoreUnavailableError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        store = ArtifactStore(LocalStoreBackend(path))
     except ValueError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return _cache_admin(args, store, path)
 
 
 def _cache_admin(args: argparse.Namespace, store, path: str) -> int:
@@ -511,10 +436,7 @@ def _cache_admin(args: argparse.Namespace, store, path: str) -> int:
         from repro.obs.metrics import registry_from_stats
         stats = store.stats()
         payload = {"store": str(path), **stats.to_dict()}
-        backend = (store.backend.counters()
-                   if hasattr(store.backend, "counters") else None)
-        registry = registry_from_stats(store=store.counters(),
-                                       backend=backend)
+        registry = registry_from_stats(store=store.counters())
         for kind, entry in sorted(stats.kinds.items()):
             registry.counter(f"store.entries.{kind}").value = entry.entries
             registry.counter(f"store.bytes.{kind}").value = entry.bytes
@@ -528,10 +450,6 @@ def _cache_admin(args: argparse.Namespace, store, path: str) -> int:
                       f"{entry.bytes:10d} bytes")
             print(f"  {'total':10s} {stats.total_entries:6d} entries  "
                   f"{stats.total_bytes:10d} bytes")
-            if stats.remote:
-                rendered = "  ".join(f"{k}={v}"
-                                     for k, v in stats.remote.items())
-                print(f"  remote: {rendered}")
         return EXIT_OK
     if args.action == "gc":
         limit = args.max_bytes if args.max_bytes is not None \

@@ -94,14 +94,6 @@ SERVE_BENCHMARKS = ["splay", "d3-arrays", "richards", "transducers"]
 SERVE_CLIENTS = 4
 SERVE_EDIT_RATE = 2.0
 
-#: Fresh worker processes sharing the cache server in ``bench cache``: one
-#: cold worker populates it, the rest must replay with zero SMT work.
-CACHE_WORKERS = 3
-
-#: Fast subset the fault-injection phase replays (the point is exercising
-#: the degraded paths, not re-timing the whole suite).
-FAULT_BENCHMARKS = ["tsc-checker", "d3-arrays"]
-
 #: Fast subset the tracing-overhead measurement replays (the point is the
 #: cost of the tracing seams, not re-timing the whole suite).
 OBS_BENCHMARKS = ["tsc-checker", "navier-stokes"]
@@ -844,128 +836,6 @@ def serve(names: Optional[Sequence[str]] = None) -> List[Row]:
 
 
 # ---------------------------------------------------------------------------
-# shared cache fleet (`repro bench cache`)
-# ---------------------------------------------------------------------------
-
-
-def _cache_worker(name: str, paths: List[str], store_url: str) -> Row:
-    """One fresh ``repro check --format json`` subprocess against the
-    shared server; nothing but the store URL connects it to this process.
-    ``degraded`` counts its remote errors and degraded gets/puts."""
-    import subprocess
-
-    src_dir = str(pathlib.Path(__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_STORE", None)
-    # A fleet run under REPRO_TRACE=dir/ pins the parent's trace id on
-    # every worker, so their per-pid dumps (and this process's own spans)
-    # merge into one trace: `repro trace merge dir/trace-*.json`.
-    from repro.obs.trace import current_trace_id
-    trace_id = current_trace_id()
-    if env.get("REPRO_TRACE") and trace_id and "REPRO_TRACE_ID" not in env:
-        env["REPRO_TRACE_ID"] = trace_id
-    row = Row("cache", name, ok=False)
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "check", "--format", "json",
-         "--store", store_url, *paths],
-        capture_output=True, text=True, env=env, timeout=600)
-    try:
-        if proc.returncode not in (0, 1):
-            raise ValueError(f"exited {proc.returncode}: "
-                             f"{proc.stderr.strip()[:200]}")
-        report = json.loads(proc.stdout)
-    except ValueError as exc:
-        print(f"repro bench cache: worker {name} failed: {exc}",
-              file=sys.stderr)
-        return row
-    stats = report.get("solver_stats") or {}
-    backend = (report.get("store") or {}).get("backend", {})
-    row.counters = {
-        "queries": int(stats.get("queries", 0)),
-        "sat_calls": int(stats.get("sat_calls", 0)),
-        "giveups": int(stats.get("giveups", 0)),
-        "degraded": sum(int(backend.get(key, 0)) for key in
-                        ("remote_errors", "degraded_gets", "degraded_puts")),
-    }
-    row.seconds = float(report.get("time_seconds", 0.0))
-    row.ok = bool(report.get("ok"))
-    row.digest = digest(files_verdict(
-        [f["file"], [f.get("diagnostics", []), f.get("kappas", {})]]
-        for f in report.get("files", [])))
-    return row
-
-
-def cache(names: Optional[Sequence[str]] = None) -> List[Row]:
-    """Run the shared-cache fleet scenario end to end.
-
-    ``fleet`` is the reference: every port checked by one fresh in-process
-    session without a store.  A cache server over a throwaway store then
-    serves ``fleet/cold`` (populates it) and ``fleet/warm-N``
-    (:data:`CACHE_WORKERS` ``- 1`` concurrent fresh processes, which must
-    replay with zero queries and SAT searches).  ``fault`` repeats this
-    for two workers over a fast subset against a server that drops every
-    3rd, delays every 4th and corrupts every 5th data response: verdicts
-    must not change, and the degradation must be counted.  The ``total``
-    row carries ``extra_sat_calls`` (fleet SAT searches beyond the cold
-    worker's) and the injected and client-counted fault operations.
-    """
-    import shutil
-    import tempfile
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.store.remote import RemoteStoreBackend
-    from repro.store.server import FaultPlan, StoreServer
-    from repro.wire import ServerThread
-
-    def fleet(label: str, paths: List[str], roles: List[str],
-              faults: Optional[FaultPlan] = None) -> Tuple[List[Row], dict]:
-        rows = [_row("cache", label,
-                     Session(CheckConfig()).check_files(paths))]
-        root = tempfile.mkdtemp(prefix=f"repro-bench-{label}-")
-        try:
-            with ServerThread(StoreServer(root=root, faults=faults)) as server:
-                url = f"remote://127.0.0.1:{server.port}"
-                if faults is not None:
-                    url += "?retries=1&timeout=10"
-                cold, warm = roles[0], roles[1:]
-                rows.append(_cache_worker(f"{label}/{cold}", paths, url))
-                with ThreadPoolExecutor(max_workers=len(warm)) as pool:
-                    rows.extend(pool.map(
-                        lambda role: _cache_worker(f"{label}/{role}",
-                                                   paths, url), warm))
-                probe = RemoteStoreBackend(f"127.0.0.1:{server.port}")
-                served = probe.ping()
-                probe.shutdown()
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-        return rows, served
-
-    inputs = dict(_inputs(names))
-    paths = [str(path) for path in inputs.values()]
-    fault_paths = [str(inputs[name]) for name in FAULT_BENCHMARKS
-                   if name in inputs] or paths[:1]
-    rows, served = fleet("fleet", paths, ["cold"] + [
-        f"warm-{i}" for i in range(1, CACHE_WORKERS)])
-    fault_rows, fault_served = fleet(
-        "fault", fault_paths, ["cold", "warm"],
-        FaultPlan(drop_every=3, delay_every=4, corrupt_every=5,
-                  delay_seconds=0.02))
-    injected = fault_served.get("faults") or {}
-    workers = [row for row in rows if "/" in row.name]
-    return rows + fault_rows + [Row("cache", "total", counters={
-        "requests_served": int(served.get("requests_served", 0)),
-        "extra_sat_calls": (sum(row.counters.get("sat_calls", 0)
-                                for row in workers)
-                            - workers[0].counters.get("sat_calls", 0)),
-        "injected_ops": sum(int(injected.get(key, 0)) for key in
-                            ("dropped", "delayed", "corrupted")),
-        "degraded_ops": sum(row.counters.get("degraded", 0)
-                            for row in fault_rows),
-    })]
-
-
-# ---------------------------------------------------------------------------
 # one report, one table renderer, one gate
 # ---------------------------------------------------------------------------
 
@@ -978,7 +848,6 @@ FAMILIES: Dict[str, Callable[[Optional[Sequence[str]]], List[Row]]] = {
     "smt": smt,
     "store": store,
     "serve": serve,
-    "cache": cache,
     "obs": obs,
     "speed": speed,
 }

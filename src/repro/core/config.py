@@ -12,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
+from repro.smt.solver import DEFAULT_SMT_MODE
+from repro.store.local import store_root
+
 #: Qualifier-pool selections understood by :class:`CheckConfig`.
 QUALIFIER_SETS: Tuple[str, ...] = ("default", "harvested")
 
@@ -165,11 +168,9 @@ class CheckConfig:
     * ``document_cache_limit`` — how many content-hash snapshots each open
       document keeps (bounds workspace memory; the most recent snapshot is
       always retained).
-    * ``store_path`` — root of the persistent content-addressed artifact
-      store (:mod:`repro.store`); ``None`` (the default) disables it.  A
-      plain path is a local directory; ``"remote://host:port"`` uses a
-      shared cache server and ``"tiered://PATH?remote=host:port"`` a local
-      directory in front of one.
+    * ``store_path`` — directory of the persistent content-addressed
+      artifact store (:mod:`repro.store`); ``None`` (the default) disables
+      it.  ``"local://PATH"`` means ``PATH``; any other scheme is rejected.
     * ``store_mode`` — ``"readwrite"`` (the default: load artifacts and
       write back finished checks), ``"readonly"`` (load only) or ``"off"``
       (ignore ``store_path``).
@@ -183,7 +184,7 @@ class CheckConfig:
     fixpoint_strategy: str = "worklist"
     warnings_as_errors: bool = False
     qualifier_set: str = "default"
-    smt_mode: str = "incremental"
+    smt_mode: str = DEFAULT_SMT_MODE
     solver: SolverOptions = field(default_factory=SolverOptions)
     output_format: str = "text"
     jobs: int = 1
@@ -221,6 +222,8 @@ class CheckConfig:
             raise ValueError(
                 f"unknown store_mode {self.store_mode!r} "
                 f"(expected one of {', '.join(STORE_MODES)})")
+        if self.store_path is not None:
+            store_root(self.store_path)
 
     def with_options(self, **changes) -> "CheckConfig":
         """A copy of this config with the given fields replaced."""

@@ -165,14 +165,13 @@ class MetricsRegistry:
 
 
 def registry_from_stats(timings=None, solve=None, solver=None,
-                        store: Optional[dict] = None,
-                        backend: Optional[dict] = None) -> MetricsRegistry:
+                        store: Optional[dict] = None) -> MetricsRegistry:
     """Build a registry from the four existing stats carriers.
 
     ``timings`` is a :class:`~repro.core.result.StageTimings`, ``solve`` a
     :class:`~repro.core.result.SolveStats`, ``solver`` a
-    :class:`~repro.smt.solver.SolverStats`; ``store``/``backend`` are the
-    counter dicts the artifact store and its networked backend expose.
+    :class:`~repro.smt.solver.SolverStats`; ``store`` is the counter dict
+    the artifact store exposes.
     """
     registry = MetricsRegistry()
     if timings is not None:
@@ -185,6 +184,4 @@ def registry_from_stats(timings=None, solve=None, solver=None,
         registry.load("smt", solver.to_dict())
     if store:
         registry.load("store", store)
-    if backend:
-        registry.load("store.backend", backend)
     return registry

@@ -5,8 +5,8 @@ These back the ``repro trace`` CLI:
 * :func:`validate_trace` checks a document against the Chrome trace-event
   shape this repo emits (``repro-trace/1``): complete events only, integer
   microsecond timestamps, well-formed ``args``.
-* :func:`merge_traces` combines documents from many processes (a bench
-  fleet, ``--jobs`` workers) into one — timestamps are wall-aligned at
+* :func:`merge_traces` combines documents from many processes (``--jobs``
+  workers, say) into one — timestamps are wall-aligned at
   emit time, so merging is concatenation plus a deterministic re-sort and
   a re-bounding of the combined slow-query log.
 * :func:`summarize` aggregates a document into per-subsystem, per-stage,

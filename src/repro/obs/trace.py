@@ -20,11 +20,11 @@ Enabling:
   and exports on exit),
 * the ``REPRO_TRACE`` environment variable — any process that imports this
   module with it set starts tracing and dumps on interpreter exit, which is
-  how subprocess fleets (``repro bench cache`` workers) produce traces
-  without code changes.  A value ending in ``/`` (or naming an existing
-  directory) writes one ``trace-<pid>.json`` per process into it, ready
-  for ``repro trace merge``.  ``REPRO_TRACE_ID`` pins the trace id so all
-  fleet members share one.
+  how subprocesses (``--jobs`` workers, perfbench children) produce
+  traces without code changes.  A value ending in ``/`` (or naming an
+  existing directory) writes one ``trace-<pid>.json`` per process into
+  it, ready for ``repro trace merge``.  ``REPRO_TRACE_ID`` pins the trace
+  id so all those processes share one.
 
 Timestamps are microseconds on the wall clock (a per-process monotonic
 reading shifted by the wall offset captured at enable time), so events
@@ -301,7 +301,7 @@ def span(name: str, cat: str = "app", **args: Any):
 
 def current_trace_id() -> Optional[str]:
     """The active trace id, or ``None`` when tracing is disabled —
-    what rides the serve/store protocol envelopes."""
+    what rides the serve protocol envelope."""
     t = _TRACER
     return t.trace_id if t.enabled else None
 

@@ -5,11 +5,11 @@ Every method the check service speaks is declared **once**, in
 :class:`repro.wire.MethodSpec` entries binding the method name to its
 params dataclass, its result payload dataclass and the protocol version
 that introduced it.  The envelopes and the registry helpers
-(:func:`repro.wire.spec_for`, :func:`repro.wire.decode_request`, ...) are
-shared with the cache server's protocol in :mod:`repro.wire`.  The stdio server,
-the asyncio socket server, the synchronous client and the rendered method
-docs (:func:`describe_methods`) all consult the same registry, so a method
-cannot exist half-way: adding one here is what adds it everywhere.
+(:func:`repro.wire.spec_for`, :func:`repro.wire.decode_request`, ...) live
+in :mod:`repro.wire`.  The stdio server, the asyncio socket server, the
+synchronous client and the rendered method docs (:func:`describe_methods`)
+all consult the same registry, so a method cannot exist half-way: adding
+one here is what adds it everywhere.
 
 Versioning
 ----------

@@ -24,8 +24,8 @@ needed beyond the thread-safe cancellation token itself.
 
 The line loop, the listener and the background-thread host
 (:class:`repro.wire.ServerThread`, used by tests and ``repro bench
-serve``) are shared with the cache server (:mod:`repro.wire`);
-:func:`run_server` is the blocking CLI entry point.
+serve``) live in :mod:`repro.wire`; :func:`run_server` is the blocking
+CLI entry point.
 """
 
 from __future__ import annotations

@@ -36,6 +36,10 @@ from repro.obs.trace import span as trace_span
 #: :data:`repro.core.config.SMT_MODES` for :class:`CheckConfig` validation).
 SMT_MODES = ("incremental", "fresh")
 
+#: The engine a :class:`Solver` and a :class:`repro.core.config.CheckConfig`
+#: use unless told otherwise.
+DEFAULT_SMT_MODE = "incremental"
+
 
 class Result(Enum):
     SAT = "sat"
@@ -122,14 +126,14 @@ class Solver:
 
     ``smt_mode`` selects how implication batches are discharged:
 
-    * ``"fresh"`` (the constructor default, and the historical behaviour) —
-      every query builds its own CNF and SAT solver;
-    * ``"incremental"`` — implication queries are routed through persistent
-      assumption-based :class:`repro.smt.context.SolverContext` objects,
-      one per hypothesis environment, kept in an LRU of
-      ``context_cache_limit`` entries (see :mod:`repro.smt.context`).
-      Sessions default to this mode via
-      :attr:`repro.core.config.CheckConfig.smt_mode`.
+    * ``"incremental"`` (the default, :data:`DEFAULT_SMT_MODE`, shared with
+      :attr:`repro.core.config.CheckConfig.smt_mode`) — implication queries
+      are routed through persistent assumption-based
+      :class:`repro.smt.context.SolverContext` objects, one per hypothesis
+      environment, kept in an LRU of ``context_cache_limit`` entries (see
+      :mod:`repro.smt.context`);
+    * ``"fresh"`` (the historical behaviour, kept as the reference) —
+      every query builds its own CNF and SAT solver.
 
     Verdicts are identical in both modes (asserted by the differential fuzz
     suite, and by the shared verdict digest of the ``NAME`` and
@@ -146,7 +150,7 @@ class Solver:
     def __init__(self, max_theory_iterations: int = 5000,
                  cache_results: bool = True,
                  cache_size_limit: int = 200_000,
-                 smt_mode: str = "fresh",
+                 smt_mode: str = DEFAULT_SMT_MODE,
                  context_cache_limit: int = 64) -> None:
         if smt_mode not in SMT_MODES:
             raise ValueError(f"unknown smt_mode {smt_mode!r} "
@@ -390,13 +394,3 @@ class Solver:
             # unlike the incremental engine's persistent contexts.
             self.stats.clauses_learned += sat.num_learned
 
-
-_DEFAULT_SOLVER: Optional[Solver] = None
-
-
-def default_solver() -> Solver:
-    """A process-wide solver instance (keeps cumulative statistics)."""
-    global _DEFAULT_SOLVER
-    if _DEFAULT_SOLVER is None:
-        _DEFAULT_SOLVER = Solver()
-    return _DEFAULT_SOLVER

@@ -36,13 +36,9 @@ from repro.logic.terms import Expr
 from repro.obs.trace import span as trace_span
 from repro.smt.solver import Result
 from repro.store import codec
-from repro.store.backend import (
-    GcResult,
-    StoreBackend,
-    StoreStats,
-    create_store_backend,
-)
+from repro.store.backend import GcResult, StoreBackend, StoreStats
 from repro.store.codec import STORE_SCHEMA, CodecError, ModuleArtifact
+from repro.store.local import LocalStoreBackend
 
 #: Artifact kind names (the first path component under the store root).
 MODULES = "modules"
@@ -181,26 +177,12 @@ class ArtifactStore:
             self.writes += 1
 
 
-def resolve_store_backend(path: str) -> StoreBackend:
-    """Resolve a ``store_path`` string to a backend instance.
-
-    ``path`` may carry a backend scheme (``"remote://host:port"`` resolves
-    the ``"remote"`` factory from the registry, ``"tiered://dir?remote=..."``
-    the ``"tiered"`` one); a plain path means the ``"local"`` filesystem
-    backend.
-    """
-    name, sep, rest = path.partition("://")
-    if sep:
-        return create_store_backend(name, root=rest)
-    return create_store_backend("local", root=path)
-
-
 def open_store(config) -> Optional[ArtifactStore]:
     """The store a :class:`CheckConfig` selects, or ``None`` for no store."""
     if config.store_path is None or config.store_mode == "off":
         return None
-    backend = resolve_store_backend(config.store_path)
-    return ArtifactStore(backend, readonly=config.store_mode == "readonly")
+    return ArtifactStore(LocalStoreBackend(config.store_path),
+                         readonly=config.store_mode == "readonly")
 
 
 # Re-exported for callers that build ModuleArtifacts (the module graph).
@@ -215,5 +197,4 @@ __all__ = [
     "config_fingerprint",
     "default_store_path",
     "open_store",
-    "resolve_store_backend",
 ]

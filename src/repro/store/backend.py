@@ -1,28 +1,20 @@
-"""The pluggable artifact-store seam.
+"""The artifact-store seam.
 
 The checking pipeline only ever talks to the store through the narrow
-byte-oriented surface below, captured as a runtime-checkable protocol, and
-backends are registered by name in a process-wide registry keyed by the
-``store_path`` scheme.  Three are registered (:mod:`repro.store`):
-
-* a plain path (or ``local://PATH``) —
-  :class:`repro.store.local.LocalStoreBackend`, sharded files on disk;
-* ``remote://host:port`` — :class:`repro.store.remote.RemoteStoreBackend`,
-  a client of a cache server (``repro cache serve --tcp``);
-* ``tiered://PATH?remote=host:port`` —
-  :class:`repro.store.tiered.TieredStoreBackend`, a local store in front of
-  a cache server.
+byte-oriented surface below, captured as a runtime-checkable protocol and
+implemented by :class:`repro.store.local.LocalStoreBackend` (sharded files
+on disk).
 
 Backends deal in opaque payload bytes — encoding, keying and corruption
 handling live above them in :class:`repro.store.ArtifactStore` — and their
 ``get``/``put`` must be safe under concurrent writers (the local backend
-uses atomic tmp-file + rename; a networked one gets this for free).
+uses atomic tmp-file + rename).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, runtime_checkable
+from typing import Dict, Optional, Protocol, runtime_checkable
 
 
 @dataclass(frozen=True)
@@ -35,15 +27,9 @@ class KindStats:
 
 @dataclass
 class StoreStats:
-    """Per-kind usage of a store, as reported by ``repro cache stats``.
-
-    Networked backends additionally report their degradation counters
-    (remote errors, retries, circuit-breaker trips, ...) in ``remote``;
-    purely local stores leave it ``None`` and it stays out of the JSON.
-    """
+    """Per-kind usage of a store, as reported by ``repro cache stats``."""
 
     kinds: Dict[str, KindStats] = field(default_factory=dict)
-    remote: Optional[dict] = None
 
     @property
     def total_entries(self) -> int:
@@ -54,15 +40,12 @@ class StoreStats:
         return sum(k.bytes for k in self.kinds.values())
 
     def to_dict(self) -> dict:
-        obj = {
+        return {
             "kinds": {name: {"entries": k.entries, "bytes": k.bytes}
                       for name, k in sorted(self.kinds.items())},
             "total_entries": self.total_entries,
             "total_bytes": self.total_bytes,
         }
-        if self.remote is not None:
-            obj["remote"] = self.remote
-        return obj
 
 
 @dataclass
@@ -106,29 +89,3 @@ class StoreBackend(Protocol):
         """Drop every entry, returning how many were removed."""
         ...
 
-
-StoreBackendFactory = Callable[..., StoreBackend]
-
-_REGISTRY: Dict[str, StoreBackendFactory] = {}
-
-
-def register_store_backend(name: str, factory: StoreBackendFactory) -> None:
-    """Register (or replace) a store backend factory under ``name``."""
-    _REGISTRY[name] = factory
-
-
-def available_store_backends() -> List[str]:
-    return sorted(_REGISTRY)
-
-
-def create_store_backend(name: str = "local", **options) -> StoreBackend:
-    """Instantiate the named backend (``root=`` plus backend options)."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        schemes = ", ".join(f"{scheme}://"
-                            for scheme in available_store_backends())
-        raise ValueError(
-            f"unknown store backend {name!r} "
-            f"(registered schemes: {schemes})") from None
-    return factory(**options)

@@ -13,6 +13,10 @@ never break (or slow down by crashing) the check it was accelerating.
 
 ``gc`` evicts oldest-mtime entries first until the store fits the byte
 bound, and sweeps ``*.tmp`` droppings left by crashed writers.
+
+A store path is a directory; ``local://PATH`` means ``PATH``.  Any other
+``scheme://`` path is rejected by :func:`store_root` rather than created
+as a directory named after the scheme.
 """
 
 from __future__ import annotations
@@ -25,13 +29,24 @@ from typing import List, Optional, Tuple
 from repro.store.backend import GcResult, KindStats, StoreStats
 
 
+def store_root(path) -> pathlib.Path:
+    """The directory a store path names; ``ValueError`` for a scheme
+    other than ``local://``."""
+    scheme, sep, rest = str(path).partition("://")
+    if not sep:
+        return pathlib.Path(path)
+    if scheme == "local":
+        return pathlib.Path(rest)
+    raise ValueError(
+        f"unsupported store path {str(path)!r}: the networked stores "
+        f"(remote://, tiered://) were removed; give a local directory")
+
+
 class LocalStoreBackend:
     """Content-addressed entries as sharded files under one root."""
 
-    def __init__(self, root, **_options) -> None:
-        # Unknown options are ignored, not rejected — the same forward
-        # compatibility convention the SMT backend registry uses.
-        self.root = pathlib.Path(root)
+    def __init__(self, root) -> None:
+        self.root = store_root(root)
         self._tmp_counter = itertools.count()
 
     # -- paths -------------------------------------------------------------

@@ -1,33 +1,32 @@
-"""The NDJSON wire layer shared by the check service and the cache server.
+"""The NDJSON wire layer of the check service.
 
-Both servers speak one JSON object per line over TCP (the check service
-also over stdio) with the same envelope::
+The service speaks one JSON object per line, over stdio or TCP, with this
+envelope::
 
     -> {"id": 7, "method": "update", "params": {...}}
     <- {"id": 7, "ok": true,  "result": {...}}
     <- {"id": 8, "ok": false, "error": {"code": "bad-params", "message": "..."}}
 
 This module holds everything about that envelope that does not depend on
-which protocol is spoken: the error class and the strict field helpers, the
+the methods spoken: the error class and the strict field helpers, the
 params/payload codec bases, the method registry (:class:`MethodSpec`,
 :func:`spec_for`, :func:`method_names`), the request/response envelopes,
 the asyncio line loop (:func:`read_requests`), the TCP server skeleton
 (:class:`LineServer`) and its background-thread host
-(:class:`ServerThread`).  A protocol module
-(:mod:`repro.service.protocol`, :mod:`repro.store.protocol`) declares only
-its params and payload classes, its ``METHODS`` registry and its protocol
-identifier; a server declares only its dispatch.
+(:class:`ServerThread`).  The protocol module
+(:mod:`repro.service.protocol`) declares only its params and payload
+classes, its ``METHODS`` registry and its protocol identifiers; the
+servers declare only their dispatch.
 
 Versioning
 ----------
 
-The check service is versioned (``repro-serve/2`` and ``/3``); the cache
-protocol is not.  Every version-taking function here accepts
-``version=None``, meaning "the latest: every method, every field".  A
-method or payload field newer than the requested version is hidden, and
-the ``tenant``/``trace`` envelope fields exist only from
-:data:`ENVELOPE_SINCE` on, so recorded ``repro-serve/2`` transcripts replay
-byte-identically.
+The check service is versioned (``repro-serve/2`` and ``/3``).  Every
+version-taking function here accepts ``version=None``, meaning "the
+latest: every method, every field".  A method or payload field newer than
+the requested version is hidden, and the ``tenant``/``trace`` envelope
+fields exist only from :data:`ENVELOPE_SINCE` on, so recorded
+``repro-serve/2`` transcripts replay byte-identically.
 
 Codecs are unknown-field tolerant in both directions; type errors are
 strict ``bad-params`` errors (``"params.uri must be a string"``).
@@ -43,7 +42,7 @@ from dataclasses import dataclass, fields
 from typing import Any, AsyncIterator, Callable, Dict, Optional, Tuple
 
 #: The serve-protocol version that introduced the ``tenant`` and ``trace``
-#: envelope fields (unversioned protocols always carry them).
+#: envelope fields (``version=None`` always carries them).
 ENVELOPE_SINCE = 3
 
 
@@ -73,14 +72,6 @@ def optional_str(obj: dict, name: str, where: str = "params"
     value = obj.get(name)
     if value is not None and not isinstance(value, str):
         raise ProtocolError("bad-params", f"{where}.{name} must be a string")
-    return value
-
-
-def require_int(obj: dict, name: str) -> int:
-    value = obj.get(name)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ProtocolError(
-            "bad-params", f"params.{name} must be a non-negative integer")
     return value
 
 
@@ -182,7 +173,8 @@ class Request:
     """One decoded request: method + typed params (+ tenant/trace).
 
     ``trace`` carries the client's active trace id (:mod:`repro.obs.trace`)
-    so a fleet's traffic can be stitched into one cross-process trace.
+    so client and server spans can be stitched into one cross-process
+    trace.
     """
 
     method: str
@@ -331,16 +323,15 @@ def line_sender(writer: asyncio.StreamWriter) -> Callable:
 async def read_requests(reader: asyncio.StreamReader, send: Callable,
                         methods: Dict[str, MethodSpec],
                         version: Optional[int] = None,
-                        on_line: Optional[Callable[[], None]] = None,
                         on_object: Optional[Callable[[], None]] = None
                         ) -> AsyncIterator[Request]:
     """Yield every decoded request read from ``reader``.
 
     Blank lines are skipped.  A line that fails to decode is answered
     through ``send`` and skipped; a line over the reader's limit is
-    answered and ends the stream, as does end of input.  ``on_line`` runs
-    for every non-blank line and ``on_object`` for every line that parses
-    as a JSON object, so each server counts requests where it always has.
+    answered and ends the stream, as does end of input.  ``on_object``
+    runs for every line that parses as a JSON object (the service's
+    request counter).
     """
     while True:
         try:
@@ -353,8 +344,6 @@ async def read_requests(reader: asyncio.StreamReader, send: Callable,
         line = raw.decode("utf-8", errors="replace").strip()
         if not line:
             continue
-        if on_line is not None:
-            on_line()
         try:
             obj = parse_line(line)
         except ProtocolError as exc:

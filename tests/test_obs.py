@@ -135,14 +135,12 @@ def test_registry_from_stats_namespaces():
     session.check_source(SAFE, filename="a.rsc")
     registry = registry_from_stats(timings=timings,
                                    solver=session.solver.stats,
-                                   store={"hits": 2},
-                                   backend={"remote_errors": 1})
+                                   store={"hits": 2})
     snap = registry.to_dict()
     assert snap["gauges"]["pipeline.seconds.parse"] == 0.25
     assert "pipeline.seconds.total" in snap["gauges"]
     assert snap["counters"]["smt.queries"] > 0
     assert snap["counters"]["store.hits"] == 2
-    assert snap["counters"]["store.backend.remote_errors"] == 1
 
 
 def test_counter_gauge_primitives():

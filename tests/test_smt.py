@@ -511,13 +511,13 @@ class TestSolverCacheEviction:
         return lt(var("x"), IntLit(i))
 
     def test_cache_never_exceeds_limit(self):
-        solver = Solver(cache_size_limit=8)
+        solver = Solver(smt_mode="fresh", cache_size_limit=8)
         for i in range(40):
             solver.check(self.formula(i))
         assert solver.cache_size == 8
 
     def test_recent_queries_hit_after_saturation(self):
-        solver = Solver(cache_size_limit=8)
+        solver = Solver(smt_mode="fresh", cache_size_limit=8)
         for i in range(40):
             solver.check(self.formula(i))
         hits = solver.stats.cache_hits
@@ -532,7 +532,7 @@ class TestSolverCacheEviction:
         assert solver.stats.queries == queries + 1
 
     def test_lookup_refreshes_recency(self):
-        solver = Solver(cache_size_limit=2)
+        solver = Solver(smt_mode="fresh", cache_size_limit=2)
         a, b, c = self.formula(1), self.formula(2), self.formula(3)
         solver.check(a)
         solver.check(b)
@@ -545,7 +545,7 @@ class TestSolverCacheEviction:
         assert solver.stats.queries == queries + 1, "b should be evicted"
 
     def test_zero_limit_disables_storage(self):
-        solver = Solver(cache_size_limit=0)
+        solver = Solver(smt_mode="fresh", cache_size_limit=0)
         solver.check(self.formula(1))
         solver.check(self.formula(1))
         assert solver.cache_size == 0

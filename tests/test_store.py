@@ -1,5 +1,5 @@
 """Unit tests for the persistent artifact store: codec, local backend,
-registry, keying and configuration."""
+store paths, keying and configuration."""
 
 import json
 import pathlib
@@ -19,13 +19,10 @@ from repro.store import (
     LocalStoreBackend,
     ModuleArtifact,
     STORE_SCHEMA,
-    available_store_backends,
     codec,
     config_fingerprint,
-    create_store_backend,
     default_store_path,
     open_store,
-    register_store_backend,
 )
 from repro.store.codec import (decode_entry, decode_expr, decode_module,
                                decode_solution, decode_verdicts, encode_entry,
@@ -363,37 +360,30 @@ class TestLocalBackend:
         assert backend.stats().total_entries == 0
 
 
-class TestRegistry:
-    def test_local_is_registered(self):
-        assert "local" in available_store_backends()
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown store backend"):
-            create_store_backend("no-such-backend", root="/tmp/x")
-
-    def test_unknown_backend_error_lists_registered_schemes(self):
-        with pytest.raises(ValueError) as excinfo:
-            create_store_backend("redis", root="host/0")
-        message = str(excinfo.value)
-        assert "registered schemes" in message
-        for scheme in ("local://", "remote://", "tiered://"):
-            assert scheme in message
-
-    def test_custom_backend_and_scheme_path(self, tmp_path):
-        created = {}
-
-        def factory(root):
-            created["root"] = root
-            return LocalStoreBackend(tmp_path)
-
-        register_store_backend("teststore", factory)
-        try:
-            store = open_store(CheckConfig(store_path="teststore://sub/dir"))
-            assert created["root"] == "sub/dir"
-            assert isinstance(store, ArtifactStore)
-        finally:
-            from repro.store.backend import _REGISTRY
-            _REGISTRY.pop("teststore", None)
+class TestStorePath:
+    def test_only_the_local_scheme_is_accepted(self, tmp_path, monkeypatch,
+                                               capsys):
+        from repro.__main__ import EXIT_USAGE, main
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        local = open_store(CheckConfig(store_path=f"local://{tmp_path}/s"))
+        assert local.backend.root == tmp_path / "s"
+        for path in ("remote://127.0.0.1:1", "tiered://s?remote=h:1"):
+            with pytest.raises(ValueError, match="networked stores"):
+                CheckConfig(store_path=path)
+        source = tmp_path / "x.rsc"
+        source.write_text("spec id :: (x: number) => number;\n"
+                          "function id(x) { return x; }\n")
+        before = sorted(tmp_path.iterdir())
+        assert main(["check", "--store", "remote://127.0.0.1:1",
+                     str(source)]) == EXIT_USAGE
+        assert main(["cache", "stats", "--store",
+                     "remote://127.0.0.1:1"]) == EXIT_USAGE
+        monkeypatch.setenv("REPRO_STORE", "tiered://s?remote=h:1")
+        assert main(["check", str(source)]) == EXIT_USAGE
+        assert main(["cache", "stats"]) == EXIT_USAGE
+        assert sorted(tmp_path.iterdir()) == before
+        assert capsys.readouterr().err.count("were removed") == 4
 
 
 class TestConfigAndKeys:

@@ -159,6 +159,8 @@ class TestCorruptionFallback:
     @pytest.mark.parametrize("garbage", [
         b"", b"not json at all", b'{"schema": 999, "kind": "x", "data": 1}',
         b'{"truncat', b"\x00\x01\x02",
+        # a real entry scrambled at equal length: only the codec catches it
+        pytest.param(lambda raw: b"\xffCORRUPT" + raw[8:], id="same-length"),
     ])
     def test_garbage_entries_fall_back_to_recompute(self, tmp_path, garbage):
         config = _config(tmp_path)
@@ -166,7 +168,8 @@ class TestCorruptionFallback:
         entries = self._entries(tmp_path)
         assert entries
         for path in entries:
-            path.write_bytes(garbage)
+            path.write_bytes(garbage(path.read_bytes()) if callable(garbage)
+                             else garbage)
         recheck = _fresh_check(config, SAFE)
         assert recheck.stats.queries > 0  # corruption is a miss, not a crash
         assert _diag_keys(recheck) == _diag_keys(cold)
