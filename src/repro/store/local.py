@@ -38,8 +38,9 @@ def store_root(path) -> pathlib.Path:
     if scheme == "local":
         return pathlib.Path(rest)
     raise ValueError(
-        f"unsupported store path {str(path)!r}: the networked stores "
-        f"(remote://, tiered://) were removed; give a local directory")
+        f"unsupported store path {str(path)!r}: the only store scheme is "
+        f"local://; the networked stores (remote://, tiered://) were "
+        f"removed; give a local directory")
 
 
 class LocalStoreBackend:

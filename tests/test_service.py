@@ -17,7 +17,6 @@ The contract under test, from the serve-protocol redesign:
 import asyncio
 import io
 import json
-import socket
 import threading
 
 import pytest
@@ -295,17 +294,6 @@ class TestLaneScheduling:
         assert by_id[1].ok  # the queued request still completed
 
 
-def _raw_call(port, lines: str, replies: int = 1):
-    """One raw NDJSON exchange, bypassing the typed client: the first
-    reply, or the first ``replies`` replies as a list."""
-    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-        sock.sendall(lines.encode("utf-8") + b"\n")
-        with sock.makefile("rb") as reader:
-            responses = [json.loads(reader.readline())
-                         for _ in range(replies)]
-    return responses[0] if replies == 1 else responses
-
-
 class TestSocketServer:
     def test_two_tenants_over_tcp_stay_isolated(self):
         with ServerThread(AsyncCheckServer(CheckConfig())) as st:
@@ -348,34 +336,6 @@ class TestSocketServer:
                 assert (totals["cancelled_queued"]
                         + totals["cancelled_inflight"]) >= 1
                 client.shutdown()
-
-    def test_malformed_lines_get_error_responses(self):
-        server = AsyncCheckServer(CheckConfig())
-        server.LINE_LIMIT = 1024
-        with ServerThread(server) as st:
-            bad_json = _raw_call(st.port, "{not json")
-            assert bad_json["ok"] is False
-            assert bad_json["error"]["code"] == "parse-error"
-            not_object = _raw_call(st.port, '"a string"')
-            assert not_object["error"]["code"] == "parse-error"
-            unknown = _raw_call(st.port, '{"id": 1, "method": "steal"}')
-            assert unknown["error"]["code"] == "unknown-method"
-            assert unknown["id"] == 1
-            bad = _raw_call(st.port,
-                            '{"id": 2, "method": "check", "params": {}}')
-            assert bad["error"]["code"] == "bad-params"
-            assert bad["id"] == 2
-            too_long = _raw_call(
-                st.port, '{"id": 3, "pad": "' + "x" * 2048 + '"}')
-            assert too_long == {"id": None, "ok": False, "error": {
-                "code": "parse-error", "message": "request line too long"}}
-            # one bad request does not end the connection
-            first, second = _raw_call(
-                st.port, '{"id": 4, "method": "steal"}\n'
-                         '{"id": 5, "method": "hello"}', replies=2)
-            assert first["ok"] is False
-            assert second["ok"] is True
-            assert second["result"]["protocol"] == "repro-serve/3"
 
 
 class TestV2ShimEquivalence:

@@ -360,6 +360,24 @@ class TestLocalBackend:
         assert backend.stats().total_entries == 0
 
 
+class TestRegistry:
+    def test_unknown_backend_raises(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for path in ("no-such-backend:///tmp/x", "redis://host/0"):
+            with pytest.raises(ValueError, match="unsupported store path"):
+                CheckConfig(store_path=path)
+            with pytest.raises(ValueError, match="unsupported store path"):
+                LocalStoreBackend(path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_backend_error_lists_registered_schemes(self):
+        with pytest.raises(ValueError) as excinfo:
+            CheckConfig(store_path="redis://host/0")
+        message = str(excinfo.value)
+        assert "'redis://host/0'" in message
+        assert "the only store scheme is local://" in message
+
+
 class TestStorePath:
     def test_only_the_local_scheme_is_accepted(self, tmp_path, monkeypatch,
                                                capsys):
