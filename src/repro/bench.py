@@ -534,7 +534,10 @@ def smt(names: Optional[Sequence[str]] = None) -> List[Row]:
                             "contexts_reused": stats.contexts_reused,
                             "lemmas_reused": stats.lemmas_reused,
                             "euf_terms_added": stats.euf_terms_added,
-                            "linearize_calls": stats.linearize_calls}
+                            "linearize_calls": stats.linearize_calls,
+                            "sat_decisions": stats.sat_decisions,
+                            "sat_conflicts": stats.sat_conflicts,
+                            "sat_propagations": stats.sat_propagations}
         return run
     return _compare("smt", _inputs(names),
                     [("/fresh", engine("fresh")),

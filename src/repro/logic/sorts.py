@@ -19,14 +19,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sort:
-    """A logical sort. Identity is by name."""
+    """A logical sort: one module constant per name.
+
+    Equality and hashing are ``object``'s identity slots (a sort is part
+    of every term's intern key), so pickling and copying map back to the
+    module constant through :func:`sort_named`."""
 
     name: str
 
     def __str__(self) -> str:
         return self.name
+
+    def __reduce__(self):
+        return (sort_named, (self.name,))
 
     def is_numeric(self) -> bool:
         return self.name in ("Int", "BV32")

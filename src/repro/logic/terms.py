@@ -1,16 +1,20 @@
 """Terms and predicates of the refinement logic.
 
-Expressions are immutable (frozen dataclasses) so they can be hashed, shared
-and used as dictionary keys by the SMT layer and the liquid fixpoint solver.
+Expressions are immutable (frozen dataclasses) so they can be shared and
+used as dictionary keys by the SMT layer and the liquid fixpoint solver.
 
 Every node is *hash-consed*: the constructors intern each distinct
 ``(class, field values)`` combination in a process-wide table, so
 
 * structurally equal terms are the **same object** (``conj(a, b) is
-  conj(a, b)``), making ``==`` a pointer comparison on the hot paths,
-* ``hash()`` is O(1) — computed once at interning time and cached, which
-  matters because terms key the solver's result cache, the Tseitin atom
-  maps and the persistent-context LRU, and
+  conj(a, b)``), so every node class keeps ``object``'s identity ``==``
+  and ``hash()``: C slots, with no Python frame per call.  That matters
+  because terms key the solver's result cache, the Tseitin atom maps, the
+  congruence closure and the persistent-context LRU.  Pickling and copying
+  go through the constructors, so they preserve identity.  Hashes follow
+  object addresses, so no result may depend on the iteration order of a
+  *set* of terms (CI repeats the SMT work counters under a second
+  allocator to catch one that does), and
 * the traversal utilities (:func:`free_vars`, :func:`substitute`,
   :func:`expr_size`, :func:`repro.logic.simplify.simplify`, the CNF
   conversion) can memoise per term in plain dictionaries.
@@ -127,11 +131,13 @@ def _interned(cls):
     The wrapped ``__new__`` normalises the constructor arguments against the
     field defaults, looks the value tuple up in the process-wide table and
     returns the canonical instance; ``__init__`` is skipped for instances
-    that are already initialised.  ``dict.get``/``dict.setdefault`` keep the
+    that are already initialised.  The dataclass gets no ``__eq__`` or
+    ``__hash__`` of its own: equal nodes are one object, so ``object``'s
+    identity slots are exact.  ``dict.get``/``dict.setdefault`` keep the
     table consistent under free-threaded construction (the check service's
     executor threads build terms concurrently).
     """
-    cls = dataclass(frozen=True)(cls)
+    cls = dataclass(frozen=True, eq=False)(cls)
     field_names = tuple(f.name for f in dataclasses.fields(cls))
     defaults = {f.name: f.default for f in dataclasses.fields(cls)
                 if f.default is not dataclasses.MISSING}
@@ -158,9 +164,7 @@ def _interned(cls):
             _INTERN_STATS[0] += 1
             return node
         _INTERN_STATS[1] += 1
-        created = object.__new__(klass)
-        created.__dict__["_hash"] = hash(key)
-        return _INTERN.setdefault(key, created)
+        return _INTERN.setdefault(key, object.__new__(klass))
 
     def __init__(self, *args, **kwargs):
         # Re-running the (frozen) field assignments on an interned instance
@@ -171,42 +175,15 @@ def _interned(cls):
         orig_init(self, *args, **kwargs)
         self.__dict__["_dc_init"] = True
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # Only reachable for out-of-band instances (never produced by the
-        # constructors); interned nodes compare by the identity fast path.
-        return all(getattr(self, name) == getattr(other, name)
-                   for name in field_names)
-
-    def __ne__(self, other):
-        result = __eq__(self, other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:  # out-of-band instance (e.g. object.__new__)
-            h = hash((self.__class__,
-                      *(getattr(self, name) for name in field_names)))
-            self.__dict__["_hash"] = h
-        return h
-
     def __reduce__(self):
         # Pickle as a constructor call so cross-process terms (the project
         # scheduler ships kappa solutions through a ProcessPoolExecutor)
-        # re-intern on load: unpickling preserves pointer equality.
+        # re-intern on load: unpickling (and copying) preserves identity.
         return (self.__class__,
                 tuple(getattr(self, name) for name in field_names))
 
     cls.__new__ = __new__
     cls.__init__ = __init__
-    cls.__eq__ = __eq__
-    cls.__ne__ = __ne__
-    cls.__hash__ = __hash__
     cls.__reduce__ = __reduce__
     return cls
 

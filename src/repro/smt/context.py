@@ -159,6 +159,8 @@ class SolverContext:
     def _build(self) -> None:
         self.atoms = AtomMap()
         self.sat = SatSolver()
+        #: the part of ``sat``'s work counters already added to a stats
+        self._sat_reported = (0, 0, 0)
         self._hyp_vars: Set[int] = set()
         self._retired = 0
         self._inconsistent = False
@@ -240,12 +242,21 @@ class SolverContext:
 
         ``stats`` is the owning solver's :class:`SolverStats`; the context
         bumps ``sat_calls`` / ``theory_checks`` / ``blocking_clauses`` /
-        ``lemmas_reused`` / ``clauses_learned`` exactly like the fresh path.
+        ``lemmas_reused`` / ``clauses_learned`` exactly like the fresh path,
+        and adds the SAT solver's work since the last goal (including the
+        hypotheses' clauses, for the first) to the ``sat_*`` counters.
         """
+        try:
+            return self._check_goal(goal, stats)
+        finally:
+            self._report_sat_work(stats)
+
+    def _check_goal(self, goal: Expr, stats) -> Optional[bool]:
         self.goals_checked += 1
         if self._inconsistent:
             return True
         if self.sat.num_vars > RESET_VAR_LIMIT:
+            self._report_sat_work(stats)
             self._reset()
             if self._inconsistent:
                 return True
@@ -307,6 +318,17 @@ class SolverContext:
         return self._env_result
 
     # -- internals -----------------------------------------------------------
+
+    def _report_sat_work(self, stats) -> None:
+        """Add the SAT solver's decisions, conflicts and propagations since
+        the last report to ``stats``."""
+        sat = self.sat
+        decisions, conflicts, propagations = self._sat_reported
+        stats.sat_decisions += sat.num_decisions - decisions
+        stats.sat_conflicts += sat.num_conflicts - conflicts
+        stats.sat_propagations += sat.num_propagations - propagations
+        self._sat_reported = (sat.num_decisions, sat.num_conflicts,
+                              sat.num_propagations)
 
     def _replay_lemmas(self, atoms_before: int, stats) -> None:
         """Eagerly assert memoised theory lemmas that just became relevant.
@@ -372,14 +394,14 @@ class SolverContext:
             stats.sat_calls += 1
             if not self.sat.solve(assumptions):
                 return True
-            model = self.sat.model()
+            values = self.sat.assignment()
             # The root's literals are fixed at level 0, so every model
             # holds them; only the rest is checked on top of the root.
             delta: List[TheoryLiteral] = []
             for var in active:
                 if var in root_vars:
                     continue
-                value = model.get(var)
+                value = values[var]
                 if value is None:
                     continue
                 atom = self.atoms.atom_of(var)
@@ -429,10 +451,10 @@ class SolverContext:
 class ContextManager:
     """An LRU of :class:`SolverContext` objects keyed by environment.
 
-    The key is the antecedent term itself — structural hashing of the
-    (immutable, interned-by-value) logic terms makes it a precise
-    environment fingerprint.  The theory-lemma store is shared across every
-    context and survives eviction.
+    The key is the antecedent term itself: logic terms are hash-consed, so
+    equal environments are one object and the term's identity hash is a
+    precise environment fingerprint.  The theory-lemma store is shared
+    across every context and survives eviction.
     """
 
     def __init__(self, limit: int = 64, max_theory_iterations: int = 5000,

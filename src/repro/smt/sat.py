@@ -5,20 +5,28 @@ positively as ``v`` and negatively as ``-v``.  The solver implements:
 
 * two-watched-literal unit propagation,
 * first-UIP conflict analysis with clause learning,
-* VSIDS-style decaying variable activities,
+* VSIDS-style decaying variable activities, with the branching variable
+  taken from a lazy max-heap (highest activity, then lowest variable),
 * non-chronological backjumping,
 * incremental addition of clauses between ``solve()`` calls (used by the lazy
   SMT loop to add theory conflict clauses).
 
-The formulas produced by refinement type checking are small (tens to a few
-hundred variables), so the emphasis is on correctness and clarity rather than
-raw throughput.
+The formulas produced by refinement type checking are small (tens to about
+a thousand variables), and every step runs in the interpreter, so the
+per-variable state (assignment, level, reason, activity) lives in lists
+indexed by variable and the propagation loop evaluates literals inline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+#: The branching heap is rebuilt once it holds this many entries per
+#: variable: stale entries (older activities, assigned variables) are only
+#: dropped lazily when they reach the top.
+HEAP_SLACK = 4
 
 
 @dataclass
@@ -34,13 +42,20 @@ class SatSolver:
         self._num_vars = 0
         self._clauses: List[_Clause] = []
         self._watches: Dict[int, List[_Clause]] = {}
-        # assignment[v] is True/False/None
-        self._assign: Dict[int, Optional[bool]] = {}
-        self._level: Dict[int, int] = {}
-        self._reason: Dict[int, Optional[_Clause]] = {}
+        # Per-variable state, indexed by variable (slot 0 is unused).
+        # assign[v] is True/False/None.
+        self._assign: List[Optional[bool]] = [None]
+        self._level: List[int] = [0]
+        self._reason: List[Optional[_Clause]] = [None]
+        self._activity: List[float] = [0.0]
+        #: ``(-activity, var)`` entries; every unassigned variable has one
+        #: carrying its current activity, other entries are stale.  Pushed
+        #: by new_var and _backtrack, rebuilt on a rescale or past
+        #: ``HEAP_SLACK`` entries per variable.
+        self._heap: List[Tuple[float, int]] = []
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
-        self._activity: Dict[int, float] = {}
+        self._prop_head = 0
         self._act_inc = 1.0
         self._act_decay = 0.95
         self._ok = True
@@ -54,10 +69,11 @@ class SatSolver:
     def new_var(self) -> int:
         self._num_vars += 1
         v = self._num_vars
-        self._assign[v] = None
-        self._level[v] = 0
-        self._reason[v] = None
-        self._activity[v] = 0.0
+        self._assign.append(None)
+        self._level.append(0)
+        self._reason.append(None)
+        self._activity.append(0.0)
+        heappush(self._heap, (-0.0, v))
         return v
 
     def ensure_var(self, v: int) -> None:
@@ -72,22 +88,29 @@ class SatSolver:
         """Add a clause; returns False if the formula became trivially unsat."""
         if not self._ok:
             return False
-        for lit in lits:
-            self.ensure_var(abs(lit))
+        if lits:
+            top = max(map(abs, lits))
+            if top > self._num_vars:
+                self.ensure_var(top)
         # Remove duplicates; drop tautologies.
-        seen = set()
-        out: List[int] = []
-        for lit in lits:
-            if -lit in seen:
+        out = list(dict.fromkeys(lits))
+        if len(out) > 1:
+            present = set(out)
+            if any(-lit in present for lit in out):
                 return True  # tautology: always satisfied
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
-        # At top level we can discard falsified literals.
-        if self._decision_level() == 0:
-            out = [lit for lit in out if self._value(lit) is not False]
-            if any(self._value(lit) is True for lit in out):
-                return True
+        root = not self._trail_lim
+        if root:
+            # At top level we can discard falsified literals; a true one
+            # satisfies the clause for good.
+            assign = self._assign
+            unassigned: List[int] = []
+            for lit in out:
+                val = assign[lit] if lit > 0 else assign[-lit]
+                if val is None:
+                    unassigned.append(lit)
+                elif val is (lit > 0):
+                    return True
+            out = unassigned
         if not out:
             self._ok = False
             return False
@@ -104,13 +127,17 @@ class SatSolver:
                     self._ok = False
                     return False
             return True
+        clause = _Clause(out, learned)
+        if root:
+            # Every remaining literal is unassigned: watch the first two.
+            self._clauses.append(clause)
+            self._watch(clause)
+            return True
         # Clauses may be added between solve() calls (theory blocking clauses);
         # restart the search and make sure the watch invariant holds with
         # respect to the persistent level-0 assignment.
-        if self._decision_level() != 0:
-            self._backtrack(0)
+        self._backtrack(0)
         out.sort(key=lambda lit: 0 if self._value(lit) is not False else 1)
-        clause = _Clause(out, learned)
         if self._value(out[0]) is False:
             # every literal is already false at the root level
             self._ok = False
@@ -222,7 +249,14 @@ class SatSolver:
 
     def model(self) -> Dict[int, bool]:
         """The satisfying assignment found by the last successful solve()."""
-        return {v: val for v, val in self._assign.items() if val is not None}
+        return {v: val for v, val in enumerate(self._assign)
+                if val is not None}
+
+    def assignment(self) -> Sequence[Optional[bool]]:
+        """The current value of every variable, indexed by variable (a live
+        read-only view: after a successful solve() it is the model).  Lets a
+        caller read a few variables without building :meth:`model`."""
+        return self._assign
 
     @property
     def num_clauses(self) -> int:
@@ -277,10 +311,10 @@ class SatSolver:
     # -- internals ----------------------------------------------------------
 
     def _value(self, lit: int) -> Optional[bool]:
-        val = self._assign.get(abs(lit))
-        if val is None:
-            return None
-        return val if lit > 0 else (not val)
+        if lit > 0:
+            return self._assign[lit]
+        val = self._assign[-lit]
+        return None if val is None else not val
 
     def _decision_level(self) -> int:
         return len(self._trail_lim)
@@ -289,73 +323,110 @@ class SatSolver:
         self._trail_lim.append(len(self._trail))
 
     def _enqueue(self, lit: int, reason: Optional[_Clause]) -> None:
-        v = abs(lit)
+        v = lit if lit > 0 else -lit
         self._assign[v] = lit > 0
-        self._level[v] = self._decision_level()
+        self._level[v] = len(self._trail_lim)
         self._reason[v] = reason
         self._trail.append(lit)
 
     def _backtrack(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        limit = self._trail_lim[level]
-        for lit in reversed(self._trail[limit:]):
-            v = abs(lit)
-            self._assign[v] = None
-            self._reason[v] = None
-        del self._trail[limit:]
-        del self._trail_lim[level:]
-        self._prop_head = min(getattr(self, "_prop_head", 0), len(self._trail))
+        trail = self._trail
+        limit = trail_lim[level]
+        assign, reason = self._assign, self._reason
+        activity, heap = self._activity, self._heap
+        for index in range(limit, len(trail)):
+            lit = trail[index]
+            v = lit if lit > 0 else -lit
+            assign[v] = None
+            reason[v] = None
+            heappush(heap, (-activity[v], v))
+        del trail[limit:]
+        del trail_lim[level:]
+        if self._prop_head > limit:
+            self._prop_head = limit
+        if len(heap) > HEAP_SLACK * self._num_vars:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        assign, activity = self._assign, self._activity
+        heap = [(-activity[v], v) for v in range(1, self._num_vars + 1)
+                if assign[v] is None]
+        heapify(heap)
+        self._heap = heap
 
     def _watch(self, clause: _Clause) -> None:
         for lit in clause.lits[:2]:
             self._watches.setdefault(-lit, []).append(clause)
 
     def _propagate(self) -> Optional[_Clause]:
-        head = getattr(self, "_prop_head", 0)
-        while head < len(self._trail):
-            lit = self._trail[head]
+        """Unit propagation from ``_prop_head``; returns a conflicting
+        clause or None.  Each watcher of a literal that just became true
+        watches its negation: the clause keeps that watch when its other
+        watch is true, moves it to a non-false literal when there is one,
+        and is otherwise unit (its other watch is enqueued) or conflicting.
+        """
+        trail = self._trail
+        watches = self._watches
+        assign, level_of, reason = self._assign, self._level, self._reason
+        level = len(self._trail_lim)
+        head = self._prop_head
+        propagated = 0
+        while head < len(trail):
+            lit = trail[head]
             head += 1
-            self.num_propagations += 1
-            watchers = self._watches.get(lit, [])
-            self._watches[lit] = []
-            i = 0
-            while i < len(watchers):
-                clause = watchers[i]
-                i += 1
-                if not self._propagate_clause(clause, lit):
-                    # Conflict: the conflicting clause already re-registered
-                    # itself inside _propagate_clause, so only the watchers we
-                    # have not visited yet need to be restored.
-                    self._watches[lit].extend(watchers[i:])
-                    self._prop_head = len(self._trail)
-                    return clause
+            propagated += 1
+            false_lit = -lit
+            watchers = watches.get(lit)
+            if not watchers:
+                continue
+            kept: List[_Clause] = []
+            watches[lit] = kept
+            for i, clause in enumerate(watchers):
+                lits = clause.lits
+                # Ensure the falsified literal is at position 1.
+                first = lits[0]
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
+                # If the other watch is already true, keep watching.
+                val = assign[first] if first > 0 else assign[-first]
+                if val is not None and val is (first > 0):
+                    kept.append(clause)
+                    continue
+                # Look for a new literal to watch.
+                for k in range(2, len(lits)):
+                    other = lits[k]
+                    other_val = assign[other] if other > 0 else assign[-other]
+                    if other_val is None or other_val is (other > 0):
+                        lits[1], lits[k] = other, lits[1]
+                        key = -other
+                        moved = watches.get(key)
+                        if moved is None:
+                            watches[key] = [clause]
+                        else:
+                            moved.append(clause)
+                        break
+                else:
+                    # Clause is unit or conflicting.
+                    kept.append(clause)
+                    if val is not None:
+                        # Conflict: the unvisited watchers stay registered.
+                        kept.extend(watchers[i + 1:])
+                        self._prop_head = len(trail)
+                        self.num_propagations += propagated
+                        return clause
+                    v = first if first > 0 else -first
+                    assign[v] = first > 0
+                    level_of[v] = level
+                    reason[v] = clause
+                    trail.append(first)
         self._prop_head = head
+        self.num_propagations += propagated
         return None
-
-    def _propagate_clause(self, clause: _Clause, false_lit: int) -> bool:
-        """Returns False on conflict. ``false_lit`` just became true, so
-        ``-false_lit`` is the falsified watched literal."""
-        lits = clause.lits
-        # Ensure the falsified literal is at position 1.
-        if lits[0] == -false_lit:
-            lits[0], lits[1] = lits[1], lits[0]
-        # If the other watch is already true, keep watching.
-        if self._value(lits[0]) is True:
-            self._watches.setdefault(false_lit, []).append(clause)
-            return True
-        # Look for a new literal to watch.
-        for k in range(2, len(lits)):
-            if self._value(lits[k]) is not False:
-                lits[1], lits[k] = lits[k], lits[1]
-                self._watches.setdefault(-lits[1], []).append(clause)
-                return True
-        # Clause is unit or conflicting.
-        self._watches.setdefault(false_lit, []).append(clause)
-        if self._value(lits[0]) is False:
-            return False
-        self._enqueue(lits[0], clause)
-        return True
 
     def _analyze(self, conflict: _Clause) -> tuple[List[int], int]:
         """First-UIP conflict analysis; returns (learned clause, backjump level).
@@ -417,22 +488,27 @@ class SatSolver:
         return learned, back_level
 
     def _pick_branch(self) -> Optional[int]:
-        best_v = None
-        best_act = -1.0
-        for v in range(1, self._num_vars + 1):
-            if self._assign[v] is None and self._activity[v] > best_act:
-                best_v = v
-                best_act = self._activity[v]
-        if best_v is None:
-            return None
-        return -best_v  # prefer False first: good for blocking-clause workloads
+        """The negation of the unassigned variable with the highest
+        activity (the lowest such variable on ties), or None when every
+        variable is assigned."""
+        heap, assign, activity = self._heap, self._assign, self._activity
+        while heap:
+            neg_act, v = heappop(heap)
+            if assign[v] is None and -neg_act == activity[v]:
+                # The caller assigns it; backtracking pushes it again.
+                return -v  # prefer False first: good for blocking clauses
+        return None
 
     def _bump_activity(self, v: int) -> None:
-        self._activity[v] += self._act_inc
-        if self._activity[v] > 1e100:
-            for u in self._activity:
-                self._activity[u] *= 1e-100
+        # Only conflict analysis bumps, and only assigned variables: their
+        # heap entries are pushed when backtracking unassigns them.
+        activity = self._activity
+        activity[v] += self._act_inc
+        if activity[v] > 1e100:
+            for u in range(1, self._num_vars + 1):
+                activity[u] *= 1e-100
             self._act_inc *= 1e-100
+            self._rebuild_heap()
 
     def _decay_activities(self) -> None:
         self._act_inc /= self._act_decay

@@ -72,6 +72,12 @@ class SolverStats:
     #: top-level ``linearize`` calls made by theory checks (two per
     #: arithmetic literal linearised; reused root rows cost none)
     linearize_calls: int = 0
+    #: the SAT solvers' own work: branching decisions, conflicts and
+    #: propagated trail literals, over every search, probe and clause
+    #: addition (incremental contexts report theirs after each goal)
+    sat_decisions: int = 0
+    sat_conflicts: int = 0
+    sat_propagations: int = 0
     time_seconds: float = 0.0
 
     def merge(self, other: "SolverStats") -> None:
@@ -89,6 +95,9 @@ class SolverStats:
         self.lemmas_reused += other.lemmas_reused
         self.euf_terms_added += other.euf_terms_added
         self.linearize_calls += other.linearize_calls
+        self.sat_decisions += other.sat_decisions
+        self.sat_conflicts += other.sat_conflicts
+        self.sat_propagations += other.sat_propagations
         self.time_seconds += other.time_seconds
 
     def copy(self) -> "SolverStats":
@@ -117,6 +126,9 @@ class SolverStats:
             "lemmas_reused": self.lemmas_reused,
             "euf_terms_added": self.euf_terms_added,
             "linearize_calls": self.linearize_calls,
+            "sat_decisions": self.sat_decisions,
+            "sat_conflicts": self.sat_conflicts,
+            "sat_propagations": self.sat_propagations,
             "time_seconds": self.time_seconds,
         }
 
@@ -346,11 +358,10 @@ class Solver:
         clauses = tseitin(nnf, atoms)
 
         sat = SatSolver()
-        for clause in clauses:
-            if not sat.add_clause(clause):
-                return Result.UNSAT
-
         try:
+            for clause in clauses:
+                if not sat.add_clause(clause):
+                    return Result.UNSAT
             for _ in range(self.max_theory_iterations):
                 self.stats.sat_calls += 1
                 if not sat.solve():
@@ -393,4 +404,7 @@ class Solver:
             # Everything this throwaway solver learned is discarded with it,
             # unlike the incremental engine's persistent contexts.
             self.stats.clauses_learned += sat.num_learned
+            self.stats.sat_decisions += sat.num_decisions
+            self.stats.sat_conflicts += sat.num_conflicts
+            self.stats.sat_propagations += sat.num_propagations
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -659,9 +659,9 @@ def test_context_root_is_the_level_zero_hypotheses():
 
 
 def test_work_counters_reach_stats_and_json(tmp_path, capsys):
-    """``euf_terms_added`` and ``linearize_calls`` are solver counters:
-    merged, dumped by ``to_dict`` and printed by ``check --format json``;
-    the root state makes the incremental engine do less of both."""
+    """``euf_terms_added``, ``linearize_calls`` and the ``sat_*`` counters
+    are solver counters: merged, dumped by ``to_dict`` and printed by
+    ``check --format json``."""
     import json
 
     from repro.__main__ import main
@@ -678,6 +678,12 @@ def test_work_counters_reach_stats_and_json(tmp_path, capsys):
                                     + incremental.stats.euf_terms_added)
     assert both.to_dict()["linearize_calls"] == (
         fresh.stats.linearize_calls + incremental.stats.linearize_calls)
+    for counter in ("sat_decisions", "sat_conflicts", "sat_propagations"):
+        assert both.to_dict()[counter] == (getattr(fresh.stats, counter)
+                                           + getattr(incremental.stats,
+                                                     counter))
+    assert fresh.stats.sat_propagations > 0
+    assert incremental.stats.sat_propagations > 0
 
     source = tmp_path / "bound.rsc"
     source.write_text("function abs(x: number): {v: number | 0 <= v} {\n"
@@ -688,6 +694,155 @@ def test_work_counters_reach_stats_and_json(tmp_path, capsys):
     stats = json.loads(capsys.readouterr().out)["files"][0]["solver_stats"]
     assert stats["theory_checks"] > 0
     assert stats["euf_terms_added"] > 0 and stats["linearize_calls"] > 0
+    assert stats["sat_propagations"] > 0
+    assert {"sat_decisions", "sat_conflicts"} <= set(stats)
+
+
+# ---------------------------------------------------------------------------
+# the CDCL core against brute force, and its branching heap against a scan
+# ---------------------------------------------------------------------------
+
+
+def cnf_models(num_vars: int, clauses: Sequence[Sequence[int]],
+               assumptions: Sequence[int] = ()):
+    """Every total assignment of variables ``1..num_vars`` (as a
+    ``{var: bool}`` dict) satisfying the clauses and the assumptions."""
+    for bits in product((False, True), repeat=num_vars):
+        model = dict(zip(range(1, num_vars + 1), bits))
+        if all(any(model[abs(lit)] == (lit > 0) for lit in clause)
+               for clause in list(clauses) + [[a] for a in assumptions]):
+            yield model
+
+
+def satisfies(model: Dict[int, bool], clauses) -> bool:
+    return all(any(model.get(abs(lit)) == (lit > 0) for lit in clause)
+               for clause in clauses)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sat_solver_matches_brute_force(seed):
+    """Random small CNFs grown between solve() calls: every answer agrees
+    with enumeration, every model satisfies every clause and assumption,
+    a propagation refutation is a real one, level-0 literals hold in every
+    model, and retiring a selector plus compact() keeps the answers."""
+    from repro.smt.sat import SatSolver
+
+    rng = random.Random(7000 + seed)
+    num_vars = rng.randint(3, 7)
+    selector = num_vars + 1  # guards some clauses until it is retired
+    solver = SatSolver()
+    clauses: List[List[int]] = []
+    retired = False
+
+    def random_clause() -> List[int]:
+        return [rng.choice((1, -1)) * rng.randint(1, num_vars)
+                for _ in range(rng.randint(1, 3))]
+
+    for _step in range(rng.randint(3, 10)):
+        for _ in range(rng.randint(1, 4)):
+            clause = random_clause()
+            if not retired and rng.random() < 0.3:
+                clause = [-selector] + clause
+            clauses.append(clause)
+            solver.add_clause(clause)
+        if not retired and rng.random() < 0.2:
+            clauses.append([-selector])
+            solver.add_clause([-selector])
+            solver.compact()
+            retired = True
+        assumptions = []
+        for var in rng.sample(range(1, selector + 1),
+                              rng.randint(0, 2)):
+            assumptions.append(var if rng.random() < 0.5 else -var)
+        models = list(cnf_models(selector, clauses, assumptions))
+
+        if solver.propagate_probe(assumptions):
+            assert not models
+        assert solver.solve(assumptions) == bool(models)
+        if models:
+            model = solver.model()
+            assert satisfies(model, clauses)
+            assert all(model.get(abs(a)) == (a > 0) for a in assumptions)
+        unconditional = list(cnf_models(selector, clauses))
+        for lit in solver.fixed_literals():
+            assert all(m[abs(lit)] == (lit > 0) for m in unconditional)
+
+
+def linear_pick(solver) -> Optional[int]:
+    """The branching rule as a linear scan: the unassigned variable with
+    the highest activity, the lowest one on ties, negated."""
+    best_var, best_activity = None, -1.0
+    for var in range(1, solver.num_vars + 1):
+        if (solver._assign[var] is None
+                and solver._activity[var] > best_activity):
+            best_var, best_activity = var, solver._activity[var]
+    return None if best_var is None else -best_var
+
+
+def test_branching_heap_matches_the_linear_scan():
+    """At every decision the heap picks exactly what a scan over all
+    variables would, across learned clauses, backjumps, clauses added
+    between searches, assumptions and activity rescales past 1e100."""
+    from repro.smt.sat import SatSolver
+
+    class ScanChecked(SatSolver):
+        picks = 0
+        rescales = 0
+
+        def _pick_branch(self):
+            expected = linear_pick(self)
+            got = super()._pick_branch()
+            assert got == expected
+            ScanChecked.picks += 1
+            return got
+
+        def _bump_activity(self, var):
+            if self._activity[var] + self._act_inc > 1e100:
+                ScanChecked.rescales += 1
+            super()._bump_activity(var)
+
+    rng = random.Random(8000)
+    for round_ in range(100):
+        num_vars = rng.randint(8, 16)
+        clauses = [[rng.choice((1, -1)) * rng.randint(1, num_vars)
+                    for _ in range(3)] for _ in range(int(4.3 * num_vars))]
+        solver = ScanChecked()
+        half = len(clauses) // 2
+        for clause in clauses[:half]:
+            solver.add_clause(clause)
+        if round_ % 2 == 0:
+            # Give every variable some activity and put the increment just
+            # under the rescale threshold: the first conflict rescales while
+            # unassigned variables hold activity, so their heap entries
+            # must be rebuilt.
+            solver._activity = [rng.uniform(0, 1e99)
+                                for _ in solver._activity]
+            solver._act_inc = 9e99
+            solver._rebuild_heap()
+        if solver.solve():
+            assert satisfies(solver.model(), clauses[:half])
+        for clause in clauses[half:]:
+            solver.add_clause(clause)
+        assumption = rng.choice((1, -1)) * rng.randint(1, num_vars)
+        if solver.solve([assumption]):
+            assert satisfies(solver.model(), clauses + [[assumption]])
+
+    # Pigeonhole 5 -> 4: unsatisfiable, a long search.
+    solver = ScanChecked()
+    solver._act_inc = 1e99
+
+    def hole(i, j):
+        return 4 * i + j + 1
+
+    for i in range(5):
+        solver.add_clause([hole(i, j) for j in range(4)])
+    for j in range(4):
+        for a in range(5):
+            for b in range(a + 1, 5):
+                solver.add_clause([-hole(a, j), -hole(b, j)])
+    assert not solver.solve()
+    assert ScanChecked.rescales > 10
+    assert ScanChecked.picks > 500
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ float division, which rounds to even and silently corrupts quotients past
 2**53.
 """
 
+import copy
 import pickle
 import random
 
@@ -17,11 +18,16 @@ from repro.core.config import CheckConfig
 from repro.core.liquid.qualifiers import Qualifier, QualifierPool, STAR
 from repro.core.session import Session
 from repro.logic import eq, le, lt, simplify, var
+from repro.logic.sorts import ANY, BOOL, BV32, FUN, INT, REF, STR, Sort
 from repro.logic.terms import (
     VALUE_VAR,
+    App,
     BinOp,
     BoolLit,
+    Field,
     IntLit,
+    Ite,
+    StrLit,
     UnOp,
     Var,
     clear_memos,
@@ -33,6 +39,8 @@ from repro.logic.terms import (
     substitute,
 )
 from repro.smt import lia
+
+NODE_CLASSES = (Var, IntLit, BoolLit, StrLit, App, Field, BinOp, UnOp, Ite)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +163,36 @@ class TestHashConsing:
         term = BinOp("<", Var("x"), BinOp("+", Var("y"), IntLit(7)))
         clone = pickle.loads(pickle.dumps(term))
         assert clone is term
+
+    @pytest.mark.parametrize("cls", NODE_CLASSES,
+                             ids=lambda cls: cls.__name__)
+    def test_node_classes_use_identity_slots(self, cls):
+        assert cls.__hash__ is object.__hash__
+        assert cls.__eq__ is object.__eq__
+        assert cls.__ne__ is object.__ne__
+
+    @pytest.mark.parametrize("term", [
+        Var("x"),
+        Var("n", INT),  # a non-default sort
+        App("len", (Var("a", REF),), INT),
+        Ite(BinOp("<", Var("i", INT), IntLit(0), BOOL), StrLit("neg"),
+            Field(Var("o", REF), "tag", STR), STR),
+        UnOp("!", BoolLit(True), BOOL),
+    ], ids=str)
+    def test_copy_and_pickle_preserve_identity(self, term):
+        assert copy.copy(term) is term
+        assert copy.deepcopy(term) is term
+        assert pickle.loads(pickle.dumps(term)) is term
+
+    @pytest.mark.parametrize("sort", [INT, BOOL, STR, BV32, REF, FUN, ANY],
+                             ids=str)
+    def test_sorts_round_trip_to_the_module_constant(self, sort):
+        assert pickle.loads(pickle.dumps(sort)) is sort
+        assert copy.deepcopy(sort) is sort
+
+    def test_sort_uses_identity_slots(self):
+        assert Sort.__hash__ is object.__hash__
+        assert Sort.__eq__ is object.__eq__
 
     def test_clear_memos_preserves_results(self):
         term = BinOp("&&", lt(var("x"), IntLit(3)),
