@@ -71,12 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="only print the per-file verdict")
     check.add_argument("--warnings-as-errors", action="store_true",
                        help="treat warnings as errors in the verdict")
-    check.add_argument("--max-iterations", type=int, default=40, metavar="N",
-                       help="liquid fixpoint iteration budget (default: 40)")
-    check.add_argument("--fixpoint", choices=("worklist", "naive"),
-                       default="worklist",
-                       help="fixpoint scheduler: dependency-directed worklist "
-                            "(default) or the naive global-round sweep")
+    _max_iterations_flag(check)
     check.add_argument("--qualifiers", choices=("default", "harvested"),
                        default="default",
                        help="qualifier pool: built-ins plus harvested "
@@ -98,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("families", nargs="*", metavar="FAMILY",
                        help="families to run, in order (default: all of "
                             "figure6 figure7 incremental modules smt store "
-                            "serve obs speed)")
+                            "serve obs)")
     bench.add_argument("--only", metavar="NAME", action="append",
                        help="restrict every family to the named benchmark "
                             "port(s)")
@@ -178,6 +173,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _max_iterations_flag(parser: argparse.ArgumentParser) -> None:
+    default = CheckConfig.max_fixpoint_iterations
+    parser.add_argument("--max-iterations", type=int, default=default,
+                        metavar="N",
+                        help="liquid fixpoint iteration budget "
+                             f"(default: {default})")
+
+
 def _store_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--store", metavar="PATH", default=None,
                         help="persist interfaces, kappa solutions and SMT "
@@ -200,8 +203,7 @@ def _store_path(args: argparse.Namespace) -> Optional[str]:
 
 def _workspace_flags(parser: argparse.ArgumentParser) -> None:
     """Config flags shared by the workspace-backed subcommands."""
-    parser.add_argument("--max-iterations", type=int, default=40, metavar="N",
-                        help="liquid fixpoint iteration budget (default: 40)")
+    _max_iterations_flag(parser)
     parser.add_argument("--no-incremental", action="store_true",
                         help="disable artifact caching and warm-started "
                              "fixpoint (every update is a cold check)")
@@ -225,7 +227,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         config_kwargs = dict(
             max_fixpoint_iterations=args.max_iterations,
-            fixpoint_strategy=args.fixpoint,
             warnings_as_errors=args.warnings_as_errors,
             qualifier_set=args.qualifiers,
             output_format=args.format,

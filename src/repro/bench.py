@@ -117,7 +117,7 @@ class Row:
     """One measured step of one bench family.
 
     ``counters`` holds deterministic work counts (and derived values such as
-    ``saved_sat_calls``, the comparison a family asserts), ``seconds`` the
+    ``saved_queries``, the comparison a family asserts), ``seconds`` the
     step's wall-clock, ``digest`` a hash of the verdict the step produced
     (diagnostics and kappa solutions; empty for rows without one) and
     ``ok`` whether the step verified.  Rows of one family named
@@ -239,31 +239,21 @@ Runner = Callable[[pathlib.Path], Tuple[object, dict]]
 
 
 def _compare(bench: str, inputs: List[Tuple[str, pathlib.Path]],
-             variants: List[Tuple[str, Runner]],
-             saved: Sequence[str] = ()) -> List[Row]:
+             variants: List[Tuple[str, Runner]]) -> List[Row]:
     """Check every input under each variant in turn, one row per check.
 
     ``variants`` lists ``(suffix, run)`` in run order; ``run(path)``
     returns ``(result, counters)``.  The row of the ``""`` variant is named
-    after the input, the other's ``INPUT<suffix>``, so both land in one
-    digest group; ``seconds`` is the wall-clock of ``run``.  For each
-    counter in ``saved`` the main row also gets ``saved_<counter>``: the
-    other variant's count minus its own.
+    after the input, the others' ``INPUT<suffix>``, so they all land in one
+    digest group; ``seconds`` is the wall-clock of ``run``.
     """
     rows: List[Row] = []
     for name, path in inputs:
-        checked: Dict[str, Row] = {}
         for suffix, run in variants:
             start = time.perf_counter()
             result, counters = run(path)
-            checked[suffix] = _row(bench, name + suffix, result,
-                                   time.perf_counter() - start, **counters)
-        main = checked[""]
-        for counter in saved:
-            other, = (row for suffix, row in checked.items() if suffix)
-            main.counters[f"saved_{counter}"] = (other.counters[counter]
-                                                 - main.counters[counter])
-        rows.extend(checked.values())
+            rows.append(_row(bench, name + suffix, result,
+                             time.perf_counter() - start, **counters))
     return rows
 
 
@@ -337,16 +327,10 @@ def check_benchmark(name: str, session: Optional[Session] = None) -> Row:
 
 
 def figure6(names: Optional[Sequence[str]] = None) -> List[Row]:
-    """Figure 6 under the worklist fixpoint, with the naive global-round
-    engine as ``NAME/naive``; ``saved_queries_issued`` is the solve queries
-    the worklist avoided.  Each engine keeps one session across all ports,
-    amortising its solver exactly like a Figure 6 run."""
-    naive = Session(CheckConfig(fixpoint_strategy="naive"))
-    worklist = Session(CheckConfig(fixpoint_strategy="worklist"))
-    return _compare("figure6", _inputs(names),
-                    [("/naive", _figure6_runner(naive, annotate=False)),
-                     ("", _figure6_runner(worklist, annotate=True))],
-                    saved=("queries_issued",))
+    """Figure 6: one session across all ports, amortising its solver
+    exactly like a Figure 6 run."""
+    run = _figure6_runner(Session(CheckConfig()), annotate=True)
+    return _compare("figure6", _inputs(names), [("", run)])
 
 
 def figure7(names: Optional[Sequence[str]] = None) -> List[Row]:
@@ -516,33 +500,27 @@ def modules(names: Optional[Sequence[str]] = None) -> List[Row]:
 
 
 # ---------------------------------------------------------------------------
-# engine comparisons (`repro bench smt|store|obs|speed`)
+# engine counters and comparisons (`repro bench smt|store|obs`)
 # ---------------------------------------------------------------------------
 
 
 def smt(names: Optional[Sequence[str]] = None) -> List[Row]:
-    """Every port under the incremental-context SMT engine and, as
-    ``NAME/fresh``, the fresh-solver-per-query engine; a fresh session per
-    check so neither engine's cache distorts the other.
-    ``saved_sat_calls`` is the SAT searches the contexts avoided."""
-    def engine(mode: str) -> Runner:
-        def run(path: pathlib.Path) -> Tuple[object, dict]:
-            result = _check(path, Session(CheckConfig(smt_mode=mode)))
-            stats = result.stats or SolverStats()
-            return result, {"theory_checks": stats.theory_checks,
-                            "contexts_created": stats.contexts_created,
-                            "contexts_reused": stats.contexts_reused,
-                            "lemmas_reused": stats.lemmas_reused,
-                            "euf_terms_added": stats.euf_terms_added,
-                            "linearize_calls": stats.linearize_calls,
-                            "sat_decisions": stats.sat_decisions,
-                            "sat_conflicts": stats.sat_conflicts,
-                            "sat_propagations": stats.sat_propagations}
-        return run
-    return _compare("smt", _inputs(names),
-                    [("/fresh", engine("fresh")),
-                     ("", engine("incremental"))],
-                    saved=("sat_calls",))
+    """Every port's SMT work counters, a fresh session per check.  (The
+    fresh-solver-per-query reference the contexts must beat on
+    ``sat_calls`` is a test oracle.)"""
+    def run(path: pathlib.Path) -> Tuple[object, dict]:
+        result = _check(path, Session(CheckConfig()))
+        stats = result.stats or SolverStats()
+        return result, {"theory_checks": stats.theory_checks,
+                        "contexts_created": stats.contexts_created,
+                        "contexts_reused": stats.contexts_reused,
+                        "lemmas_reused": stats.lemmas_reused,
+                        "euf_terms_added": stats.euf_terms_added,
+                        "linearize_calls": stats.linearize_calls,
+                        "sat_decisions": stats.sat_decisions,
+                        "sat_conflicts": stats.sat_conflicts,
+                        "sat_propagations": stats.sat_propagations}
+    return _compare("smt", _inputs(names), [("", run)])
 
 
 def store(names: Optional[Sequence[str]] = None) -> List[Row]:
@@ -641,56 +619,6 @@ def obs(names: Optional[Sequence[str]] = None) -> List[Row]:
     rows = _compare("obs", _inputs(names, OBS_BENCHMARKS),
                     [("", untraced), ("/traced", traced)])
     rows.append(obs_total(rows, noop_span_cost()))
-    return rows
-
-
-def speed(names: Optional[Sequence[str]] = None) -> List[Row]:
-    """Every port and module split under the reference engine
-    (``NAME/reference``: memoisation off, Fraction LIA — the engine before
-    hash-consing) and the fast one, verdicts byte-identical.
-
-    The reference phase counts term-constructor *invocations* (what the old
-    engine allocated), the fast phase intern *misses* (objects actually
-    created); ``saved_allocations`` must stay positive.  The ``total`` row's
-    ``speedup`` is reference over fast wall-clock, measured in one process
-    so machine noise largely cancels.  The fast configuration is restored
-    on exit, even if a check raises.
-    """
-    from repro.logic.terms import (
-        intern_stats,
-        reset_intern_stats,
-        set_memoisation,
-    )
-    from repro.project.workspace import ProjectWorkspace
-    from repro.smt.lia import set_exact_ints
-
-    def engine(fast: bool, allocations: str) -> Runner:
-        def run(path: pathlib.Path) -> Tuple[object, dict]:
-            set_memoisation(fast)   # switching on also clears the memos
-            set_exact_ints(fast)
-            reset_intern_stats()
-            if path.is_dir():
-                result = ProjectWorkspace(root=path).check()
-            else:
-                result = _check(path, Session(CheckConfig()))
-            stats = intern_stats()
-            return result, {"allocations": stats[allocations],
-                            "intern_hit_rate": stats["hit_rate"]}
-        return run
-
-    try:
-        rows = _compare("speed", _inputs(names, projects=True),
-                        [("/reference", engine(False, "constructions")),
-                         ("", engine(True, "misses"))],
-                        saved=("allocations",))
-    finally:
-        set_memoisation(True)
-        set_exact_ints(True)
-    reference = sum(row.seconds for row in rows if "/" in row.name)
-    fast = sum(row.seconds for row in rows if "/" not in row.name)
-    rows.append(Row("speed", "total",
-                    counters={"speedup": reference / fast if fast else 0.0},
-                    seconds=reference + fast))
     return rows
 
 
@@ -852,7 +780,6 @@ FAMILIES: Dict[str, Callable[[Optional[Sequence[str]]], List[Row]]] = {
     "store": store,
     "serve": serve,
     "obs": obs,
-    "speed": speed,
 }
 
 #: Schema identifier stamped into bench reports.

@@ -5,6 +5,11 @@ runs — fixpoint budget, qualifier-pool selection, SMT solver options and
 output preferences — so that a :class:`repro.core.session.Session` can be
 constructed once and reused across many files.  Configs are immutable;
 derive variants with :func:`dataclasses.replace`.
+
+A config sets budgets, pools and outputs, never an engine: there is one
+fixpoint engine (the worklist in :mod:`repro.core.liquid.fixpoint`) and one
+SMT engine (the persistent contexts behind :class:`repro.smt.Solver`).
+Their reference engines live in the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
-from repro.smt.solver import DEFAULT_SMT_MODE
 from repro.store.local import store_root
 
 #: Qualifier-pool selections understood by :class:`CheckConfig`.
@@ -20,16 +24,6 @@ QUALIFIER_SETS: Tuple[str, ...] = ("default", "harvested")
 
 #: Output formats understood by :class:`CheckConfig` and the CLI.
 OUTPUT_FORMATS: Tuple[str, ...] = ("text", "json")
-
-#: Liquid fixpoint scheduling strategies (see :mod:`repro.core.liquid.fixpoint`).
-FIXPOINT_STRATEGIES: Tuple[str, ...] = ("worklist", "naive")
-
-#: SMT query engines (see :mod:`repro.smt.context`): ``"incremental"`` keeps
-#: persistent assumption-based contexts per hypothesis environment,
-#: ``"fresh"`` rebuilds CNF and a SAT solver per query (the historical
-#: behaviour, kept as the differential oracle: ``repro bench smt`` runs it
-#: as the ``NAME/fresh`` rows).
-SMT_MODES: Tuple[str, ...] = ("incremental", "fresh")
 
 #: Persistent artifact store modes (see :mod:`repro.store`):
 #: ``"readwrite"`` serves hits and writes back finished artifacts,
@@ -43,8 +37,7 @@ class SolverOptions:
     """Options forwarded to the SMT substrate (:class:`repro.smt.Solver`).
 
     ``context_cache_limit`` bounds the LRU of persistent solver contexts
-    kept alive in ``smt_mode="incremental"`` (one per distinct hypothesis
-    environment; evicted contexts rebuild cheaply from the solver's theory
+    (one per distinct hypothesis environment; evicted contexts rebuild cheaply from the solver's theory
     lemma memo).
     """
 
@@ -145,17 +138,10 @@ class CheckConfig:
     """Immutable configuration shared by every check in a session.
 
     * ``max_fixpoint_iterations`` — budget for the liquid fixpoint loop.
-    * ``fixpoint_strategy`` — ``"worklist"`` (dependency-graph-driven
-      scheduling with pre-SMT pruning, the default) or ``"naive"`` (the
-      reference global-round sweep, kept for comparison benchmarks).
     * ``warnings_as_errors`` — promote warnings to errors in the verdict.
     * ``qualifier_set`` — ``"default"`` (built-in pool plus qualifiers
       harvested from the program) or ``"harvested"`` (program-derived
       qualifiers only; useful to measure how much the built-ins contribute).
-    * ``smt_mode`` — ``"incremental"`` (persistent assumption-based solver
-      contexts per hypothesis environment, the default) or ``"fresh"`` (a
-      new SAT solver per query; the reference oracle — verdicts are
-      identical, only the work counters differ).
     * ``solver`` — SMT substrate options (:class:`SolverOptions`).
     * ``output_format`` — ``"text"`` or ``"json"`` (the CLI default).
     * ``jobs`` — worker processes used by batch entry points
@@ -181,10 +167,8 @@ class CheckConfig:
     """
 
     max_fixpoint_iterations: int = 40
-    fixpoint_strategy: str = "worklist"
     warnings_as_errors: bool = False
     qualifier_set: str = "default"
-    smt_mode: str = DEFAULT_SMT_MODE
     solver: SolverOptions = field(default_factory=SolverOptions)
     output_format: str = "text"
     jobs: int = 1
@@ -198,18 +182,10 @@ class CheckConfig:
     def __post_init__(self) -> None:
         if self.max_fixpoint_iterations < 1:
             raise ValueError("max_fixpoint_iterations must be positive")
-        if self.fixpoint_strategy not in FIXPOINT_STRATEGIES:
-            raise ValueError(
-                f"unknown fixpoint_strategy {self.fixpoint_strategy!r} "
-                f"(expected one of {', '.join(FIXPOINT_STRATEGIES)})")
         if self.qualifier_set not in QUALIFIER_SETS:
             raise ValueError(
                 f"unknown qualifier_set {self.qualifier_set!r} "
                 f"(expected one of {', '.join(QUALIFIER_SETS)})")
-        if self.smt_mode not in SMT_MODES:
-            raise ValueError(
-                f"unknown smt_mode {self.smt_mode!r} "
-                f"(expected one of {', '.join(SMT_MODES)})")
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(
                 f"unknown output_format {self.output_format!r} "
@@ -232,10 +208,8 @@ class CheckConfig:
     def to_dict(self) -> dict:
         return {
             "max_fixpoint_iterations": self.max_fixpoint_iterations,
-            "fixpoint_strategy": self.fixpoint_strategy,
             "warnings_as_errors": self.warnings_as_errors,
             "qualifier_set": self.qualifier_set,
-            "smt_mode": self.smt_mode,
             "solver": self.solver.to_dict(),
             "output_format": self.output_format,
             "jobs": self.jobs,

@@ -11,27 +11,24 @@ hypotheses mention kappa occurrences), the solver
 3. stops at a fixpoint, which is the strongest assignment consistent with the
    constraints (standard predicate-abstraction argument).
 
-Two scheduling strategies are available:
-
-* ``"worklist"`` (the default) — builds the kappa dependency graph (an edge
-  ``A -> B`` when kappa ``A`` occurs in a hypothesis of an implication whose
-  goal is kappa ``B``), condenses it into strongly connected components, and
-  schedules weakening in topological order of the condensation.  An
-  implication is only revisited when one of the kappas its hypotheses
-  mention actually changed, so stable regions of the constraint graph are
-  never re-queried.  Cheap pre-SMT pruning (syntactic tautologies,
-  syntactically inconsistent hypotheses, and a per-``(kappa, qualifier)``
-  memo of already-refuted candidates) further cuts the validity queries that
-  reach the solver; the survivors are batched through
-  :meth:`repro.smt.solver.Solver.check_implication_batch` so the shared
-  antecedent is built once per visit.
-* ``"naive"`` — the historical global-round loop that sweeps every Horn
-  implication each round.  It is kept as the reference oracle: the worklist
-  engine must produce the identical solution while issuing fewer queries
-  (asserted by the test-suite and reported by ``repro bench figure6``).
-
-Typed counters for either strategy are recorded in a
+Scheduling is dependency-directed: the solver builds the kappa dependency
+graph (an edge ``A -> B`` when kappa ``A`` occurs in a hypothesis of an
+implication whose goal is kappa ``B``), condenses it into strongly connected
+components, and schedules weakening in topological order of the
+condensation.  An implication is only revisited when one of the kappas its
+hypotheses mention actually changed, so stable regions of the constraint
+graph are never re-queried.  Cheap pre-SMT pruning (syntactic tautologies,
+syntactically inconsistent hypotheses, and a per-``(kappa, qualifier)`` memo
+of already-refuted candidates) further cuts the validity queries that reach
+the solver; the survivors are batched through
+:meth:`repro.smt.solver.Solver.check_implication_batch` so the shared
+antecedent is built once per visit.  Typed counters are recorded in a
 :class:`repro.core.result.SolveStats` (``LiquidSolver.stats``).
+
+The reference engine, a global-round loop that sweeps every Horn
+implication each round, lives in ``tests/test_worklist.py``: it stands in
+for :meth:`LiquidSolver._solve_worklist` there, and the worklist must
+produce the identical solution with strictly fewer queries.
 
 Implications with concrete goals are *not* used during solving; they are the
 final verification conditions checked afterwards by the caller
@@ -59,16 +56,10 @@ from repro.logic.terms import (
 from repro.rtypes.types import is_kvar_app
 from repro.smt.solver import Solver
 from repro.core.cancel import CancelToken, checkpoint
-from repro.core.config import FIXPOINT_STRATEGIES
 from repro.core.constraints import Implication
 from repro.core.liquid.qualifiers import QualifierPool
 from repro.core.result import SolveStats
 from repro.obs.trace import span as trace_span, tracer as _tracer
-
-#: Scheduling strategies understood by :class:`LiquidSolver` (the single
-#: source of truth lives in :mod:`repro.core.config`).
-STRATEGIES = FIXPOINT_STRATEGIES
-
 
 @dataclass
 class KappaInfo:
@@ -250,17 +241,12 @@ _KEEP, _DROP, _QUERY = 0, 1, 2
 
 class LiquidSolver:
     def __init__(self, solver: Solver, pool: QualifierPool,
-                 registry: KappaRegistry, max_iterations: int = 40,
-                 strategy: str = "worklist") -> None:
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown fixpoint strategy {strategy!r} "
-                             f"(expected one of {', '.join(STRATEGIES)})")
+                 registry: KappaRegistry, max_iterations: int = 40) -> None:
         self.solver = solver
         self.pool = pool
         self.registry = registry
         self.max_iterations = max_iterations
-        self.strategy = strategy
-        self.stats = SolveStats(strategy=strategy)
+        self.stats = SolveStats()
         self._cancel: Optional[CancelToken] = None
         # Refuted-candidate memo, bit-packed per kappa: candidates refuted
         # in an earlier solve on this instance are dropped without a new
@@ -393,8 +379,7 @@ class LiquidSolver:
               cancel: Optional[CancelToken] = None) -> Solution:
         """Solve the Horn implications for the strongest kappa assignment.
 
-        With ``previous`` and ``dirty_kappas`` given (worklist strategy
-        only), the solve is *warm-started*: clean kappas begin at their
+        With ``previous`` and ``dirty_kappas`` given, the solve is *warm-started*: clean kappas begin at their
         previous fixpoint values and the worklist is seeded with only the
         implications constraining dirty kappas — everything else is reached
         through the dependency graph if (and only if) a weakening actually
@@ -405,12 +390,10 @@ class LiquidSolver:
         partial solution is discarded by the caller — only the refuted-memo,
         which is always sound, survives).
         """
-        self.stats = SolveStats(strategy=self.strategy)
+        self.stats = SolveStats()
         self._cancel = cancel
-        with trace_span("fixpoint.solve", "fixpoint",
-                        strategy=self.strategy) as sp:
-            warm = (previous is not None and dirty_kappas is not None
-                    and self.strategy == "worklist")
+        with trace_span("fixpoint.solve", "fixpoint") as sp:
+            warm = previous is not None and dirty_kappas is not None
             if warm:
                 solution = self.warm_solution(previous, dirty_kappas)
                 self.stats.warm_starts = 1
@@ -422,12 +405,8 @@ class LiquidSolver:
             self.stats.kappas = len(self.registry.kappas)
             self.stats.horn_implications = len(horn)
             solver_before = self.solver.stats.copy()
-            if self.strategy == "naive":
-                self._solve_naive(horn, solution)
-            else:
-                self._solve_worklist(
-                    horn, solution,
-                    seed_kappas=dirty_kappas if warm else None)
+            self._solve_worklist(horn, solution,
+                                 seed_kappas=dirty_kappas if warm else None)
             solver_delta = self.solver.stats.delta_since(solver_before)
             self.stats.cache_hits = solver_delta.cache_hits
             self.stats.contexts_created = solver_delta.contexts_created
@@ -439,35 +418,6 @@ class LiquidSolver:
                     rounds=self.stats.rounds,
                     queries=self.stats.queries_issued)
         return solution
-
-    def _solve_naive(self, horn: Sequence[Implication],
-                     solution: Solution) -> None:
-        """The reference global-round loop: sweep everything every round."""
-        for sweep in range(self.max_iterations):
-            checkpoint(self._cancel)
-            self.stats.rounds += 1
-            changed = False
-            with trace_span("fixpoint.round", "fixpoint",
-                            round=sweep, implications=len(horn)):
-                for imp in horn:
-                    occurrence = self._goal_kappa(imp)
-                    assert occurrence is not None
-                    name = occurrence.fn
-                    info = self.registry.info(name)
-                    mapping = _occurrence_subst(info, occurrence)
-                    hyps = [self.apply(h, solution) for h in imp.hyps]
-                    kept: List[Expr] = []
-                    for qual in solution.get(name, []):
-                        goal = substitute(qual, mapping)
-                        self.stats.queries_issued += 1
-                        if self.solver.check_implication(hyps, goal):
-                            kept.append(qual)
-                        else:
-                            self._mark_refuted(name, qual)
-                            changed = True
-                    solution[name] = kept
-            if not changed:
-                break
 
     def _solve_worklist(self, horn: Sequence[Implication],
                         solution: Solution,
@@ -482,7 +432,7 @@ class LiquidSolver:
         cursor are deferred to the next round.  Compared with scheduling
         each change individually this batches weakenings, so a revisited
         implication sees one consolidated new hypothesis state instead of a
-        fresh SMT formula per predecessor change — and unlike the naive
+        fresh SMT formula per predecessor change — and unlike a global-round
         sweep, implications whose dependencies are stable are never
         reconsidered and no final confirmation sweep is needed.
 

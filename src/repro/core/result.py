@@ -6,6 +6,12 @@ error codes, typed solver statistics, per-stage timings) and
 JSON-serialisable via ``to_dict``/``to_json`` so that driver loops (CI,
 benchmark harnesses, generate-and-check clients) get machine-readable
 verdicts instead of parsing printed strings.
+
+The counter classes (:class:`SolveStats` here, ``SolverStats`` in
+:mod:`repro.smt.solver`) are plain dataclasses of numbers: their
+``merge`` and ``to_dict`` walk the dataclass fields, so a new counter is
+one field declaration.  :func:`total_solve_stats` is the one aggregation
+over a list of results.
 """
 
 from __future__ import annotations
@@ -18,28 +24,25 @@ from typing import Dict, List, Optional
 
 from repro.errors import Diagnostic, Severity
 from repro.logic.terms import Expr
-from repro.smt.solver import SolverStats
+from repro.smt.solver import Counters, SolverStats
 
 #: Pipeline stage names, in execution order.
 STAGES = ("parse", "ssa", "constraints", "solve", "verify")
 
 
 @dataclass
-class SolveStats:
+class SolveStats(Counters):
     """Typed counters from one liquid-fixpoint run (the ``solve`` stage).
 
-    ``rounds`` counts scheduler steps: full sweeps over the Horn constraints
-    for the ``naive`` strategy, individual worklist visits for the
-    ``worklist`` strategy.  ``queries_pruned`` counts candidate qualifiers
-    discharged without an SMT query (syntactic tautologies, inconsistent
-    hypotheses, and refuted-memo hits); ``cache_hits`` is the solver-cache
-    delta observed while solving.
+    ``rounds`` counts scheduler steps (individual worklist visits).
+    ``queries_pruned`` counts candidate qualifiers discharged without an SMT
+    query (syntactic tautologies, inconsistent hypotheses, and refuted-memo
+    hits); ``cache_hits`` is the solver-cache delta observed while solving.
 
-    The incremental-SMT counters (``smt_mode="incremental"``) are likewise
-    solver deltas observed during the solve: ``contexts_created`` /
-    ``contexts_reused`` count persistent assumption-based solver contexts
-    built vs served from the LRU, ``clauses_learned`` counts CDCL-learned
-    clauses (retained by contexts, discarded by fresh solvers), and
+    The SMT-context counters are likewise solver deltas observed during the
+    solve: ``contexts_created`` / ``contexts_reused`` count persistent
+    assumption-based solver contexts built vs served from the LRU,
+    ``clauses_learned`` counts CDCL-learned clauses, and
     ``lemmas_reused`` counts theory conflicts answered from the cross-context
     lemma memo without re-running a theory check.
 
@@ -50,7 +53,6 @@ class SolveStats:
     whose solved refinements and obligation verdicts were carried over.
     """
 
-    strategy: str = "worklist"
     kappas: int = 0
     horn_implications: int = 0
     sccs: int = 0
@@ -66,42 +68,14 @@ class SolveStats:
     declarations_rechecked: int = 0
     declarations_reused: int = 0
 
-    def merge(self, other: "SolveStats") -> None:
-        if self.strategy != other.strategy:
-            self.strategy = "mixed"
-        self.kappas += other.kappas
-        self.horn_implications += other.horn_implications
-        self.sccs += other.sccs
-        self.rounds += other.rounds
-        self.queries_issued += other.queries_issued
-        self.queries_pruned += other.queries_pruned
-        self.cache_hits += other.cache_hits
-        self.contexts_created += other.contexts_created
-        self.contexts_reused += other.contexts_reused
-        self.clauses_learned += other.clauses_learned
-        self.lemmas_reused += other.lemmas_reused
-        self.warm_starts += other.warm_starts
-        self.declarations_rechecked += other.declarations_rechecked
-        self.declarations_reused += other.declarations_reused
 
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "kappas": self.kappas,
-            "horn_implications": self.horn_implications,
-            "sccs": self.sccs,
-            "rounds": self.rounds,
-            "queries_issued": self.queries_issued,
-            "queries_pruned": self.queries_pruned,
-            "cache_hits": self.cache_hits,
-            "contexts_created": self.contexts_created,
-            "contexts_reused": self.contexts_reused,
-            "clauses_learned": self.clauses_learned,
-            "lemmas_reused": self.lemmas_reused,
-            "warm_starts": self.warm_starts,
-            "declarations_rechecked": self.declarations_rechecked,
-            "declarations_reused": self.declarations_reused,
-        }
+def total_solve_stats(results: List["CheckResult"]) -> SolveStats:
+    """The fixpoint counters of ``results``, summed (unsolved ones skipped)."""
+    total = SolveStats()
+    for result in results:
+        if result.solve_stats is not None:
+            total.merge(result.solve_stats)
+    return total
 
 
 @dataclass
@@ -230,12 +204,7 @@ class BatchResult:
     @property
     def solve_stats(self) -> SolveStats:
         """Fixpoint-engine counters aggregated over every checked file."""
-        stats = [r.solve_stats for r in self.results
-                 if r.solve_stats is not None]
-        total = SolveStats(strategy=stats[0].strategy) if stats else SolveStats()
-        for s in stats:
-            total.merge(s)
-        return total
+        return total_solve_stats(self.results)
 
     def summary(self) -> str:
         status = "SAFE" if self.ok else "UNSAFE"

@@ -265,7 +265,6 @@ class Workspace:
             max_theory_iterations=opts.max_theory_iterations,
             cache_results=opts.cache_results,
             cache_size_limit=opts.cache_size_limit,
-            smt_mode=self.config.smt_mode,
             context_cache_limit=opts.context_cache_limit)
         self._documents: Dict[str, Document] = {}
         self.checks_run = 0
@@ -389,9 +388,7 @@ class Workspace:
                 checkpoint(token)
                 # The fingerprint/partition bookkeeping only matters when
                 # warm starts are possible at all.
-                warm_capable = (self.config.incremental
-                                and self.config.fixpoint_strategy
-                                == "worklist")
+                warm_capable = self.config.incremental
                 sig_fp: Optional[str] = None
                 unit_fps: Dict[str, str] = {}
                 local = False
@@ -492,7 +489,7 @@ class Workspace:
         reuse look like effort."""
         solve = None
         if snapshot.result.solve_stats is not None:
-            solve = SolveStats(strategy=snapshot.result.solve_stats.strategy)
+            solve = SolveStats()
             solve.declarations_reused = len(snapshot.unit_fps)
         stats = None if snapshot.result.stats is None else SolverStats()
         return replace(snapshot.result, stats=stats, solve_stats=solve,
@@ -610,8 +607,7 @@ class Workspace:
                 plan = self._store_plan(stage)
             liquid = LiquidSolver(
                 self.solver, checker.pool, checker.kappas,
-                max_iterations=self.config.max_fixpoint_iterations,
-                strategy=self.config.fixpoint_strategy)
+                max_iterations=self.config.max_fixpoint_iterations)
             if plan is not None:
                 solution = liquid.solve(checker.constraints.implications,
                                         previous=plan.previous,
@@ -634,8 +630,7 @@ class Workspace:
         :meth:`LiquidSolver.check_concrete` against the seeded verdict
         memos).  A kappa-name mismatch (hash collision, solver divergence)
         demotes the hit to a cold solve."""
-        if (stage.store_solution is None
-                or self.config.fixpoint_strategy != "worklist"):
+        if stage.store_solution is None:
             return None
         checker = stage.checker
         if set(stage.store_solution) != set(checker.kappas.kappas):

@@ -33,7 +33,6 @@ from repro.logic.terms import (
     StrLit,
     UnOp,
     children,
-    memoisation_enabled,
     rebuild,
 )
 
@@ -48,7 +47,7 @@ def _clear_local_memos() -> None:
 
 def simplify(e: Expr) -> Expr:
     """Simplify ``e`` bottom-up (iteratively; results memoised per term)."""
-    memo = _SIMPLIFY_MEMO if memoisation_enabled() else {}
+    memo = _SIMPLIFY_MEMO
     hit = memo.get(e)
     if hit is not None:
         return hit

@@ -59,8 +59,8 @@ _INTERN_STATS = [0, 0]
 
 
 def intern_stats() -> dict:
-    """Interning counters for the speed bench: hits, misses (allocations),
-    the derived hit rate, and the live table size."""
+    """Interning counters: hits, misses (allocations), the derived hit
+    rate, and the live table size."""
     hits, misses = _INTERN_STATS
     total = hits + misses
     return {
@@ -72,34 +72,9 @@ def intern_stats() -> dict:
     }
 
 
-def reset_intern_stats() -> None:
-    _INTERN_STATS[0] = 0
-    _INTERN_STATS[1] = 0
-
-
-#: Memoisation switch for the traversal caches (the intern table is not
-#: affected).  The speed bench flips this off to measure the memo layer's
-#: contribution; everything still computes identical results, just without
-#: cross-call reuse.
-_MEMO_ON = [True]
-
 _FREE_VARS_MEMO: Dict["Expr", FrozenSet[str]] = {}
 _EXPR_SIZE_MEMO: Dict["Expr", int] = {}
 _SUBST_MEMO: Dict[tuple, "Expr"] = {}
-
-
-def set_memoisation(enabled: bool) -> None:
-    """Enable/disable the traversal memo tables (bench instrumentation).
-
-    Disabling also drops the current tables so a later re-enable starts
-    cold; interning is unaffected either way.
-    """
-    _MEMO_ON[0] = bool(enabled)
-    clear_memos()
-
-
-def memoisation_enabled() -> bool:
-    return _MEMO_ON[0]
 
 
 def clear_memos() -> None:
@@ -547,7 +522,7 @@ def free_vars(e: Expr) -> FrozenSet[str]:
     across formulas are computed once per process (until
     :func:`clear_memos`).
     """
-    memo = _FREE_VARS_MEMO if _MEMO_ON[0] else {}
+    memo = _FREE_VARS_MEMO
     hit = memo.get(e)
     if hit is not None:
         return hit
@@ -597,13 +572,10 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """
     if not mapping:
         return e
-    if _MEMO_ON[0]:
-        top_key = (e, *sorted(mapping.items()))
-        hit = _SUBST_MEMO.get(top_key)
-        if hit is not None:
-            return hit
-    else:
-        top_key = None
+    top_key = (e, *sorted(mapping.items()))
+    hit = _SUBST_MEMO.get(top_key)
+    if hit is not None:
+        return hit
     keys = frozenset(mapping)
     done: Dict[Expr, Expr] = {}
     stack: List[Tuple[Expr, bool]] = [(e, False)]
@@ -634,8 +606,7 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
             if c not in done:
                 stack.append((c, False))
     result = done[e]
-    if top_key is not None:
-        _SUBST_MEMO[top_key] = result
+    _SUBST_MEMO[top_key] = result
     return result
 
 
@@ -671,7 +642,7 @@ def subst_term(e: Expr, old: Expr, new: Expr) -> Expr:
 
 def expr_size(e: Expr) -> int:
     """Number of AST nodes — used by tests and the fixpoint solver heuristics."""
-    memo = _EXPR_SIZE_MEMO if _MEMO_ON[0] else {}
+    memo = _EXPR_SIZE_MEMO
     hit = memo.get(e)
     if hit is not None:
         return hit

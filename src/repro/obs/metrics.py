@@ -142,7 +142,7 @@ class MetricsRegistry:
 
     def load(self, prefix: str, mapping: Optional[dict]) -> None:
         """Bulk-load a stats ``to_dict()``: ints become counters, floats
-        gauges; non-numeric values (strategy names, states) are skipped."""
+        gauges; non-numeric values (names, states) are skipped."""
         for key, value in (mapping or {}).items():
             name = f"{prefix}.{key}"
             if isinstance(value, bool):

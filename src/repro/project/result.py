@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.result import CheckResult, SolveStats
+from repro.core.result import CheckResult, SolveStats, total_solve_stats
 from repro.smt.solver import SolverStats
 
 
@@ -61,12 +61,7 @@ class ProjectResult:
 
     @property
     def solve_stats(self) -> SolveStats:
-        stats = [r.solve_stats for r in self.results
-                 if r.solve_stats is not None]
-        total = SolveStats(strategy=stats[0].strategy) if stats else SolveStats()
-        for s in stats:
-            total.merge(s)
-        return total
+        return total_solve_stats(self.results)
 
     def summary(self) -> str:
         status = "SAFE" if self.ok else "UNSAFE"

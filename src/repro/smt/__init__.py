@@ -27,8 +27,7 @@ scratch:
                               fixed at decision level 0,
 * :mod:`repro.smt.solver`   — the lazy-SMT loop and the public ``Solver``
                               facade (``is_valid`` / ``is_satisfiable``),
-                              routing implications through contexts when
-                              ``smt_mode="incremental"``.
+                              routing every implication through a context.
 
 The combination is sound for validity: whenever :meth:`Solver.is_valid`
 returns ``True`` the formula really is valid in QF_UFLIA + constant masks.
@@ -36,14 +35,13 @@ Incompleteness only ever causes spurious "not valid" answers (i.e. spurious
 type errors), never unsoundness.
 """
 
-from repro.smt.solver import SMT_MODES, Result, Solver, SolverStats
+from repro.smt.solver import Result, Solver, SolverStats
 from repro.smt.context import ContextManager, SolverContext, TheoryLemmaStore
 
 __all__ = [
     "Solver",
     "SolverStats",
     "Result",
-    "SMT_MODES",
     "ContextManager",
     "SolverContext",
     "TheoryLemmaStore",

@@ -38,7 +38,6 @@ from repro.logic.terms import (
     Ite,
     UnOp,
     Var,
-    memoisation_enabled,
 )
 from repro.logic.sorts import BOOL
 
@@ -90,7 +89,7 @@ def to_nnf(e: Expr, polarity: bool = True) -> Expr:
     Iterative worklist over ``(term, polarity)`` pairs with a per-process
     memo; produces exactly the formula the old recursion did.
     """
-    memo = _NNF_MEMO if memoisation_enabled() else {}
+    memo = _NNF_MEMO
     key = (e, polarity)
     hit = memo.get(key)
     if hit is not None:
@@ -254,7 +253,7 @@ def collect_atoms(e: Expr) -> FrozenSet[Expr]:
     context layer uses this to restrict theory checks to the *active* atoms
     of a query.  Returns a (memoised) frozenset.
     """
-    memo = _ATOMS_MEMO if memoisation_enabled() else {}
+    memo = _ATOMS_MEMO
     hit = memo.get(e)
     if hit is not None:
         return hit

@@ -242,9 +242,10 @@ class SolverContext:
 
         ``stats`` is the owning solver's :class:`SolverStats`; the context
         bumps ``sat_calls`` / ``theory_checks`` / ``blocking_clauses`` /
-        ``lemmas_reused`` / ``clauses_learned`` exactly like the fresh path,
-        and adds the SAT solver's work since the last goal (including the
-        hypotheses' clauses, for the first) to the ``sat_*`` counters.
+        ``lemmas_reused`` / ``clauses_learned`` exactly like the lazy loop of
+        :meth:`Solver._check_sat`, and adds the SAT solver's work since the
+        last goal (including the hypotheses' clauses, for the first) to the
+        ``sat_*`` counters.
         """
         try:
             return self._check_goal(goal, stats)
@@ -285,8 +286,8 @@ class SolverContext:
         if self.sat.propagate_probe((selector,)):
             # Retained clauses refute the goal by unit propagation alone —
             # no SAT search needed.  This is the steady-state fast path for
-            # re-derivable obligations and the reason incremental mode
-            # issues fewer sat_calls than the fresh engine.
+            # re-derivable obligations and the reason the contexts issue
+            # fewer sat_calls than a fresh solver per query.
             self._retire(selector)
             return True
         learned_before = self.sat.num_learned
@@ -428,14 +429,14 @@ class SolverContext:
             if not any(self.atoms.atom_to_var.get(atom) is not None
                        for atom, _value in core):
                 # The conflict mentions no decidable atom; give up
-                # conservatively (mirrors the fresh path).
+                # conservatively (mirrors Solver._check_sat).
                 return None
             stats.blocking_clauses += 1
             if not self._assert_core(index, core):
                 return True
             if self.sat.propagate_probe(assumptions):
-                # The new lemma refutes the goal by propagation alone — the
-                # fresh engine detects the same situation as a root-level
+                # The new lemma refutes the goal by propagation alone — a
+                # fresh solver per query detects the same situation as a root-level
                 # conflict while inserting its blocking clause.
                 return True
         return None

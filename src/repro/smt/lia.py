@@ -21,14 +21,15 @@ Non-linear products and divisions are treated as opaque (uninterpreted)
 variables, exactly like the paper does (section 5.1 "Ghost Functions").
 
 Coefficients are exact: since division is opaque, every coefficient that
-:func:`linearize` produces is an integer, and Fourier–Motzkin combinations
-of integer constraints stay integer (cross-multiplication, no division).
-By default the solver therefore seeds plain Python ints, which makes the
-elimination loop an order of magnitude cheaper than the historical
-``fractions.Fraction`` arithmetic.  The Fraction-seeded path is kept,
-bit-for-bit, as the reference implementation: :func:`set_exact_ints`
-switches back to it, and ``repro bench speed`` runs both (rows
-``NAME/reference`` and ``NAME``) and requires one verdict digest.
+:func:`linearize` produces is a plain Python int, and Fourier–Motzkin
+combinations of integer constraints stay integer (cross-multiplication, no
+division), which makes the elimination loop an order of magnitude cheaper
+than ``fractions.Fraction`` arithmetic.  Each combination is divided by the
+gcd of its terms when that is exact (:func:`_gcd_normalised`).  A problem
+built from ``Fraction`` coefficients runs the same algorithm with the
+normalisation skipped; ``tests/test_speed_layer.py`` and
+``tests/test_smt.py`` use it as the reference and require the same
+verdict, conflict mask and give-up flag.
 
 Conflicts explain themselves.  Every constraint carries a bitmask ``tag``
 naming the input literals it stands for; when Fourier–Motzkin combines two
@@ -55,32 +56,6 @@ VarKey = Hashable
 #: Safety valve for Fourier–Motzkin blow-up; beyond this we give up, answer
 #: "satisfiable" (sound for validity checking) and flag the give-up.
 MAX_CONSTRAINTS = 4000
-
-#: Seed plain ints (the fast path) instead of Fractions (the reference).
-#: Both paths run the same algorithm on the same values — ints and the
-#: Fractions they equal compare and combine identically — only the cost of
-#: each arithmetic operation differs.
-_EXACT_INTS = [True]
-
-
-def set_exact_ints(enabled: bool) -> None:
-    """Select integer (default) or reference Fraction coefficient seeding."""
-    _EXACT_INTS[0] = bool(enabled)
-
-
-def exact_ints_enabled() -> bool:
-    return _EXACT_INTS[0]
-
-
-def _seed(value: "int | Fraction") -> "int | Fraction":
-    """A coefficient/constant in the active arithmetic representation."""
-    if _EXACT_INTS[0]:
-        if isinstance(value, int):
-            return value
-        if isinstance(value, Fraction) and value.denominator == 1:
-            return value.numerator
-    return Fraction(value)
-
 
 @dataclass(slots=True)
 class LinExpr:
@@ -118,11 +93,11 @@ class LinExpr:
 
     @staticmethod
     def constant(value: int | Fraction) -> "LinExpr":
-        return LinExpr({}, _seed(value))
+        return LinExpr({}, value)
 
     @staticmethod
     def variable(key: VarKey) -> "LinExpr":
-        return LinExpr({key: _seed(1)}, _seed(0))
+        return LinExpr({key: 1}, 0)
 
     def __str__(self) -> str:
         parts = [f"{c}*{k}" for k, c in sorted(self.coeffs.items(), key=lambda kv: str(kv[0]))]
@@ -336,9 +311,7 @@ def _leqs_conflict(leqs: Sequence[LinExpr]) -> Optional[int]:
                     if combined.const > 0:
                         return combined.tag
                 else:
-                    if _EXACT_INTS[0]:
-                        combined = _gcd_normalised(combined)
-                    new_constraints.append(combined)
+                    new_constraints.append(_gcd_normalised(combined))
         constraints = new_constraints
         for c in constraints:
             if c.is_constant() and c.const > 0:

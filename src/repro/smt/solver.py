@@ -2,25 +2,33 @@
 
 The refinement checker asks two kinds of questions:
 
-* ``is_valid(hypotheses, goal)`` — does the conjunction of hypotheses imply
-  the goal?  This is how subtyping obligations (verification conditions) are
-  discharged.
-* ``is_satisfiable(formula)`` — used by two-phase typing to detect dead code
-  (an inconsistent environment) and by the test-suite.
+* ``check_implication(hypotheses, goal)`` — does the conjunction of
+  hypotheses imply the goal?  This is how subtyping obligations
+  (verification conditions) are discharged.
+* ``check(formula)`` / ``is_satisfiable`` — used by two-phase typing to
+  detect dead code (an inconsistent environment) and by the test-suite.
 
-Architecture: the formula is simplified, converted to CNF over theory atoms
-(:mod:`repro.smt.cnf`), and solved by the CDCL SAT core
-(:mod:`repro.smt.sat`).  Each propositional model is checked against the
-combined theory (:mod:`repro.smt.theory`); theory conflicts are turned into
-blocking clauses and the loop continues until either a theory-consistent
-model is found (satisfiable) or the SAT solver reports unsatisfiability.
+A bare formula goes through the lazy SMT loop of :meth:`Solver._check_sat`:
+it is simplified, converted to CNF over theory atoms (:mod:`repro.smt.cnf`)
+and solved by a throwaway CDCL SAT core (:mod:`repro.smt.sat`).  Each
+propositional model is checked against the combined theory
+(:mod:`repro.smt.theory`); theory conflicts become blocking clauses until a
+theory-consistent model is found (satisfiable) or the SAT solver reports
+unsatisfiability.
+
+Implications take the one engine of :mod:`repro.smt.context` instead: a
+persistent context per hypothesis environment, each goal solved under a
+selector assumption.  Both paths share the result cache, keyed by
+``neg(antecedent => goal)``, so ``is_valid(implies(conj(hyps), goal))``
+asks the same question with a fresh SAT solver per query.  That is the
+reference the test suite compares the contexts against.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -32,14 +40,6 @@ from repro.smt.sat import SatSolver
 from repro.smt.theory import check_with_core
 from repro.obs.trace import span as trace_span
 
-#: Query engines understood by :class:`Solver` (mirrored by
-#: :data:`repro.core.config.SMT_MODES` for :class:`CheckConfig` validation).
-SMT_MODES = ("incremental", "fresh")
-
-#: The engine a :class:`Solver` and a :class:`repro.core.config.CheckConfig`
-#: use unless told otherwise.
-DEFAULT_SMT_MODE = "incremental"
-
 
 class Result(Enum):
     SAT = "sat"
@@ -47,8 +47,19 @@ class Result(Enum):
     UNKNOWN = "unknown"
 
 
+class Counters:
+    """Mixin for a dataclass whose every field is a summable counter."""
+
+    def merge(self, other) -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass
-class SolverStats:
+class SolverStats(Counters):
     """Counters accumulated across queries (reported by the bench harness)."""
 
     queries: int = 0
@@ -66,39 +77,19 @@ class SolverStats:
     contexts_reused: int = 0
     clauses_learned: int = 0
     lemmas_reused: int = 0
-    #: congruence-closure nodes created by theory checks (and, in
-    #: incremental mode, by building each context's root theory state)
+    #: congruence-closure nodes created by theory checks (and by building
+    #: each context's root theory state)
     euf_terms_added: int = 0
     #: top-level ``linearize`` calls made by theory checks (two per
     #: arithmetic literal linearised; reused root rows cost none)
     linearize_calls: int = 0
     #: the SAT solvers' own work: branching decisions, conflicts and
     #: propagated trail literals, over every search, probe and clause
-    #: addition (incremental contexts report theirs after each goal)
+    #: addition (contexts report theirs after each goal)
     sat_decisions: int = 0
     sat_conflicts: int = 0
     sat_propagations: int = 0
     time_seconds: float = 0.0
-
-    def merge(self, other: "SolverStats") -> None:
-        self.queries += other.queries
-        self.valid += other.valid
-        self.invalid += other.invalid
-        self.sat_calls += other.sat_calls
-        self.theory_checks += other.theory_checks
-        self.giveups += other.giveups
-        self.blocking_clauses += other.blocking_clauses
-        self.cache_hits += other.cache_hits
-        self.contexts_created += other.contexts_created
-        self.contexts_reused += other.contexts_reused
-        self.clauses_learned += other.clauses_learned
-        self.lemmas_reused += other.lemmas_reused
-        self.euf_terms_added += other.euf_terms_added
-        self.linearize_calls += other.linearize_calls
-        self.sat_decisions += other.sat_decisions
-        self.sat_conflicts += other.sat_conflicts
-        self.sat_propagations += other.sat_propagations
-        self.time_seconds += other.time_seconds
 
     def copy(self) -> "SolverStats":
         return SolverStats(**self.to_dict())
@@ -110,47 +101,16 @@ class SolverStats:
             for key, value in self.to_dict().items()
         })
 
-    def to_dict(self) -> dict:
-        return {
-            "queries": self.queries,
-            "valid": self.valid,
-            "invalid": self.invalid,
-            "sat_calls": self.sat_calls,
-            "theory_checks": self.theory_checks,
-            "giveups": self.giveups,
-            "blocking_clauses": self.blocking_clauses,
-            "cache_hits": self.cache_hits,
-            "contexts_created": self.contexts_created,
-            "contexts_reused": self.contexts_reused,
-            "clauses_learned": self.clauses_learned,
-            "lemmas_reused": self.lemmas_reused,
-            "euf_terms_added": self.euf_terms_added,
-            "linearize_calls": self.linearize_calls,
-            "sat_decisions": self.sat_decisions,
-            "sat_conflicts": self.sat_conflicts,
-            "sat_propagations": self.sat_propagations,
-            "time_seconds": self.time_seconds,
-        }
-
 
 class Solver:
     """The SMT query engine behind every checking session.
 
-    ``smt_mode`` selects how implication batches are discharged:
-
-    * ``"incremental"`` (the default, :data:`DEFAULT_SMT_MODE`, shared with
-      :attr:`repro.core.config.CheckConfig.smt_mode`) — implication queries
-      are routed through persistent assumption-based
-      :class:`repro.smt.context.SolverContext` objects, one per hypothesis
-      environment, kept in an LRU of ``context_cache_limit`` entries (see
-      :mod:`repro.smt.context`);
-    * ``"fresh"`` (the historical behaviour, kept as the reference) —
-      every query builds its own CNF and SAT solver.
-
-    Verdicts are identical in both modes (asserted by the differential fuzz
-    suite, and by the shared verdict digest of the ``NAME`` and
-    ``NAME/fresh`` rows of ``repro bench smt``); only the work counters
-    differ.
+    Implication queries are routed through persistent assumption-based
+    :class:`repro.smt.context.SolverContext` objects, one per hypothesis
+    environment, kept in an LRU of ``context_cache_limit`` entries (see
+    :mod:`repro.smt.context`).  The test suite holds them to the verdicts
+    of a fresh SAT solver per query (:meth:`is_valid` of the implication),
+    on fuzzed batches and on every benchmark port.
 
     The query/result cache is keyed by the (hashable) formula, evicts
     least-recently-used entries past ``cache_size_limit``, and survives for
@@ -162,16 +122,11 @@ class Solver:
     def __init__(self, max_theory_iterations: int = 5000,
                  cache_results: bool = True,
                  cache_size_limit: int = 200_000,
-                 smt_mode: str = DEFAULT_SMT_MODE,
                  context_cache_limit: int = 64) -> None:
-        if smt_mode not in SMT_MODES:
-            raise ValueError(f"unknown smt_mode {smt_mode!r} "
-                             f"(expected one of {', '.join(SMT_MODES)})")
         self.max_theory_iterations = max_theory_iterations
         self.stats = SolverStats()
         self.cache_results = cache_results
         self.cache_size_limit = cache_size_limit
-        self.smt_mode = smt_mode
         self.contexts = ContextManager(
             limit=context_cache_limit,
             max_theory_iterations=max_theory_iterations)
@@ -282,32 +237,27 @@ class Solver:
     def check_implication(self, hypotheses: Sequence[Expr], goal: Expr) -> bool:
         """Validity of ``/\\ hypotheses => goal`` — the VC entry point."""
         antecedent = conj(*hypotheses) if hypotheses else BoolLit(True)
-        if self.smt_mode == "incremental":
-            return self._check_goal_incremental(antecedent, goal)
-        return self.is_valid(implies(antecedent, goal))
+        return self._check_goal(antecedent, goal)
 
     def check_implication_batch(self, hypotheses: Sequence[Expr],
                                 goals: Sequence[Expr]) -> List[bool]:
         """Validity of ``/\\ hypotheses => goal`` for each goal in turn.
 
         The antecedent conjunction is built once and every query still flows
-        through the result cache.  In ``"incremental"`` mode the whole batch
-        is discharged against one persistent :class:`SolverContext`: the
-        hypotheses' CNF is asserted once, each goal is solved under a fresh
-        selector assumption, and learned/theory clauses carry over from goal
-        to goal (and to later batches over the same environment)."""
+        through the result cache.  The whole batch is discharged against one
+        persistent :class:`SolverContext`: the hypotheses' CNF is asserted
+        once, each goal is solved under a fresh selector assumption, and
+        learned/theory clauses carry over from goal to goal (and to later
+        batches over the same environment)."""
         antecedent = conj(*hypotheses) if hypotheses else BoolLit(True)
-        if self.smt_mode == "incremental":
-            return [self._check_goal_incremental(antecedent, goal)
-                    for goal in goals]
-        return [self.is_valid(implies(antecedent, goal)) for goal in goals]
+        return [self._check_goal(antecedent, goal) for goal in goals]
 
-    def _check_goal_incremental(self, antecedent: Expr, goal: Expr) -> bool:
-        """One implication goal through the persistent-context engine.
+    def _check_goal(self, antecedent: Expr, goal: Expr) -> bool:
+        """One implication goal through its environment's context.
 
-        Caches under the same key as the fresh path
-        (``neg(antecedent => goal)``), so repeated obligations are served
-        identically in both modes and never touch a context twice.
+        Caches under the key :meth:`is_valid` would use for
+        ``antecedent => goal`` (``neg(antecedent => goal)``), so repeated
+        obligations never touch a context twice.
         """
         formula = neg(implies(antecedent, goal))
         cached = self._cache_lookup(formula)
@@ -321,7 +271,7 @@ class Solver:
                     context = self.contexts.context_for(antecedent,
                                                         self.stats)
                     verdict = context.check_goal(goal, self.stats)
-                    # Tri-state, like the fresh loop: None (budget
+                    # Tri-state, like the lazy loop: None (budget
                     # exhausted) is UNKNOWN and must not be cached as a
                     # real SAT answer.
                     if verdict is None:
@@ -402,7 +352,7 @@ class Solver:
             return Result.UNKNOWN
         finally:
             # Everything this throwaway solver learned is discarded with it,
-            # unlike the incremental engine's persistent contexts.
+            # unlike the persistent contexts.
             self.stats.clauses_learned += sat.num_learned
             self.stats.sat_decisions += sat.num_decisions
             self.stats.sat_conflicts += sat.num_conflicts

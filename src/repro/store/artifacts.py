@@ -12,11 +12,11 @@ An :class:`ArtifactStore` persists three artifact kinds across processes:
 Solutions and verdicts are keyed by the document's content hash *combined
 with* :func:`config_fingerprint` — a digest of exactly the options that can
 change constraint generation, fixpoint behaviour or solver verdicts
-(qualifier set, fixpoint budget/strategy, theory budget), so a
-stale config can never alias a current one.  Deliberately *excluded*:
-``smt_mode`` (verdicts are identical in both modes, asserted by the
-differential fuzz suite), cache sizing (capacity, not meaning), and output
-options (they never touch the pipeline).
+(qualifier set, fixpoint budget, theory budget), so a stale config can
+never alias a current one.  Deliberately *excluded*: cache sizing
+(capacity, not meaning) and output, service and tracing options (they never
+touch the pipeline).  ``tests/test_store.py`` holds every
+:class:`CheckConfig` field to one side of that line.
 
 Every load that fails to decode counts as a miss and the artifact is
 recomputed — the store can serve wrong-version, truncated or corrupted
@@ -63,7 +63,6 @@ def config_fingerprint(config) -> str:
         "schema": STORE_SCHEMA,
         "qualifier_set": config.qualifier_set,
         "max_fixpoint_iterations": config.max_fixpoint_iterations,
-        "fixpoint_strategy": config.fixpoint_strategy,
         "max_theory_iterations": config.solver.max_theory_iterations,
     }
     return hashlib.sha256(

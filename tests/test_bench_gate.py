@@ -64,9 +64,9 @@ def set_seconds(bench, name, value):
     # eq: a comment-only edit must issue no query at all
     (set_counter("incremental", "splay/comment", "queries", 1),
      "incremental/splay/comment queries"),
-    # min: incremental contexts must save SAT searches
-    (set_counter("smt", "splay", "saved_sat_calls", 0),
-     "smt/splay saved_sat_calls"),
+    # min: a warm body edit must save queries over a cold build
+    (set_counter("modules", "splay+body", "saved_queries", 0),
+     "modules/splay+body saved_queries"),
     # max: the disabled-tracer overhead must stay strictly below 2%
     (set_counter("obs", "total", "off_overhead_pct", 2.0),
      "obs/total off_overhead_pct"),
@@ -101,11 +101,11 @@ def test_counter_base_bound_is_inclusive(value):
 
 def test_digest_mismatch_inside_a_group_fails():
     report = synthetic_report(BASELINE)
-    row_of(report, "smt", "splay/fresh")["digest"] = "fedcba9876543210"
+    row_of(report, "store", "splay/warm")["digest"] = "fedcba9876543210"
     failures = gate(report, BASELINE)
     assert len(failures) == 1, failures
-    assert failures[0].startswith("smt/splay: verdict digests differ")
-    assert "splay/fresh" in failures[0]
+    assert failures[0].startswith("store/splay: verdict digests differ")
+    assert "splay/warm" in failures[0]
 
 
 def test_rows_of_different_inputs_may_differ():
@@ -124,8 +124,8 @@ def test_unsafe_row_fails():
 
 def test_missing_row_fails():
     report = synthetic_report(BASELINE)
-    report["rows"].remove(row_of(report, "speed", "total"))
-    assert gate(report, BASELINE) == ["speed/total: missing from the report"]
+    report["rows"].remove(row_of(report, "obs", "total"))
+    assert gate(report, BASELINE) == ["obs/total: missing from the report"]
 
 
 def test_missing_metric_fails():
@@ -149,10 +149,9 @@ def test_bench_report_passes_the_gate_end_to_end(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["bench", "figure6", "--only", "tsc-checker",
                  "--out", str(out)]) == 0
-    assert "tsc-checker/naive" in capsys.readouterr().out
+    assert "tsc-checker" in capsys.readouterr().out
     report = json.loads(out.read_text())
-    assert [row["name"] for row in report["rows"]] == [
-        "tsc-checker/naive", "tsc-checker"]
+    assert [row["name"] for row in report["rows"]] == ["tsc-checker"]
     baseline = tmp_path / "baseline.json"
     baseline.write_text(json.dumps({"figure6": {
         name: rules for name, rules in BASELINE["figure6"].items()
@@ -163,13 +162,13 @@ def test_bench_report_passes_the_gate_end_to_end(tmp_path, capsys):
     assert gated.returncode == 0, gated.stderr
     assert "no regressions" in gated.stdout
 
-    report["rows"][1]["counters"]["saved_queries_issued"] = 0
+    report["rows"][0]["counters"]["giveups"] = 1
     out.write_text(json.dumps(report))
     gated = subprocess.run(
         [sys.executable, str(GATE_SCRIPT), str(out), str(baseline)],
         capture_output=True, text=True, timeout=120)
     assert gated.returncode == 1
-    assert "figure6/tsc-checker saved_queries_issued" in gated.stderr
+    assert "figure6/tsc-checker giveups" in gated.stderr
 
 
 def test_project_digest_is_path_independent(tmp_path):

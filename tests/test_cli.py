@@ -177,6 +177,22 @@ class TestFlags:
         assert main(["check", str(path)]) == EXIT_OK
         assert main(["check", "--warnings-as-errors", str(path)]) == EXIT_UNSAFE
 
+    @pytest.mark.parametrize("command", [["check", "x.rsc"], ["serve"],
+                                         ["watch", "x.rsc"]])
+    def test_max_iterations_defaults_to_the_config(self, command):
+        from repro import CheckConfig
+        from repro.__main__ import build_parser
+        args = build_parser().parse_args(command)
+        assert args.max_iterations == CheckConfig.max_fixpoint_iterations
+
+    def test_no_engine_selector_flag(self, safe_file, capsys):
+        """There is one fixpoint engine; choosing another is a usage
+        error."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--fixpoint", "naive", safe_file])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "--fixpoint" in capsys.readouterr().err
+
 
 class TestJobsDefault:
     def test_unset_jobs_defers_to_config(self):

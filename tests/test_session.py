@@ -7,8 +7,10 @@ import warnings
 import pytest
 
 from repro import CheckConfig, Session, SolverOptions
+from repro.core.result import SolveStats
 from repro.core.session import ConstraintsStage, ParseStage, SolveStage, SsaStage
 from repro.errors import Severity
+from repro.smt.solver import SolverStats
 
 SAFE_SOURCE = """
 type idx<a> = {v: number | 0 <= v && v < len(a)};
@@ -199,6 +201,18 @@ class TestResultSerialisation:
             legacy = result.solver_stats
         assert legacy is result.stats
         assert any(issubclass(w.category, DeprecationWarning) for w in caught)
+
+    @pytest.mark.parametrize("cls", [SolverStats, SolveStats])
+    def test_counter_dataclasses_cover_every_field(self, cls):
+        """``to_dict`` names every field exactly once and ``merge`` sums
+        every field, so a new counter needs no hand-written list."""
+        names = [f.name for f in dataclasses.fields(cls)]
+        left = cls(**{name: i + 1 for i, name in enumerate(names)})
+        right = cls(**{name: 10 * (i + 1) for i, name in enumerate(names)})
+        assert list(left.to_dict()) == names
+        left.merge(right)
+        assert left.to_dict() == {name: 11 * (i + 1)
+                                  for i, name in enumerate(names)}
 
 
 class TestCheckProgram:

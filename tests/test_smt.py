@@ -1,5 +1,7 @@
 """Tests for the SMT substrate: SAT core, theories, and the combined solver."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,7 +31,6 @@ from repro.smt.lia import (
     LinExpr,
     is_satisfiable,
     linearize,
-    set_exact_ints,
 )
 from repro.smt.sat import SatSolver, solve_cnf
 
@@ -290,37 +291,33 @@ class TestLia:
         p.add_le(prod, LinExpr.constant(10))
         assert is_satisfiable(p)
 
-    @pytest.mark.parametrize("exact", [True, False], ids=["int", "fraction"])
-    def test_conflict_names_only_contributing_constraints(self, exact):
-        set_exact_ints(exact)
-        try:
-            p = LiaProblem()
-            x, y, z = (_lin(var(n)) for n in "xyz")
-            p.add_le(x, y, tag=1 << 0)                      # x <= y
-            p.add_le(z, LinExpr.constant(10), tag=1 << 1)   # unrelated
-            p.add_le(y, LinExpr.constant(0), tag=1 << 2)    # y <= 0
-            p.add_lt(LinExpr.constant(0), x, tag=1 << 3)    # x > 0
-            p.add_le(LinExpr.constant(-5), z, tag=1 << 4)   # unrelated
-            assert not is_satisfiable(p)
-            assert p.conflict == 0b1101
-        finally:
-            set_exact_ints(True)
+    # ``Fraction`` seeding is the reference arithmetic: the same algorithm
+    # without the integer gcd normalisation.
+    @pytest.mark.parametrize("number", [int, Fraction], ids=["int", "fraction"])
+    def test_conflict_names_only_contributing_constraints(self, number):
+        x, y, z = (LinExpr({n: number(1)}, number(0)) for n in "xyz")
+        k = lambda value: LinExpr({}, number(value))
+        p = LiaProblem()
+        p.add_le(x, y, tag=1 << 0)              # x <= y
+        p.add_le(z, k(10), tag=1 << 1)          # unrelated
+        p.add_le(y, k(0), tag=1 << 2)           # y <= 0
+        p.add_lt(k(0), x, tag=1 << 3)           # x > 0
+        p.add_le(k(-5), z, tag=1 << 4)          # unrelated
+        assert not is_satisfiable(p)
+        assert p.conflict == 0b1101
 
-    @pytest.mark.parametrize("exact", [True, False], ids=["int", "fraction"])
-    def test_disequality_conflict_unions_both_branches(self, exact):
-        set_exact_ints(exact)
-        try:
-            p = LiaProblem()
-            x, y = _lin(var("x")), _lin(var("y"))
-            p.add_le(x, LinExpr.constant(4), tag=1 << 0)    # x <= 4
-            p.add_le(y, LinExpr.constant(3), tag=1 << 1)    # unrelated
-            p.add_le(LinExpr.constant(4), x, tag=1 << 2)    # x >= 4
-            p.add_neq(x, LinExpr.constant(4), tag=1 << 3)
-            assert not is_satisfiable(p)
-            assert p.conflict == 0b1101
-            assert not p.gave_up
-        finally:
-            set_exact_ints(True)
+    @pytest.mark.parametrize("number", [int, Fraction], ids=["int", "fraction"])
+    def test_disequality_conflict_unions_both_branches(self, number):
+        x, y = (LinExpr({n: number(1)}, number(0)) for n in "xy")
+        k = lambda value: LinExpr({}, number(value))
+        p = LiaProblem()
+        p.add_le(x, k(4), tag=1 << 0)           # x <= 4
+        p.add_le(y, k(3), tag=1 << 1)           # unrelated
+        p.add_le(k(4), x, tag=1 << 2)           # x >= 4
+        p.add_neq(x, k(4), tag=1 << 3)
+        assert not is_satisfiable(p)
+        assert p.conflict == 0b1101
+        assert not p.gave_up
 
     def test_satisfiable_problem_has_no_conflict(self):
         p = LiaProblem()
@@ -511,13 +508,13 @@ class TestSolverCacheEviction:
         return lt(var("x"), IntLit(i))
 
     def test_cache_never_exceeds_limit(self):
-        solver = Solver(smt_mode="fresh", cache_size_limit=8)
+        solver = Solver(cache_size_limit=8)
         for i in range(40):
             solver.check(self.formula(i))
         assert solver.cache_size == 8
 
     def test_recent_queries_hit_after_saturation(self):
-        solver = Solver(smt_mode="fresh", cache_size_limit=8)
+        solver = Solver(cache_size_limit=8)
         for i in range(40):
             solver.check(self.formula(i))
         hits = solver.stats.cache_hits
@@ -532,7 +529,7 @@ class TestSolverCacheEviction:
         assert solver.stats.queries == queries + 1
 
     def test_lookup_refreshes_recency(self):
-        solver = Solver(smt_mode="fresh", cache_size_limit=2)
+        solver = Solver(cache_size_limit=2)
         a, b, c = self.formula(1), self.formula(2), self.formula(3)
         solver.check(a)
         solver.check(b)
@@ -545,7 +542,7 @@ class TestSolverCacheEviction:
         assert solver.stats.queries == queries + 1, "b should be evicted"
 
     def test_zero_limit_disables_storage(self):
-        solver = Solver(smt_mode="fresh", cache_size_limit=0)
+        solver = Solver(cache_size_limit=0)
         solver.check(self.formula(1))
         solver.check(self.formula(1))
         assert solver.cache_size == 0
@@ -553,7 +550,7 @@ class TestSolverCacheEviction:
         assert solver.stats.queries == 2
 
     def test_incremental_mode_cache_also_bounded(self):
-        solver = Solver(smt_mode="incremental", cache_size_limit=4)
+        solver = Solver(cache_size_limit=4)
         hyps = [lt(IntLit(0), var("x"))]
         goals = [lt(var("x"), IntLit(i)) for i in range(12)]
         solver.check_implication_batch(hyps, goals)

@@ -3,9 +3,9 @@
 A seeded random generator produces Bool/LIA/EUF formulas and implication
 batches, and three independent deciders are compared:
 
-* the **fresh** engine (``smt_mode="fresh"``) — a new CNF and SAT solver per
-  query, the historical reference,
-* the **incremental** engine (``smt_mode="incremental"``) — persistent
+* the **fresh** reference (:class:`FreshSolver`) — a new CNF and SAT solver
+  per query: ``Solver.is_valid`` of the implication,
+* the **incremental** engine (:class:`repro.smt.Solver`) — persistent
   assumption-based contexts with retained learned clauses and replayed
   theory lemmas (:mod:`repro.smt.context`),
 * a **brute-force evaluator** over small integer domains (and a small
@@ -43,6 +43,8 @@ from repro.logic.terms import (
     IntLit,
     UnOp,
     Var,
+    conj,
+    implies,
 )
 from repro.smt import Result, Solver
 
@@ -211,12 +213,30 @@ def bool_assignments(names: Sequence[str]):
 # ---------------------------------------------------------------------------
 
 
+class FreshSolver(Solver):
+    """The reference SMT engine: every implication is one :meth:`is_valid`
+    query with its own CNF and SAT solver, and no persistent context.  It
+    shares the result cache and its key with the contexts, so verdict and
+    cache counters are comparable one to one."""
+
+    def check_implication(self, hypotheses, goal):
+        return self.check_implication_batch(hypotheses, [goal])[0]
+
+    def check_implication_batch(self, hypotheses, goals):
+        antecedent = conj(*hypotheses) if hypotheses else BoolLit(True)
+        return [self.is_valid(implies(antecedent, goal)) for goal in goals]
+
+
+#: The engines every parametrised test runs, by name.
+SOLVERS = {"fresh": FreshSolver, "incremental": Solver}
+
+
 def fresh_solver() -> Solver:
-    return Solver(smt_mode="fresh")
+    return FreshSolver()
 
 
 def incremental_solver(**kwargs) -> Solver:
-    return Solver(smt_mode="incremental", **kwargs)
+    return Solver(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +343,8 @@ def test_satisfiability_sound(seed):
     gen = FormulaGen(random.Random(5000 + seed))
     formula = gen.formula(3)
 
-    results = {mode: Solver(smt_mode=mode).check(formula)
-               for mode in ("fresh", "incremental")}
+    results = {mode: engine().check(formula)
+               for mode, engine in SOLVERS.items()}
     # `check` takes the fresh path in both modes (it is a bare
     # satisfiability query, not an implication); the differential property
     # for contexts is covered by the batch tests.  Still assert agreement.
@@ -392,7 +412,7 @@ def test_explained_cores_are_unsat_subsets(monkeypatch, mode):
                         recording_check_with_core)
     for seed in range(120):
         hyps, goals = FormulaGen(random.Random(1000 + seed)).batch()
-        Solver(smt_mode=mode).check_implication_batch(hyps, goals)
+        SOLVERS[mode]().check_implication_batch(hyps, goals)
     assert len(cores) >= 20
     for core in cores.values():
         assert core
@@ -405,7 +425,7 @@ def test_giveups_are_counted_and_never_cached(mode):
     """A query the theory-iteration budget cuts short is UNKNOWN: counted
     in ``giveups``, never cached, and never handed to a recording sink
     (which is how verdicts reach the persistent store)."""
-    solver = Solver(max_theory_iterations=0, smt_mode=mode)
+    solver = SOLVERS[mode](max_theory_iterations=0)
     sink: Dict[Expr, Result] = {}
     solver.record_queries(sink)
     x = Var("x", INT)
@@ -433,7 +453,7 @@ def test_fourier_motzkin_giveup_is_unknown(monkeypatch, tmp_path, mode):
     from repro.store.artifacts import ArtifactStore
 
     monkeypatch.setattr(lia, "MAX_CONSTRAINTS", 0)
-    solver = Solver(smt_mode=mode)
+    solver = SOLVERS[mode]()
     sink: Dict[Expr, Result] = {}
     solver.record_queries(sink)
     x = Var("x", INT)
@@ -454,7 +474,8 @@ def test_fourier_motzkin_giveup_is_unknown(monkeypatch, tmp_path, mode):
         return real_save(store, key, pairs)
 
     monkeypatch.setattr(ArtifactStore, "save_verdicts", spying_save)
-    session = Session(CheckConfig(smt_mode=mode, store_path=str(tmp_path)))
+    session = Session(CheckConfig(store_path=str(tmp_path)),
+                      solver=SOLVERS[mode]())
     session.check_source(
         "function abs(x: number): {v: number | 0 <= v} {\n"
         "  if (x < 0) { return 0 - x; }\n"
@@ -959,8 +980,8 @@ def test_unknown_verdict_not_cached_as_sat():
     formula = neg(implies(conj(), goal))
 
     verdicts = {}
-    for mode in ("fresh", "incremental"):
-        solver = Solver(smt_mode=mode, max_theory_iterations=1)
+    for mode, engine in SOLVERS.items():
+        solver = engine(max_theory_iterations=1)
         assert solver.check_implication(hyps, goal) is False  # budget, not proof
         verdicts[mode] = solver.check(formula)  # asked again, not cached
         assert solver.stats.cache_hits == 0
@@ -974,9 +995,8 @@ class TestSolverConstruction:
         from repro.core.workspace import Workspace
 
         workspace = Workspace(CheckConfig(
-            smt_mode="fresh", solver=SolverOptions(context_cache_limit=7)))
+            solver=SolverOptions(context_cache_limit=7)))
         assert isinstance(workspace.solver, Solver)
-        assert workspace.solver.smt_mode == "fresh"
         assert workspace.solver.contexts.limit == 7
 
     def test_session_uses_injected_solver(self):

@@ -11,6 +11,7 @@ float division, which rounds to even and silently corrupts quotients past
 import copy
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -34,8 +35,6 @@ from repro.logic.terms import (
     expr_size,
     free_vars,
     intern_stats,
-    memoisation_enabled,
-    set_memoisation,
     substitute,
 )
 from repro.smt import lia
@@ -195,25 +194,19 @@ class TestHashConsing:
         assert Sort.__eq__ is object.__eq__
 
     def test_clear_memos_preserves_results(self):
-        term = BinOp("&&", lt(var("x"), IntLit(3)),
-                     eq(var("y"), BinOp("+", IntLit(1), IntLit(1))))
-        fv, size, simplified = free_vars(term), expr_size(term), simplify(term)
+        """Recomputation from empty memo tables is the memo layer's
+        reference: every traversal must return the same answer."""
+        template = lt(var("a"), BinOp("+", var("b"), IntLit(2)))
+        terms = [BinOp("&&", lt(var("x"), IntLit(3)),
+                       eq(var("y"), BinOp("+", IntLit(1), IntLit(1)))),
+                 substitute(template, {"b": IntLit(5)})]
+        before = [(free_vars(t), expr_size(t), simplify(t)) for t in terms]
         clear_memos()
-        assert free_vars(term) == fv
-        assert expr_size(term) == size
-        assert simplify(term) is simplified
-
-    def test_memoisation_toggle_preserves_results(self):
-        term = substitute(lt(var("a"), BinOp("+", var("b"), IntLit(2))),
-                          {"b": IntLit(5)})
-        assert memoisation_enabled()
-        try:
-            set_memoisation(False)
-            assert not memoisation_enabled()
-            cold = simplify(term)
-        finally:
-            set_memoisation(True)
-        assert simplify(term) is cold
+        for term, (fv, size, simplified) in zip(terms, before):
+            assert free_vars(term) == fv
+            assert expr_size(term) == size
+            assert simplify(term) is simplified
+        assert substitute(template, {"b": IntLit(5)}) is terms[1]
 
     def test_deep_terms_do_not_recurse(self):
         term = IntLit(0)
@@ -290,6 +283,9 @@ class TestIntegerLia:
         assert lia._gcd_normalised(c2) is c2
 
     def test_int_and_fraction_paths_agree(self):
+        """The same problems seeded with ``Fraction`` coefficients (the
+        reference arithmetic, which also skips the gcd normalisation) give
+        the same verdict, conflict mask and give-up flag."""
         rng = random.Random(11)
         keys = ["x", "y", "z"]
 
@@ -302,29 +298,25 @@ class TestIntegerLia:
                                     rng.choice(["le", "lt", "eq", "neq"])))
             return constraints
 
-        def solve(constraints):
+        def solve(constraints, number=int):
             problem = lia.LiaProblem()
             for index, (coeffs, const, kind) in enumerate(constraints):
-                lhs = lia.LinExpr.constant(const)
+                lhs = lia.LinExpr({}, number(const))
                 for k, c in coeffs.items():
-                    lhs = lhs.add(lia.LinExpr.variable(k), c)
-                getattr(problem, "add_" + kind)(lhs, lia.LinExpr.constant(0),
+                    lhs = lhs.add(lia.LinExpr({k: number(1)}, number(0)), c)
+                getattr(problem, "add_" + kind)(lhs, lia.LinExpr({}, number(0)),
                                                 tag=1 << index)
-            return lia.is_satisfiable(problem), problem.conflict
+            return (lia.is_satisfiable(problem), problem.conflict,
+                    problem.gave_up)
 
-        assert lia.exact_ints_enabled()
         for _ in range(300):
             constraints = build_problem()
             fast = solve(constraints)
-            lia.set_exact_ints(False)
-            try:
-                reference = solve(constraints)
-            finally:
-                lia.set_exact_ints(True)
+            reference = solve(constraints, Fraction)
             # Same verdict and the same explained conflict; the conflict
             # names a subset that is unsatisfiable on its own.
             assert fast == reference
-            sat, conflict = fast
+            sat, conflict, _gave_up = fast
             if not sat:
                 core = [c for index, c in enumerate(constraints)
                         if conflict >> index & 1]

@@ -1,6 +1,7 @@
 """Unit tests for the persistent artifact store: codec, local backend,
 store paths, keying and configuration."""
 
+import dataclasses
 import json
 import pathlib
 
@@ -404,6 +405,43 @@ class TestStorePath:
         assert capsys.readouterr().err.count("were removed") == 4
 
 
+#: :class:`CheckConfig` options the store's config fingerprint leaves out,
+#: because none of them changes a stored solution or verdict (a nested
+#: options object is named whole, or one ``object.field`` at a time).
+NOT_VERDICT_AFFECTING = {
+    "warnings_as_errors", "output_format", "jobs", "incremental",
+    "document_cache_limit", "store_path", "store_mode", "service", "obs",
+    "solver.cache_results", "solver.cache_size_limit",
+    "solver.context_cache_limit",
+}
+
+#: A second valid value for each string option.
+OTHER_CHOICE = {"qualifier_set": "harvested", "output_format": "json",
+                "store_mode": "off"}
+
+
+def _option_variants(options, prefix=""):
+    """``(path, copy of options with that one leaf option changed)`` for
+    every leaf option, recursing into nested options objects."""
+    for field in dataclasses.fields(options):
+        value = getattr(options, field.name)
+        path = prefix + field.name
+        if dataclasses.is_dataclass(value):
+            for nested_path, nested in _option_variants(value, path + "."):
+                yield nested_path, dataclasses.replace(
+                    options, **{field.name: nested})
+            continue
+        if isinstance(value, bool):
+            other = not value
+        elif isinstance(value, int):
+            other = value + 1
+        elif value is None:
+            other = "elsewhere"
+        else:
+            other = OTHER_CHOICE[field.name]
+        yield path, dataclasses.replace(options, **{field.name: other})
+
+
 class TestConfigAndKeys:
     def test_store_mode_validated(self):
         with pytest.raises(ValueError, match="store_mode"):
@@ -434,21 +472,31 @@ class TestConfigAndKeys:
         assert base != config_fingerprint(
             CheckConfig(max_fixpoint_iterations=7))
         assert base != config_fingerprint(
-            CheckConfig(fixpoint_strategy="naive"))
-        assert base != config_fingerprint(
             CheckConfig(solver=SolverOptions(max_theory_iterations=2)))
 
     def test_config_fingerprint_ignores_capacity_and_output(self):
         base = config_fingerprint(CheckConfig())
-        # Verdicts are identical under both SMT modes (differential fuzz
-        # suite) and unaffected by cache sizing or output options.
-        assert base == config_fingerprint(CheckConfig(smt_mode="fresh"))
+        # Verdicts are unaffected by cache sizing or output options.
         assert base == config_fingerprint(
             CheckConfig(warnings_as_errors=True))
         assert base == config_fingerprint(
             CheckConfig(document_cache_limit=2))
         assert base == config_fingerprint(
             CheckConfig(solver=SolverOptions(cache_size_limit=1)))
+
+    def test_config_fingerprint_accounts_for_every_option(self):
+        """Every :class:`CheckConfig` option moves the fingerprint unless
+        it is listed in :data:`NOT_VERDICT_AFFECTING`, and none of those
+        does: a new option cannot alias stored verdicts unnoticed."""
+        base = config_fingerprint(CheckConfig())
+        checked = set()
+        for path, changed in _option_variants(CheckConfig()):
+            exempt = (path in NOT_VERDICT_AFFECTING
+                      or path.split(".")[0] in NOT_VERDICT_AFFECTING)
+            assert (config_fingerprint(changed) != base) != exempt, path
+            checked.add(path)
+        assert {"max_fixpoint_iterations", "qualifier_set",
+                "solver.max_theory_iterations"} <= checked
 
     def test_document_key_separates_config_and_content(self):
         key = ArtifactStore.document_key

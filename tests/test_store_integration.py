@@ -125,13 +125,6 @@ class TestSingleFileReplay:
         recheck = _fresh_check(other, SAFE)
         assert recheck.stats.queries > 0  # config fingerprint differs
 
-    def test_smt_mode_shares_one_fingerprint(self, tmp_path):
-        # Verdicts are mode-independent (differential fuzz suite), so a
-        # fresh-context process replays an incremental-context run.
-        cold = _fresh_check(_config(tmp_path), SAFE)
-        warm = _fresh_check(_config(tmp_path, smt_mode="fresh"), SAFE)
-        assert_zero_sat_replay(cold, warm)
-
     def test_readonly_mode_replays_but_never_writes(self, tmp_path):
         _fresh_check(_config(tmp_path), SAFE)
         readonly = Session(_config(tmp_path, store_mode="readonly"))

@@ -4,27 +4,29 @@ Covers the kappa dependency graph and its SCC condensation, the
 pruning/memoisation layers that cut SMT queries, the typed
 :class:`ObligationOutcome` reporting, and — the central property — that the
 worklist engine computes exactly the same solution as the naive
-global-round engine on every fixture program and every benchmark port,
-while issuing strictly fewer SMT validity queries whenever there are Horn
-constraints to solve.
+global-round engine (:func:`naive_sweep`, the reference oracle) on every
+fixture program and every benchmark port, while issuing strictly fewer SMT
+validity queries whenever there are Horn constraints to solve.
 """
 
 import pathlib
 
 import pytest
 
-from repro import CheckConfig, Session
+from repro import Session
 from repro.core.constraints import Implication
 from repro.core.liquid.fixpoint import (
     KappaRegistry,
     LiquidSolver,
     ObligationOutcome,
+    _occurrence_subst,
     build_dependency_graph,
     scc_ranks,
 )
 from repro.core.liquid.qualifiers import KIND_NUMBER, Qualifier, QualifierPool
 from repro.errors import ErrorKind, SourceSpan
 from repro.logic import IntLit, VALUE_VAR, Var, eq, le, lt
+from repro.logic.terms import substitute
 from repro.rtypes.types import kvar_occurrence
 from repro.smt.solver import Solver
 
@@ -67,11 +69,39 @@ FIXTURES = {
 }
 
 
-def _check_both(source, filename="<fixture>"):
-    naive = Session(CheckConfig(fixpoint_strategy="naive")).check_source(
-        source, filename)
-    worklist = Session(CheckConfig(fixpoint_strategy="worklist")).check_source(
-        source, filename)
+def naive_sweep(self, horn, solution, seed_kappas=None):
+    """The reference fixpoint engine, in place of
+    :meth:`LiquidSolver._solve_worklist`: every round sweeps every Horn
+    implication, one validity query per candidate qualifier, until a round
+    changes nothing."""
+    for _ in range(self.max_iterations):
+        self.stats.rounds += 1
+        changed = False
+        for imp in horn:
+            occurrence = self._goal_kappa(imp)
+            name = occurrence.fn
+            mapping = _occurrence_subst(self.registry.info(name), occurrence)
+            hyps = [self.apply(h, solution) for h in imp.hyps]
+            kept = []
+            for qual in solution.get(name, []):
+                self.stats.queries_issued += 1
+                if self.solver.check_implication(hyps,
+                                                 substitute(qual, mapping)):
+                    kept.append(qual)
+                else:
+                    self._mark_refuted(name, qual)
+                    changed = True
+            solution[name] = kept
+        if not changed:
+            break
+
+
+def _check_both(monkeypatch, source, filename="<fixture>"):
+    """``source`` checked by the naive oracle, then by the worklist."""
+    with monkeypatch.context() as patch:
+        patch.setattr(LiquidSolver, "_solve_worklist", naive_sweep)
+        naive = Session().check_source(source, filename)
+    worklist = Session().check_source(source, filename)
     return naive, worklist
 
 
@@ -220,8 +250,9 @@ class TestObligationOutcome:
 
 class TestWorklistMatchesNaive:
     @pytest.mark.parametrize("name", sorted(FIXTURES))
-    def test_fixture_solutions_identical(self, name):
-        naive, worklist = _check_both(FIXTURES[name], f"{name}.rsc")
+    def test_fixture_solutions_identical(self, name, monkeypatch):
+        naive, worklist = _check_both(monkeypatch, FIXTURES[name],
+                                      f"{name}.rsc")
         assert _rendered(worklist.kappa_solution) == \
             _rendered(naive.kappa_solution)
         assert [d.code for d in worklist.diagnostics] == \
@@ -234,10 +265,12 @@ class TestWorklistMatchesNaive:
 
     @pytest.mark.parametrize(
         "program", BENCH_PROGRAMS, ids=[p.stem for p in BENCH_PROGRAMS])
-    def test_benchmark_solutions_identical_with_fewer_queries(self, program):
+    def test_benchmark_solutions_identical_with_fewer_queries(self, program,
+                                                              monkeypatch):
         """The acceptance property: identical solutions, strictly fewer SMT
         validity queries, on every benchmark port."""
-        naive, worklist = _check_both(program.read_text(), program.name)
+        naive, worklist = _check_both(monkeypatch, program.read_text(),
+                                      program.name)
         assert _rendered(worklist.kappa_solution) == \
             _rendered(naive.kappa_solution)
         assert [d.code for d in worklist.diagnostics] == \
@@ -253,14 +286,12 @@ class TestSolveStatsFlow:
         result = Session().check_source(FIXTURES["loop_sum"])
         stats = result.solve_stats
         assert stats is not None
-        assert stats.strategy == "worklist"
         assert stats.rounds > 0
         assert stats.kappas > 0
 
     def test_solve_stats_serialised_in_json(self):
         payload = Session().check_source(FIXTURES["join"]).to_dict()
         solve = payload["solve_stats"]
-        assert solve["strategy"] == "worklist"
         assert solve["queries_issued"] >= 0
         assert set(solve) >= {"rounds", "queries_issued", "queries_pruned",
                               "cache_hits", "sccs"}
@@ -270,13 +301,3 @@ class TestSolveStatsFlow:
         path.write_text(FIXTURES["loop_sum"])
         batch = Session().check_files([path, path])
         assert batch.solve_stats.rounds >= 2
-        assert batch.solve_stats.strategy == "worklist"
-
-    def test_config_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            CheckConfig(fixpoint_strategy="chaotic")
-
-    def test_liquid_solver_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            LiquidSolver(Solver(), QualifierPool(), KappaRegistry(),
-                         strategy="chaotic")
