@@ -196,17 +196,23 @@ class TestHashConsing:
     def test_clear_memos_preserves_results(self):
         """Recomputation from empty memo tables is the memo layer's
         reference: every traversal must return the same answer."""
-        template = lt(var("a"), BinOp("+", var("b"), IntLit(2)))
-        terms = [BinOp("&&", lt(var("x"), IntLit(3)),
-                       eq(var("y"), BinOp("+", IntLit(1), IntLit(1)))),
-                 substitute(template, {"b": IntLit(5)})]
-        before = [(free_vars(t), expr_size(t), simplify(t)) for t in terms]
+        term = BinOp("&&", lt(var("x"), IntLit(3)),
+                     eq(var("y"), BinOp("+", IntLit(1), IntLit(1))))
+        fv, size, simplified = free_vars(term), expr_size(term), simplify(term)
         clear_memos()
-        for term, (fv, size, simplified) in zip(terms, before):
-            assert free_vars(term) == fv
-            assert expr_size(term) == size
-            assert simplify(term) is simplified
-        assert substitute(template, {"b": IntLit(5)}) is terms[1]
+        assert free_vars(term) == fv
+        assert expr_size(term) == size
+        assert simplify(term) is simplified
+
+    def test_memoisation_toggle_preserves_results(self):
+        """The memos are always on; a cold run is one from emptied memo
+        tables, and the warm (memo-hit) run must agree with it."""
+        template = lt(var("a"), BinOp("+", var("b"), IntLit(2)))
+        term = substitute(template, {"b": IntLit(5)})
+        clear_memos()
+        cold = simplify(term)
+        assert substitute(template, {"b": IntLit(5)}) is term
+        assert simplify(term) is cold
 
     def test_deep_terms_do_not_recurse(self):
         term = IntLit(0)
