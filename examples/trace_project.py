@@ -1,12 +1,12 @@
 """Tracing a module-graph build end-to-end.
 
-Enables the process-wide tracer, checks the ``d3-arrays`` module project
-with two worker processes, exports the merged Chrome trace-event
-document, and prints the summary tables — the same breakdown
-``repro check --trace`` and ``repro trace summarize`` produce.  The
-exported file loads directly in Perfetto (https://ui.perfetto.dev) as a
-flame-chart: one track per process, spans nested
-``check`` -> ``stage.solve`` -> ``fixpoint.scc`` -> ``smt.query``.
+Enables the process-wide tracer, checks the ``d3-arrays`` module project,
+exports the Chrome trace-event document, and prints the summary tables —
+the same breakdown ``repro check --trace`` and ``repro trace summarize``
+produce (one per-module row per module document).  The exported file
+loads directly in Perfetto (https://ui.perfetto.dev) as a flame-chart,
+spans nested ``pipeline.check`` -> ``stage.solve`` -> ``fixpoint.scc`` ->
+``smt.query``.
 Run from the repository root::
 
     PYTHONPATH=src python examples/trace_project.py
@@ -18,7 +18,7 @@ import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
 
-from repro import CheckConfig, Session  # noqa: E402
+from repro import Session  # noqa: E402
 from repro.obs.summary import (check_nesting, format_summary,  # noqa: E402
                                summarize, validate_trace)
 from repro.obs.trace import tracer  # noqa: E402
@@ -31,11 +31,9 @@ def main():
     trace_path = pathlib.Path(tempfile.mkdtemp(prefix="repro-trace-demo-")) \
         / "trace.json"
 
-    # Enable the tracer, run a parallel project build, export.  Worker
-    # processes inherit the trace id and hand their spans back to the
-    # parent, so the export is one merged, wall-clock-aligned document.
+    # Enable the tracer, build the project, export.
     trace_id = tracer().enable()
-    project = Session(CheckConfig(jobs=2)).check_project(PROJECT)
+    project = Session().check_project(PROJECT)
     document = tracer().export(trace_path)
     tracer().disable()
 

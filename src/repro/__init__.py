@@ -18,11 +18,12 @@ Session API (one-shot facade — one solver amortised across batch runs)::
     batch = session.check_files(["a.rsc", "b.rsc"])
 
 Project API (multi-module graphs: imports/exports, interface summaries,
-topo-parallel build, signature-cut incremental re-checks)::
+signature-cut incremental re-checks; one engine, the ProjectWorkspace, of
+which ``check_project`` is the cold build)::
 
-    from repro import ProjectWorkspace, Session
+    from repro import ProjectWorkspace, Session, check_project
 
-    project = Session().check_project("my-project", jobs=4)
+    project = Session().check_project("my-project")   # == check_project(...)
     pw = ProjectWorkspace(root="my-project")
     pw.check()
     update = pw.update("my-project/lib.rsc")   # body edit -> 1 module

@@ -4,7 +4,8 @@ Subcommands:
 
 * ``check FILES...`` — check nanoTS source files (the classic mode); exits
   non-zero if any file fails to verify.  ``--format json`` emits structured
-  diagnostics with stable error codes; ``--jobs N`` checks in parallel.
+  diagnostics with stable error codes; ``--jobs N`` checks a file list in
+  parallel.  ``check DIR`` checks a project directory as a module graph.
 * ``bench [FAMILY ...]`` — regenerate the paper's evaluation tables and
   the other bench families (edit replay, engine comparisons, serve load,
   tracing overhead) into one ``bench-report.json``.
@@ -62,9 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (default: text)")
     check.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="check files (or independent modules) with N "
-                            "parallel workers; unset defers to the "
-                            "config's jobs setting")
+                       help="check a file list with N parallel worker "
+                            "processes; unset defers to the config's jobs "
+                            "setting (a project directory is checked "
+                            "sequentially and rejects --jobs)")
     check.add_argument("--show-kappas", action="store_true",
                        help="print the refinements inferred by liquid fixpoint")
     check.add_argument("--quiet", action="store_true",
@@ -204,9 +206,6 @@ def _store_path(args: argparse.Namespace) -> Optional[str]:
 def _workspace_flags(parser: argparse.ArgumentParser) -> None:
     """Config flags shared by the workspace-backed subcommands."""
     _max_iterations_flag(parser)
-    parser.add_argument("--no-incremental", action="store_true",
-                        help="disable artifact caching and warm-started "
-                             "fixpoint (every update is a cold check)")
     parser.add_argument("--warnings-as-errors", action="store_true",
                         help="treat warnings as errors in the verdict")
     _store_flags(parser)
@@ -216,7 +215,6 @@ def _workspace_config(args: argparse.Namespace) -> CheckConfig:
     return CheckConfig(
         max_fixpoint_iterations=args.max_iterations,
         warnings_as_errors=args.warnings_as_errors,
-        incremental=not args.no_incremental,
         store_path=_store_path(args),
         store_mode=getattr(args, "store_mode", "readwrite"),
     )
@@ -234,9 +232,10 @@ def cmd_check(args: argparse.Namespace) -> int:
             store_mode=args.store_mode,
         )
         # An unset --jobs defers to CheckConfig.jobs instead of silently
-        # overriding the config with argparse's former default of 1.
+        # overriding the config with argparse's former default of 1; a
+        # non-positive one is CheckConfig's usage error.
         if args.jobs is not None:
-            config_kwargs["jobs"] = max(1, args.jobs)
+            config_kwargs["jobs"] = args.jobs
         obs_kwargs = {}
         if args.trace:
             obs_kwargs["trace_path"] = args.trace
@@ -249,15 +248,19 @@ def cmd_check(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    directories = [f for f in args.files if pathlib.Path(f).is_dir()]
+    if directories and len(args.files) != 1:
+        print("repro: a project directory must be the only check "
+              "argument", file=sys.stderr)
+        return EXIT_USAGE
+    if directories and args.jobs is not None:
+        print("repro: --jobs applies to a file list; a project "
+              "directory is checked sequentially", file=sys.stderr)
+        return EXIT_USAGE
     if config.obs.trace_path:
         from repro.obs.trace import tracer
         tracer().enable(slow_limit=config.obs.slow_query_limit)
-    directories = [f for f in args.files if pathlib.Path(f).is_dir()]
     if directories:
-        if len(args.files) != 1:
-            print("repro: a project directory must be the only check "
-                  "argument", file=sys.stderr)
-            return EXIT_USAGE
         code = _check_project_dir(directories[0], config, args)
         _export_trace(config)
         return code
@@ -266,9 +269,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         payload = batch.to_dict()
-        store_section = _store_section(session)
-        if store_section is not None:
-            payload["store"] = store_section
+        if session.store is not None:
+            payload["store"] = session.store.counters()
         payload["metrics"] = _metrics_section(
             batch.results, session.solver.stats, session.store)
         print(json.dumps(payload, indent=2))
@@ -320,27 +322,22 @@ def _metrics_section(results, solver_stats, store) -> dict:
     return registry.to_dict()
 
 
-def _store_section(session) -> Optional[dict]:
-    """The ``"store"`` block of the JSON report: this process's cache
-    traffic — how a re-check proves it ran warm."""
-    store = session.store
-    if store is None:
-        return None
-    return store.counters()
-
-
 def _check_project_dir(root: str, config: CheckConfig,
                        args: argparse.Namespace) -> int:
-    """``repro check <dir>``: check the directory as a module graph."""
-    session = Session(config)
-    project = session.check_project(root)
+    """``repro check <dir>``: check the directory as a module graph.
+
+    The JSON ``"store"`` block is the project workspace's store traffic
+    (how a re-check proves it ran warm)."""
+    from repro.project import ProjectWorkspace
+    workspace = ProjectWorkspace(root=root, config=config)
+    project = workspace.check()
+    store = workspace.workspace.store
     if args.format == "json":
         payload = project.to_dict()
-        store_section = _store_section(session)
-        if store_section is not None:
-            payload["store"] = store_section
+        if store is not None:
+            payload["store"] = store.counters()
         payload["metrics"] = _metrics_section(
-            project.results, project.stats, session.store)
+            project.results, project.stats, store)
         print(json.dumps(payload, indent=2))
         return EXIT_OK if project.ok else EXIT_UNSAFE
     for result in project.results:

@@ -144,13 +144,9 @@ class CheckConfig:
       qualifiers only; useful to measure how much the built-ins contribute).
     * ``solver`` — SMT substrate options (:class:`SolverOptions`).
     * ``output_format`` — ``"text"`` or ``"json"`` (the CLI default).
-    * ``jobs`` — worker processes used by batch entry points
-      (:meth:`Session.check_files`, :meth:`Session.check_project`; each
+    * ``jobs`` — worker processes of :meth:`Session.check_files` (each
       worker checks with its own solver, so cache amortisation is per
-      worker).
-    * ``incremental`` — let a :class:`repro.core.workspace.Workspace` reuse
-      per-document artifacts across edits (content-hash cache, warm-started
-      fixpoint, obligation reuse).  Off, every update is a cold check.
+      worker).  Project builds are sequential and ignore it.
     * ``document_cache_limit`` — how many content-hash snapshots each open
       document keeps (bounds workspace memory; the most recent snapshot is
       always retained).
@@ -172,7 +168,6 @@ class CheckConfig:
     solver: SolverOptions = field(default_factory=SolverOptions)
     output_format: str = "text"
     jobs: int = 1
-    incremental: bool = True
     document_cache_limit: int = 8
     store_path: Optional[str] = None
     store_mode: str = "readwrite"
@@ -213,7 +208,6 @@ class CheckConfig:
             "solver": self.solver.to_dict(),
             "output_format": self.output_format,
             "jobs": self.jobs,
-            "incremental": self.incremental,
             "document_cache_limit": self.document_cache_limit,
             "store_path": self.store_path,
             "store_mode": self.store_mode,

@@ -3,11 +3,11 @@ incremental :class:`repro.core.workspace.Workspace`.
 
 A :class:`Session` owns one long-lived :class:`repro.smt.Solver` (via its
 workspace) whose query/result cache is reused across every program checked
-through it, so batch runs (benchmark suites, whole projects,
-generate-and-check loops) amortise repeated verification conditions instead
-of rebuilding a solver per file.  Unlike a workspace, a session keeps no
-per-document state: every ``check_*`` call is an independent cold check —
-use a :class:`~repro.core.workspace.Workspace` when the same document is
+through it, so batch runs (benchmark suites, generate-and-check loops)
+amortise repeated verification conditions instead of rebuilding a solver
+per file.  Unlike a workspace, a session keeps no per-document state:
+every ``check_*`` call is an independent cold check — use a
+:class:`~repro.core.workspace.Workspace` when the same document is
 re-checked across edits.
 
 The pipeline is explicit and inspectable.  Each stage returns an artifact
@@ -26,7 +26,7 @@ For the common cases the batch entry points drive all five stages::
     result = session.check_source(source)          # one string
     result = session.check_file("a.rsc")           # one file
     batch  = session.check_files(paths, jobs=4)    # many files
-    batch  = session.check_project("benchmarks")   # a directory tree
+    project = session.check_project("my-project")  # a module graph
 """
 
 from __future__ import annotations
@@ -232,21 +232,21 @@ class Session:
                 by_path[result.filename] = result
         return [by_path[str(p)] for p in paths], stats
 
-    def check_project(self, root: PathLike, pattern: str = "**/*.rsc",
-                      jobs: Optional[int] = None) -> "ProjectResult":
+    def check_project(self, root: PathLike,
+                      pattern: str = "**/*.rsc") -> "ProjectResult":
         """Check the *module graph* rooted at ``root``.
 
         Every ``pattern`` match becomes a module; ``import``/``export``
         declarations link them and each module is checked against its
-        dependencies' interface summaries in topological-rank batches,
-        concurrently across one batch when ``jobs > 1`` (see
-        :mod:`repro.project`).  Modules are checked in fresh single-use
-        sessions — not this session's shared solver — so parallel and
-        sequential schedules produce byte-identical results.
+        dependencies' interface summaries in dependency order.  This is a
+        cold :meth:`repro.project.ProjectWorkspace.check` under this
+        session's config — the project's workspace, not this session's
+        solver, checks the modules.  Raises :class:`NotADirectoryError`
+        when ``root`` is not a directory.
         """
-        from repro.project.build import check_project as check_project_dir
-        result = check_project_dir(root, config=self.config, pattern=pattern,
-                                   jobs=jobs)
+        from repro.project.workspace import ProjectWorkspace
+        result = ProjectWorkspace(root=root, config=self.config,
+                                  pattern=pattern).check()
         self.files_checked += result.num_modules
         return result
 

@@ -365,14 +365,13 @@ class Workspace:
         document.text = text
         checkpoint(token)
         content_hash = hashlib.sha256(text.encode()).hexdigest()
-        if self.config.incremental:
-            hit = document.cached(content_hash)
-            if hit is not None:
-                self.artifact_cache_hits += 1
-                document.current = hit
-                if hit.warmable:
-                    document.last_good = hit
-                return self._cache_hit_result(hit)
+        hit = document.cached(content_hash)
+        if hit is not None:
+            self.artifact_cache_hits += 1
+            document.current = hit
+            if hit.warmable:
+                document.last_good = hit
+            return self._cache_hit_result(hit)
         parsed = self.parse(text, document.uri)
         if not parsed.ok:
             self.checks_run += 1
@@ -386,20 +385,11 @@ class Workspace:
             cons = self.constraints(parsed)
             try:
                 checkpoint(token)
-                # The fingerprint/partition bookkeeping only matters when
-                # warm starts are possible at all.
-                warm_capable = self.config.incremental
-                sig_fp: Optional[str] = None
-                unit_fps: Dict[str, str] = {}
-                local = False
-                plan = None
-                if warm_capable:
-                    sig_fp = signature_fingerprint(parsed.program)
-                    unit_fps = unit_fingerprints(parsed.program)
-                    local = _partition_local(cons.checker)
-                if warm_capable and local:
-                    plan = self._plan(document.last_good, sig_fp, unit_fps,
-                                      cons)
+                sig_fp = signature_fingerprint(parsed.program)
+                unit_fps = unit_fingerprints(parsed.program)
+                local = _partition_local(cons.checker)
+                plan = (self._plan(document.last_good, sig_fp, unit_fps,
+                                   cons) if local else None)
                 solved = self.solve(cons, plan, token)
                 if plan is None and not cons.store_plan_used:
                     solved.liquid.stats.declarations_rechecked = len(unit_fps)
@@ -419,10 +409,7 @@ class Workspace:
                 kappas_by_owner=_kappas_by_owner(cons.checker),
                 concrete_by_owner=_group_by_owner(outcomes),
                 partition_local=local)
-        if self.config.incremental:
-            # With incrementality off nothing ever reads the snapshot
-            # cache; storing would only retain dead CheckResults/Solutions.
-            document.store(snapshot, self.config.document_cache_limit)
+        document.store(snapshot, self.config.document_cache_limit)
         document.current = snapshot
         if snapshot.warmable:
             document.last_good = snapshot

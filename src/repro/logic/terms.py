@@ -151,9 +151,10 @@ def _interned(cls):
         self.__dict__["_dc_init"] = True
 
     def __reduce__(self):
-        # Pickle as a constructor call so cross-process terms (the project
-        # scheduler ships kappa solutions through a ProcessPoolExecutor)
-        # re-intern on load: unpickling (and copying) preserves identity.
+        # Pickle as a constructor call so cross-process terms (the
+        # check_files worker processes ship results, kappa solutions
+        # included, through a ProcessPoolExecutor) re-intern on load:
+        # unpickling (and copying) preserves identity.
         return (self.__class__,
                 tuple(getattr(self, name) for name in field_names))
 

@@ -20,7 +20,7 @@ Enabling:
   and exports on exit),
 * the ``REPRO_TRACE`` environment variable — any process that imports this
   module with it set starts tracing and dumps on interpreter exit, which is
-  how subprocesses (``--jobs`` workers, perfbench children) produce
+  how subprocesses (``check --jobs`` workers, perfbench children) produce
   traces without code changes.  A value ending in ``/`` (or naming an
   existing directory) writes one ``trace-<pid>.json`` per process into
   it, ready for ``repro trace merge``.  ``REPRO_TRACE_ID`` pins the trace
@@ -137,8 +137,10 @@ class Tracer:
     """The process-wide span collector.
 
     Thread-safe: spans may close on any thread (the async server's
-    executor threads, the project scheduler's pool threads); each thread
-    is mapped to a small stable ``tid`` in registration order.
+    executor threads); each thread is mapped to a small stable ``tid`` in
+    registration order.  Worker processes (``Session.check_files`` under
+    ``jobs > 1``) hand their spans back with :meth:`drain`; the parent
+    merges them into one trace with :meth:`ingest`.
     """
 
     def __init__(self, slow_limit: int = DEFAULT_SLOW_QUERY_LIMIT) -> None:

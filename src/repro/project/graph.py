@@ -1,9 +1,10 @@
 """The module graph: import resolution, cycles, deterministic topo ranks.
 
 A :class:`ModuleGraph` is built from a project root (every ``*.rsc`` under
-it) or an explicit file list.  Each module is parsed once; its ``import``
-declarations are resolved against the importing file's directory (with
-``.rsc`` appended when the specifier has no suffix).  The graph then yields:
+it, read by :func:`read_sources`) or a ``{path: source}`` mapping.  Each
+module is parsed once; its ``import`` declarations are resolved against the
+importing file's directory (with ``.rsc`` appended when the specifier has no
+suffix).  The graph then yields:
 
 * ``RSC-MOD-001`` diagnostics for imports whose target file does not exist,
 * ``RSC-MOD-002`` diagnostics for every module on an import cycle (reported
@@ -11,20 +12,31 @@ declarations are resolved against the importing file's directory (with
 * :attr:`~ModuleGraph.ranks` — deterministic topological ranks over the
   acyclic modules: rank 0 modules import nothing (or only missing/cyclic
   modules), rank *r* modules import only ranks < *r*.  Modules sharing a
-  rank are independent, which is exactly what the build scheduler exploits
-  to check them concurrently.
+  rank are independent of each other.
 """
 
 from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Union
 
 from repro.errors import Diagnostic, ErrorKind, ParseError, SourceSpan
 from repro.lang import ast, parse_program
 from repro.project.summary import ModuleSummary, summarize_program
 from repro.store import ArtifactStore, ModuleArtifact
+
+
+def read_sources(root: Union[str, pathlib.Path],
+                 pattern: str = "**/*.rsc") -> Dict[str, str]:
+    """``{resolved path: source text}`` of every ``pattern`` match under
+    ``root``, in path order.  Raises :class:`NotADirectoryError` when
+    ``root`` is not a directory (a missing root is not an empty project)."""
+    root = pathlib.Path(root)
+    if not root.is_dir():
+        raise NotADirectoryError(f"not a directory: {str(root)!r}")
+    return {str(p.resolve()): p.read_text()
+            for p in sorted(root.glob(pattern)) if p.is_file()}
 
 
 def resolve_specifier(importer: pathlib.Path, specifier: str) -> str:
@@ -107,18 +119,8 @@ class ModuleGraph:
     @staticmethod
     def from_root(root: pathlib.Path, pattern: str = "**/*.rsc",
                   store: Optional[ArtifactStore] = None) -> "ModuleGraph":
-        paths = sorted(p for p in pathlib.Path(root).glob(pattern)
-                       if p.is_file())
-        return ModuleGraph.from_paths(paths, store=store)
-
-    @staticmethod
-    def from_paths(paths: Sequence[pathlib.Path],
-                   store: Optional[ArtifactStore] = None) -> "ModuleGraph":
-        sources = {}
-        for path in paths:
-            resolved = str(pathlib.Path(path).resolve())
-            sources[resolved] = pathlib.Path(path).read_text()
-        return ModuleGraph.from_sources(sources, store=store)
+        return ModuleGraph.from_sources(read_sources(root, pattern),
+                                        store=store)
 
     @staticmethod
     def from_sources(sources: Dict[str, str],

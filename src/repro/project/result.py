@@ -14,12 +14,11 @@ from repro.smt.solver import SolverStats
 class ProjectResult:
     """Aggregate outcome of checking a module graph.
 
-    ``results`` is ordered by module path (stable across runs and
-    schedulers); ``ranks`` carries the topological rank each acyclic module
-    was scheduled at and ``cyclic`` the modules skipped over an import
-    cycle.  The interface is a superset of
-    :class:`repro.core.result.BatchResult`'s, so callers written against
-    batch checking keep working.
+    ``results`` is ordered by module path (stable across runs); ``ranks``
+    carries the topological rank each acyclic module was checked at and
+    ``cyclic`` the modules skipped over an import cycle.  The interface is
+    a superset of :class:`repro.core.result.BatchResult`'s, so callers
+    written against batch checking keep working.
     """
 
     results: List[CheckResult] = field(default_factory=list)
@@ -27,7 +26,6 @@ class ProjectResult:
     cyclic: List[str] = field(default_factory=list)
     stats: SolverStats = field(default_factory=SolverStats)
     time_seconds: float = 0.0
-    jobs: int = 1
 
     @property
     def ok(self) -> bool:
@@ -80,7 +78,6 @@ class ProjectResult:
             "num_errors": self.num_errors,
             "ranks": dict(sorted(self.ranks.items())),
             "cyclic": list(self.cyclic),
-            "jobs": self.jobs,
             "time_seconds": self.time_seconds,
             "solver_stats": self.stats.to_dict(),
             "solve_stats": self.solve_stats.to_dict(),

@@ -1,8 +1,14 @@
-"""The incremental project workspace: edit one module, re-check the cut.
+"""The project workspace: build a module graph, edit one module, re-check
+the cut.
 
-A :class:`ProjectWorkspace` composes the module graph with the per-document
-incremental :class:`repro.core.workspace.Workspace`:
+A :class:`ProjectWorkspace` is the one engine behind every project check —
+:func:`check_project` and :meth:`repro.core.session.Session.check_project`
+are its cold :meth:`~ProjectWorkspace.check`.  It composes the module graph
+with the per-document incremental :class:`repro.core.workspace.Workspace`:
 
+* :meth:`~ProjectWorkspace.check` checks every acyclic module's *document*
+  in dependency order; a module on an import cycle is not checked and
+  carries the graph's stable ``RSC-MOD-002`` diagnostic instead;
 * every module's *document* (its source plus the interface prelude of its
   imports) is held open in one shared workspace, so re-checks inside a
   module warm-start the liquid fixpoint exactly as single-file editing does;
@@ -16,26 +22,25 @@ incremental :class:`repro.core.workspace.Workspace`:
   treats as a cold-solve cause, while *unchanged* dependents' documents hit
   the content-hash artifact cache).
 
-Soundness discipline matches PR 3: the test-suite asserts that after any
-edit sequence, every module's diagnostics are identical to a from-scratch
-cold project build of the same sources.
+The test-suite asserts that after any edit sequence, every module's
+diagnostics are identical to a from-scratch cold build that checks each
+module document in a fresh :class:`~repro.core.session.Session`.
 """
 
 from __future__ import annotations
 
 import pathlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Union
 
 from repro.core.cancel import CancelToken, checkpoint
 from repro.core.config import CheckConfig
 from repro.core.result import CheckResult
 from repro.core.workspace import Workspace
-from repro.project.build import (assemble_result, attach_module_diagnostics,
-                                 skipped_result)
-from repro.project.graph import ModuleGraph
+from repro.project.graph import ModuleGraph, read_sources
 from repro.project.result import ProjectResult
+from repro.smt.solver import SolverStats
 
 PathLike = Union[str, pathlib.Path]
 
@@ -80,18 +85,17 @@ class ProjectWorkspace:
                  config: Optional[CheckConfig] = None,
                  pattern: str = "**/*.rsc",
                  sources: Optional[Dict[str, str]] = None) -> None:
+        """Raises :class:`NotADirectoryError` when ``root`` is not a
+        directory."""
         if (root is None) == (sources is None):
             raise ValueError("pass exactly one of root= or sources=")
-        self.config = config or CheckConfig()
-        self.workspace = Workspace(self.config)
         if sources is not None:
             self._sources = {str(pathlib.Path(p).resolve()): text
                              for p, text in sources.items()}
         else:
-            self._sources = {
-                str(p.resolve()): p.read_text()
-                for p in sorted(pathlib.Path(root).glob(pattern))
-                if p.is_file()}
+            self._sources = read_sources(root, pattern)
+        self.config = config or CheckConfig()
+        self.workspace = Workspace(self.config)
         # The inner workspace's store (if the config selects one) also
         # serves the module graph's interface summaries, so its hit/miss
         # counters see the whole project's store traffic.
@@ -195,3 +199,49 @@ class ProjectWorkspace:
         result = self.workspace.open(path, text, token=token)
         self._results[path] = attach_module_diagnostics(
             self.graph, path, result)
+
+
+def check_project(root: PathLike, config: Optional[CheckConfig] = None,
+                  pattern: str = "**/*.rsc") -> ProjectResult:
+    """Check the project rooted at ``root`` (every ``pattern`` match) cold.
+
+    With ``config.store_path`` set, the module graph loads interface
+    summaries from the persistent store and every module replays persisted
+    solutions and verdict memos — an unchanged project re-checks with zero
+    SMT queries."""
+    return ProjectWorkspace(root=root, config=config, pattern=pattern).check()
+
+
+def attach_module_diagnostics(graph: ModuleGraph, path: str,
+                              result: CheckResult) -> CheckResult:
+    """Prepend the graph-level diagnostics (RSC-MOD-*) to a module verdict.
+
+    Returns a shallow copy — ``result`` may be a cached workspace snapshot
+    that must stay pristine for later reuse."""
+    extra = list(graph.modules[path].diagnostics)
+    if not extra:
+        return result
+    return replace(
+        result, diagnostics=extra + list(result.diagnostics))
+
+
+def skipped_result(graph: ModuleGraph, path: str) -> CheckResult:
+    """The verdict of a module that was not checked (import cycle)."""
+    module = graph.modules[path]
+    return CheckResult(
+        diagnostics=list(module.parse_diagnostics) + list(module.diagnostics),
+        filename=path)
+
+
+def assemble_result(graph: ModuleGraph,
+                    by_path: Dict[str, CheckResult]) -> ProjectResult:
+    """Order per-module verdicts by path and merge their solver stats."""
+    stats = SolverStats()
+    ordered: List[CheckResult] = []
+    for path in graph.paths:
+        result = by_path[path]
+        ordered.append(result)
+        if result.stats is not None:
+            stats.merge(result.stats)
+    return ProjectResult(results=ordered, ranks=dict(graph.ranks),
+                         cyclic=list(graph.cyclic), stats=stats)

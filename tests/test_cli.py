@@ -207,6 +207,11 @@ class TestJobsDefault:
         args = build_parser().parse_args(["check", "--jobs", "3", "x.rsc"])
         assert args.jobs == 3
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_is_usage_error(self, safe_file, capsys, jobs):
+        assert main(["check", "--jobs", jobs, safe_file]) == EXIT_USAGE
+        assert "jobs must be positive" in capsys.readouterr().err
+
 
 PROJECT_TYPES = 'export type NEArray<T> = {v: T[] | 0 < len(v)};\n'
 PROJECT_LIB = ('import {NEArray} from "./types";\n'
@@ -239,6 +244,28 @@ class TestProjectMode:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] and payload["num_modules"] == 3
         assert sorted(payload["ranks"].values()) == [0, 1, 2]
+        assert "jobs" not in payload
+
+    def test_project_json_store_section_counts_the_build(self, project_dir,
+                                                         tmp_path, capsys):
+        store = str(tmp_path / "store")
+        argv = ["check", "--format", "json", "--store", store,
+                str(project_dir)]
+        assert main(argv) == EXIT_OK
+        cold = json.loads(capsys.readouterr().out)
+        assert cold["store"]["writes"] > 0
+        assert main(argv) == EXIT_OK
+        warm = json.loads(capsys.readouterr().out)
+        assert warm["solver_stats"]["queries"] == 0
+        assert warm["store"]["hits"] > 0 and warm["store"]["writes"] == 0
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_jobs_with_directory_is_usage_error(self, project_dir, capsys,
+                                                jobs):
+        assert main(["check", "--jobs", jobs, str(project_dir)]) == \
+            EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--jobs" in err and "sequentially" in err
 
     def test_unsafe_project_exits_one(self, project_dir, capsys):
         (project_dir / "main.rsc").write_text(

@@ -9,8 +9,8 @@ The contract under test:
   ("X") events, integer microsecond timestamps, the ``repro-trace/1``
   schema stamp — with strictly nested spans per ``(pid, tid)`` track,
   and the export order is deterministic;
-* a parallel project build (``--jobs N``) merges every worker process's
-  spans into one valid trace under one trace id;
+* a parallel file-list check (``--jobs N``) merges every worker
+  process's spans into one valid trace under one trace id;
 * :func:`repro.obs.metrics.percentile` is the one nearest-rank
   implementation: the service latency window and the bench reports
   delegate here;
@@ -21,6 +21,7 @@ The contract under test:
 
 import json
 import math
+import os
 import subprocess
 import sys
 import pathlib
@@ -310,25 +311,23 @@ def test_slow_query_log_carries_kappa_owner_provenance():
 
 
 def test_parallel_project_build_merges_one_valid_trace(tmp_path):
-    for name, text in (
-            ("types.rsc", "export type NEArray<T> = "
-                          "{v: T[] | 0 < len(v)};\n"),
-            ("lib.rsc", 'import {NEArray} from "./types";\n'
-                        "export spec head :: (xs: NEArray<number>) => "
-                        "number;\nexport function head(xs) "
-                        "{ return xs[0]; }\n")):
-        (tmp_path / name).write_text(text)
+    paths = []
+    for name in ("a.rsc", "b.rsc"):
+        (tmp_path / name).write_text(SAFE)
+        paths.append(tmp_path / name)
     t = tracer()
     trace_id = t.enable()
-    project = Session(CheckConfig(jobs=2)).check_project(tmp_path)
-    assert project.ok
+    batch = Session(CheckConfig(jobs=2)).check_files(paths)
+    assert batch.ok
     document = trace_document(t.drain()["events"], trace_id=trace_id)
     assert validate_trace(document) == []
     assert check_nesting(document) == []
     summary = summarize(document)
     assert summary["trace_id"] == trace_id
-    assert "stage.parse" in {e["name"]
-                             for e in document["traceEvents"]}
+    # One file per worker process: both workers handed their spans back.
+    parse_pids = {e["pid"] for e in document["traceEvents"]
+                  if e["name"] == "stage.parse"}
+    assert len(parse_pids) == 2 and os.getpid() not in parse_pids
 
 
 def test_export_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 """The multi-module project subsystem: language, summaries, graph,
-topo-parallel build and signature-cut incremental re-checking."""
+project build and signature-cut incremental re-checking."""
 
+import dataclasses
 import json
 import pathlib
 
@@ -8,6 +9,7 @@ import pytest
 
 from repro.core.config import CheckConfig
 from repro.core.fingerprint import fingerprint
+from repro.core.result import CheckResult
 from repro.core.session import Session
 from repro.errors import ERROR_CATALOG
 from repro.lang.parser import parse_program
@@ -15,7 +17,6 @@ from repro.lang.printer import render_program
 from repro.project import (
     ModuleGraph,
     ProjectWorkspace,
-    check_graph,
     check_project,
     summarize_program,
 )
@@ -57,6 +58,40 @@ def project(tmp_path):
 
 def names_of(paths):
     return sorted(pathlib.Path(p).name for p in paths)
+
+
+def cold_oracle(graph, config=None):
+    """The project check the engine must reproduce, built independently of
+    it: every acyclic module's document checked in a fresh session, with
+    the graph's RSC-MOD diagnostics prepended; a module on an import cycle
+    is not checked and carries its parse and graph diagnostics only.
+    Results are in path order."""
+    config = config or CheckConfig()
+    results = []
+    for path in graph.paths:
+        module = graph.modules[path]
+        extra = list(module.diagnostics)
+        if path in graph.cyclic:
+            results.append(CheckResult(
+                diagnostics=list(module.parse_diagnostics) + extra,
+                filename=path))
+            continue
+        result = Session(config).check_source(graph.document_text(path),
+                                              filename=path)
+        results.append(dataclasses.replace(
+            result, diagnostics=extra + list(result.diagnostics)))
+    return results
+
+
+def assert_matches_oracle(project_result, oracle):
+    """Same modules, diagnostics and obligation counts as the oracle."""
+    assert [r.filename for r in project_result.results] == \
+        [r.filename for r in oracle]
+    for checked, cold in zip(project_result.results, oracle):
+        assert [d.to_dict() for d in checked.diagnostics] == \
+            [d.to_dict() for d in cold.diagnostics], checked.filename
+        assert checked.num_obligations_checked == \
+            cold.num_obligations_checked, checked.filename
 
 
 class TestLanguage:
@@ -287,25 +322,28 @@ class TestBuild:
         assert any(d.code == "RSC-SUB-002" for d in main.diagnostics)
 
     def test_parallel_schedule_is_byte_identical(self, project):
-        # Add an independent sibling so one rank has parallel work.
+        # An independent sibling shares a rank with lib.rsc: the one shared
+        # workspace must check it exactly as a fresh session would.
         write_project(project, {
             "other.rsc": 'import {NEArray} from "./types";\n'
                          'export spec head :: (xs: NEArray<number>) => '
                          'number;\nexport function head(xs) '
                          '{ return xs[0]; }\n'})
-        sequential = check_project(project, jobs=1)
-        parallel = check_project(project, jobs=4)
+        result = check_project(project)
+        assert result.ok
+        assert_matches_oracle(result,
+                              cold_oracle(ModuleGraph.from_root(project)))
+        assert "jobs" not in result.to_dict()
 
-        def strip(d):
-            if isinstance(d, dict):
-                return {k: strip(v) for k, v in d.items()
-                        if k not in ("time_seconds", "timings", "jobs")}
-            if isinstance(d, list):
-                return [strip(x) for x in d]
-            return d
-
-        assert json.dumps(strip(sequential.to_dict()), sort_keys=True) == \
-            json.dumps(strip(parallel.to_dict()), sort_keys=True)
+    def test_missing_root_is_not_an_empty_project(self, tmp_path):
+        missing = tmp_path / "nonexistent"
+        with pytest.raises(NotADirectoryError):
+            Session().check_project(missing)
+        with pytest.raises(NotADirectoryError):
+            ProjectWorkspace(root=missing)
+        with pytest.raises(NotADirectoryError):
+            ModuleGraph.from_root(write_project(tmp_path, {
+                "a.rsc": TYPES}) / "a.rsc")
 
     def test_session_check_project_returns_project_result(self, project):
         result = Session(CheckConfig()).check_project(project)
@@ -318,13 +356,13 @@ class TestBuild:
 
 def assert_warm_equals_cold(workspace: ProjectWorkspace):
     """Every module's current diagnostics must be byte-identical to a
-    from-scratch cold build of the same sources."""
-    cold = check_graph(ModuleGraph.from_sources(dict(workspace._sources)),
+    from-scratch cold build of the same sources (:func:`cold_oracle`)."""
+    cold = cold_oracle(ModuleGraph.from_sources(dict(workspace._sources)),
                        workspace.config)
     warm = workspace.project_result()
     assert [r.filename for r in warm.results] == \
-        [r.filename for r in cold.results]
-    for warm_result, cold_result in zip(warm.results, cold.results):
+        [r.filename for r in cold]
+    for warm_result, cold_result in zip(warm.results, cold):
         assert [d.to_dict() for d in warm_result.diagnostics] == \
             [d.to_dict() for d in cold_result.diagnostics], \
             warm_result.filename
@@ -466,16 +504,10 @@ class TestModuleBenchmarks:
 
     def test_verifies_and_parallel_matches_sequential(self, name):
         root = self.root(name)
-        sequential = check_project(root, jobs=1)
-        assert sequential.ok, [str(d) for r in sequential.results
-                               for d in r.diagnostics]
-        parallel = check_project(root, jobs=2)
-        assert [r.filename for r in parallel.results] == \
-            [r.filename for r in sequential.results]
-        for par, seq in zip(parallel.results, sequential.results):
-            assert [d.to_dict() for d in par.diagnostics] == \
-                [d.to_dict() for d in seq.diagnostics]
-            assert par.num_obligations_checked == seq.num_obligations_checked
+        result = check_project(root)
+        assert result.ok, [str(d) for r in result.results
+                           for d in r.diagnostics]
+        assert_matches_oracle(result, cold_oracle(ModuleGraph.from_root(root)))
 
     def test_edit_scenario_warm_equals_cold(self, name):
         from repro import bench

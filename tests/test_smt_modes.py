@@ -62,8 +62,8 @@ def test_port_equivalence_and_fewer_sat_calls(name):
 def test_module_project_equivalence(project, monkeypatch):
     root = MODULES / project
     incremental = Session().check_project(root)
-    # Every module is checked in a session of its own, built from the
-    # config; the reference takes the place of the solver class they build.
+    # The project's workspace builds its solver from the config; the
+    # reference takes the place of the solver class it builds.
     monkeypatch.setattr(workspace, "Solver", FreshSolver)
     fresh = Session().check_project(root)
 

@@ -409,8 +409,8 @@ class TestStorePath:
 #: because none of them changes a stored solution or verdict (a nested
 #: options object is named whole, or one ``object.field`` at a time).
 NOT_VERDICT_AFFECTING = {
-    "warnings_as_errors", "output_format", "jobs", "incremental",
-    "document_cache_limit", "store_path", "store_mode", "service", "obs",
+    "warnings_as_errors", "output_format", "jobs", "document_cache_limit",
+    "store_path", "store_mode", "service", "obs",
     "solver.cache_results", "solver.cache_size_limit",
     "solver.context_cache_limit",
 }

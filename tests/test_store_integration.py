@@ -191,9 +191,9 @@ class TestProjectReplay:
     def test_project_cold_then_warm_is_zero_sat(self, tmp_path):
         project = self._write(tmp_path / "proj")
         config = _config(tmp_path)
-        cold = check_project(project, config=config, jobs=1)
+        cold = check_project(project, config=config)
         assert cold.stats.queries > 0
-        warm = check_project(project, config=config, jobs=1)
+        warm = check_project(project, config=config)
         assert warm.stats.queries == 0
         assert warm.stats.sat_calls == 0
         assert [_diag_keys(r) for r in warm.results] == \
@@ -204,14 +204,14 @@ class TestProjectReplay:
     def test_body_edit_invalidates_only_that_module(self, tmp_path):
         project = self._write(tmp_path / "proj")
         config = _config(tmp_path)
-        check_project(project, config=config, jobs=1)
+        check_project(project, config=config)
         # Edit lib's *body*: its own artifacts are stale, but its interface
         # summary is unchanged, so dependents' document texts — and store
         # keys — are untouched.
         (project / "lib.rsc").write_text(
             LIB.replace("var best = xs[0];",
                         "var best = xs[0]; var n = xs.length;"))
-        warm = check_project(project, config=config, jobs=1)
+        warm = check_project(project, config=config)
         by_name = {pathlib.Path(r.filename).name: r for r in warm.results}
         assert by_name["lib.rsc"].stats.queries > 0
         assert by_name["types.rsc"].stats.queries == 0
@@ -222,7 +222,7 @@ class TestProjectReplay:
         # solver option invalidates verdict memos but not the interface
         # summaries the graph is built from.
         project = self._write(tmp_path / "proj")
-        check_project(project, config=_config(tmp_path), jobs=1)
+        check_project(project, config=_config(tmp_path))
         other = _config(tmp_path,
                         solver=SolverOptions(max_theory_iterations=2))
         store = open_store(other)

@@ -136,17 +136,6 @@ class TestWarmStartSoundness:
         result = workspace.update("a.rsc", edited)
         assert result.solve_stats.warm_starts == 0
 
-    def test_incremental_disabled_always_cold(self):
-        workspace = Workspace(CheckConfig(incremental=False))
-        workspace.open("a.rsc", SAFE_TWO_DECLS)
-        edited = bench.edit_function_body(SAFE_TWO_DECLS, "total")
-        result = workspace.update("a.rsc", edited)
-        assert result.solve_stats.warm_starts == 0
-        # and re-checking identical text re-runs the pipeline too
-        again = workspace.update("a.rsc", edited)
-        assert workspace.artifact_cache_hits == 0
-        assert again.solve_stats.warm_starts == 0
-
     def test_duplicate_declaration_edit_is_not_shadowed(self):
         """Two same-named functions share one partition; editing the FIRST
         must dirty it even though the second's fingerprint is unchanged."""
