@@ -9,8 +9,8 @@ Subcommands:
 * ``bench [FAMILY ...]`` — regenerate the paper's evaluation tables and
   the other bench families (edit replay, engine comparisons, serve load,
   tracing overhead) into one ``bench-report.json``.
-* ``serve`` — a newline-delimited JSON check/update/diagnostics/shutdown
-  loop over stdin/stdout backed by an incremental workspace.
+* ``serve`` — the ``repro-serve/3`` check service: newline-delimited JSON
+  requests over stdin/stdout, or with ``--tcp`` over a socket.
 * ``watch FILES...`` — re-check files on mtime change, printing per-edit
   timing deltas.
 * ``cache stats|gc|clear`` — inspect and maintain the persistent artifact
@@ -104,26 +104,28 @@ def build_parser() -> argparse.ArgumentParser:
                             "bench-report.json)")
 
     serve = sub.add_parser(
-        "serve", help="check service: stdio NDJSON loop (repro-serve/2 "
-                      "compatible) or, with --tcp, the multi-tenant "
-                      "asyncio socket server (repro-serve/3)")
+        "serve", help="multi-tenant check service (repro-serve/3): NDJSON "
+                      "over stdin/stdout, or with --tcp the asyncio socket "
+                      "server")
     serve.add_argument("--tcp", action="store_true",
-                       help="serve the repro-serve/3 protocol over TCP "
-                            "instead of the stdio v2 loop")
-    serve.add_argument("--host", default="127.0.0.1", metavar="HOST",
-                       help="TCP bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=0, metavar="PORT",
+                       help="serve over TCP instead of stdin/stdout")
+    serve.add_argument("--host", default=None, metavar="HOST",
+                       help="TCP bind address (default: 127.0.0.1; "
+                            "needs --tcp)")
+    serve.add_argument("--port", type=int, default=None, metavar="PORT",
                        help="TCP port (default: 0 = ephemeral; the bound "
-                            "port is printed as a JSON line on startup)")
+                            "port is printed as a JSON line on startup; "
+                            "needs --tcp)")
     serve.add_argument("--tenants", type=int, default=None, metavar="N",
                        help="max tenant workspaces kept alive before LRU "
                             "eviction (default: 8)")
     serve.add_argument("--queue-limit", type=int, default=None, metavar="N",
                        help="per-tenant pending-request bound; above it "
                             "requests get a backpressure error "
-                            "(default: 16)")
+                            "(default: 16; needs --tcp)")
     serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="checker thread pool size (default: 4)")
+                       help="checker thread pool size (default: 4; "
+                            "needs --tcp)")
     _workspace_flags(serve)
 
     watchp = sub.add_parser(
@@ -357,6 +359,12 @@ def _check_project_dir(root: str, config: CheckConfig,
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    if not args.tcp:
+        for flag in ("host", "port", "queue_limit", "workers"):
+            if getattr(args, flag) is not None:
+                print(f"repro: --{flag.replace('_', '-')} needs --tcp",
+                      file=sys.stderr)
+                return EXIT_USAGE
     try:
         config = _workspace_config(args)
         service_changes = {
@@ -374,8 +382,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if args.tcp:
         from repro.service.server import run_server
-        return run_server(config, host=args.host, port=args.port)
-    from repro.serve import serve
+        return run_server(config, host=args.host or "127.0.0.1",
+                          port=args.port or 0)
+    from repro.service.server import serve
     return serve(config=config)
 
 

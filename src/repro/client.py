@@ -3,7 +3,8 @@
 Everything that talks to the check service — tests, the watch loop,
 ``repro bench serve``, the example driver — goes through one
 :class:`Client`, so the protocol has a single client-side code path.  The
-client speaks ``repro-serve/3`` over a pluggable transport:
+client speaks ``repro-serve/3`` — the one protocol of both ``repro
+serve`` transports — over a pluggable transport:
 
 * :meth:`Client.connect` — a TCP socket to an
   :class:`repro.service.server.AsyncCheckServer`;
@@ -89,13 +90,12 @@ class LocalTransport:
     watch loop, tests) can reach the underlying tenant workspaces.
     """
 
-    def __init__(self, core: Optional[ServiceCore] = None,
-                 config: Optional[CheckConfig] = None) -> None:
-        self.core = core or ServiceCore(config)
+    def __init__(self, config: Optional[CheckConfig] = None) -> None:
+        self.core = ServiceCore(config)
         self._outbox: list = []
 
     def send(self, obj: dict) -> None:
-        self._outbox.append(self.core.handle_raw(obj, version=3).to_json())
+        self._outbox.append(self.core.handle_raw(obj).to_json())
 
     def recv(self) -> dict:
         if not self._outbox:
@@ -126,7 +126,7 @@ class Client:
     def local(cls, config: Optional[CheckConfig] = None,
               tenant: Optional[str] = None) -> "Client":
         """An in-process client (no server process, no sockets)."""
-        return cls(LocalTransport(config=config), tenant=tenant)
+        return cls(LocalTransport(config), tenant=tenant)
 
     # -- pipelined primitives ----------------------------------------------
 
@@ -138,7 +138,7 @@ class Client:
                           params=spec.params(**params),
                           tenant=self.tenant,
                           trace=current_trace_id())
-        self.transport.send(request.to_json(version=3))
+        self.transport.send(request.to_json())
         return self._next_id
 
     def wait(self, request_id: int) -> Response:

@@ -11,14 +11,15 @@ past ``CheckConfig.service.max_tenants`` the least-recently-used *idle*
 tenant is evicted (its documents close, its solver is dropped — the next
 request under that name starts cold).
 
-A :class:`ServiceCore` is the typed dispatcher both servers share: the
-stdio ``repro-serve/2`` shim (:mod:`repro.serve`) and the asyncio socket
-server (:mod:`repro.service.server`) decode with
-:func:`repro.wire.decode_request` and execute here, so the
-business logic has exactly one code path.  The core itself is synchronous
-and single-threaded per tenant — concurrency (queues, supersession,
-executors) lives in the async server, which guarantees at most one request
-per tenant is executing at a time.
+A :class:`ServiceCore` is the typed dispatcher every transport shares:
+the stdio loop, the asyncio socket server (both in
+:mod:`repro.service.server`) and the in-process client decode with
+:func:`repro.wire.decode_request` and execute here, so the business logic
+has exactly one code path.  A request without a ``tenant`` field runs on
+the :data:`DEFAULT_TENANT`.  The core itself is synchronous and
+single-threaded per tenant — concurrency (queues, supersession, executors)
+lives in the async server, which guarantees at most one request per tenant
+is executing at a time.
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ from repro.core.cancel import CancelToken, CheckCancelled
 from repro.core.config import CheckConfig
 from repro.core.result import CheckResult
 from repro.core.workspace import Workspace
-# ``percentile`` is re-exported here for callers that predate repro.obs —
-# the one nearest-rank implementation now lives in repro.obs.metrics.
 from repro.obs.metrics import (Histogram, MetricsRegistry, percentile,
                                registry_from_stats)
-from repro.service.protocol import (METHODS, PROTOCOLS, CancelPayload,
+from repro.service.protocol import (METHODS, CancelPayload,
                                     CheckPayload, ClosePayload,
                                     DiagnosticsPayload, HelloPayload,
                                     MetricsPayload, ModulePayload,
@@ -43,6 +42,9 @@ from repro.service.protocol import (METHODS, PROTOCOLS, CancelPayload,
                                     ShutdownPayload, StatsPayload)
 from repro.wire import (ProtocolError, Request, Response, decode_request,
                         method_names)
+
+#: The tenant of requests that name none.
+DEFAULT_TENANT = "default"
 
 #: Methods whose wall-clock enters the tenant's latency window.
 TIMED_METHODS = frozenset(
@@ -52,16 +54,15 @@ TIMED_METHODS = frozenset(
 class TenantSession:
     """One tenant's isolated workspace, project and counters."""
 
-    def __init__(self, name: str, config: CheckConfig,
-                 workspace: Optional[Workspace] = None) -> None:
+    def __init__(self, name: str, config: CheckConfig) -> None:
         self.name = name
-        self.config = workspace.config if workspace is not None else config
-        self.workspace = workspace or Workspace(self.config)
+        self.config = config
+        self.workspace = Workspace(config)
         self.project = None  # lazily created by project_open
         self.requests = 0
         self.cancelled_queued = 0
         self.cancelled_inflight = 0
-        #: maintained by the async server's lane; 0 under the stdio shim
+        #: maintained by the async server's lane; 0 on the stdio loop
         self.queue_depth = 0
         #: the ``stats``/``metrics`` latency window (an obs histogram; the
         #: hand-rolled deque it replaced kept the same bounded shape)
@@ -245,11 +246,6 @@ class SessionManager:
         """The named tenant without creating or LRU-touching it."""
         return self.tenants.get(name)
 
-    def install(self, name: str, session: TenantSession) -> None:
-        """Pre-install a tenant (the stdio shim's injected workspace)."""
-        self.tenants[name] = session
-        self.tenants.move_to_end(name)
-
     def _evict(self, keep: str) -> None:
         limit = self.config.service.max_tenants
         if len(self.tenants) <= limit:
@@ -264,23 +260,11 @@ class SessionManager:
 
 
 class ServiceCore:
-    """The typed dispatcher shared by the stdio shim and the async server."""
+    """The typed dispatcher shared by every transport."""
 
-    def __init__(self, config: Optional[CheckConfig] = None,
-                 workspace: Optional[Workspace] = None,
-                 default_tenant: str = "default") -> None:
-        # An injected workspace's config governs *all* operations (any
-        # `config` argument is superseded), so single-file and project
-        # checks of the same text always agree.
-        if workspace is not None:
-            config = workspace.config
+    def __init__(self, config: Optional[CheckConfig] = None) -> None:
         self.config = config or CheckConfig()
-        self.default_tenant = default_tenant
         self.manager = SessionManager(self.config)
-        if workspace is not None:
-            self.manager.install(
-                default_tenant,
-                TenantSession(default_tenant, self.config, workspace))
         self.requests_served = 0
         self.shutting_down = False
         #: installed by the async server: (tenant, uri) -> CancelPayload
@@ -289,27 +273,26 @@ class ServiceCore:
     # -- entry points ------------------------------------------------------
 
     def count_request(self) -> None:
-        """Every received request counts, even ones that fail to decode
-        (the v2 server counted before validating)."""
+        """Every received request object counts, even one that fails to
+        decode."""
         self.requests_served += 1
 
-    def handle_raw(self, obj: Any, version: int = 3) -> Response:
+    def handle_raw(self, obj: Any) -> Response:
         """Count, decode and execute one request object."""
         self.count_request()
         request_id = obj.get("id") if isinstance(obj, dict) else None
         try:
-            request = decode_request(METHODS, obj, version)
+            request = decode_request(METHODS, obj)
         except ProtocolError as exc:
             return Response.failure(request_id, exc.code, exc.message)
-        return self.execute(request, version)
+        return self.execute(request)
 
-    def execute(self, request: Request, version: int = 3,
+    def execute(self, request: Request,
                 token: Optional[CancelToken] = None) -> Response:
         """Execute one decoded (and already counted) request."""
         try:
-            return Response.success(
-                request.id, self._dispatch(request, version, token),
-                version)
+            return Response.success(request.id,
+                                    self._dispatch(request, token))
         except ProtocolError as exc:
             return Response.failure(request.id, exc.code, exc.message)
         except CheckCancelled as exc:
@@ -325,21 +308,19 @@ class ServiceCore:
     # -- dispatch ----------------------------------------------------------
 
     def tenant_name(self, request: Request) -> str:
-        return request.tenant or self.default_tenant
+        return request.tenant or DEFAULT_TENANT
 
-    def _dispatch(self, request: Request, version: int,
-                  token: Optional[CancelToken]):
+    def _dispatch(self, request: Request, token: Optional[CancelToken]):
         method = request.method
         if method == "hello":
-            return HelloPayload(protocol=PROTOCOLS[version],
-                                methods=list(method_names(METHODS, version)),
+            return HelloPayload(methods=list(method_names(METHODS)),
                                 tenant=self.tenant_name(request))
         if method == "stats":
-            return self.stats(version)
+            return self.stats()
         if method == "metrics":
-            return self.metrics(version)
+            return self.metrics()
         if method == "shutdown":
-            return self.shutdown(version)
+            return self.shutdown()
         if method == "cancel":
             return self.cancel(self.tenant_name(request), request.params.uri)
         tenant = self.manager.get(self.tenant_name(request))
@@ -365,11 +346,11 @@ class ServiceCore:
         # anything in flight to cancel by the time a cancel is dispatched.
         return CancelPayload(uri=uri, cancelled=False, state="idle")
 
-    def stats(self, version: int = 3) -> StatsPayload:
+    def stats(self) -> StatsPayload:
         tenants = {name: session.stats_entry()
                    for name, session in self.manager.tenants.items()}
         return StatsPayload(
-            protocol=PROTOCOLS[version], tenants=tenants,
+            tenants=tenants,
             totals={
                 "requests_served": self.requests_served,
                 "checks_run": self.checks_run,
@@ -381,7 +362,7 @@ class ServiceCore:
                                           self.manager.tenants.values()),
             })
 
-    def metrics(self, version: int = 3) -> MetricsPayload:
+    def metrics(self) -> MetricsPayload:
         """The unified registry snapshot: totals plus one per tenant."""
         totals = MetricsRegistry()
         totals.counter("service.requests_served").value = \
@@ -392,16 +373,14 @@ class ServiceCore:
             self.manager.tenants_evicted
         tenants = {name: session.metrics_entry()
                    for name, session in self.manager.tenants.items()}
-        return MetricsPayload(protocol=PROTOCOLS[version],
-                              totals=totals.to_dict(), tenants=tenants)
+        return MetricsPayload(totals=totals.to_dict(), tenants=tenants)
 
-    def shutdown(self, version: int = 3) -> ShutdownPayload:
+    def shutdown(self) -> ShutdownPayload:
         self.shutting_down = True
-        default = self.manager.peek(self.default_tenant)
+        default = self.manager.peek(DEFAULT_TENANT)
         store = default.workspace.store if default is not None else None
         return ShutdownPayload(
-            shutdown=True, protocol=PROTOCOLS[version],
-            requests_served=self.requests_served,
+            shutdown=True, requests_served=self.requests_served,
             checks_run=self.checks_run,
             store=store.counters() if store is not None else None)
 

@@ -1,34 +1,23 @@
 """The typed serve protocol: params/payload codecs and the method registry.
 
-Every method the check service speaks is declared **once**, in
-:data:`METHODS` — a name-ordered registry of
-:class:`repro.wire.MethodSpec` entries binding the method name to its
-params dataclass, its result payload dataclass and the protocol version
-that introduced it.  The envelopes and the registry helpers
-(:func:`repro.wire.spec_for`, :func:`repro.wire.decode_request`, ...) live
-in :mod:`repro.wire`.  The stdio server, the asyncio socket server, the
-synchronous client and the rendered method docs (:func:`describe_methods`)
-all consult the same registry, so a method cannot exist half-way: adding
-one here is what adds it everywhere.
+The service speaks one protocol, ``repro-serve/3``, over both transports
+(stdio and TCP).  Every method is declared **once**, in :data:`METHODS` —
+a registry of :class:`repro.wire.MethodSpec` entries binding the method
+name to its params dataclass and its result payload dataclass.  The
+envelopes and the registry helpers (:func:`repro.wire.spec_for`,
+:func:`repro.wire.decode_request`, ...) live in :mod:`repro.wire`.  Both
+server loops, the synchronous client and the ``hello`` method all consult
+the same registry, so a method cannot exist half-way: adding one here is
+what adds it everywhere.
 
-Versioning
-----------
-
-Two protocol versions share the registry:
-
-* ``repro-serve/2`` — the original stdio NDJSON protocol.  Decoding with
-  ``version=2`` accepts exactly the original eight methods, produces the
-  original error messages verbatim, and ignores v3-only envelope fields, so
-  recorded v2 transcripts replay byte-identically through the shim.
-* ``repro-serve/3`` — adds the ``tenant`` envelope field (many isolated
-  workspaces behind one server) and the ``hello``, ``cancel`` and ``stats``
-  methods.
+An optional ``tenant`` envelope field routes a request to one of many
+isolated workspaces behind one server (``"default"`` when omitted).
 
 Codecs are **unknown-field tolerant** in both directions: decoding ignores
-JSON keys it does not know (so a v3 client can talk to a shim that predates
-a field) and encoding emits only the fields a dataclass declares.  Type
-errors, by contrast, are strict and produce ``bad-params`` errors with the
-same messages the v2 server used (``"params.uri must be a string"``).
+JSON keys it does not know (so a newer client can talk to a server that
+predates a field) and encoding emits only the fields a dataclass declares.
+Type errors, by contrast, are strict and produce ``bad-params`` errors
+(``"params.uri must be a string"``).
 
 Wire shapes (one JSON object per NDJSON line)::
 
@@ -41,26 +30,20 @@ Wire shapes (one JSON object per NDJSON line)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.wire import (EmptyParams, MethodSpec, Payload, method_names,
-                        optional_str, registry, require_str)
+from repro.wire import (EmptyParams, MethodSpec, Payload, optional_str,
+                        registry, require_str)
 
-#: Protocol identifier of the stdio compatibility shim.
-PROTOCOL_V2 = "repro-serve/2"
-
-#: Protocol identifier of the multi-tenant async service.
+#: Protocol identifier of the check service, on both transports.
 PROTOCOL_V3 = "repro-serve/3"
-
-#: Version number -> protocol identifier.
-PROTOCOLS: Dict[int, str] = {2: PROTOCOL_V2, 3: PROTOCOL_V3}
 
 #: Error codes a response may carry (exhaustive; the client maps unknown
 #: codes to ``internal-error`` rather than crashing).
 ERROR_CODES: Tuple[str, ...] = (
     "parse-error",      # the request line is not a JSON object
-    "unknown-method",   # method absent from the registry (at this version)
+    "unknown-method",   # method absent from the registry
     "bad-params",       # params missing, mistyped or not an object
     "not-open",         # document/module/project not open
     "io-error",         # the server could not read a file
@@ -148,12 +131,10 @@ class ProjectOpenParams:
 class CheckPayload(Payload):
     """Result of ``check``/``update`` — the per-edit verdict and counters.
 
-    ``timings`` (v3 only) is the per-stage second breakdown from the span
-    tree (:class:`repro.core.result.StageTimings`), so watchers and shells
+    ``timings`` is the per-stage second breakdown from the span tree
+    (:class:`repro.core.result.StageTimings`), so watchers and shells
     report the same stage numbers the trace shows.
     """
-
-    FIELDS_SINCE = {"timings": 3}
 
     uri: str = ""
     status: str = ""
@@ -185,7 +166,7 @@ class ClosePayload(Payload):
 
 @dataclass
 class HelloPayload(Payload):
-    """Result of ``hello`` — what the server speaks, rendered from the
+    """Result of ``hello`` — what the server speaks, listed from the
     registry (so it can never disagree with what dispatch accepts)."""
 
     protocol: str = PROTOCOL_V3
@@ -230,7 +211,7 @@ class MetricsPayload(Payload):
 @dataclass
 class ShutdownPayload(Payload):
     shutdown: bool = True
-    protocol: str = PROTOCOL_V2
+    protocol: str = PROTOCOL_V3
     requests_served: int = 0
     checks_run: int = 0
     store: Optional[dict] = None
@@ -276,47 +257,31 @@ class ProjectUpdatePayload(Payload):
 # ---------------------------------------------------------------------------
 
 
-#: The exhaustive method registry.  Insertion order is load-bearing: the
-#: first eight entries reproduce the v2 ``METHODS`` tuple (error messages
-#: enumerate them in this order), v3-only methods follow.
+#: The exhaustive method registry, in the order ``hello`` and the
+#: ``unknown-method`` message list the methods.
 METHODS: Dict[str, MethodSpec] = registry(
-    MethodSpec("check", 2, CheckParams, CheckPayload,
+    MethodSpec("check", CheckParams, CheckPayload,
                "Open (or replace) a document and check it."),
-    MethodSpec("update", 2, CheckParams, CheckPayload,
+    MethodSpec("update", CheckParams, CheckPayload,
                "Re-check an open document incrementally."),
-    MethodSpec("diagnostics", 2, UriParams, DiagnosticsPayload,
+    MethodSpec("diagnostics", UriParams, DiagnosticsPayload,
                "An open document's current verdict (no re-check)."),
-    MethodSpec("close", 2, UriParams, ClosePayload,
+    MethodSpec("close", UriParams, ClosePayload,
                "Close an open document, dropping its artifacts."),
-    MethodSpec("shutdown", 2, EmptyParams, ShutdownPayload,
+    MethodSpec("shutdown", EmptyParams, ShutdownPayload,
                "Stop the server after responding."),
-    MethodSpec("project_open", 2, ProjectOpenParams, ProjectBuildPayload,
+    MethodSpec("project_open", ProjectOpenParams, ProjectBuildPayload,
                "Open a directory as a module graph and build it."),
-    MethodSpec("project_update", 2, CheckParams, ProjectUpdatePayload,
+    MethodSpec("project_update", CheckParams, ProjectUpdatePayload,
                "Replace one module's text and re-check the cut."),
-    MethodSpec("project_diagnostics", 2, UriParams, ModulePayload,
+    MethodSpec("project_diagnostics", UriParams, ModulePayload,
                "One module's current diagnostics (no re-check)."),
-    MethodSpec("hello", 3, HelloParams, HelloPayload,
+    MethodSpec("hello", HelloParams, HelloPayload,
                "Identify the protocol and list the methods it speaks."),
-    MethodSpec("cancel", 3, UriParams, CancelPayload,
+    MethodSpec("cancel", UriParams, CancelPayload,
                "Cancel the in-flight or queued check of a URI."),
-    MethodSpec("stats", 3, EmptyParams, StatsPayload,
+    MethodSpec("stats", EmptyParams, StatsPayload,
                "Per-tenant queue depth, latency percentiles and counters."),
-    MethodSpec("metrics", 3, EmptyParams, MetricsPayload,
+    MethodSpec("metrics", EmptyParams, MetricsPayload,
                "The unified metrics registry: counters, gauges, histograms."),
 )
-
-
-def describe_methods(version: int = 3) -> List[dict]:
-    """The registry rendered for docs and the ``hello`` response."""
-    out = []
-    for name in method_names(METHODS, version):
-        spec = METHODS[name]
-        out.append({
-            "method": name,
-            "since": PROTOCOLS[spec.since],
-            "params": [f.name for f in fields(spec.params)],
-            "result": [f.name for f in fields(spec.payload)],
-            "doc": spec.doc,
-        })
-    return out

@@ -1,7 +1,15 @@
-"""The asyncio TCP check server (``repro serve --tcp``).
+"""The two ``repro serve`` loops over one :class:`ServiceCore`.
 
-One process serves many concurrent clients and many isolated tenants.  The
-event loop only parses, schedules and writes; the CPU-bound checks run on a
+:func:`serve` is the stdio loop: one request line in, one response line
+out, in order, on the calling thread.  It speaks the same
+``repro-serve/3`` protocol as the TCP server (``tenant`` routing,
+``hello``, ``stats`` ...), through the same
+:meth:`ServiceCore.handle_raw` dispatch the in-process client uses.
+
+:class:`AsyncCheckServer` is the asyncio TCP server
+(``repro serve --tcp``).  One process serves many concurrent clients and
+many isolated tenants.  The event loop only parses, schedules and writes;
+the CPU-bound checks run on a
 :class:`~concurrent.futures.ThreadPoolExecutor`
 (``CheckConfig.service.workers`` threads).  Requests are scheduled through
 **per-tenant lanes**:
@@ -22,7 +30,7 @@ Lane state is only ever mutated on the event-loop thread (enqueue,
 supersede, the ``cancel`` method's hook, completion), so no locks are
 needed beyond the thread-safe cancellation token itself.
 
-The line loop, the listener and the background-thread host
+The line loop and the background-thread host
 (:class:`repro.wire.ServerThread`, used by tests and ``repro bench
 serve``) live in :mod:`repro.wire`; :func:`run_server` is the blocking
 CLI entry point.
@@ -32,17 +40,19 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
+import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import IO, Callable, Dict, Optional
 
 from repro.core.cancel import CancelToken
 from repro.core.config import CheckConfig
 from repro.obs.trace import span as trace_span
 from repro.service.core import ServiceCore
 from repro.service.protocol import METHODS, PROTOCOL_V3, CancelPayload
-from repro.wire import (LineServer, Request, Response, line_sender,
-                        read_requests, run_blocking)
+from repro.wire import (ProtocolError, Request, Response, line_sender,
+                        parse_error_response, parse_line, read_requests)
 
 #: Methods a later edit of the same URI supersedes.
 SUPERSEDABLE = frozenset({"check", "update"})
@@ -74,13 +84,19 @@ class _Lane:
         return self.current is not None or bool(self.queue)
 
 
-class AsyncCheckServer(LineServer):
+class AsyncCheckServer:
     """The asyncio TCP server fronting one :class:`ServiceCore`."""
+
+    #: NDJSON line limit for the stream reader.
+    LINE_LIMIT = 16 * 1024 * 1024
 
     def __init__(self, config: Optional[CheckConfig] = None,
                  host: str = "127.0.0.1", port: int = 0) -> None:
         from concurrent.futures import ThreadPoolExecutor
-        super().__init__(host, port)
+        self.host = host
+        self.port = port
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._stop: Optional[asyncio.Event] = None
         self.config = config or CheckConfig()
         self.core = ServiceCore(self.config)
         self.core.cancel_hook = self._cancel_uri
@@ -89,6 +105,25 @@ class AsyncCheckServer(LineServer):
         self.executor = ThreadPoolExecutor(
             max_workers=self.config.service.workers,
             thread_name_prefix="repro-check")
+
+    async def start(self) -> None:
+        self._stop = asyncio.Event()
+        self._server = await asyncio.start_server(
+            self._on_client, self.host, self.port, limit=self.LINE_LIMIT)
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    async def serve_until_shutdown(self) -> None:
+        """Block until a ``shutdown`` request (or :meth:`request_stop`)."""
+        assert self._stop is not None, "call start() first"
+        await self._stop.wait()
+        self._server.close()
+        await self._server.wait_closed()
+        await self._drain()
+
+    def request_stop(self) -> None:
+        """Stop the server from the event-loop thread."""
+        if self._stop is not None:
+            self._stop.set()
 
     async def _drain(self) -> None:
         """Flush queued work as cancelled, finish in-flight checks (their
@@ -111,13 +146,13 @@ class AsyncCheckServer(LineServer):
     async def _on_client(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> None:
         send = line_sender(writer)
-        requests = read_requests(reader, send, METHODS, version=3,
+        requests = read_requests(reader, send, METHODS,
                                  on_object=self.core.count_request)
         try:
             async with contextlib.aclosing(requests):
                 async for request in requests:
                     if request.method in INLINE:
-                        await send(self.core.execute(request, version=3))
+                        await send(self.core.execute(request))
                     else:
                         self._route(request, send)
                     if self.core.shutting_down:
@@ -183,7 +218,7 @@ class AsyncCheckServer(LineServer):
         extra = {"trace": request.trace} if request.trace else {}
         with trace_span(f"service.{request.method}", "service",
                         tenant=name, **extra):
-            return self.core.execute(request, 3, job.token)
+            return self.core.execute(request, job.token)
 
     def _sync_depth(self, name: str, lane: _Lane) -> None:
         tenant = self.core.manager.peek(name)
@@ -220,8 +255,42 @@ class AsyncCheckServer(LineServer):
         return CancelPayload(uri=uri, cancelled=False, state="idle")
 
 
+def serve(stdin: Optional[IO[str]] = None, stdout: Optional[IO[str]] = None,
+          config: Optional[CheckConfig] = None) -> int:
+    """Blocking entry point for stdio ``repro serve``: answer each request
+    line until ``shutdown`` or end of input."""
+    stdin = stdin if stdin is not None else sys.stdin
+    stdout = stdout if stdout is not None else sys.stdout
+    core = ServiceCore(config)
+    for line in stdin:
+        if not line.strip():
+            continue
+        try:
+            response = core.handle_raw(parse_line(line))
+        except ProtocolError as exc:
+            response = parse_error_response(exc.message)
+        stdout.write(json.dumps(response.to_json()) + "\n")
+        stdout.flush()
+        if core.shutting_down:
+            break
+    return 0
+
+
 def run_server(config: Optional[CheckConfig] = None,
                host: str = "127.0.0.1", port: int = 0) -> int:
-    """Blocking entry point for ``repro serve --tcp``."""
-    return run_blocking(AsyncCheckServer(config, host=host, port=port),
-                        {"protocol": PROTOCOL_V3})
+    """Blocking entry point for ``repro serve --tcp``: serve until
+    shutdown, first printing the bound address as one JSON line."""
+    server = AsyncCheckServer(config, host=host, port=port)
+
+    async def main() -> None:
+        await server.start()
+        print(json.dumps({"listening": {"host": server.host,
+                                        "port": server.port},
+                          "protocol": PROTOCOL_V3}), flush=True)
+        await server.serve_until_shutdown()
+
+    try:
+        asyncio.run(main())
+    except KeyboardInterrupt:
+        print("stopped", file=sys.stderr)
+    return 0

@@ -26,6 +26,7 @@ from typing import IO, List, Optional, Sequence
 
 from repro.client import Client
 from repro.core.config import CheckConfig
+from repro.service.core import DEFAULT_TENANT
 from repro.service.protocol import CheckPayload
 from repro.wire import ProtocolError
 
@@ -48,7 +49,7 @@ class Watcher:
     def workspace(self):
         """The underlying workspace (in-process transports only)."""
         core = self.client.transport.core
-        return core.manager.get(core.default_tenant).workspace
+        return core.manager.get(DEFAULT_TENANT).workspace
 
     def scan(self) -> List[CheckPayload]:
         """One poll: check every path that changed since the last scan.

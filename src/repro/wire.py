@@ -11,22 +11,11 @@ This module holds everything about that envelope that does not depend on
 the methods spoken: the error class and the strict field helpers, the
 params/payload codec bases, the method registry (:class:`MethodSpec`,
 :func:`spec_for`, :func:`method_names`), the request/response envelopes,
-the asyncio line loop (:func:`read_requests`), the TCP server skeleton
-(:class:`LineServer`) and its background-thread host
-(:class:`ServerThread`).  The protocol module
+the asyncio line loop (:func:`read_requests`) and the background-thread
+server host (:class:`ServerThread`).  The protocol module
 (:mod:`repro.service.protocol`) declares only its params and payload
-classes, its ``METHODS`` registry and its protocol identifiers; the
-servers declare only their dispatch.
-
-Versioning
-----------
-
-The check service is versioned (``repro-serve/2`` and ``/3``).  Every
-version-taking function here accepts ``version=None``, meaning "the
-latest: every method, every field".  A method or payload field newer than
-the requested version is hidden, and the ``tenant``/``trace`` envelope
-fields exist only from :data:`ENVELOPE_SINCE` on, so recorded
-``repro-serve/2`` transcripts replay byte-identically.
+classes, its ``METHODS`` registry and its protocol identifier; the
+server declares only its dispatch.
 
 Codecs are unknown-field tolerant in both directions; type errors are
 strict ``bad-params`` errors (``"params.uri must be a string"``).
@@ -36,14 +25,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-import sys
 import threading
 from dataclasses import dataclass, fields
-from typing import Any, AsyncIterator, Callable, Dict, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, AsyncIterator, Callable, Dict,
+                    Optional, Tuple)
 
-#: The serve-protocol version that introduced the ``tenant`` and ``trace``
-#: envelope fields (``version=None`` always carries them).
-ENVELOPE_SINCE = 3
+if TYPE_CHECKING:
+    from repro.service.server import AsyncCheckServer
 
 
 class ProtocolError(Exception):
@@ -56,7 +44,7 @@ class ProtocolError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# field extraction helpers (strict types, v2-exact messages)
+# field extraction helpers (strict types)
 # ---------------------------------------------------------------------------
 
 
@@ -95,19 +83,11 @@ class EmptyParams:
 class Payload:
     """Shared to_json/from_json over a result dataclass's fields.
 
-    Field declaration order *is* the JSON key order, which keeps v2
-    transcript replays byte-identical.
+    Field declaration order *is* the JSON key order.
     """
 
-    #: Fields added after a payload first shipped, keyed by the protocol
-    #: version that introduced them; ``to_json(version)`` omits fields
-    #: newer than the requested version.
-    FIELDS_SINCE: Dict[str, int] = {}
-
-    def to_json(self, version: Optional[int] = None) -> dict:
-        since = self.FIELDS_SINCE
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if version is None or since.get(f.name, 0) <= version}
+    def to_json(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, obj: dict):
@@ -125,10 +105,9 @@ class Payload:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One protocol method: its codecs, introduction version and doc."""
+    """One protocol method: its codecs and doc."""
 
     name: str
-    since: int
     params: type
     payload: type
     doc: str
@@ -140,32 +119,25 @@ def registry(*specs: MethodSpec) -> Dict[str, MethodSpec]:
     return {spec.name: spec for spec in specs}
 
 
-def method_names(methods: Dict[str, MethodSpec],
-                 version: Optional[int] = None) -> Tuple[str, ...]:
-    """The methods available at ``version``, in registry order."""
-    return tuple(name for name, spec in methods.items()
-                 if version is None or spec.since <= version)
+def method_names(methods: Dict[str, MethodSpec]) -> Tuple[str, ...]:
+    """The registry's method names, in registry order."""
+    return tuple(methods)
 
 
-def spec_for(methods: Dict[str, MethodSpec], method: Any,
-             version: Optional[int] = None) -> MethodSpec:
-    """Resolve a method name, or raise the v2-exact unknown-method error."""
+def spec_for(methods: Dict[str, MethodSpec], method: Any) -> MethodSpec:
+    """Resolve a method name, or raise an ``unknown-method`` error."""
     spec = methods.get(method) if isinstance(method, str) else None
-    if spec is None or (version is not None and spec.since > version):
+    if spec is None:
         raise ProtocolError(
             "unknown-method",
             f"unknown method {method!r} "
-            f"(expected one of {', '.join(method_names(methods, version))})")
+            f"(expected one of {', '.join(method_names(methods))})")
     return spec
 
 
 # ---------------------------------------------------------------------------
 # envelopes
 # ---------------------------------------------------------------------------
-
-
-def _has_envelope(version: Optional[int]) -> bool:
-    return version is None or version >= ENVELOPE_SINCE
 
 
 @dataclass
@@ -188,37 +160,32 @@ class Request:
         """The target URI, when the params carry one (supersede matching)."""
         return getattr(self.params, "uri", None)
 
-    def to_json(self, version: Optional[int] = None) -> dict:
+    def to_json(self) -> dict:
         obj: dict = {"id": self.id, "method": self.method}
-        if _has_envelope(version):
-            if self.tenant is not None:
-                obj["tenant"] = self.tenant
-            if self.trace is not None:
-                obj["trace"] = self.trace
+        if self.tenant is not None:
+            obj["tenant"] = self.tenant
+        if self.trace is not None:
+            obj["trace"] = self.trace
         params = self.params.to_json() if self.params is not None else {}
         if params:
             obj["params"] = params
         return obj
 
 
-def decode_request(methods: Dict[str, MethodSpec], obj: dict,
-                   version: Optional[int] = None) -> Request:
+def decode_request(methods: Dict[str, MethodSpec], obj: dict) -> Request:
     """Decode one request object; raises :class:`ProtocolError`.
 
-    Validation order matches the v2 server (method first, then the params
-    shape), so error transcripts replay identically.
+    The method is validated before the params shape, so a bogus method
+    with bogus params reports ``unknown-method``.
     """
-    spec = spec_for(methods, obj.get("method"), version)
+    spec = spec_for(methods, obj.get("method"))
     params = obj.get("params") or {}
     if not isinstance(params, dict):
         raise ProtocolError("bad-params", "params must be an object")
-    tenant = trace = None
-    if _has_envelope(version):
-        tenant = optional_str(obj, "tenant", where="request")
-        trace = optional_str(obj, "trace", where="request")
     return Request(method=spec.name, id=obj.get("id"),
-                   params=spec.params.from_json(params), tenant=tenant,
-                   trace=trace)
+                   params=spec.params.from_json(params),
+                   tenant=optional_str(obj, "tenant", where="request"),
+                   trace=optional_str(obj, "trace", where="request"))
 
 
 def parse_line(line: str) -> dict:
@@ -244,14 +211,8 @@ class Response:
     error_message: Optional[str] = None
 
     @classmethod
-    def success(cls, request_id: Any, payload: Any,
-                version: Optional[int] = None) -> "Response":
-        if isinstance(payload, Payload):
-            result = payload.to_json(version)
-        elif hasattr(payload, "to_json"):
-            result = payload.to_json()
-        else:
-            result = payload
+    def success(cls, request_id: Any, payload: Any) -> "Response":
+        result = payload.to_json() if hasattr(payload, "to_json") else payload
         return cls(id=request_id, ok=True, result=result)
 
     @classmethod
@@ -322,7 +283,6 @@ def line_sender(writer: asyncio.StreamWriter) -> Callable:
 
 async def read_requests(reader: asyncio.StreamReader, send: Callable,
                         methods: Dict[str, MethodSpec],
-                        version: Optional[int] = None,
                         on_object: Optional[Callable[[], None]] = None
                         ) -> AsyncIterator[Request]:
     """Yield every decoded request read from ``reader``.
@@ -352,7 +312,7 @@ async def read_requests(reader: asyncio.StreamReader, send: Callable,
         if on_object is not None:
             on_object()
         try:
-            request = decode_request(methods, obj, version)
+            request = decode_request(methods, obj)
         except ProtocolError as exc:
             await send(Response.failure(obj.get("id"), exc.code,
                                         exc.message))
@@ -360,71 +320,9 @@ async def read_requests(reader: asyncio.StreamReader, send: Callable,
         yield request
 
 
-class LineServer:
-    """An asyncio NDJSON TCP server: bind, serve clients, stop on request.
-
-    Subclasses implement :meth:`_on_client` (one connection's request loop,
-    usually over :func:`read_requests`) and may extend :meth:`_drain`,
-    which runs after the listener closed.
-    """
-
-    #: NDJSON line limit for the stream reader.
-    LINE_LIMIT = 16 * 1024 * 1024
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stop: Optional[asyncio.Event] = None
-
-    async def start(self) -> None:
-        self._stop = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._on_client, self.host, self.port, limit=self.LINE_LIMIT)
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def serve_until_shutdown(self) -> None:
-        """Block until a ``shutdown`` request (or :meth:`request_stop`)."""
-        assert self._stop is not None, "call start() first"
-        await self._stop.wait()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        await self._drain()
-
-    def request_stop(self) -> None:
-        """Stop the server from the event-loop thread."""
-        if self._stop is not None:
-            self._stop.set()
-
-    async def _drain(self) -> None:
-        """Release what the server holds once it stopped accepting."""
-
-    async def _on_client(self, reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> None:
-        raise NotImplementedError
-
-
-def run_blocking(server: LineServer, banner: dict) -> int:
-    """Serve until shutdown, first printing the bound address as one JSON
-    line (``{"listening": {"host": ..., "port": ...}, **banner}``)."""
-
-    async def main() -> None:
-        await server.start()
-        print(json.dumps({"listening": {"host": server.host,
-                                        "port": server.port}, **banner}),
-              flush=True)
-        await server.serve_until_shutdown()
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        print("stopped", file=sys.stderr)
-    return 0
-
-
 class ServerThread:
-    """Host a :class:`LineServer` on a background thread.
+    """Host an :class:`~repro.service.server.AsyncCheckServer` on a
+    background thread.
 
     Usage::
 
@@ -436,7 +334,7 @@ class ServerThread:
     context is entered / :meth:`start` returns.
     """
 
-    def __init__(self, server: LineServer) -> None:
+    def __init__(self, server: AsyncCheckServer) -> None:
         self.server = server
         self.host = server.host
         self.port = server.port

@@ -1,6 +1,8 @@
 """The subcommand CLI: exit codes, output shaping, JSON format, explain."""
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -192,6 +194,28 @@ class TestFlags:
             main(["check", "--fixpoint", "naive", safe_file])
         assert exit_info.value.code == EXIT_USAGE
         assert "--fixpoint" in capsys.readouterr().err
+
+
+class TestServeFlags:
+    @pytest.mark.parametrize("flag", [["--host", "0.0.0.0"], ["--port", "5"],
+                                      ["--queue-limit", "1"],
+                                      ["--workers", "3"]])
+    def test_tcp_only_flag_without_tcp_is_usage_error(self, flag, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        assert main(["serve", *flag]) == EXIT_USAGE
+        assert f"{flag[0]} needs --tcp" in capsys.readouterr().err
+
+    def test_tenants_flag_is_valid_on_stdio(self, capsys, monkeypatch):
+        requests = [{"id": 1, "method": "check", "tenant": "alice",
+                     "params": {"uri": "a.rsc", "text": SAFE_SOURCE}},
+                    {"id": 2, "method": "shutdown"}]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            "".join(json.dumps(r) + "\n" for r in requests)))
+        assert main(["serve", "--tenants", "2"]) == EXIT_OK
+        responses = [json.loads(line)
+                     for line in capsys.readouterr().out.splitlines()]
+        assert [r["ok"] for r in responses] == [True, True]
 
 
 class TestJobsDefault:

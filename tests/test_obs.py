@@ -14,9 +14,9 @@ The contract under test:
 * :func:`repro.obs.metrics.percentile` is the one nearest-rank
   implementation: the service latency window and the bench reports
   delegate here;
-* ``CheckPayload.timings`` rides repro-serve/3 but is withheld from v2
-  responses (recorded v2 transcripts stay byte-identical);
-* the v3 ``metrics`` method returns the unified registry snapshot.
+* serve ``check``/``update`` results carry the per-stage ``timings``
+  breakdown;
+* the serve ``metrics`` method returns the unified registry snapshot.
 """
 
 import json
@@ -38,8 +38,6 @@ from repro.obs.summary import (check_nesting, format_summary, load_trace,
                                merge_traces, summarize, validate_trace)
 from repro.obs.trace import (TRACE_SCHEMA, SlowQueryLog, current_trace_id,
                              span, stage_span, trace_document, tracer)
-from repro.service.protocol import METHODS, CheckPayload
-from repro.wire import Request, spec_for
 from repro.store.artifacts import config_fingerprint
 
 SAFE = """
@@ -452,26 +450,7 @@ def test_env_autoenable_dumps_per_pid_trace(tmp_path):
     assert [e["name"] for e in document["traceEvents"]] == ["env.work"]
 
 
-# -- protocol: version-gated timings, trace envelope, metrics method ---------
-
-
-def test_check_payload_timings_gated_by_version():
-    payload = CheckPayload(uri="a.rsc", status="SAFE", ok=True,
-                           diagnostics=[], time_seconds=0.5,
-                           timings={"parse": 0.1, "total": 0.5})
-    v3 = payload.to_json(3)
-    v2 = payload.to_json(2)
-    assert v3["timings"] == {"parse": 0.1, "total": 0.5}
-    assert "timings" not in v2
-    assert {k: v for k, v in v3.items() if k != "timings"} == v2
-
-
-def test_request_trace_field_gated_by_version():
-    request = Request(method="stats", id=1,
-                      params=spec_for(METHODS, "stats").params(),
-                      trace="cafebabe")
-    assert request.to_json(version=3)["trace"] == "cafebabe"
-    assert "trace" not in request.to_json(version=2)
+# -- protocol: trace envelope, metrics method ---------------------------------
 
 
 def test_client_stamps_trace_id_on_requests():

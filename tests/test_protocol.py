@@ -1,76 +1,49 @@
 """The typed serve-protocol layer: registry, codecs, envelopes.
 
 These tests pin the wire contract down to key order and error-message
-bytes: the v2 shim promises that recorded ``repro-serve/2`` transcripts
-replay identically, and the registry promises that server, client and docs
-can never disagree about which methods exist.
+bytes: drivers diff raw NDJSON lines, and the registry promises that the
+servers, the client and ``hello`` can never disagree about which methods
+exist.
 """
 
 import pytest
 
-from repro.service.protocol import (ERROR_CODES, METHODS, PROTOCOL_V2,
-                                    PROTOCOL_V3, PROTOCOLS, CancelPayload,
-                                    CheckParams, CheckPayload, ClosePayload,
-                                    DiagnosticsPayload, HelloParams,
-                                    HelloPayload, MetricsPayload,
-                                    ModulePayload, ProjectBuildPayload,
-                                    ProjectOpenParams, ProjectUpdatePayload,
-                                    ShutdownPayload, StatsPayload, UriParams,
-                                    describe_methods)
+from repro.service.protocol import (ERROR_CODES, METHODS, PROTOCOL_V3,
+                                    CancelPayload, CheckParams, CheckPayload,
+                                    ClosePayload, DiagnosticsPayload,
+                                    HelloParams, HelloPayload,
+                                    MetricsPayload, ModulePayload,
+                                    ProjectBuildPayload, ProjectOpenParams,
+                                    ProjectUpdatePayload, ShutdownPayload,
+                                    StatsPayload, UriParams)
 from repro.wire import (EmptyParams, ProtocolError, Request, Response,
                         decode_request, method_names, parse_error_response,
                         spec_for)
 
-#: The original stdio server's METHODS tuple, verbatim.  Error messages
-#: enumerate methods in this order, so it is part of the v2 wire contract.
-V2_METHODS = ("check", "update", "diagnostics", "close", "shutdown",
-              "project_open", "project_update", "project_diagnostics")
+#: Every method, in registry order.  ``hello`` and the ``unknown-method``
+#: message list the methods in this order, so it is part of the wire.
+ALL_METHODS = ("check", "update", "diagnostics", "close", "shutdown",
+               "project_open", "project_update", "project_diagnostics",
+               "hello", "cancel", "stats", "metrics")
 
 
 class TestRegistry:
-    def test_v2_method_names_reproduce_the_legacy_tuple(self):
-        assert method_names(METHODS, 2) == V2_METHODS
-
     def test_v3_extends_v2_without_reordering(self):
-        assert method_names(METHODS, 3)[:len(V2_METHODS)] == V2_METHODS
-        assert set(method_names(METHODS, 3)) - set(V2_METHODS) == {
-            "hello", "cancel", "stats", "metrics"}
-
-    def test_v3_only_methods_are_invisible_at_v2(self):
-        with pytest.raises(ProtocolError) as err:
-            spec_for(METHODS, "stats", version=2)
-        assert err.value.code == "unknown-method"
-        assert "stats" not in err.value.message.split("(expected")[1]
+        assert method_names(METHODS) == ALL_METHODS
 
     def test_unknown_method_message_is_v2_exact(self):
         with pytest.raises(ProtocolError) as err:
-            spec_for(METHODS, "solve", version=2)
+            spec_for(METHODS, "solve")
         assert err.value.message == (
             "unknown method 'solve' (expected one of check, update, "
             "diagnostics, close, shutdown, project_open, project_update, "
-            "project_diagnostics)")
+            "project_diagnostics, hello, cancel, stats, metrics)")
 
     def test_non_string_method_is_unknown_not_a_crash(self):
         for bogus in (None, 7, ["check"]):
             with pytest.raises(ProtocolError) as err:
                 spec_for(METHODS, bogus)
             assert err.value.code == "unknown-method"
-
-    def test_describe_methods_is_exhaustive(self):
-        for version in (2, 3):
-            described = describe_methods(version)
-            assert [d["method"] for d in described] == \
-                list(method_names(METHODS, version))
-            for entry in described:
-                spec = METHODS[entry["method"]]
-                assert entry["since"] == PROTOCOLS[spec.since]
-                assert entry["doc"] == spec.doc
-                # the rendered field lists come from the codecs themselves
-                from dataclasses import fields
-                assert entry["params"] == [f.name for f in
-                                           fields(spec.params)]
-                assert entry["result"] == [f.name for f in
-                                           fields(spec.payload)]
 
     def test_error_codes_cover_everything_dispatch_can_emit(self):
         assert set(ERROR_CODES) == {
@@ -103,7 +76,7 @@ PAYLOAD_SAMPLES = {
                            time_seconds=0.5, queries=9),
     "diagnostics": DiagnosticsPayload(uri="a.rsc", status="SAFE", ok=True),
     "close": ClosePayload(uri="a.rsc", closed=True),
-    "shutdown": ShutdownPayload(shutdown=True, protocol=PROTOCOL_V2,
+    "shutdown": ShutdownPayload(shutdown=True, protocol=PROTOCOL_V3,
                                 requests_served=4, checks_run=2,
                                 store={"hits": 1, "misses": 0, "writes": 1}),
     "project_open": ProjectBuildPayload(status="SAFE", ok=True,
@@ -118,7 +91,7 @@ PAYLOAD_SAMPLES = {
     "project_diagnostics": ModulePayload(uri="lib.rsc", status="SAFE",
                                          ok=True),
     "hello": HelloPayload(protocol=PROTOCOL_V3,
-                          methods=list(method_names(METHODS, 3)), tenant="alice"),
+                          methods=list(method_names(METHODS)), tenant="alice"),
     "cancel": CancelPayload(uri="a.rsc", cancelled=True, state="inflight"),
     "stats": StatsPayload(protocol=PROTOCOL_V3, tenants={"alice": {}},
                           totals={"requests_served": 7}),
@@ -142,13 +115,8 @@ class TestCodecRoundTrips:
         assert type(sample).from_json(sample.to_json()) == sample
 
     def test_payload_key_order_is_field_order(self):
-        # v2 clients diff raw NDJSON lines; key order is part of the shape.
-        assert list(PAYLOAD_SAMPLES["check"].to_json(version=2)) == [
-            "uri", "status", "ok", "diagnostics", "time_seconds",
-            "delta_seconds", "queries", "warm", "solve_stats"]
-        # v3 grows the payload strictly at the end: appended keys keep
-        # every v2 prefix byte-identical.
-        assert list(PAYLOAD_SAMPLES["check"].to_json(version=3)) == [
+        # drivers diff raw NDJSON lines; key order is part of the shape.
+        assert list(PAYLOAD_SAMPLES["check"].to_json()) == [
             "uri", "status", "ok", "diagnostics", "time_seconds",
             "delta_seconds", "queries", "warm", "solve_stats", "timings"]
         assert list(PAYLOAD_SAMPLES["shutdown"].to_json()) == [
@@ -171,7 +139,7 @@ class TestCodecRoundTrips:
 
 
 class TestParamsRejection:
-    """Garbage params produce bad-params with the v2 server's messages."""
+    """Garbage params produce bad-params with exact messages."""
 
     @pytest.mark.parametrize("params, message", [
         ({}, "params.uri must be a string"),
@@ -204,26 +172,20 @@ class TestRequestEnvelope:
     def test_decode_binds_typed_params_and_tenant(self):
         request = decode_request(
             METHODS, {"id": 7, "method": "update", "tenant": "alice",
-             "params": {"uri": "a.rsc", "text": "x"}}, version=3)
+             "params": {"uri": "a.rsc", "text": "x"}})
         assert request.method == "update" and request.id == 7
         assert request.params == CheckParams(uri="a.rsc", text="x")
         assert request.tenant == "alice" and request.uri == "a.rsc"
 
-    def test_v2_decoding_ignores_the_tenant_field(self):
-        request = decode_request(
-            METHODS, {"id": 1, "method": "diagnostics", "tenant": "alice",
-             "params": {"uri": "a.rsc"}}, version=2)
-        assert request.tenant is None
-
     def test_v3_rejects_a_non_string_tenant(self):
         with pytest.raises(ProtocolError) as err:
             decode_request(METHODS, {"id": 1, "method": "stats",
-                                     "tenant": 7}, version=3)
+                                     "tenant": 7})
         assert err.value.message == "request.tenant must be a string"
 
     def test_method_is_validated_before_params(self):
-        # the v2 server checked the method first; a bogus method with bogus
-        # params must report unknown-method, not bad-params
+        # a bogus method with bogus params must report unknown-method, not
+        # bad-params
         with pytest.raises(ProtocolError) as err:
             decode_request(METHODS, {"id": 1, "method": "solve", "params": "junk"})
         assert err.value.code == "unknown-method"
@@ -241,15 +203,15 @@ class TestRequestEnvelope:
     def test_encode_decode_loop(self):
         original = Request(method="check", id=3,
                            params=CheckParams(uri="a.rsc", text="x"),
-                           tenant="bob")
-        assert decode_request(METHODS, original.to_json(version=3)) == original
+                           tenant="bob", trace="cafebabe")
+        assert decode_request(METHODS, original.to_json()) == original
 
     def test_encoding_omits_tenant_below_v3_and_empty_params(self):
-        request = Request(method="stats", id=1, params=EmptyParams(),
-                          tenant="bob")
-        assert request.to_json(version=2) == {"id": 1, "method": "stats"}
-        assert request.to_json(version=3) == {"id": 1, "method": "stats",
-                                              "tenant": "bob"}
+        request = Request(method="stats", id=1, params=EmptyParams())
+        assert request.to_json() == {"id": 1, "method": "stats"}
+        request.tenant = "bob"
+        assert request.to_json() == {"id": 1, "method": "stats",
+                                     "tenant": "bob"}
 
 
 class TestResponseEnvelope:

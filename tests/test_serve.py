@@ -5,7 +5,8 @@ import json
 import os
 
 from repro.core.config import CheckConfig
-from repro.serve import Server, serve
+from repro.service.core import DEFAULT_TENANT, ServiceCore
+from repro.service.server import serve
 from repro.watch import Watcher
 
 SAFE = """
@@ -22,18 +23,23 @@ function get(a, i) { return a[i]; }
 EDIT = SAFE.replace("return a[i];", "var x = a[i]; return x;")
 
 
+def handle(core, request):
+    """One request object through the core's dispatch, as its response."""
+    return core.handle_raw(request).to_json()
+
+
 class TestServer:
     def test_check_update_diagnostics_shutdown_round_trip(self):
-        server = Server(CheckConfig())
-        check = server.handle({"id": 1, "method": "check",
-                               "params": {"uri": "a.rsc", "text": SAFE}})
+        core = ServiceCore(CheckConfig())
+        check = handle(core, {"id": 1, "method": "check",
+                              "params": {"uri": "a.rsc", "text": SAFE}})
         assert check["ok"] and check["id"] == 1
         assert check["result"]["status"] == "SAFE"
         assert check["result"]["queries"] > 0
         assert check["result"]["delta_seconds"] is None
 
-        update = server.handle({"id": 2, "method": "update",
-                                "params": {"uri": "a.rsc", "text": EDIT}})
+        update = handle(core, {"id": 2, "method": "update",
+                               "params": {"uri": "a.rsc", "text": EDIT}})
         assert update["ok"]
         assert update["result"]["warm"] is True
         assert update["result"]["delta_seconds"] is not None
@@ -41,49 +47,49 @@ class TestServer:
         stats = update["result"]["solve_stats"]
         assert stats["warm_starts"] == 1
 
-        diags = server.handle({"id": 3, "method": "diagnostics",
-                               "params": {"uri": "a.rsc"}})
+        diags = handle(core, {"id": 3, "method": "diagnostics",
+                              "params": {"uri": "a.rsc"}})
         assert diags["ok"] and diags["result"]["diagnostics"] == []
 
-        down = server.handle({"id": 4, "method": "shutdown"})
+        down = handle(core, {"id": 4, "method": "shutdown"})
         assert down["ok"] and down["result"]["shutdown"] is True
-        assert server.shutting_down
+        assert core.shutting_down
 
     def test_unsafe_document_reports_diagnostics(self):
-        server = Server(CheckConfig())
-        check = server.handle({"id": 1, "method": "check",
-                               "params": {"uri": "u.rsc", "text": UNSAFE}})
+        core = ServiceCore(CheckConfig())
+        check = handle(core, {"id": 1, "method": "check",
+                              "params": {"uri": "u.rsc", "text": UNSAFE}})
         assert check["ok"]  # the *request* succeeded
         assert check["result"]["status"] == "UNSAFE"
         codes = [d["code"] for d in check["result"]["diagnostics"]]
         assert "RSC-BND-001" in codes
 
     def test_errors_update_before_open_and_unknown_method(self):
-        server = Server(CheckConfig())
-        missing = server.handle({"id": 5, "method": "update",
-                                 "params": {"uri": "nope.rsc", "text": SAFE}})
+        core = ServiceCore(CheckConfig())
+        missing = handle(core, {"id": 5, "method": "update",
+                                "params": {"uri": "nope.rsc", "text": SAFE}})
         assert not missing["ok"]
         assert missing["error"]["code"] == "not-open"
-        unknown = server.handle({"id": 6, "method": "solve"})
+        unknown = handle(core, {"id": 6, "method": "solve"})
         assert not unknown["ok"]
         assert unknown["error"]["code"] == "unknown-method"
-        bad = server.handle({"id": 7, "method": "check", "params": {}})
+        bad = handle(core, {"id": 7, "method": "check", "params": {}})
         assert not bad["ok"]
         assert bad["error"]["code"] == "bad-params"
 
     def test_close_forgets_document(self):
-        server = Server(CheckConfig())
-        server.handle({"id": 1, "method": "check",
-                       "params": {"uri": "a.rsc", "text": SAFE}})
-        closed = server.handle({"id": 2, "method": "close",
-                                "params": {"uri": "a.rsc"}})
-        assert closed["ok"] and closed["result"]["closed"]
-        diags = server.handle({"id": 3, "method": "diagnostics",
+        core = ServiceCore(CheckConfig())
+        handle(core, {"id": 1, "method": "check",
+                      "params": {"uri": "a.rsc", "text": SAFE}})
+        closed = handle(core, {"id": 2, "method": "close",
                                "params": {"uri": "a.rsc"}})
+        assert closed["ok"] and closed["result"]["closed"]
+        diags = handle(core, {"id": 3, "method": "diagnostics",
+                              "params": {"uri": "a.rsc"}})
         assert not diags["ok"]
 
     def test_internal_exception_answers_instead_of_killing_loop(self, monkeypatch):
-        server = Server(CheckConfig())
+        core = ServiceCore(CheckConfig())
         # a checker crash (injected here — deep nesting now degrades to an
         # RSC-INT-001 diagnostic instead of crashing) must surface as an
         # error *response* and the loop must keep serving
@@ -96,22 +102,26 @@ class TestServer:
             return real_open(self, uri, text, **kwargs)
 
         monkeypatch.setattr(Workspace, "open", crashing_open)
-        broken = server.handle({"id": 1, "method": "check",
-                                "params": {"uri": "b.rsc", "text": "// BOOM"}})
+        broken = handle(core, {"id": 1, "method": "check",
+                               "params": {"uri": "b.rsc", "text": "// BOOM"}})
         assert not broken["ok"]
         assert broken["error"]["code"] == "internal-error"
-        ok = server.handle({"id": 2, "method": "check",
-                            "params": {"uri": "a.rsc", "text": SAFE}})
+        ok = handle(core, {"id": 2, "method": "check",
+                           "params": {"uri": "a.rsc", "text": SAFE}})
         assert ok["ok"] and ok["result"]["status"] == "SAFE"
 
     def test_malformed_line_yields_error_and_loop_continues(self):
-        server = Server(CheckConfig())
-        broken = server.handle_line("{not json\n")
-        assert not broken["ok"]
+        stdin = io.StringIO("{not json\n\n[1, 2]\n"
+                            + json.dumps({"id": 1, "method": "hello"}) + "\n")
+        stdout = io.StringIO()
+        assert serve(stdin, stdout, CheckConfig()) == 0
+        broken, array, hello = [json.loads(line)
+                                for line in stdout.getvalue().splitlines()]
+        assert not broken["ok"] and broken["id"] is None
         assert broken["error"]["code"] == "parse-error"
-        assert server.handle_line("\n") is None
-        array = server.handle_line("[1, 2]\n")
-        assert not array["ok"]
+        assert not array["ok"]  # the blank line got no response
+        assert array["error"]["code"] == "parse-error"
+        assert hello["ok"] and hello["id"] == 1
 
     def test_serve_stream_loop(self):
         requests = [
@@ -154,9 +164,9 @@ class TestProjectOps:
 
     def test_project_open_update_diagnostics(self, tmp_path):
         root = self.write_project(tmp_path)
-        server = Server(CheckConfig())
-        opened = server.handle({"id": 1, "method": "project_open",
-                                "params": {"root": str(root)}})
+        core = ServiceCore(CheckConfig())
+        opened = handle(core, {"id": 1, "method": "project_open",
+                               "params": {"root": str(root)}})
         assert opened["ok"], opened
         assert opened["result"]["status"] == "SAFE"
         assert opened["result"]["num_modules"] == 3
@@ -165,63 +175,62 @@ class TestProjectOps:
         lib = str(root / "lib.rsc")
         edited = PROJECT_LIB.replace("return xs[0];",
                                      "var h = xs[0]; return h;")
-        updated = server.handle({"id": 2, "method": "project_update",
-                                 "params": {"uri": lib, "text": edited}})
+        updated = handle(core, {"id": 2, "method": "project_update",
+                                "params": {"uri": lib, "text": edited}})
         assert updated["ok"], updated
         assert updated["result"]["summary_changed"] is False
         assert [os.path.basename(p)
                 for p in updated["result"]["rechecked"]] == ["lib.rsc"]
         assert updated["result"]["ok"]
 
-        diag = server.handle({"id": 3, "method": "project_diagnostics",
-                              "params": {"uri": str(root / "main.rsc")}})
+        diag = handle(core, {"id": 3, "method": "project_diagnostics",
+                             "params": {"uri": str(root / "main.rsc")}})
         assert diag["ok"] and diag["result"]["status"] == "SAFE"
 
     def test_injected_workspace_config_governs_project_ops(self, tmp_path):
-        # A module whose function lacks a spec only warns; with an injected
-        # warnings-as-errors workspace, file and project checks must agree.
-        from repro.core.workspace import Workspace
+        # A module whose function lacks a spec only warns; under a
+        # warnings-as-errors config, file and project checks must agree.
         (tmp_path / "warn.rsc").write_text(
             "function untyped(x) { return x; }\n")
-        strict = Workspace(CheckConfig(warnings_as_errors=True))
-        server = Server(workspace=strict)
-        opened = server.handle({"id": 1, "method": "project_open",
-                                "params": {"root": str(tmp_path)}})
+        core = ServiceCore(CheckConfig(warnings_as_errors=True))
+        opened = handle(core, {"id": 1, "method": "project_open",
+                               "params": {"root": str(tmp_path)}})
         assert opened["ok"]
         assert opened["result"]["status"] == "UNSAFE"
 
     def test_project_update_unknown_module_errors(self, tmp_path):
         # A typo'd or relative URI must not register a phantom module.
         root = self.write_project(tmp_path)
-        server = Server(CheckConfig())
-        assert server.handle({"id": 1, "method": "project_open",
-                              "params": {"root": str(root)}})["ok"]
-        response = server.handle(
-            {"id": 2, "method": "project_update",
-             "params": {"uri": "lib.rsc", "text": PROJECT_LIB}})
+        core = ServiceCore(CheckConfig())
+        assert handle(core, {"id": 1, "method": "project_open",
+                             "params": {"root": str(root)}})["ok"]
+        response = handle(core, 
+           {"id": 2, "method": "project_update",
+            "params": {"uri": "lib.rsc", "text": PROJECT_LIB}})
         assert not response["ok"]
         assert response["error"]["code"] == "not-open"
-        assert len(server.project.modules()) == 3
+        project = core.manager.peek(DEFAULT_TENANT).project
+        assert len(project.modules()) == 3
 
     def test_non_string_text_is_bad_params(self):
-        server = Server(CheckConfig())
-        response = server.handle({"id": 1, "method": "check",
-                                  "params": {"uri": "a.rsc", "text": 123}})
+        core = ServiceCore(CheckConfig())
+        response = handle(core, {"id": 1, "method": "check",
+                                 "params": {"uri": "a.rsc", "text": 123}})
         assert not response["ok"]
         assert response["error"]["code"] == "bad-params"
 
     def test_project_update_before_open_errors(self):
-        server = Server(CheckConfig())
-        response = server.handle({"id": 1, "method": "project_update",
-                                  "params": {"uri": "x.rsc", "text": ""}})
+        core = ServiceCore(CheckConfig())
+        response = handle(core, {"id": 1, "method": "project_update",
+                                 "params": {"uri": "x.rsc", "text": ""}})
         assert not response["ok"]
         assert response["error"]["code"] == "not-open"
 
     def test_project_open_missing_root_errors(self, tmp_path):
-        server = Server(CheckConfig())
-        response = server.handle(
-            {"id": 1, "method": "project_open",
-             "params": {"root": str(tmp_path / "nope")}})
+        core = ServiceCore(CheckConfig())
+        response = handle(core, 
+           {"id": 1, "method": "project_open",
+            "params": {"root": str(tmp_path / "nope")}})
         assert not response["ok"]
         assert response["error"]["code"] == "io-error"
 
