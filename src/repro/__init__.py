@@ -46,9 +46,18 @@ and :mod:`repro.client`)::
     payload = client.check("a.rsc", source)     # typed CheckPayload
     client.update("a.rsc", edited)
     print(client.stats().tenants["alice"]["latency"]["p50_ms"])
+
+Cold start: ``import repro`` loads the checker and nothing else.
+``Client`` and the project names (``ProjectResult``, ``ProjectUpdate``,
+``ProjectWorkspace``, ``check_project``) resolve on first access through a
+module ``__getattr__`` (PEP 562), so a one-shot ``repro check FILE`` never
+imports the service stack (``asyncio``, ``ssl``, ``socket``) or the project
+engine, and ``check_files(jobs=N)`` imports its process pool only when it
+starts one.
 """
 
-from repro.client import Client
+import importlib
+
 from repro.core.cancel import CancelToken, CheckCancelled
 from repro.core.config import CheckConfig, ServiceOptions, SolverOptions
 from repro.core.result import (BatchResult, CheckResult, SolveStats,
@@ -56,8 +65,6 @@ from repro.core.result import (BatchResult, CheckResult, SolveStats,
 from repro.core.session import Session
 from repro.core.workspace import Workspace
 from repro.errors import ERROR_CATALOG, Diagnostic, explain_code
-from repro.project import (ProjectResult, ProjectUpdate, ProjectWorkspace,
-                           check_project)
 from repro.store import ArtifactStore
 
 __version__ = "3.0.0"
@@ -85,3 +92,27 @@ __all__ = [
     "explain_code",
     "__version__",
 ]
+
+#: Public names whose modules load on first access (PEP 562): the client
+#: pulls in the service stack, and the project engine is not needed to check
+#: one file.
+_LAZY = {
+    "Client": "repro.client",
+    "ProjectResult": "repro.project",
+    "ProjectUpdate": "repro.project",
+    "ProjectWorkspace": "repro.project",
+    "check_project": "repro.project",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

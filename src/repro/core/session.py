@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import pathlib
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import Diagnostic, ErrorKind, SourceSpan
@@ -207,6 +205,8 @@ class Session:
         CPU-bound Python, so threads would serialise on the GIL).  Returns
         None when no process pool can be spawned (restricted environments);
         the caller then falls back to the sequential shared-cache path."""
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         chunks: List[List[str]] = [[] for _ in range(jobs)]
         for index, path in enumerate(paths):
             chunks[index % jobs].append(str(path))

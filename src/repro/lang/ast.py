@@ -8,6 +8,10 @@ Two node families live here:
 * *Program syntax* (expressions, statements, declarations) — the FRSC
   fragment of the paper extended with loops, enums, interfaces, specs and
   function expressions.
+
+Every node class inherits ``__eq__`` and ``__repr__`` from
+:class:`repro.node.Node` instead of having ``@dataclass`` generate them
+(see there for why).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from repro.errors import SourceSpan
+from repro.node import Node
 
 
 # ---------------------------------------------------------------------------
@@ -23,12 +28,12 @@ from repro.errors import SourceSpan
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TypeAnn:
+@dataclass(eq=False, repr=False)
+class TypeAnn(Node):
     span: SourceSpan = field(default_factory=SourceSpan.unknown, kw_only=True)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TNameAnn(TypeAnn):
     """A named type: primitive, type variable, alias, class or interface,
     optionally applied to type/term arguments: ``idx<a>``, ``Array<IM, T>``."""
@@ -37,7 +42,7 @@ class TNameAnn(TypeAnn):
     args: List["TypeArg"] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TRefineAnn(TypeAnn):
     """``{v: T | p}`` — a refinement of a base annotation."""
 
@@ -46,7 +51,7 @@ class TRefineAnn(TypeAnn):
     value_var: str = "v"
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TArrayAnn(TypeAnn):
     """``T[]`` (mutability defaults from context) or ``IArray<T>`` forms."""
 
@@ -54,7 +59,7 @@ class TArrayAnn(TypeAnn):
     mutability: Optional[str] = None  # "IM" | "MU" | "RO" | "UQ" | None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TFunAnn(TypeAnn):
     """``<A, B>(x: T1, T2) => T``."""
 
@@ -63,13 +68,13 @@ class TFunAnn(TypeAnn):
     ret: TypeAnn
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TUnionAnn(TypeAnn):
     members: List[TypeAnn] = field(default_factory=list)
 
 
-@dataclass
-class TypeArg:
+@dataclass(eq=False, repr=False)
+class TypeArg(Node):
     """A type argument: either a type annotation or a logical expression
     (for value-parameterised aliases like ``idx<a>`` or ``natN<n+1>``)."""
 
@@ -85,94 +90,94 @@ class TypeArg:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Expression:
+@dataclass(eq=False, repr=False)
+class Expression(Node):
     span: SourceSpan = field(default_factory=SourceSpan.unknown, kw_only=True)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class NumberLit(Expression):
     value: Union[int, float]
     raw: str = ""
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class StringLit(Expression):
     value: str
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class BoolLitE(Expression):
     value: bool
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class NullLit(Expression):
     pass
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class UndefinedLit(Expression):
     pass
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class VarRef(Expression):
     name: str
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ThisRef(Expression):
     pass
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Unary(Expression):
     op: str  # "!", "-", "+", "typeof"
     operand: Expression
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Binary(Expression):
     op: str
     left: Expression
     right: Expression
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Conditional(Expression):
     cond: Expression
     then: Expression
     els: Expression
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Call(Expression):
     callee: Expression
     args: List[Expression] = field(default_factory=list)
     targs: List[TypeArg] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class New(Expression):
     class_name: str
     args: List[Expression] = field(default_factory=list)
     targs: List[TypeArg] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Member(Expression):
     target: Expression
     name: str
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Index(Expression):
     target: Expression
     index: Expression
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Cast(Expression):
     """``<T> e`` or ``e as T``."""
 
@@ -180,17 +185,17 @@ class Cast(Expression):
     type: TypeAnn
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ArrayLit(Expression):
     elements: List[Expression] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ObjectLit(Expression):
     fields: List[Tuple[str, Expression]] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class FunctionExpr(Expression):
     """Anonymous function / arrow function expression."""
 
@@ -205,17 +210,17 @@ class FunctionExpr(Expression):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Statement:
+@dataclass(eq=False, repr=False)
+class Statement(Node):
     span: SourceSpan = field(default_factory=SourceSpan.unknown, kw_only=True)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Block(Statement):
     statements: List[Statement] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class VarDecl(Statement):
     name: str
     init: Optional[Expression] = None
@@ -223,7 +228,7 @@ class VarDecl(Statement):
     kind: str = "var"  # var | let | const
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Assign(Statement):
     """``target = value`` where target is a variable, member or index."""
 
@@ -231,38 +236,38 @@ class Assign(Statement):
     value: Expression
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ExprStmt(Statement):
     expr: Expression
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class If(Statement):
     cond: Expression
     then: Block
     els: Optional[Block] = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class While(Statement):
     cond: Expression
     body: Block
     invariant: Optional[Expression] = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Return(Statement):
     value: Optional[Expression] = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class FunctionDeclStmt(Statement):
     """A nested (closure) function declaration inside a body."""
 
     decl: "FunctionDecl" = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Skip(Statement):
     pass
 
@@ -272,21 +277,21 @@ class Skip(Statement):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Param:
+@dataclass(eq=False, repr=False)
+class Param(Node):
     name: str
     type: Optional[TypeAnn] = None
 
 
-@dataclass
-class Declaration:
+@dataclass(eq=False, repr=False)
+class Declaration(Node):
     span: SourceSpan = field(default_factory=SourceSpan.unknown, kw_only=True)
     #: ``export`` modifier — the declaration is part of the module's interface
     #: (see :mod:`repro.project.summary`).
     exported: bool = field(default=False, kw_only=True)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ImportDecl(Declaration):
     """``import {a, b} from "./mod";`` — bind another module's exports.
 
@@ -298,20 +303,20 @@ class ImportDecl(Declaration):
     module: str = ""
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TypeAliasDecl(Declaration):
     name: str
     params: List[str] = field(default_factory=list)
     body: TypeAnn = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class EnumDecl(Declaration):
     name: str
     members: List[Tuple[str, int]] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SpecDecl(Declaration):
     """``spec name :: <A>(...) => T;`` — one overload signature for ``name``."""
 
@@ -319,7 +324,7 @@ class SpecDecl(Declaration):
     type: TypeAnn = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class DeclareDecl(Declaration):
     """``declare name :: T;`` — an ambient, trusted binding (e.g. ghost fns)."""
 
@@ -327,15 +332,15 @@ class DeclareDecl(Declaration):
     type: TypeAnn = None  # type: ignore[assignment]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class QualifierDecl(Declaration):
     """``qualifier p;`` — an extra predicate template for liquid inference."""
 
     pred: Expression = None  # type: ignore[assignment]
 
 
-@dataclass
-class FieldDecl:
+@dataclass(eq=False, repr=False)
+class FieldDecl(Node):
     name: str
     type: TypeAnn
     immutable: bool = False
@@ -343,8 +348,8 @@ class FieldDecl:
     span: SourceSpan = field(default_factory=SourceSpan.unknown)
 
 
-@dataclass
-class MethodSig:
+@dataclass(eq=False, repr=False)
+class MethodSig(Node):
     name: str
     tparams: List[str] = field(default_factory=list)
     params: List[Param] = field(default_factory=list)
@@ -353,14 +358,14 @@ class MethodSig:
     span: SourceSpan = field(default_factory=SourceSpan.unknown)
 
 
-@dataclass
-class MethodDecl:
+@dataclass(eq=False, repr=False)
+class MethodDecl(Node):
     sig: MethodSig
     body: Optional[Block] = None
     specs: List[TypeAnn] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class InterfaceDecl(Declaration):
     name: str
     tparams: List[str] = field(default_factory=list)
@@ -369,7 +374,7 @@ class InterfaceDecl(Declaration):
     methods: List[MethodSig] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ClassDecl(Declaration):
     name: str
     tparams: List[str] = field(default_factory=list)
@@ -381,7 +386,7 @@ class ClassDecl(Declaration):
     invariant: Optional[Expression] = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class FunctionDecl(Declaration):
     name: str
     tparams: List[str] = field(default_factory=list)
@@ -391,8 +396,8 @@ class FunctionDecl(Declaration):
     specs: List[TypeAnn] = field(default_factory=list)
 
 
-@dataclass
-class Program:
+@dataclass(eq=False, repr=False)
+class Program(Node):
     declarations: List[Declaration] = field(default_factory=list)
     source_name: str = "<input>"
 

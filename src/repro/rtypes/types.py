@@ -38,6 +38,7 @@ from repro.logic.terms import (
     substitute,
     true,
 )
+from repro.node import Node
 from repro.rtypes.mutability import Mutability
 
 # ---------------------------------------------------------------------------
@@ -83,8 +84,8 @@ def fresh_kvar(scope_vars: Sequence[str]) -> App:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RType:
+@dataclass(eq=False, repr=False)
+class RType(Node):
     """Base class for all refinement types."""
 
     pred: Expr = field(default_factory=true)
@@ -105,7 +106,7 @@ PRIM_NAMES = ("number", "boolean", "string", "void", "undefined", "null",
               "any", "top", "bot")
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TPrim(RType):
     """A refined primitive: ``{v: number | p}`` etc."""
 
@@ -115,7 +116,7 @@ class TPrim(RType):
         return self.name
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TVar(RType):
     """An occurrence of a generic type variable ``A``."""
 
@@ -125,7 +126,7 @@ class TVar(RType):
         return self.name
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TArray(RType):
     """An array type with element type, mutability and refinement."""
 
@@ -136,7 +137,7 @@ class TArray(RType):
         return "array"
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TRef(RType):
     """A reference to a named class or interface, e.g. ``Field<IM>``."""
 
@@ -148,7 +149,7 @@ class TRef(RType):
         return self.name
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TObject(RType):
     """A structural object-literal type: field name -> (mutability, type)."""
 
@@ -159,8 +160,8 @@ class TObject(RType):
         return "object"
 
 
-@dataclass
-class TParam:
+@dataclass(eq=False, repr=False)
+class TParam(Node):
     """A named function parameter with its (possibly dependent) type."""
 
     name: str
@@ -170,7 +171,7 @@ class TParam:
         return f"{self.name}: {self.type}"
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TFun(RType):
     """A (possibly generic, dependent) function type."""
 
@@ -188,7 +189,7 @@ class TFun(RType):
         return [p.name for p in self.params]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TInter(RType):
     """An intersection of function types — a value-overloaded function."""
 
@@ -198,7 +199,7 @@ class TInter(RType):
         return "function"
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TUnion(RType):
     """A union type ``T1 + T2 + ...``."""
 
@@ -208,7 +209,7 @@ class TUnion(RType):
         return "union"
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class TExists(RType):
     """An existential ``exists x: S. T`` produced by type inference."""
 

@@ -34,6 +34,7 @@ from repro.core.result import CheckResult
 from repro.core.workspace import Workspace
 from repro.obs.metrics import (Histogram, MetricsRegistry, percentile,
                                registry_from_stats)
+from repro.obs.trace import span as trace_span
 from repro.service.protocol import (METHODS, CancelPayload,
                                     CheckPayload, ClosePayload,
                                     DiagnosticsPayload, HelloPayload,
@@ -289,21 +290,28 @@ class ServiceCore:
 
     def execute(self, request: Request,
                 token: Optional[CancelToken] = None) -> Response:
-        """Execute one decoded (and already counted) request."""
-        try:
-            return Response.success(request.id,
-                                    self._dispatch(request, token))
-        except ProtocolError as exc:
-            return Response.failure(request.id, exc.code, exc.message)
-        except CheckCancelled as exc:
-            return Response.failure(request.id, "cancelled", str(exc))
-        except (OSError, UnicodeDecodeError) as exc:
-            # An undecodable file is as unreadable as a missing one.
-            return Response.failure(request.id, "io-error", str(exc))
-        except Exception as exc:  # noqa: BLE001 — one request must never
-            # take down the loop; the contract is one response per line.
-            return Response.failure(request.id, "internal-error",
-                                    f"{type(exc).__name__}: {exc}")
+        """Execute one decoded (and already counted) request.
+
+        Every transport comes through here, so every request records one
+        ``service.<method>`` span carrying its tenant (and the client's
+        trace id, when it sent one)."""
+        extra = {"trace": request.trace} if request.trace else {}
+        with trace_span(f"service.{request.method}", "service",
+                        tenant=self.tenant_name(request), **extra):
+            try:
+                return Response.success(request.id,
+                                        self._dispatch(request, token))
+            except ProtocolError as exc:
+                return Response.failure(request.id, exc.code, exc.message)
+            except CheckCancelled as exc:
+                return Response.failure(request.id, "cancelled", str(exc))
+            except (OSError, UnicodeDecodeError) as exc:
+                # An undecodable file is as unreadable as a missing one.
+                return Response.failure(request.id, "io-error", str(exc))
+            except Exception as exc:  # noqa: BLE001 — one request must never
+                # take down the loop; the contract is one response per line.
+                return Response.failure(request.id, "internal-error",
+                                        f"{type(exc).__name__}: {exc}")
 
     # -- dispatch ----------------------------------------------------------
 

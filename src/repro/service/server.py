@@ -48,7 +48,6 @@ from typing import IO, Callable, Dict, Optional
 
 from repro.core.cancel import CancelToken
 from repro.core.config import CheckConfig
-from repro.obs.trace import span as trace_span
 from repro.service.core import ServiceCore
 from repro.service.protocol import METHODS, PROTOCOL_V3, CancelPayload
 from repro.wire import (ProtocolError, Request, Response, line_sender,
@@ -205,20 +204,11 @@ class AsyncCheckServer:
             lane.current = job
             try:
                 response = await loop.run_in_executor(
-                    self.executor, self._execute_traced, name, job)
+                    self.executor, self.core.execute, job.request, job.token)
             finally:
                 lane.current = None
             await job.respond(response)
         lane.task = None
-
-    def _execute_traced(self, name: str, job: _Job) -> Response:
-        """One lane job on an executor thread, wrapped in a service span
-        carrying the tenant/method breakdown (and the client's trace id)."""
-        request = job.request
-        extra = {"trace": request.trace} if request.trace else {}
-        with trace_span(f"service.{request.method}", "service",
-                        tenant=name, **extra):
-            return self.core.execute(request, job.token)
 
     def _sync_depth(self, name: str, lane: _Lane) -> None:
         tenant = self.core.manager.peek(name)

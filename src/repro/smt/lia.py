@@ -45,11 +45,14 @@ answer as unknown instead of as a real model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Dict, Hashable, Iterable, List,
+                    Optional, Sequence)
 
 from repro.logic.terms import BinOp, Expr, IntLit, UnOp
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 VarKey = Hashable
 

@@ -24,10 +24,11 @@ from typing import List, Optional
 
 from repro.errors import SourceSpan
 from repro.lang import ast
+from repro.node import Node
 
 
-@dataclass
-class Phi:
+@dataclass(eq=False, repr=False)
+class Phi(Node):
     """A conditional-join Phi variable: ``name = phi(then_name, else_name)``."""
 
     name: str
@@ -36,8 +37,8 @@ class Phi:
     source_name: str = ""
 
 
-@dataclass
-class LoopPhi:
+@dataclass(eq=False, repr=False)
+class LoopPhi(Node):
     """A loop-header Phi variable: ``name = phi(init_name, body_name)``.
 
     ``body_name`` is the SSA name the variable has at the end of the loop
@@ -49,12 +50,12 @@ class LoopPhi:
     source_name: str = ""
 
 
-@dataclass
-class IBody:
+@dataclass(eq=False, repr=False)
+class IBody(Node):
     span: SourceSpan = field(default_factory=SourceSpan.unknown, kw_only=True)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ILet(IBody):
     """``let name = expr in rest`` (``name`` may be ``_`` for effect-only)."""
 
@@ -64,7 +65,7 @@ class ILet(IBody):
     type_ann: Optional[ast.TypeAnn] = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ILetIf(IBody):
     cond: ast.Expression
     then: IBody
@@ -73,7 +74,7 @@ class ILetIf(IBody):
     rest: IBody
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ILetWhile(IBody):
     phis: List[LoopPhi]
     cond: ast.Expression
@@ -82,7 +83,7 @@ class ILetWhile(IBody):
     invariant: Optional[ast.Expression] = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ILetFunc(IBody):
     """A nested function (closure) definition."""
 
@@ -92,7 +93,7 @@ class ILetFunc(IBody):
     rest: IBody
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ISetField(IBody):
     target: ast.Expression
     field_name: str
@@ -100,7 +101,7 @@ class ISetField(IBody):
     rest: IBody
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ISetIndex(IBody):
     target: ast.Expression
     index: ast.Expression
@@ -108,20 +109,20 @@ class ISetIndex(IBody):
     rest: IBody
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class IRet(IBody):
     value: Optional[ast.Expression] = None
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class IJoin(IBody):
     """End of a branch/loop body: provides the values of the enclosing Phis."""
 
     values: List[str] = field(default_factory=list)
 
 
-@dataclass
-class IRFunction:
+@dataclass(eq=False, repr=False)
+class IRFunction(Node):
     """An SSA-converted function: parameters keep their names (they are the
     first SSA version of themselves); the body is an IBody chain."""
 

@@ -26,6 +26,7 @@ from repro.core.cancel import CancelToken, CheckCancelled
 from repro.core.config import CheckConfig, ServiceOptions
 from repro.core.workspace import Workspace
 from repro.obs.metrics import percentile
+from repro.obs.trace import tracer
 from repro.service.core import ServiceCore
 from repro.service.protocol import METHODS
 from repro.service.server import AsyncCheckServer, serve
@@ -421,6 +422,66 @@ class TestV2ShimEquivalence:
             assert list(raw) == list(want)
             assert list(raw.get("result") or {}) == \
                 list(want.get("result") or {})
+
+
+class TestServiceSpans:
+    """Every transport goes through ``ServiceCore.execute``, which records
+    exactly one ``service.<method>`` span per request."""
+
+    @pytest.fixture(autouse=True)
+    def _traced(self):
+        tracer().reset()
+        tracer().enable()
+        yield
+        tracer().reset()
+
+    @staticmethod
+    def service_spans():
+        return [event for event in tracer().drain()["events"]
+                if event["cat"] == "service"]
+
+    def test_stdio_serve_records_a_span_per_request(self):
+        requests = [
+            {"id": 1, "method": "hello"},
+            {"id": 2, "method": "check", "tenant": "alice", "trace": "cafe",
+             "params": {"uri": "a.rsc", "text": SAFE}},
+        ]
+        stdin = io.StringIO("".join(json.dumps(r) + "\n" for r in requests))
+        assert serve(stdin, io.StringIO(), CheckConfig()) == 0
+        spans = self.service_spans()
+        assert [e["name"] for e in spans] == ["service.hello",
+                                              "service.check"]
+        assert spans[0]["args"] == {"tenant": "default"}
+        assert spans[1]["args"] == {"tenant": "alice", "trace": "cafe"}
+
+    def test_tcp_lane_job_records_exactly_one_span(self):
+        async def scenario():
+            server = AsyncCheckServer(CheckConfig())
+            responses = []
+
+            async def send(response):
+                responses.append(response)
+
+            server._route(make_request(0, "check", "a.rsc", SAFE), send)
+            await server.lanes["default"].task
+            server.executor.shutdown(wait=True)
+            return responses
+
+        responses = run_lane_scenario(scenario())
+        assert responses[0].ok
+        spans = self.service_spans()
+        assert [e["name"] for e in spans] == ["service.check"]
+        assert spans[0]["args"] == {"tenant": "default"}
+
+    def test_tcp_inline_methods_record_spans(self):
+        with ServerThread(AsyncCheckServer(CheckConfig())) as st:
+            with Client.connect(st.host, st.port, tenant="bob") as client:
+                client.hello()
+                client.stats()
+                client.shutdown()
+        names = [e["name"] for e in self.service_spans()]
+        assert names == ["service.hello", "service.stats",
+                         "service.shutdown"]
 
 
 class TestPercentile:

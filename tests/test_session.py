@@ -1,8 +1,10 @@
 """The session-based pipeline API: stages, timings, cache reuse, config."""
 
+import concurrent.futures
 import dataclasses
 import json
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -129,6 +131,77 @@ class TestSolverReuse:
         assert not batch.ok
         [diag] = batch.results[0].diagnostics
         assert diag.code == "RSC-INT-001"
+
+
+def _verdicts(batch):
+    """What a batch check decided, without its timings."""
+    return [(r.filename, r.status, [d.to_dict() for d in r.diagnostics],
+             {k: sorted(str(q) for q in v)
+              for k, v in sorted(r.kappa_solution.items())})
+            for r in batch.results]
+
+
+class _NoProcesses:
+    """A process pool the environment refuses to start."""
+
+    def __init__(self, max_workers):
+        raise OSError("cannot start worker processes")
+
+
+class _BrokenPool:
+    """A process pool whose workers die before answering."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        raise BrokenProcessPool("a worker died")
+
+
+class TestParallelFallback:
+    """``check_files(jobs=N)`` checks on a process pool, imported only when
+    a pool is wanted; when none can run it falls back to the sequential
+    shared-cache path with the same verdicts."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        paths = []
+        for index, source in enumerate([SAFE_SOURCE, UNSAFE_SOURCE,
+                                        SAFE_SOURCE]):
+            path = tmp_path / f"f{index}.rsc"
+            path.write_text(source)
+            paths.append(path)
+        return paths
+
+    @pytest.mark.parametrize("pool", [_NoProcesses, _BrokenPool],
+                             ids=["OSError", "BrokenProcessPool"])
+    def test_unusable_pool_falls_back_to_sequential(self, paths, pool,
+                                                     monkeypatch):
+        sequential = Session().check_files(paths)
+        started = []
+
+        def start(max_workers):
+            started.append(max_workers)
+            return pool(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", start)
+        session = Session()
+        fallback = session.check_files(paths, jobs=2)
+        assert started == [2]
+        assert _verdicts(fallback) == _verdicts(sequential)
+        assert session.files_checked == len(paths)
+        assert fallback.stats.queries == sequential.stats.queries
+
+    def test_parallel_results_equal_sequential(self, paths):
+        sequential = Session().check_files(paths)
+        parallel = Session().check_files(paths, jobs=2)
+        assert _verdicts(parallel) == _verdicts(sequential)
 
 
 class TestConfig:
