@@ -48,11 +48,12 @@ and :mod:`repro.client`)::
     print(client.stats().tenants["alice"]["latency"]["p50_ms"])
 
 Cold start: ``import repro`` loads the checker and nothing else.
-``Client`` and the project names (``ProjectResult``, ``ProjectUpdate``,
-``ProjectWorkspace``, ``check_project``) resolve on first access through a
-module ``__getattr__`` (PEP 562), so a one-shot ``repro check FILE`` never
-imports the service stack (``asyncio``, ``ssl``, ``socket``) or the project
-engine, and ``check_files(jobs=N)`` imports its process pool only when it
+``Client``, ``ArtifactStore`` and the project names (``ProjectResult``,
+``ProjectUpdate``, ``ProjectWorkspace``, ``check_project``) resolve on
+first access through a module ``__getattr__`` (PEP 562), so a one-shot
+``repro check FILE`` never imports the service stack (``asyncio``, ``ssl``,
+``socket``), the project engine or, without a ``store_path``, the artifact
+store, and ``check_files(jobs=N)`` imports its process pool only when it
 starts one.
 """
 
@@ -65,7 +66,6 @@ from repro.core.result import (BatchResult, CheckResult, SolveStats,
 from repro.core.session import Session
 from repro.core.workspace import Workspace
 from repro.errors import ERROR_CATALOG, Diagnostic, explain_code
-from repro.store import ArtifactStore
 
 __version__ = "3.0.0"
 
@@ -94,9 +94,10 @@ __all__ = [
 ]
 
 #: Public names whose modules load on first access (PEP 562): the client
-#: pulls in the service stack, and the project engine is not needed to check
-#: one file.
+#: pulls in the service stack, and neither the project engine nor the
+#: artifact store is needed to check one file.
 _LAZY = {
+    "ArtifactStore": "repro.store",
     "Client": "repro.client",
     "ProjectResult": "repro.project",
     "ProjectUpdate": "repro.project",

@@ -229,7 +229,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             max_fixpoint_iterations=args.max_iterations,
             warnings_as_errors=args.warnings_as_errors,
             qualifier_set=args.qualifiers,
-            output_format=args.format,
             store_path=_store_path(args),
             store_mode=args.store_mode,
         )
@@ -273,8 +272,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         payload = batch.to_dict()
         if session.store is not None:
             payload["store"] = session.store.counters()
-        payload["metrics"] = _metrics_section(
-            batch.results, session.solver.stats, session.store)
         print(json.dumps(payload, indent=2))
     else:
         for result in batch.results:
@@ -308,22 +305,6 @@ def _export_trace(config: CheckConfig) -> None:
           f"written to {path}", file=sys.stderr)
 
 
-def _metrics_section(results, solver_stats, store) -> dict:
-    """The ``"metrics"`` block of the JSON report: the unified registry
-    snapshot built from the run's stats carriers."""
-    from repro.core.result import STAGES, StageTimings
-    from repro.obs.metrics import registry_from_stats
-    timings = StageTimings()
-    for result in results:
-        if result.timings is not None:
-            for stage in STAGES:
-                timings.record(stage, getattr(result.timings, stage))
-    registry = registry_from_stats(
-        timings=timings, solver=solver_stats,
-        store=store.counters() if store is not None else None)
-    return registry.to_dict()
-
-
 def _check_project_dir(root: str, config: CheckConfig,
                        args: argparse.Namespace) -> int:
     """``repro check <dir>``: check the directory as a module graph.
@@ -338,8 +319,6 @@ def _check_project_dir(root: str, config: CheckConfig,
         payload = project.to_dict()
         if store is not None:
             payload["store"] = store.counters()
-        payload["metrics"] = _metrics_section(
-            project.results, project.stats, store)
         print(json.dumps(payload, indent=2))
         return EXIT_OK if project.ok else EXIT_UNSAFE
     for result in project.results:
@@ -440,14 +419,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
 def _cache_admin(args: argparse.Namespace, store, path: str) -> int:
     from repro.store import DEFAULT_MAX_BYTES
     if args.action == "stats":
-        from repro.obs.metrics import registry_from_stats
         stats = store.stats()
         payload = {"store": str(path), **stats.to_dict()}
-        registry = registry_from_stats(store=store.counters())
-        for kind, entry in sorted(stats.kinds.items()):
-            registry.counter(f"store.entries.{kind}").value = entry.entries
-            registry.counter(f"store.bytes.{kind}").value = entry.bytes
-        payload["metrics"] = registry.to_dict()
         if args.format == "json":
             print(json.dumps(payload, indent=2))
         else:

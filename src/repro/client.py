@@ -179,9 +179,6 @@ class Client:
     def stats(self):
         return self.request("stats")
 
-    def metrics(self):
-        return self.request("metrics")
-
     def project_open(self, root: str):
         return self.request("project_open", root=root)
 

@@ -1,10 +1,11 @@
 """Configuration for a checking session.
 
 A :class:`CheckConfig` captures everything that varies between checking
-runs — fixpoint budget, qualifier-pool selection, SMT solver options and
-output preferences — so that a :class:`repro.core.session.Session` can be
-constructed once and reused across many files.  Configs are immutable;
-derive variants with :func:`dataclasses.replace`.
+runs — fixpoint budget, qualifier-pool selection, SMT solver options,
+store and service settings — so that a
+:class:`repro.core.session.Session` can be constructed once and reused
+across many files.  Configs are immutable; derive variants with
+:func:`dataclasses.replace`.
 
 A config sets budgets, pools and outputs, never an engine: there is one
 fixpoint engine (the worklist in :mod:`repro.core.liquid.fixpoint`) and one
@@ -17,13 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
-from repro.store.local import store_root
-
 #: Qualifier-pool selections understood by :class:`CheckConfig`.
 QUALIFIER_SETS: Tuple[str, ...] = ("default", "harvested")
-
-#: Output formats understood by :class:`CheckConfig` and the CLI.
-OUTPUT_FORMATS: Tuple[str, ...] = ("text", "json")
 
 #: Persistent artifact store modes (see :mod:`repro.store`):
 #: ``"readwrite"`` serves hits and writes back finished artifacts,
@@ -143,7 +139,6 @@ class CheckConfig:
       harvested from the program) or ``"harvested"`` (program-derived
       qualifiers only; useful to measure how much the built-ins contribute).
     * ``solver`` — SMT substrate options (:class:`SolverOptions`).
-    * ``output_format`` — ``"text"`` or ``"json"`` (the CLI default).
     * ``jobs`` — worker processes of :meth:`Session.check_files` (each
       worker checks with its own solver, so cache amortisation is per
       worker).  Project builds are sequential and ignore it.
@@ -158,7 +153,7 @@ class CheckConfig:
       (ignore ``store_path``).
     * ``service`` — multi-tenant serve-layer options
       (:class:`ServiceOptions`); inert outside :mod:`repro.service`.
-    * ``obs`` — tracing/metrics options (:class:`ObsOptions`); never
+    * ``obs`` — tracing options (:class:`ObsOptions`); never
       verdict-affecting.
     """
 
@@ -166,7 +161,6 @@ class CheckConfig:
     warnings_as_errors: bool = False
     qualifier_set: str = "default"
     solver: SolverOptions = field(default_factory=SolverOptions)
-    output_format: str = "text"
     jobs: int = 1
     document_cache_limit: int = 8
     store_path: Optional[str] = None
@@ -181,10 +175,6 @@ class CheckConfig:
             raise ValueError(
                 f"unknown qualifier_set {self.qualifier_set!r} "
                 f"(expected one of {', '.join(QUALIFIER_SETS)})")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ValueError(
-                f"unknown output_format {self.output_format!r} "
-                f"(expected one of {', '.join(OUTPUT_FORMATS)})")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
         if self.document_cache_limit < 1:
@@ -194,6 +184,8 @@ class CheckConfig:
                 f"unknown store_mode {self.store_mode!r} "
                 f"(expected one of {', '.join(STORE_MODES)})")
         if self.store_path is not None:
+            # Only a config that names a store loads the store package.
+            from repro.store.local import store_root
             store_root(self.store_path)
 
     def with_options(self, **changes) -> "CheckConfig":
@@ -206,7 +198,6 @@ class CheckConfig:
             "warnings_as_errors": self.warnings_as_errors,
             "qualifier_set": self.qualifier_set,
             "solver": self.solver.to_dict(),
-            "output_format": self.output_format,
             "jobs": self.jobs,
             "document_cache_limit": self.document_cache_limit,
             "store_path": self.store_path,

@@ -10,15 +10,14 @@ verdicts instead of parsing printed strings.
 The counter classes (:class:`SolveStats` here, ``SolverStats`` in
 :mod:`repro.smt.solver`) are plain dataclasses of numbers: their
 ``merge`` and ``to_dict`` walk the dataclass fields, so a new counter is
-one field declaration.  :func:`total_solve_stats` is the one aggregation
-over a list of results.
+one field declaration.  :func:`total_solve_stats` and
+:func:`total_timings` are the aggregations over a list of results.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -103,6 +102,15 @@ class StageTimings:
         return out
 
 
+def total_timings(results: List["CheckResult"]) -> StageTimings:
+    """The per-stage seconds of ``results``, summed."""
+    total = StageTimings()
+    for result in results:
+        for stage in STAGES:
+            total.record(stage, getattr(result.timings, stage))
+    return total
+
+
 @dataclass
 class CheckResult:
     """The outcome of checking one program."""
@@ -118,14 +126,6 @@ class CheckResult:
     time_seconds: float = 0.0
     filename: str = "<input>"
     timings: StageTimings = field(default_factory=StageTimings)
-
-    @property
-    def solver_stats(self) -> Optional[SolverStats]:
-        """Deprecated alias for :attr:`stats` (was untyped in the old API)."""
-        warnings.warn(
-            "CheckResult.solver_stats is deprecated; use CheckResult.stats",
-            DeprecationWarning, stacklevel=2)
-        return self.stats
 
     @property
     def errors(self) -> List[Diagnostic]:
@@ -223,6 +223,7 @@ class BatchResult:
             "time_seconds": self.time_seconds,
             "solver_stats": self.stats.to_dict(),
             "solve_stats": self.solve_stats.to_dict(),
+            "timings": total_timings(self.results).to_dict(),
             "files": [r.to_dict() for r in self.results],
         }
 

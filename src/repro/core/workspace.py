@@ -76,7 +76,6 @@ from repro.core.liquid.qualifiers import QualifierPool
 from repro.core.result import CheckResult, SolveStats, StageTimings
 from repro.obs.trace import span as trace_span, stage_span
 from repro.core.subtype import SubtypeSplitter
-from repro.store import ArtifactStore, config_fingerprint, open_store
 
 
 def nesting_too_deep(filename: str) -> Diagnostic:
@@ -273,10 +272,13 @@ class Workspace:
         #: persistent cross-process artifact store (None when disabled)
         with trace_span("store.open", "store",
                         mode=self.config.store_mode) as sp:
-            self.store = open_store(self.config)
+            self.store = self._store_fp = None
+            if self.config.store_path is not None:
+                # Only a config that names a store loads the store package.
+                from repro.store import config_fingerprint, open_store
+                self.store = open_store(self.config)
+                self._store_fp = config_fingerprint(self.config)
             sp.note(enabled=self.store is not None)
-        self._store_fp = (config_fingerprint(self.config)
-                          if self.store is not None else None)
 
     # -- document lifecycle ------------------------------------------------
 
@@ -566,7 +568,7 @@ class Workspace:
         if self.store is None or not parsed.source:
             return None, None, False, None
         content_hash = hashlib.sha256(parsed.source.encode()).hexdigest()
-        store_key = ArtifactStore.document_key(content_hash, self._store_fp)
+        store_key = self.store.document_key(content_hash, self._store_fp)
         memos = self.store.load_verdicts(store_key)
         memos_hit = False
         if memos and hasattr(self.solver, "seed_cache"):

@@ -6,7 +6,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.result import CheckResult, SolveStats, total_solve_stats
+from repro.core.result import (CheckResult, SolveStats, total_solve_stats,
+                               total_timings)
 from repro.smt.solver import SolverStats
 
 
@@ -81,6 +82,7 @@ class ProjectResult:
             "time_seconds": self.time_seconds,
             "solver_stats": self.stats.to_dict(),
             "solve_stats": self.solve_stats.to_dict(),
+            "timings": total_timings(self.results).to_dict(),
             "modules": [r.to_dict() for r in self.results],
         }
 

@@ -9,7 +9,10 @@ Three layers:
 * :mod:`repro.service.core` — the synchronous service core: a
   :class:`~repro.service.core.SessionManager` holding many isolated tenant
   workspaces (LRU-evicted past ``CheckConfig.service.max_tenants``) and the
-  typed dispatcher :class:`~repro.service.core.ServiceCore`.
+  typed dispatcher :class:`~repro.service.core.ServiceCore`.  Its
+  ``stats`` method is the one stats surface of a server: per tenant the
+  service counters, a latency window and the typed solver and store
+  stats; lifetime totals that count evicted tenants too.
 * :mod:`repro.service.server` — the two transports over one core: the
   stdio loop (:func:`~repro.service.server.serve`) and the asyncio TCP
   server with per-tenant request lanes, bounded queues (backpressure),

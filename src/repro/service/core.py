@@ -3,13 +3,18 @@
 A :class:`TenantSession` is one tenant's isolated state — its own
 :class:`repro.core.workspace.Workspace` (documents, solver, store handle),
 optional :class:`repro.project.workspace.ProjectWorkspace`, per-URI timing
-history and the counters the ``stats`` method reports.  Tenants never share
-mutable state, so two tenants can never observe each other's diagnostics.
+history and the counters the ``stats`` method reports: the service
+counters, a bounded latency window, and the typed solver and store stats
+as they are (``SolverStats.to_dict()``, ``ArtifactStore.counters()``).
+Tenants never share mutable state, so two tenants can never observe each
+other's diagnostics.
 
 A :class:`SessionManager` holds many tenants keyed by name, LRU-ordered;
 past ``CheckConfig.service.max_tenants`` the least-recently-used *idle*
 tenant is evicted (its documents close, its solver is dropped — the next
-request under that name starts cold).
+request under that name starts cold).  An evicted tenant's lifetime
+counters are folded into the manager's totals first, so a lifetime total
+never goes down.
 
 A :class:`ServiceCore` is the typed dispatcher every transport shares:
 the stdio loop, the asyncio socket server (both in
@@ -24,21 +29,20 @@ is executing at a time.
 
 from __future__ import annotations
 
+import threading
 import time
-from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional
+from collections import Counter, OrderedDict, deque
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.cancel import CancelToken, CheckCancelled
 from repro.core.config import CheckConfig
 from repro.core.result import CheckResult
 from repro.core.workspace import Workspace
-from repro.obs.metrics import (Histogram, MetricsRegistry, percentile,
-                               registry_from_stats)
+from repro.obs.metrics import percentile
 from repro.obs.trace import span as trace_span
-from repro.service.protocol import (METHODS, CancelPayload,
-                                    CheckPayload, ClosePayload,
-                                    DiagnosticsPayload, HelloPayload,
-                                    MetricsPayload, ModulePayload,
+from repro.service.protocol import (METHODS, CancelPayload, CheckPayload,
+                                    ClosePayload, DiagnosticsPayload,
+                                    HelloPayload, ModulePayload,
                                     ProjectBuildPayload, ProjectUpdatePayload,
                                     ShutdownPayload, StatsPayload)
 from repro.wire import (ProtocolError, Request, Response, decode_request,
@@ -65,10 +69,9 @@ class TenantSession:
         self.cancelled_inflight = 0
         #: maintained by the async server's lane; 0 on the stdio loop
         self.queue_depth = 0
-        #: the ``stats``/``metrics`` latency window (an obs histogram; the
-        #: hand-rolled deque it replaced kept the same bounded shape)
-        self.latencies_ms = Histogram(
-            window=self.config.service.latency_window)
+        #: the ``stats`` latency window: the most recent timed requests
+        self.latencies_ms: "deque[float]" = deque(
+            maxlen=self.config.service.latency_window)
         self._last_time: Dict[str, float] = {}
 
     # -- document methods --------------------------------------------------
@@ -189,8 +192,21 @@ class TenantSession:
     def checks_cancelled(self) -> int:
         return self.cancelled_queued + self.cancelled_inflight
 
+    def counters(self) -> Counter:
+        """The lifetime counters the totals add up, the store's traffic
+        under ``store.<name>`` when this tenant has a store."""
+        counts = Counter(checks_run=self.workspace.checks_run,
+                         cancelled_queued=self.cancelled_queued,
+                         cancelled_inflight=self.cancelled_inflight)
+        store = self.workspace.store
+        if store is not None:
+            for key, value in store.counters().items():
+                counts[f"store.{key}"] = value
+        return counts
+
     def stats_entry(self) -> dict:
-        window = self.latencies_ms.values()
+        window = self.latencies_ms
+        store = self.workspace.store
         return {
             "open_documents": len(self.workspace.documents()),
             "checks_run": self.workspace.checks_run,
@@ -201,25 +217,12 @@ class TenantSession:
             "latency": {
                 "count": len(window),
                 "p50_ms": percentile(window, 50.0),
+                "p90_ms": percentile(window, 90.0),
                 "p99_ms": percentile(window, 99.0),
             },
+            "solver": self.workspace.solver.stats.to_dict(),
+            "store": store.counters() if store is not None else None,
         }
-
-    def metrics_entry(self) -> dict:
-        """This tenant's registry snapshot for the ``metrics`` method."""
-        workspace = self.workspace
-        registry = registry_from_stats(
-            solver=workspace.solver.stats,
-            store=(workspace.store.counters()
-                   if workspace.store is not None else None))
-        registry.counter("service.requests").value = self.requests
-        registry.counter("service.checks_run").value = workspace.checks_run
-        registry.counter("service.cancelled_queued").value = \
-            self.cancelled_queued
-        registry.counter("service.cancelled_inflight").value = \
-            self.cancelled_inflight
-        registry.attach_histogram("service.latency_ms", self.latencies_ms)
-        return registry.to_dict()
 
 
 class SessionManager:
@@ -229,18 +232,24 @@ class SessionManager:
         self.config = config
         self.tenants: "OrderedDict[str, TenantSession]" = OrderedDict()
         self.tenants_evicted = 0
+        #: the summed :meth:`TenantSession.counters` of evicted tenants
+        self.retired: Counter = Counter()
+        #: guards ``tenants`` and ``retired``: the async server's worker
+        #: threads create and evict tenants while its event loop sums them
+        self._lock = threading.Lock()
         #: overridden by the async server so an executing tenant (queued or
         #: in-flight work) is never evicted out from under its own check
         self.busy: Callable[[str], bool] = lambda name: False
 
     def get(self, name: str) -> TenantSession:
         """The named tenant, created on first use and LRU-touched."""
-        session = self.tenants.get(name)
-        if session is None:
-            session = TenantSession(name, self.config)
-            self.tenants[name] = session
-        self.tenants.move_to_end(name)
-        self._evict(keep=name)
+        with self._lock:
+            session = self.tenants.get(name)
+            if session is None:
+                session = TenantSession(name, self.config)
+                self.tenants[name] = session
+            self.tenants.move_to_end(name)
+            self._evict(keep=name)
         return session
 
     def peek(self, name: str) -> Optional[TenantSession]:
@@ -256,8 +265,21 @@ class SessionManager:
                 break
             if candidate == keep or self.busy(candidate):
                 continue
-            del self.tenants[candidate]
+            self.retired.update(self.tenants.pop(candidate).counters())
             self.tenants_evicted += 1
+
+    def live(self) -> List[TenantSession]:
+        """The live tenants, least recently used first."""
+        with self._lock:
+            return list(self.tenants.values())
+
+    def totals(self) -> Counter:
+        """Every lifetime counter, summed over live and evicted tenants."""
+        with self._lock:
+            totals = Counter(self.retired)
+            for session in self.tenants.values():
+                totals.update(session.counters())
+        return totals
 
 
 class ServiceCore:
@@ -325,8 +347,6 @@ class ServiceCore:
                                 tenant=self.tenant_name(request))
         if method == "stats":
             return self.stats()
-        if method == "metrics":
-            return self.metrics()
         if method == "shutdown":
             return self.shutdown()
         if method == "cancel":
@@ -341,7 +361,7 @@ class ServiceCore:
             tenant.cancelled_inflight += 1
             raise
         if method in TIMED_METHODS:
-            tenant.latencies_ms.observe(
+            tenant.latencies_ms.append(
                 (time.perf_counter() - start) * 1000.0)
         return payload
 
@@ -355,46 +375,27 @@ class ServiceCore:
         return CancelPayload(uri=uri, cancelled=False, state="idle")
 
     def stats(self) -> StatsPayload:
-        tenants = {name: session.stats_entry()
-                   for name, session in self.manager.tenants.items()}
+        tenants = {session.name: session.stats_entry()
+                   for session in self.manager.live()}
+        totals = self.manager.totals()
         return StatsPayload(
             tenants=tenants,
             totals={
                 "requests_served": self.requests_served,
-                "checks_run": self.checks_run,
-                "tenants": len(self.manager.tenants),
+                "checks_run": totals["checks_run"],
+                "tenants": len(tenants),
                 "tenants_evicted": self.manager.tenants_evicted,
-                "cancelled_queued": sum(s.cancelled_queued for s in
-                                        self.manager.tenants.values()),
-                "cancelled_inflight": sum(s.cancelled_inflight for s in
-                                          self.manager.tenants.values()),
+                "cancelled_queued": totals["cancelled_queued"],
+                "cancelled_inflight": totals["cancelled_inflight"],
             })
 
-    def metrics(self) -> MetricsPayload:
-        """The unified registry snapshot: totals plus one per tenant."""
-        totals = MetricsRegistry()
-        totals.counter("service.requests_served").value = \
-            self.requests_served
-        totals.counter("service.checks_run").value = self.checks_run
-        totals.counter("service.tenants").value = len(self.manager.tenants)
-        totals.counter("service.tenants_evicted").value = \
-            self.manager.tenants_evicted
-        tenants = {name: session.metrics_entry()
-                   for name, session in self.manager.tenants.items()}
-        return MetricsPayload(totals=totals.to_dict(), tenants=tenants)
-
     def shutdown(self) -> ShutdownPayload:
+        """Stop after responding; ``store`` is the traffic of every
+        tenant's store (``None`` when no tenant had one)."""
         self.shutting_down = True
-        default = self.manager.peek(DEFAULT_TENANT)
-        store = default.workspace.store if default is not None else None
+        totals = self.manager.totals()
+        store = {key[len("store."):]: value for key, value in totals.items()
+                 if key.startswith("store.")}
         return ShutdownPayload(
             shutdown=True, requests_served=self.requests_served,
-            checks_run=self.checks_run,
-            store=store.counters() if store is not None else None)
-
-    # -- aggregates --------------------------------------------------------
-
-    @property
-    def checks_run(self) -> int:
-        return sum(session.workspace.checks_run
-                   for session in self.manager.tenants.values())
+            checks_run=totals["checks_run"], store=store or None)

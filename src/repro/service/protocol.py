@@ -191,21 +191,12 @@ class CancelPayload(Payload):
 
 @dataclass
 class StatsPayload(Payload):
-    """Result of ``stats`` — per-tenant queue/latency/cancel counters."""
+    """Result of ``stats`` — per-tenant queue, latency, cancel, solver and
+    store counters, plus lifetime totals (evicted tenants included)."""
 
     protocol: str = PROTOCOL_V3
     tenants: Dict[str, dict] = field(default_factory=dict)
     totals: dict = field(default_factory=dict)
-
-
-@dataclass
-class MetricsPayload(Payload):
-    """Result of ``metrics`` — the unified registry snapshot
-    (:class:`repro.obs.metrics.MetricsRegistry`), totals plus per-tenant."""
-
-    protocol: str = PROTOCOL_V3
-    totals: dict = field(default_factory=dict)
-    tenants: Dict[str, dict] = field(default_factory=dict)
 
 
 @dataclass
@@ -282,6 +273,4 @@ METHODS: Dict[str, MethodSpec] = registry(
                "Cancel the in-flight or queued check of a URI."),
     MethodSpec("stats", EmptyParams, StatsPayload,
                "Per-tenant queue depth, latency percentiles and counters."),
-    MethodSpec("metrics", EmptyParams, MetricsPayload,
-               "The unified metrics registry: counters, gauges, histograms."),
 )

@@ -58,7 +58,7 @@ SUPERSEDABLE = frozenset({"check", "update"})
 
 #: Methods answered inline on the event loop instead of on a tenant lane;
 #: they never check a workspace, so they cannot race a check.
-INLINE = frozenset({"hello", "stats", "metrics", "cancel", "shutdown"})
+INLINE = frozenset({"hello", "stats", "cancel", "shutdown"})
 
 
 @dataclass

@@ -269,6 +269,10 @@ class TestProjectMode:
         assert payload["ok"] and payload["num_modules"] == 3
         assert sorted(payload["ranks"].values()) == [0, 1, 2]
         assert "jobs" not in payload
+        # the per-stage sums over the modules; no second rendering
+        assert "metrics" not in payload
+        assert payload["timings"]["total"] == pytest.approx(sum(
+            module["timings"]["total"] for module in payload["modules"]))
 
     def test_project_json_store_section_counts_the_build(self, project_dir,
                                                          tmp_path, capsys):

@@ -1,11 +1,12 @@
 """The public surface of ``repro`` and what a one-shot check imports.
 
-``import repro`` loads the checker only.  ``Client`` and the project names
-(``ProjectResult``, ``ProjectUpdate``, ``ProjectWorkspace``,
-``check_project``) resolve on first access through a module
-``__getattr__`` (PEP 562), so a cold ``repro check FILE`` never imports the
-service stack (``asyncio``, ``ssl``, ``socket``) or the process pool
-(``multiprocessing``, ``concurrent.futures``).  The subprocess tests below
+``import repro`` loads the checker only.  ``Client``, ``ArtifactStore``
+and the project names (``ProjectResult``, ``ProjectUpdate``,
+``ProjectWorkspace``, ``check_project``) resolve on first access through a
+module ``__getattr__`` (PEP 562), so a cold ``repro check FILE`` never
+imports the service stack (``asyncio``, ``ssl``, ``socket``), the process
+pool (``multiprocessing``, ``concurrent.futures``) or, without a store
+path, the artifact store (``repro.store``).  The subprocess tests below
 pin that floor: each runs in a fresh interpreter, because this one has
 imported everything already.
 """
@@ -24,12 +25,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC_DIR = str(ROOT / "src")
 PORT = str(ROOT / "benchmarks" / "programs" / "richards.rsc")
 
-#: Modules a one-shot check must not load.
+#: Modules a one-shot check without a store must not load.
 HEAVY = ("asyncio", "ssl", "socket", "multiprocessing", "concurrent.futures",
-         "subprocess", "fractions")
+         "subprocess", "fractions", "repro.store")
 
-LAZY = ("Client", "ProjectResult", "ProjectUpdate", "ProjectWorkspace",
-        "check_project")
+LAZY = ("ArtifactStore", "Client", "ProjectResult", "ProjectUpdate",
+        "ProjectWorkspace", "check_project")
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -51,6 +52,8 @@ class TestPublicSurface:
     def test_lazy_names_come_from_their_modules(self):
         from repro.client import Client
         from repro.project import ProjectWorkspace, check_project
+        from repro.store import ArtifactStore
+        assert repro.ArtifactStore is ArtifactStore
         assert repro.Client is Client
         assert repro.ProjectWorkspace is ProjectWorkspace
         assert repro.check_project is check_project

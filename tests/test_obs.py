@@ -1,4 +1,4 @@
-"""The unified tracing + metrics layer (``repro.obs``).
+"""The unified tracing layer (``repro.obs``) and the one stats surface.
 
 The contract under test:
 
@@ -16,7 +16,10 @@ The contract under test:
   delegate here;
 * serve ``check``/``update`` results carry the per-stage ``timings``
   breakdown;
-* the serve ``metrics`` method returns the unified registry snapshot.
+* every number is reported once, by its typed stats carrier: the serve
+  ``stats`` method carries each tenant's solver and store counters (there
+  is no second ``metrics`` rendering), and ``check --format json`` sums
+  the per-file ``timings`` into the batch ``timings``.
 """
 
 import json
@@ -29,11 +32,10 @@ import pathlib
 import pytest
 
 from repro.client import Client
-from repro.core.config import CheckConfig, ObsOptions
-from repro.core.result import StageTimings
+from repro.core.config import CheckConfig, ObsOptions, ServiceOptions
+from repro.core.result import STAGES, StageTimings
 from repro.core.session import Session
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               percentile, registry_from_stats)
+from repro.obs.metrics import percentile
 from repro.obs.summary import (check_nesting, format_summary, load_trace,
                                merge_traces, summarize, validate_trace)
 from repro.obs.trace import (TRACE_SCHEMA, SlowQueryLog, current_trace_id,
@@ -63,7 +65,7 @@ def _verdict(result):
              for k, v in sorted(result.kappa_solution.items())})
 
 
-# -- percentile / histogram --------------------------------------------------
+# -- percentile --------------------------------------------------------------
 
 
 def test_percentile_nearest_rank():
@@ -87,69 +89,6 @@ def test_percentile_single_implementation():
     """The service and bench layers must delegate to repro.obs.metrics."""
     from repro.service import core as service_core
     assert service_core.percentile is percentile
-
-
-def test_histogram_window_and_snapshot():
-    hist = Histogram(window=3)
-    for value in (1.0, 2.0, 3.0, 4.0):
-        hist.observe(value)
-    assert hist.values() == [2.0, 3.0, 4.0]
-    snap = hist.snapshot()
-    assert snap["count"] == 3
-    assert snap["observed"] == 4
-    assert snap["min"] == 2.0 and snap["max"] == 4.0
-    assert snap["p50"] == percentile([2.0, 3.0, 4.0], 50.0)
-
-
-def test_histogram_empty_snapshot_shape():
-    snap = Histogram().snapshot()
-    assert snap == {"count": 0, "observed": 0, "min": 0.0, "max": 0.0,
-                    "mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0}
-
-
-def test_registry_snapshot_deterministic():
-    registry = MetricsRegistry()
-    registry.counter("b.count").inc(2)
-    registry.counter("a.count").inc()
-    registry.gauge("z.seconds").set(1.5)
-    registry.histogram("lat").observe(3.0)
-    first = registry.to_dict()
-    assert list(first["counters"]) == ["a.count", "b.count"]
-    assert first == registry.to_dict()
-    assert json.dumps(first) == json.dumps(registry.to_dict())
-
-
-def test_registry_load_skips_non_numeric():
-    registry = MetricsRegistry()
-    registry.load("fx", {"rounds": 3, "time": 0.5, "strategy": "worklist"})
-    snap = registry.to_dict()
-    assert snap["counters"] == {"fx.rounds": 3}
-    assert snap["gauges"] == {"fx.time": 0.5}
-
-
-def test_registry_from_stats_namespaces():
-    timings = StageTimings()
-    timings.record("parse", 0.25)
-    session = Session(CheckConfig())
-    session.check_source(SAFE, filename="a.rsc")
-    registry = registry_from_stats(timings=timings,
-                                   solver=session.solver.stats,
-                                   store={"hits": 2})
-    snap = registry.to_dict()
-    assert snap["gauges"]["pipeline.seconds.parse"] == 0.25
-    assert "pipeline.seconds.total" in snap["gauges"]
-    assert snap["counters"]["smt.queries"] > 0
-    assert snap["counters"]["store.hits"] == 2
-
-
-def test_counter_gauge_primitives():
-    counter = Counter()
-    counter.inc()
-    counter.inc(4)
-    assert counter.snapshot() == 5
-    gauge = Gauge()
-    gauge.set(2.5)
-    assert gauge.snapshot() == 2.5
 
 
 # -- slow-query log ----------------------------------------------------------
@@ -450,7 +389,7 @@ def test_env_autoenable_dumps_per_pid_trace(tmp_path):
     assert [e["name"] for e in document["traceEvents"]] == ["env.work"]
 
 
-# -- protocol: trace envelope, metrics method ---------------------------------
+# -- protocol: trace envelope, stats method -----------------------------------
 
 
 def test_client_stamps_trace_id_on_requests():
@@ -462,30 +401,46 @@ def test_client_stamps_trace_id_on_requests():
     assert current_trace_id() == "00ddba11"
 
 
-def test_metrics_method_end_to_end():
-    client = Client.local(CheckConfig())
+def test_metrics_method_end_to_end(tmp_path):
+    """``stats`` is the one stats method: each tenant entry carries the
+    solver's and the store's own counters; ``metrics`` is gone."""
+    from repro.wire import ProtocolError
+    client = Client.local(CheckConfig(store_path=str(tmp_path / "store")))
     client.check("a.rsc", SAFE)
-    payload = client.metrics()
+    payload = client.stats()
     assert payload.protocol == "repro-serve/3"
-    assert payload.totals["counters"]["service.checks_run"] == 1
+    assert payload.totals["checks_run"] == 1
     tenant = payload.tenants["default"]
-    assert tenant["counters"]["service.checks_run"] == 1
-    assert tenant["counters"]["smt.queries"] > 0
-    latency = tenant["histograms"]["service.latency_ms"]
+    assert tenant["checks_run"] == 1
+    assert tenant["solver"]["queries"] > 0
+    workspace = client.transport.core.manager.get("default").workspace
+    assert tenant["solver"] == workspace.solver.stats.to_dict()
+    assert tenant["store"]["writes"] > 0
+    assert set(tenant["store"]) == {"hits", "misses", "writes"}
+    latency = tenant["latency"]
     assert latency["count"] == 1
-    assert latency["p99"] >= latency["p50"] > 0.0
+    assert latency["p99_ms"] >= latency["p90_ms"] >= latency["p50_ms"] > 0.0
+    with pytest.raises(ProtocolError) as err:
+        client.request("metrics")
+    assert err.value.code == "unknown-method"
 
 
 def test_stats_latency_window_uses_obs_histogram():
-    client = Client.local(CheckConfig())
-    client.check("a.rsc", SAFE)
-    core = client.transport.core
-    session = core.manager.get("default")
-    assert isinstance(session.latencies_ms, Histogram)
-    entry = session.stats_entry()
-    values = session.latencies_ms.values()
-    assert entry["latency"]["p50_ms"] == percentile(values, 50.0)
-    assert entry["latency"]["p99_ms"] == percentile(values, 99.0)
+    """The latency window is bounded by ``latency_window`` and read
+    through the one :func:`percentile`."""
+    client = Client.local(CheckConfig(
+        service=ServiceOptions(latency_window=2)))
+    for _ in range(3):
+        client.check("a.rsc", SAFE)
+    session = client.transport.core.manager.get("default")
+    assert session.latencies_ms.maxlen == 2
+    values = list(session.latencies_ms)
+    assert len(values) == 2
+    latency = session.stats_entry()["latency"]
+    assert latency["count"] == 2
+    assert latency["p50_ms"] == percentile(values, 50.0)
+    assert latency["p90_ms"] == percentile(values, 90.0)
+    assert latency["p99_ms"] == percentile(values, 99.0)
 
 
 def test_serve_check_payload_carries_timings():
@@ -531,14 +486,23 @@ def test_cli_trace_validate_fails_on_garbage(tmp_path, capsys):
 
 
 def test_cli_check_json_includes_metrics(tmp_path, capsys):
+    """The batch ``timings`` are the per-file ``timings`` summed; there is
+    no second ``metrics`` rendering of the same numbers."""
     from repro.__main__ import main
-    source = tmp_path / "a.rsc"
-    source.write_text(SAFE)
-    assert main(["check", "--format", "json", str(source)]) == 0
+    sources = []
+    for name in ("a.rsc", "b.rsc"):
+        sources.append(tmp_path / name)
+        sources[-1].write_text(SAFE)
+    assert main(["check", "--format", "json", *map(str, sources)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    metrics = payload["metrics"]
-    assert metrics["counters"]["smt.queries"] > 0
-    assert metrics["gauges"]["pipeline.seconds.total"] > 0.0
+    assert "metrics" not in payload
+    assert payload["solver_stats"]["queries"] > 0
+    timings = payload["timings"]
+    assert list(timings) == [*STAGES, "total"]
+    assert timings["total"] > 0.0
+    for stage in (*STAGES, "total"):
+        assert timings[stage] == pytest.approx(
+            sum(entry["timings"][stage] for entry in payload["files"]))
 
 
 # -- bench obs ---------------------------------------------------------------

@@ -11,8 +11,7 @@ import pytest
 from repro.service.protocol import (ERROR_CODES, METHODS, PROTOCOL_V3,
                                     CancelPayload, CheckParams, CheckPayload,
                                     ClosePayload, DiagnosticsPayload,
-                                    HelloParams, HelloPayload,
-                                    MetricsPayload, ModulePayload,
+                                    HelloParams, HelloPayload, ModulePayload,
                                     ProjectBuildPayload, ProjectOpenParams,
                                     ProjectUpdatePayload, ShutdownPayload,
                                     StatsPayload, UriParams)
@@ -24,7 +23,7 @@ from repro.wire import (EmptyParams, ProtocolError, Request, Response,
 #: message list the methods in this order, so it is part of the wire.
 ALL_METHODS = ("check", "update", "diagnostics", "close", "shutdown",
                "project_open", "project_update", "project_diagnostics",
-               "hello", "cancel", "stats", "metrics")
+               "hello", "cancel", "stats")
 
 
 class TestRegistry:
@@ -37,7 +36,7 @@ class TestRegistry:
         assert err.value.message == (
             "unknown method 'solve' (expected one of check, update, "
             "diagnostics, close, shutdown, project_open, project_update, "
-            "project_diagnostics, hello, cancel, stats, metrics)")
+            "project_diagnostics, hello, cancel, stats)")
 
     def test_non_string_method_is_unknown_not_a_crash(self):
         for bogus in (None, 7, ["check"]):
@@ -63,7 +62,6 @@ PARAM_SAMPLES = {
     "hello": HelloParams(protocol=PROTOCOL_V3),
     "cancel": UriParams(uri="a.rsc"),
     "stats": EmptyParams(),
-    "metrics": EmptyParams(),
 }
 
 PAYLOAD_SAMPLES = {
@@ -95,9 +93,6 @@ PAYLOAD_SAMPLES = {
     "cancel": CancelPayload(uri="a.rsc", cancelled=True, state="inflight"),
     "stats": StatsPayload(protocol=PROTOCOL_V3, tenants={"alice": {}},
                           totals={"requests_served": 7}),
-    "metrics": MetricsPayload(protocol=PROTOCOL_V3,
-                              totals={"counters": {"service.checks_run": 2}},
-                              tenants={"alice": {"counters": {}}}),
 }
 
 

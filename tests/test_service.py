@@ -17,6 +17,7 @@ The contract under test, from the serve-protocol redesign:
 import asyncio
 import io
 import json
+import sys
 import threading
 
 import pytest
@@ -108,6 +109,8 @@ class TestTenantIsolation:
         assert payload.tenants["alice"]["open_documents"] == 1
         assert payload.tenants["alice"]["latency"]["count"] == 1
         assert payload.tenants["alice"]["latency"]["p50_ms"] > 0
+        assert payload.tenants["alice"]["solver"]["queries"] > 0
+        assert payload.tenants["alice"]["store"] is None  # no store_path
         assert payload.totals["requests_served"] == 2
         assert payload.totals["checks_run"] == 1
 
@@ -154,6 +157,83 @@ class TestLruEviction:
         # t1 has in-flight work, so the over-cap state is tolerated
         assert list(core.manager.tenants) == ["t1", "t2"]
         assert core.manager.tenants_evicted == 0
+
+
+def check_as(core, tenant, request_id=1, token=None):
+    request = decode_request(METHODS, {
+        "id": request_id, "method": "check", "tenant": tenant,
+        "params": {"uri": "a.rsc", "text": SAFE}})
+    return core.execute(request, token)
+
+
+class TestLifetimeTotals:
+    """``stats`` totals and ``shutdown`` count every tenant the server has
+    had, evicted ones included, so a lifetime counter never goes down."""
+
+    def test_totals_keep_the_counters_of_evicted_tenants(self):
+        core = ServiceCore(service_config(max_tenants=1))
+        assert check_as(core, "a", token=CountdownToken(1)).error_code == \
+            "cancelled"
+        assert check_as(core, "a", 2).ok
+        assert check_as(core, "b", 3).ok  # evicts a
+        totals = core.stats().totals
+        assert totals["tenants_evicted"] == 1
+        assert totals["checks_run"] == 2
+        assert totals["cancelled_inflight"] == 1
+        assert core.shutdown().checks_run == 2
+
+    def test_shutdown_sums_the_store_of_every_tenant(self, tmp_path):
+        core = ServiceCore(CheckConfig(
+            store_path=str(tmp_path / "store"),
+            service=ServiceOptions(max_tenants=1)))
+        assert check_as(core, "a").ok  # cold: populates the store
+        assert check_as(core, "b", 2).ok  # replays a's entries; evicts a
+        assert core.manager.tenants_evicted == 1
+        assert core.manager.peek("default") is None
+        store = core.shutdown().store
+        assert store is not None
+        assert store["writes"] > 0  # a's, though a is gone
+        assert store["hits"] > 0  # b's
+
+    def test_concurrent_tenants_and_totals_lose_no_tenant(self):
+        """Worker threads create and evict tenants while another thread
+        sums the totals, as under the TCP server."""
+        core = ServiceCore(service_config(max_tenants=2))
+        manager = core.manager
+        workers, per_worker = 4, 500
+        errors = []
+
+        def run(task):
+            try:
+                task()
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        def create(worker):
+            for k in range(per_worker):
+                manager.get(f"w{worker}-{k}")
+
+        def read():
+            for _ in range(workers * per_worker):
+                manager.totals()
+                core.stats()
+
+        threads = [threading.Thread(target=run, args=(lambda w=w: create(w),))
+                   for w in range(workers)]
+        threads.append(threading.Thread(target=run, args=(read,)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(manager.tenants) == 2
+        assert manager.tenants_evicted + 2 == workers * per_worker
 
 
 class TestCancellation:
@@ -350,8 +430,7 @@ class TestV2ShimEquivalence:
              "protocol": "repro-serve/3",
              "methods": ["check", "update", "diagnostics", "close",
                          "shutdown", "project_open", "project_update",
-                         "project_diagnostics", "hello", "cancel", "stats",
-                         "metrics"],
+                         "project_diagnostics", "hello", "cancel", "stats"],
              "tenant": "default"}}),
         ({"id": 2, "method": "check", "tenant": "alice",
           "params": {"uri": "a.rsc", "text": SAFE}},
@@ -375,8 +454,7 @@ class TestV2ShimEquivalence:
              "message": "unknown method 'solve' (expected one of check, "
                         "update, diagnostics, close, shutdown, "
                         "project_open, project_update, "
-                        "project_diagnostics, hello, cancel, stats, "
-                        "metrics)"}}),
+                        "project_diagnostics, hello, cancel, stats)"}}),
         ({"id": 6, "method": "close", "tenant": "alice",
           "params": {"uri": "a.rsc"}},
          {"id": 6, "ok": True,

@@ -3,7 +3,6 @@
 import concurrent.futures
 import dataclasses
 import json
-import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -211,8 +210,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             CheckConfig(qualifier_set="everything")
         with pytest.raises(ValueError):
-            CheckConfig(output_format="yaml")
-        with pytest.raises(ValueError):
             CheckConfig(jobs=0)
         with pytest.raises(ValueError):
             SolverOptions(max_theory_iterations=0)
@@ -264,16 +261,6 @@ class TestResultSerialisation:
         payload = json.loads(Session().check_files([path]).to_json())
         assert payload["ok"] is True
         assert payload["files"][0]["file"] == str(path)
-
-    def test_typed_stats_replaces_untyped_field(self):
-        result = Session().check_source(SAFE_SOURCE)
-        assert result.stats is not None
-        assert result.stats.queries > 0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = result.solver_stats
-        assert legacy is result.stats
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
 
     @pytest.mark.parametrize("cls", [SolverStats, SolveStats])
     def test_counter_dataclasses_cover_every_field(self, cls):

@@ -409,15 +409,14 @@ class TestStorePath:
 #: because none of them changes a stored solution or verdict (a nested
 #: options object is named whole, or one ``object.field`` at a time).
 NOT_VERDICT_AFFECTING = {
-    "warnings_as_errors", "output_format", "jobs", "document_cache_limit",
+    "warnings_as_errors", "jobs", "document_cache_limit",
     "store_path", "store_mode", "service", "obs",
     "solver.cache_results", "solver.cache_size_limit",
     "solver.context_cache_limit",
 }
 
 #: A second valid value for each string option.
-OTHER_CHOICE = {"qualifier_set": "harvested", "output_format": "json",
-                "store_mode": "off"}
+OTHER_CHOICE = {"qualifier_set": "harvested", "store_mode": "off"}
 
 
 def _option_variants(options, prefix=""):
