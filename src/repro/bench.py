@@ -305,9 +305,11 @@ def _figure6_runner(session: Session, annotate: bool) -> Runner:
     def run(path: pathlib.Path) -> Tuple[object, dict]:
         result = _check(path, session)
         solve = result.solve_stats
+        stats = result.stats or SolverStats()
         counters = {"queries_issued": solve.queries_issued if solve else 0,
                     "queries_pruned": solve.queries_pruned if solve else 0,
-                    "rounds": solve.rounds if solve else 0}
+                    "rounds": solve.rounds if solve else 0,
+                    "model_refutations": stats.model_refutations}
         if annotate:
             source = path.read_text()
             trivial, mutability, refinements = count_annotations(source)
@@ -512,6 +514,7 @@ def smt(names: Optional[Sequence[str]] = None) -> List[Row]:
         result = _check(path, Session(CheckConfig()))
         stats = result.stats or SolverStats()
         return result, {"theory_checks": stats.theory_checks,
+                        "model_refutations": stats.model_refutations,
                         "contexts_created": stats.contexts_created,
                         "contexts_reused": stats.contexts_reused,
                         "lemmas_reused": stats.lemmas_reused,

@@ -533,12 +533,16 @@ class LiquidSolver:
         if pending_goals:
             t = _tracer()
             if t.enabled:
+                solver_stats = self.solver.stats
+                refuted_before = solver_stats.model_refutations
                 start_ns = time.perf_counter_ns()
                 verdicts = self.solver.check_implication_batch(
                     hyps, pending_goals)
                 elapsed_ns = time.perf_counter_ns() - start_ns
                 t.emit("fixpoint.batch", "fixpoint", start_ns, elapsed_ns,
-                       {"kappa": name, "goals": len(pending_goals)})
+                       {"kappa": name, "goals": len(pending_goals),
+                        "model_refuted": solver_stats.model_refutations
+                        - refuted_before})
                 t.slow.record(elapsed_ns / 1e9, kind="batch", kappa=name,
                               owner=info.owner, goals=len(pending_goals))
             else:

@@ -24,6 +24,9 @@ from repro.obs.trace import TRACE_SCHEMA, SlowQueryLog, trace_document
 #: Stage-span name prefix emitted by the pipeline instrumentation.
 _STAGE_PREFIX = "stage."
 
+#: ``smt.query`` results (the SMT answer to ``hyps /\ !goal``) by verdict.
+_VERDICTS = {"unsat": "valid", "sat": "refuted_by_solver"}
+
 
 def load_trace(path) -> dict:
     """Read one trace document from disk."""
@@ -157,6 +160,10 @@ def summarize(document: dict) -> dict:
     * ``stages`` — per pipeline stage (``stage.*`` spans),
     * ``modules`` — per checked document (``pipeline.check`` spans' ``uri``),
     * ``tenants`` — per service tenant (``service.*`` spans' ``tenant``),
+    * ``verdicts`` — ``smt.query`` spans by answer: ``valid``, ``unknown``
+      and the two kinds of refutation, ``refuted_by_solver`` (a SAT search
+      and a theory check) and ``refuted_by_model`` (evaluation under a
+      model kept from an earlier refutation of the batch, ``model=true``),
     * ``slow_queries`` — the exported top-N slow-implication log.
 
     ``seconds`` are summed span durations, so nested spans count toward
@@ -169,6 +176,7 @@ def summarize(document: dict) -> dict:
     stages: Dict[str, dict] = {}
     modules: Dict[str, dict] = {}
     tenants: Dict[str, dict] = {}
+    verdicts: Dict[str, int] = {}
     pids = set()
     events = document.get("traceEvents", [])
     self_us = _self_times(events)
@@ -193,6 +201,11 @@ def summarize(document: dict) -> dict:
             row["checks"] = row.get("checks", 0) + 1
         if event.get("cat") == "service" and args.get("tenant"):
             _bucket(tenants, str(args["tenant"]), dur)
+        if name == "smt.query":
+            verdict = _VERDICTS.get(args.get("result"), "unknown")
+            if args.get("model"):
+                verdict = "refuted_by_model"
+            verdicts[verdict] = verdicts.get(verdict, 0) + 1
     other = document.get("otherData") or {}
     return {
         "trace_id": other.get("trace_id"),
@@ -202,6 +215,7 @@ def summarize(document: dict) -> dict:
         "stages": dict(sorted(stages.items())),
         "modules": dict(sorted(modules.items())),
         "tenants": dict(sorted(tenants.items())),
+        "verdicts": dict(sorted(verdicts.items())),
         "slow_queries": other.get("slow_queries", []),
     }
 
@@ -241,6 +255,11 @@ def format_summary(summary: dict) -> str:
         f"{'tenant':16s} {'spans':>8s} {'total(s)':>10s}",
         [f"{name:16s} {row['spans']:8d} {row['seconds']:10.3f}"
          for name, row in summary["tenants"].items()])
+    lines += _table(
+        "SMT queries",
+        f"{'verdict':18s} {'queries':>8s}",
+        [f"{name:18s} {count:8d}"
+         for name, count in summary.get("verdicts", {}).items()])
     slow = summary.get("slow_queries") or []
     if slow:
         lines.append(f"Slowest implications (top {len(slow)})")

@@ -44,6 +44,20 @@ context, so the context keeps one :class:`repro.smt.theory.RootState` for
 them: their congruence closure and LIA rows are built by the first theory
 check and every later model adds only its other literals on top (see
 :mod:`repro.smt.theory`).  A reset drops the root state with the SAT solver.
+
+Refutations are not always searched for either.  Most goals of a batch are
+candidate qualifiers the hypotheses do not imply, so when the theory loop
+finds a model of ``hyps /\\ !goal`` it keeps that model
+(:class:`repro.smt.model.TheoryModel`) in the batch's list, up to
+:data:`MAX_MODELS`.  Each later goal of the batch is first evaluated under
+the kept models: if one makes ``simplify(neg(goal))`` true, the goal is not
+valid, with no Tseitin encoding, no SAT call and no theory check.  A model
+is trusted only after the context's simplified hypotheses evaluate to true
+under it; that check runs on the model's first use and again for any other
+hypotheses, never from a cache, because it is what makes the model a model.
+The list belongs to :meth:`repro.smt.solver.Solver.check_implication_batch`
+and is dropped when the batch returns: no context or root state holds a
+model.
 """
 
 from __future__ import annotations
@@ -54,6 +68,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.logic.simplify import simplify
 from repro.logic.terms import BoolLit, Expr, neg
 from repro.smt.cnf import AtomMap, collect_atoms, to_nnf, tseitin
+from repro.smt.model import TheoryModel
 from repro.smt.sat import SatSolver
 from repro.smt.theory import (ModelLiterals, RootState, TheoryLiteral,
                               check_with_core)
@@ -67,6 +82,9 @@ COMPACT_EVERY = 8
 #: context would make each ``solve()`` quadratically slower.  The theory
 #: lemma memo outlives the reset.
 RESET_VAR_LIMIT = 1200
+
+#: Keep at most this many refuting models per implication batch.
+MAX_MODELS = 4
 
 
 class TheoryLemmaStore:
@@ -173,6 +191,8 @@ class SolverContext:
 
     def _assert_hypotheses(self) -> None:
         antecedent = simplify(self.antecedent)
+        #: what the SAT solver holds, and what a kept model must satisfy
+        self.hypotheses = antecedent
         if isinstance(antecedent, BoolLit):
             self._inconsistent = not antecedent.value
             return
@@ -231,7 +251,9 @@ class SolverContext:
 
     # -- queries -------------------------------------------------------------
 
-    def check_goal(self, goal: Expr, stats) -> Optional[bool]:
+    def check_goal(self, goal: Expr, stats,
+                   models: Optional[List[TheoryModel]] = None
+                   ) -> Optional[bool]:
         """Is ``antecedent => goal`` valid?  (UNSAT of ``antecedent /\\ !goal``.)
 
         Returns True (valid: the conjunction is unsat), False (not valid: a
@@ -246,13 +268,19 @@ class SolverContext:
         :meth:`Solver._check_sat`, and adds the SAT solver's work since the
         last goal (including the hypotheses' clauses, for the first) to the
         ``sat_*`` counters.
+
+        ``models`` is the implication batch's list of kept models.  A goal
+        whose negation one of them satisfies is answered False with no SAT
+        call (``stats.model_refutations``); a goal the SAT loop refutes adds
+        its model while the list is shorter than :data:`MAX_MODELS`.
         """
         try:
-            return self._check_goal(goal, stats)
+            return self._check_goal(goal, stats, models)
         finally:
             self._report_sat_work(stats)
 
-    def _check_goal(self, goal: Expr, stats) -> Optional[bool]:
+    def _check_goal(self, goal: Expr, stats,
+                    models: Optional[List[TheoryModel]]) -> Optional[bool]:
         self.goals_checked += 1
         if self._inconsistent:
             return True
@@ -268,6 +296,11 @@ class SolverContext:
             # goal is trivially false: valid iff the environment is unsat
             env = self._env_satisfiable(stats)
             return None if env is None else not env
+        if models:
+            for model in models:
+                if model.refutes(self.hypotheses, negated):
+                    stats.model_refutations += 1
+                    return False
         nnf = to_nnf(negated, True)
         atoms_before = len(self.atoms.atom_to_var)
         clauses = tseitin(nnf, self.atoms)
@@ -292,7 +325,7 @@ class SolverContext:
             return True
         learned_before = self.sat.num_learned
         try:
-            unsat = self._theory_loop((selector,), active, stats)
+            unsat = self._theory_loop((selector,), active, stats, models)
         finally:
             stats.clauses_learned += self.sat.num_learned - learned_before
             self._retire(selector)
@@ -382,12 +415,13 @@ class SolverContext:
         return self.sat.add_clause(blocking)
 
     def _theory_loop(self, assumptions: Tuple[int, ...], active: Set[int],
-                     stats) -> Optional[bool]:
+                     stats, models: Optional[List[TheoryModel]] = None
+                     ) -> Optional[bool]:
         """The lazy CDCL(T) loop over the persistent solver.
 
         Returns True for UNSAT, False for SAT (a theory-consistent model
-        exists), None when the iteration budget runs out or the theory
-        gives up.
+        exists; it is appended to ``models`` while there is room), None
+        when the iteration budget runs out or the theory gives up.
         """
         root = self.root_state()
         root_vars = set(self._root_vars)  # kept as a tuple: it is smaller
@@ -423,7 +457,12 @@ class SolverContext:
                 stats.linearize_calls += result.linearize_calls
                 if result.satisfiable:
                     # A Fourier–Motzkin give-up is no model: unknown.
-                    return None if result.gave_up else False
+                    if result.gave_up:
+                        return None
+                    if models is not None and result.state is not None \
+                            and len(models) < MAX_MODELS:
+                        models.append(TheoryModel(*result.state))
+                    return False
                 core = frozenset(result.core or literals)
                 index = self.lemmas.record(core)
             if not any(self.atoms.atom_to_var.get(atom) is not None

@@ -305,6 +305,16 @@ class CongruenceClosure:
         return (self._rep[rep] == rep
                 and self._const[rep] == snapshot._const[rep])
 
+    def lookup(self, e: Expr) -> Optional[Tuple[int, Optional[Expr]]]:
+        """``(representative, constant)`` of ``e``'s class, or None when
+        ``e`` is not a node.  Registers nothing."""
+        node = self._ids.get(e)
+        if node is None:
+            return None
+        rep = self._rep[node]
+        const = self._const[rep]
+        return rep, None if const is None else self._terms[const]
+
     def representative(self, e: Expr) -> int:
         """The class representative id for ``e`` (registering it if needed)."""
         return self._rep[self.add_term(e)]

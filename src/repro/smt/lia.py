@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 from typing import (TYPE_CHECKING, Callable, Dict, Hashable, Iterable, List,
-                    Optional, Sequence)
+                    Optional, Sequence, Tuple)
 
 from repro.logic.terms import BinOp, Expr, IntLit, UnOp
 
@@ -150,6 +150,11 @@ def linearize(e: Expr, opaque: Callable[[Expr], VarKey],
     return LinExpr.variable(opaque(e))
 
 
+#: One Fourier–Motzkin stage: a variable, the constraints bounding it from
+#: above (positive coefficient) and from below (negative coefficient).
+Stage = Tuple[VarKey, List[LinExpr], List[LinExpr]]
+
+
 @dataclass
 class LiaProblem:
     """A conjunction of linear constraints plus disequalities.
@@ -166,6 +171,12 @@ class LiaProblem:
     diseqs: List[LinExpr] = field(default_factory=list)
     conflict: Optional[int] = None
     gave_up: bool = False
+    #: after a satisfiable :func:`is_satisfiable`, the stages of its
+    #: elimination of :attr:`leqs`, in order: ``(variable, uppers,
+    #: lowers)``, the constraints that bounded the variable when it was
+    #: eliminated.  :func:`repro.smt.model.integer_point` back-substitutes
+    #: them, so a model costs no second elimination.
+    stages: List[Stage] = field(default_factory=list)
 
     def add_le(self, lhs: LinExpr, rhs: LinExpr, tag: int = 0) -> None:
         diff = lhs.add(rhs, -1)
@@ -199,12 +210,13 @@ def is_satisfiable(problem: LiaProblem) -> bool:
     Sets ``problem.conflict`` when the answer is False and
     ``problem.gave_up`` when a True answer comes from a give-up."""
     problem.gave_up = False
+    problem.stages = []
     problem.conflict = _conflict(problem)
     return problem.conflict is None
 
 
 def _conflict(problem: LiaProblem) -> Optional[int]:
-    conflict = _eliminate(problem, problem.leqs)
+    conflict = _eliminate(problem, problem.leqs, problem.stages)
     if conflict is not None:
         return conflict
     bounded = {v for c in problem.leqs for v in c.coeffs}
@@ -231,10 +243,11 @@ def _conflict(problem: LiaProblem) -> Optional[int]:
     return None
 
 
-def _eliminate(problem: LiaProblem, leqs: Sequence[LinExpr]) -> Optional[int]:
+def _eliminate(problem: LiaProblem, leqs: Sequence[LinExpr],
+               stages: Optional[List[Stage]] = None) -> Optional[int]:
     """:func:`_leqs_conflict`, recording a give-up on ``problem``."""
     try:
-        return _leqs_conflict(leqs)
+        return _leqs_conflict(leqs, stages)
     except _GiveUp:
         problem.gave_up = True
         return None
@@ -268,10 +281,12 @@ def _gcd_normalised(c: LinExpr) -> LinExpr:
                    c.tag)
 
 
-def _leqs_conflict(leqs: Sequence[LinExpr]) -> Optional[int]:
+def _leqs_conflict(leqs: Sequence[LinExpr],
+                   stages: Optional[List[Stage]] = None) -> Optional[int]:
     """Fourier–Motzkin elimination: None when the constraints are
     satisfiable, else the tag of a derived contradiction ``k <= 0`` with
-    ``k > 0``.  Raises :class:`_GiveUp` past :data:`MAX_CONSTRAINTS`."""
+    ``k > 0``.  Raises :class:`_GiveUp` past :data:`MAX_CONSTRAINTS`.
+    Each variable's stage is appended to ``stages`` when given."""
     constraints = list(leqs)
     # Quick constant check first.
     for c in constraints:
@@ -294,6 +309,8 @@ def _leqs_conflict(leqs: Sequence[LinExpr]) -> Optional[int]:
         new_constraints = rest
         if len(uppers) * len(lowers) + len(rest) > MAX_CONSTRAINTS:
             raise _GiveUp
+        if stages is not None:
+            stages.append((v, uppers, lowers))
         for up in uppers:
             cu = up.coeffs[v]
             for lo in lowers:

@@ -36,6 +36,7 @@ from repro.logic.simplify import simplify
 from repro.logic.terms import BoolLit, Expr, clear_memos, conj, implies, neg
 from repro.smt.cnf import AtomMap, tseitin, to_nnf
 from repro.smt.context import ContextManager
+from repro.smt.model import TheoryModel
 from repro.smt.sat import SatSolver
 from repro.smt.theory import check_with_core
 from repro.obs.trace import span as trace_span
@@ -89,6 +90,9 @@ class SolverStats(Counters):
     sat_decisions: int = 0
     sat_conflicts: int = 0
     sat_propagations: int = 0
+    #: goals answered "not valid" by evaluation under a model an earlier
+    #: refutation of the same batch kept: no SAT call, no theory check
+    model_refutations: int = 0
     time_seconds: float = 0.0
 
     def copy(self) -> "SolverStats":
@@ -248,16 +252,24 @@ class Solver:
         persistent :class:`SolverContext`: the hypotheses' CNF is asserted
         once, each goal is solved under a fresh selector assumption, and
         learned/theory clauses carry over from goal to goal (and to later
-        batches over the same environment)."""
-        antecedent = conj(*hypotheses) if hypotheses else BoolLit(True)
-        return [self._check_goal(antecedent, goal) for goal in goals]
+        batches over the same environment).
 
-    def _check_goal(self, antecedent: Expr, goal: Expr) -> bool:
+        Each refutation keeps its theory model for the rest of the batch,
+        and a later goal that a kept model refutes is answered without the
+        SAT solver (see :mod:`repro.smt.model`).  The models are dropped
+        when the batch returns."""
+        antecedent = conj(*hypotheses) if hypotheses else BoolLit(True)
+        models: List[TheoryModel] = []
+        return [self._check_goal(antecedent, goal, models) for goal in goals]
+
+    def _check_goal(self, antecedent: Expr, goal: Expr,
+                    models: Optional[List[TheoryModel]] = None) -> bool:
         """One implication goal through its environment's context.
 
         Caches under the key :meth:`is_valid` would use for
         ``antecedent => goal`` (``neg(antecedent => goal)``), so repeated
-        obligations never touch a context twice.
+        obligations never touch a context twice.  ``models`` are the kept
+        models of the goal's batch, if it has one.
         """
         formula = neg(implies(antecedent, goal))
         cached = self._cache_lookup(formula)
@@ -270,7 +282,8 @@ class Solver:
                 try:
                     context = self.contexts.context_for(antecedent,
                                                         self.stats)
-                    verdict = context.check_goal(goal, self.stats)
+                    refuted_before = self.stats.model_refutations
+                    verdict = context.check_goal(goal, self.stats, models)
                     # Tri-state, like the lazy loop: None (budget
                     # exhausted) is UNKNOWN and must not be cached as a
                     # real SAT answer.
@@ -281,7 +294,10 @@ class Solver:
                         result = Result.UNSAT if verdict else Result.SAT
                 finally:
                     self.stats.time_seconds += time.perf_counter() - start
-                sp.note(result=result.value)
+                if self.stats.model_refutations != refuted_before:
+                    sp.note(result=result.value, model=True)
+                else:
+                    sp.note(result=result.value)
             self._cache_store(formula, result)
             self._record(formula, result)
         valid = result is Result.UNSAT

@@ -81,6 +81,10 @@ class TheoryResult:
     #: top-level :func:`repro.smt.lia.linearize` calls this check made,
     #: two per arithmetic literal it linearised
     linearize_calls: int = 0
+    #: a satisfiable answer that is no give-up keeps the closure it
+    #: decided on and its LIA problem (with the Fourier–Motzkin stages),
+    #: from which :class:`repro.smt.model.TheoryModel` reads a model
+    state: Optional[Tuple[CongruenceClosure, LiaProblem]] = None
 
 
 def check_literals(literals: Sequence[TheoryLiteral]) -> bool:
@@ -295,6 +299,8 @@ class RootState:
             if not bv.check():
                 return why, False
 
+        if not problem.gave_up:
+            work.state = (cc, problem)
         return None, problem.gave_up
 
 
