@@ -353,7 +353,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 ("workers", args.workers),
             ) if value is not None}
         if service_changes:
-            from dataclasses import replace
+            from repro.node import replace
             config = config.with_options(
                 service=replace(config.service, **service_changes))
     except ValueError as exc:

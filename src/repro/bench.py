@@ -36,13 +36,13 @@ import pathlib
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from repro.core.config import CheckConfig
 from repro.core.session import Session
 from repro.core.workspace import Workspace
+from repro.node import Record, field
 from repro.smt.solver import SolverStats
 
 #: Paper's Figure 6 numbers: benchmark -> (LOC, T, M, R, time seconds)
@@ -112,8 +112,7 @@ _MUTABILITY_MARKERS = re.compile(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Row:
+class Row(Record):
     """One measured step of one bench family.
 
     ``counters`` holds deterministic work counts (and derived values such as
@@ -133,7 +132,9 @@ class Row:
     ok: bool = True
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"bench": self.bench, "name": self.name,
+                "counters": dict(self.counters), "seconds": self.seconds,
+                "digest": self.digest, "ok": self.ok}
 
 
 def verdict(result) -> list:

@@ -12,7 +12,7 @@ serve`` transports — over a pluggable transport:
   :class:`repro.service.core.ServiceCore`, no sockets, no threads (what
   ``repro watch`` uses).
 
-Typed convenience methods decode results back into the payload dataclasses
+Typed convenience methods decode results back into the payload records
 of :mod:`repro.service.protocol`::
 
     with Client.connect("127.0.0.1", 7345, tenant="alice") as client:

@@ -20,7 +20,6 @@ remaining concrete verification conditions are discharged by the SMT layer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import DiagnosticBag, ErrorKind, SourceSpan
@@ -42,6 +41,7 @@ from repro.logic.terms import (
     ne,
     true,
 )
+from repro.node import Record
 from repro.rtypes import Mutability
 from repro.rtypes.types import (
     KVAR_PREFIX,
@@ -68,7 +68,7 @@ from repro.rtypes.types import (
     unpack_exists,
     void,
 )
-from repro.smt.solver import Solver
+from repro.smt.solver import Counters, Solver
 from repro.ssa import ir
 from repro.ssa.transform import SsaTransformer
 from repro.core import prelude
@@ -81,16 +81,14 @@ from repro.core.liquid.qualifiers import QualifierPool
 from repro.core.resolve import Resolver
 
 
-@dataclass
-class ClosureInfo:
+class ClosureInfo(Record):
     """A nested function whose signature is determined at its use site."""
 
     decl: ast.FunctionDecl
     env: Env
 
 
-@dataclass
-class CheckerStats:
+class CheckerStats(Counters):
     functions_checked: int = 0
     overloads_checked: int = 0
     methods_checked: int = 0

@@ -9,34 +9,31 @@ hierarchy used for downcast verification, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import DiagnosticBag, ErrorKind
 from repro.lang import ast
 from repro.logic import builtins
 from repro.logic.terms import Expr, StrLit, conj, substitute
+from repro.node import Record, field
 from repro.rtypes import Mutability, RType, TFun
 
 
-@dataclass
-class FieldInfo:
+class FieldInfo(Record):
     name: str
     type: RType
     immutable: bool
     optional: bool = False
 
 
-@dataclass
-class MethodInfo:
+class MethodInfo(Record):
     name: str
     signature: TFun
     receiver_mutability: Mutability
     decl: Optional[ast.MethodDecl] = None
 
 
-@dataclass
-class ClassInfo:
+class ClassInfo(Record):
     name: str
     tparams: List[str] = field(default_factory=list)
     extends: Optional[str] = None

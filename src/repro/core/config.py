@@ -5,7 +5,7 @@ runs — fixpoint budget, qualifier-pool selection, SMT solver options,
 store and service settings — so that a
 :class:`repro.core.session.Session` can be constructed once and reused
 across many files.  Configs are immutable; derive variants with
-:func:`dataclasses.replace`.
+:func:`repro.node.replace` or :meth:`CheckConfig.with_options`.
 
 A config sets budgets, pools and outputs, never an engine: there is one
 fixpoint engine (the worklist in :mod:`repro.core.liquid.fixpoint`) and one
@@ -15,8 +15,9 @@ Their reference engines live in the test suite as oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
+
+from repro.node import Record, field, replace
 
 #: Qualifier-pool selections understood by :class:`CheckConfig`.
 QUALIFIER_SETS: Tuple[str, ...] = ("default", "harvested")
@@ -28,8 +29,7 @@ QUALIFIER_SETS: Tuple[str, ...] = ("default", "harvested")
 STORE_MODES: Tuple[str, ...] = ("readwrite", "readonly", "off")
 
 
-@dataclass(frozen=True)
-class SolverOptions:
+class SolverOptions(Record, frozen=True):
     """Options forwarded to the SMT substrate (:class:`repro.smt.Solver`).
 
     ``context_cache_limit`` bounds the LRU of persistent solver contexts
@@ -59,8 +59,7 @@ class SolverOptions:
         }
 
 
-@dataclass(frozen=True)
-class ServiceOptions:
+class ServiceOptions(Record, frozen=True):
     """Options for the multi-tenant check service (:mod:`repro.service`).
 
     * ``max_tenants`` — how many tenant workspaces the session manager keeps
@@ -101,8 +100,7 @@ class ServiceOptions:
         }
 
 
-@dataclass(frozen=True)
-class ObsOptions:
+class ObsOptions(Record, frozen=True):
     """Observability options (:mod:`repro.obs`).
 
     * ``trace_path`` — where the CLI exports the Chrome trace-event JSON;
@@ -129,8 +127,7 @@ class ObsOptions:
         }
 
 
-@dataclass(frozen=True)
-class CheckConfig:
+class CheckConfig(Record, frozen=True):
     """Immutable configuration shared by every check in a session.
 
     * ``max_fixpoint_iterations`` — budget for the liquid fixpoint loop.

@@ -16,17 +16,16 @@ inconsistent, i.e. the code is unreachable under the current overload.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Iterator, List, Optional
 
 from repro.errors import ErrorKind, SourceSpan
 from repro.logic.terms import BoolLit, Expr, conj
+from repro.node import Record, field
 from repro.rtypes.types import RType
 from repro.core.environment import Env
 
 
-@dataclass
-class SubC:
+class SubC(Record):
     """A subtyping constraint ``env |- lhs <: rhs``.
 
     ``owner`` names the checkable unit (function, method, constructor) whose
@@ -44,8 +43,7 @@ class SubC:
     owner: Optional[str] = None
 
 
-@dataclass
-class Implication:
+class Implication(Record):
     """A flattened obligation ``/\\ hyps => goal``."""
 
     hyps: List[Expr]
@@ -63,8 +61,7 @@ class Implication:
         return conj(*self.hyps)
 
 
-@dataclass
-class ConstraintSet:
+class ConstraintSet(Record):
     """All constraints collected while checking one program.
 
     While the checker walks one checkable unit it sets

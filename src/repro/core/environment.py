@@ -12,15 +12,14 @@ that constraint snapshots remain valid after the checker moves on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from repro.logic.terms import Expr, Var, conj
+from repro.node import Record
 from repro.rtypes.types import RType, TFun, TInter, embed, unpack_exists
 
 
-@dataclass(frozen=True)
-class Env:
+class Env(Record, frozen=True):
     bindings: Tuple[Tuple[str, RType], ...] = ()
     guards: Tuple[Expr, ...] = ()
     tvars: frozenset = frozenset()

@@ -24,29 +24,29 @@ Two fingerprints are computed per document:
   checked under may have changed, and the workspace falls back to a cold
   solve.
 
-Fingerprints are hex digests of a canonical dump of the dataclass tree with
+Fingerprints are hex digests of a canonical dump of the record tree with
 every ``span`` field (and every :class:`repro.errors.SourceSpan` value)
 skipped.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from typing import Dict, List
 
 from repro.errors import SourceSpan
 from repro.lang import ast
+from repro.node import Record, fields
 
 
 def _dump(node: object, out: List[str]) -> None:
     """Append a canonical, span-free rendering of ``node`` to ``out``."""
     if isinstance(node, SourceSpan):
         return
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
+    if isinstance(node, Record):
         out.append(type(node).__name__)
         out.append("(")
-        for fld in dataclasses.fields(node):
+        for fld in fields(node):
             if fld.name == "span":
                 continue
             out.append(fld.name)

@@ -40,7 +40,6 @@ final verification conditions checked afterwards by the caller
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import DEFAULT_CODES, SourceSpan
@@ -53,6 +52,7 @@ from repro.logic.terms import (
     subterms,
     substitute,
 )
+from repro.node import Record, field
 from repro.rtypes.types import is_kvar_app
 from repro.smt.solver import Solver
 from repro.core.cancel import CancelToken, checkpoint
@@ -61,8 +61,7 @@ from repro.core.liquid.qualifiers import QualifierPool
 from repro.core.result import SolveStats
 from repro.obs.trace import span as trace_span, tracer as _tracer
 
-@dataclass
-class KappaInfo:
+class KappaInfo(Record):
     """Metadata recorded when a kappa template is created.
 
     ``owner`` names the checkable unit (constraint partition) whose checking
@@ -102,8 +101,7 @@ class KappaRegistry:
 Solution = Dict[str, List[Expr]]
 
 
-@dataclass
-class ObligationOutcome:
+class ObligationOutcome(Record):
     """The verdict on one concrete implication under the kappa solution.
 
     Carries the implication itself so callers can report *which* obligation
@@ -504,10 +502,9 @@ class LiquidSolver:
         info = self.registry.info(name)
         mapping = _occurrence_subst(info, occurrence)
         hyps = [self.apply(h, solution) for h in imp.hyps]
-        hyp_atoms: Set[Expr] = set()
-        for hyp in hyps:
-            hyp_atoms.update(conjuncts(hyp))
-        vacuous = _syntactically_inconsistent(hyp_atoms)
+        atoms = [atom for hyp in hyps for atom in conjuncts(hyp)]
+        hyp_atoms = set(atoms)
+        vacuous = _syntactically_inconsistent(atoms, hyp_atoms)
 
         # Classify each candidate before touching the SMT solver: keep
         # syntactic tautologies for free, drop memoised refutations (one
@@ -600,14 +597,18 @@ class LiquidSolver:
         return None
 
 
-def _syntactically_inconsistent(atoms: Set[Expr]) -> bool:
-    """True when the hypothesis conjuncts are contradictory by syntax alone
-    (a literal ``false``, or some atom alongside its negation) — every goal
-    then follows vacuously without consulting the solver."""
+def _syntactically_inconsistent(atoms: Sequence[Expr],
+                                present: Set[Expr]) -> bool:
+    """True when the hypothesis conjuncts ``atoms`` (``present`` as a set)
+    are contradictory by syntax alone (a literal ``false``, or some atom
+    alongside its negation) — every goal then follows vacuously without
+    consulting the solver.  The atoms are scanned in conjunct order, not in
+    set order: terms hash by address, so where the scan stops, and with it
+    how many terms ``neg`` builds, would otherwise vary from run to run."""
     for atom in atoms:
         if atom.is_false():
             return True
-        if neg(atom) in atoms:
+        if neg(atom) in present:
             return True
     return False
 

@@ -11,7 +11,6 @@ explicit ``qualifier p;`` declarations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.logic import builtins
@@ -31,6 +30,7 @@ from repro.logic.terms import (
     ne,
     substitute,
 )
+from repro.node import Record
 
 STAR = Var("$star")
 STAR2 = Var("$star2")
@@ -44,8 +44,7 @@ KIND_VALUE = "value"
 _VALUE_KINDS = {"number", "array", "object", "string", "boolean"}
 
 
-@dataclass(frozen=True)
-class Qualifier:
+class Qualifier(Record, frozen=True):
     """A qualifier template with the placeholder kind it expects."""
 
     template: Expr
@@ -54,7 +53,7 @@ class Qualifier:
     def __post_init__(self) -> None:
         # Precomputed once — instantiation calls has_star() per candidate
         # scope, and free_vars() per call was measurable in that hot loop.
-        # Not a dataclass field, so eq/hash stay template+kind only.
+        # Not a record field, so eq/hash stay template+kind only.
         object.__setattr__(
             self, "_has_star", "$star" in free_vars(self.template))
 

@@ -8,28 +8,26 @@ benchmark harnesses, generate-and-check clients) get machine-readable
 verdicts instead of parsing printed strings.
 
 The counter classes (:class:`SolveStats` here, ``SolverStats`` in
-:mod:`repro.smt.solver`) are plain dataclasses of numbers: their
-``merge`` and ``to_dict`` walk the dataclass fields, so a new counter is
+:mod:`repro.smt.solver`) are plain records of numbers: their
+``merge`` and ``to_dict`` walk the record fields, so a new counter is
 one field declaration.  :func:`total_solve_stats` and
 :func:`total_timings` are the aggregations over a list of results.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import Diagnostic, Severity
 from repro.logic.terms import Expr
+from repro.node import Record, field
 from repro.smt.solver import Counters, SolverStats
 
 #: Pipeline stage names, in execution order.
 STAGES = ("parse", "ssa", "constraints", "solve", "verify")
 
 
-@dataclass
 class SolveStats(Counters):
     """Typed counters from one liquid-fixpoint run (the ``solve`` stage).
 
@@ -77,8 +75,7 @@ def total_solve_stats(results: List["CheckResult"]) -> SolveStats:
     return total
 
 
-@dataclass
-class StageTimings:
+class StageTimings(Record):
     """Wall-clock seconds spent in each pipeline stage."""
 
     parse: float = 0.0
@@ -111,8 +108,7 @@ def total_timings(results: List["CheckResult"]) -> StageTimings:
     return total
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     """The outcome of checking one program."""
 
     diagnostics: List[Diagnostic] = field(default_factory=list)
@@ -160,8 +156,8 @@ class CheckResult:
             "num_obligations_checked": self.num_obligations_checked,
             "time_seconds": self.time_seconds,
             "timings": self.timings.to_dict(),
-            "checker_stats": (dataclasses.asdict(self.checker_stats)
-                              if dataclasses.is_dataclass(self.checker_stats)
+            "checker_stats": (self.checker_stats.to_dict()
+                              if isinstance(self.checker_stats, Counters)
                               else None),
             "solver_stats": self.stats.to_dict() if self.stats else None,
             "solve_stats": (self.solve_stats.to_dict()
@@ -174,8 +170,7 @@ class CheckResult:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-@dataclass
-class BatchResult:
+class BatchResult(Record):
     """Aggregate outcome of checking several files in one session."""
 
     results: List[CheckResult] = field(default_factory=list)

@@ -47,7 +47,6 @@ from __future__ import annotations
 import hashlib
 import pathlib
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import (
@@ -59,6 +58,7 @@ from repro.errors import (
     SourceSpan,
 )
 from repro.lang import ast, parse_program
+from repro.node import Record, field, replace
 from repro.smt.solver import Solver, SolverStats
 from repro.ssa import ir
 from repro.ssa.transform import SsaTransformer
@@ -98,8 +98,7 @@ def nesting_too_deep(filename: str) -> Diagnostic:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ParseStage:
+class ParseStage(Record):
     """Output of :meth:`Workspace.parse`: the AST (or a parse diagnostic)."""
 
     source: str
@@ -113,8 +112,7 @@ class ParseStage:
         return self.program is not None
 
 
-@dataclass
-class SsaStage:
+class SsaStage(Record):
     """Output of :meth:`Workspace.ssa`: SSA/IRSC bodies keyed by function name.
 
     Purely inspectable — the checker re-derives SSA per callable while
@@ -131,8 +129,7 @@ class SsaStage:
         return self.parse.filename
 
 
-@dataclass
-class ConstraintsStage:
+class ConstraintsStage(Record):
     """Output of :meth:`Workspace.constraints`: the constraint system.
 
     The ``store_*`` fields carry the persistent-store bookkeeping of this
@@ -161,8 +158,7 @@ class ConstraintsStage:
         return len(self.checker.constraints.implications)
 
 
-@dataclass
-class SolveStage:
+class SolveStage(Record):
     """Output of :meth:`Workspace.solve`: the liquid fixpoint solution."""
 
     constraints: ConstraintsStage
@@ -181,8 +177,7 @@ class SolveStage:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WarmPlan:
+class WarmPlan(Record):
     """What an edit invalidated, and what can be carried over."""
 
     previous: Solution
@@ -193,8 +188,7 @@ class WarmPlan:
     reuse_concrete: Dict[str, List[ObligationOutcome]]
 
 
-@dataclass
-class Snapshot:
+class Snapshot(Record):
     """Everything worth keeping from one check of one document version.
 
     ``partition_local`` records that the constraint system which *produced*

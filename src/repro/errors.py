@@ -8,20 +8,32 @@ stream instead of ad-hoc exceptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Optional
 
+from repro.node import Record, field
 
-@dataclass(frozen=True)
-class SourceSpan:
+_set_field = object.__setattr__
+
+
+class SourceSpan(Record, frozen=True):
     """A region of source text: 1-based line/column of start and end."""
 
-    line: int = 0
-    col: int = 0
-    end_line: int = 0
-    end_col: int = 0
-    filename: str = "<input>"
+    __slots__ = {"line": 0, "col": 0, "end_line": 0, "end_col": 0,
+                 "filename": "<input>"}
+    line: int
+    col: int
+    end_line: int
+    end_col: int
+    filename: str
+
+    def __init__(self, line: int = 0, col: int = 0, end_line: int = 0,
+                 end_col: int = 0, filename: str = "<input>") -> None:
+        _set_field(self, "line", line)
+        _set_field(self, "col", col)
+        _set_field(self, "end_line", end_line)
+        _set_field(self, "end_col", end_col)
+        _set_field(self, "filename", filename)
 
     def __str__(self) -> str:
         if self.line == 0:
@@ -199,8 +211,7 @@ def explain_code(code: str) -> Optional[tuple]:
     return ERROR_CATALOG.get(code.strip().upper())
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(Record):
     """A single problem discovered by some phase of the checker.
 
     Every diagnostic carries a stable machine-readable ``code`` (see

@@ -9,18 +9,16 @@ Two node families live here:
   fragment of the paper extended with loops, enums, interfaces, specs and
   function expressions.
 
-Every node class inherits ``__eq__`` and ``__repr__`` from
-:class:`repro.node.Node` instead of having ``@dataclass`` generate them
-(see there for why).
+Every node class is a mutable :class:`repro.node.Record`: field-wise
+``==`` and ``repr``, unhashable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from repro.errors import SourceSpan
-from repro.node import Node
+from repro.node import Record, field
 
 
 # ---------------------------------------------------------------------------
@@ -28,12 +26,10 @@ from repro.node import Node
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False, repr=False)
-class TypeAnn(Node):
+class TypeAnn(Record):
     span: SourceSpan = field(default_factory=SourceSpan.unknown, kw_only=True)
 
 
-@dataclass(eq=False, repr=False)
 class TNameAnn(TypeAnn):
     """A named type: primitive, type variable, alias, class or interface,
     optionally applied to type/term arguments: ``idx<a>``, ``Array<IM, T>``."""
@@ -42,7 +38,6 @@ class TNameAnn(TypeAnn):
     args: List["TypeArg"] = field(default_factory=list)
 
 
-@dataclass(eq=False, repr=False)
 class TRefineAnn(TypeAnn):
     """``{v: T | p}`` — a refinement of a base annotation."""
 
@@ -51,7 +46,6 @@ class TRefineAnn(TypeAnn):
     value_var: str = "v"
 
 
-@dataclass(eq=False, repr=False)
 class TArrayAnn(TypeAnn):
     """``T[]`` (mutability defaults from context) or ``IArray<T>`` forms."""
 
@@ -59,7 +53,6 @@ class TArrayAnn(TypeAnn):
     mutability: Optional[str] = None  # "IM" | "MU" | "RO" | "UQ" | None
 
 
-@dataclass(eq=False, repr=False)
 class TFunAnn(TypeAnn):
     """``<A, B>(x: T1, T2) => T``."""
 
@@ -68,13 +61,11 @@ class TFunAnn(TypeAnn):
     ret: TypeAnn
 
 
-@dataclass(eq=False, repr=False)
 class TUnionAnn(TypeAnn):
     members: List[TypeAnn] = field(default_factory=list)
 
 
-@dataclass(eq=False, repr=False)
-class TypeArg(Node):
+class TypeArg(Record):
     """A type argument: either a type annotation or a logical expression
     (for value-parameterised aliases like ``idx<a>`` or ``natN<n+1>``)."""
 
@@ -90,94 +81,78 @@ class TypeArg(Node):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False, repr=False)
-class Expression(Node):
+class Expression(Record):
     span: SourceSpan = field(default_factory=SourceSpan.unknown, kw_only=True)
 
 
-@dataclass(eq=False, repr=False)
 class NumberLit(Expression):
     value: Union[int, float]
     raw: str = ""
 
 
-@dataclass(eq=False, repr=False)
 class StringLit(Expression):
     value: str
 
 
-@dataclass(eq=False, repr=False)
 class BoolLitE(Expression):
     value: bool
 
 
-@dataclass(eq=False, repr=False)
 class NullLit(Expression):
     pass
 
 
-@dataclass(eq=False, repr=False)
 class UndefinedLit(Expression):
     pass
 
 
-@dataclass(eq=False, repr=False)
 class VarRef(Expression):
     name: str
 
 
-@dataclass(eq=False, repr=False)
 class ThisRef(Expression):
     pass
 
 
-@dataclass(eq=False, repr=False)
 class Unary(Expression):
     op: str  # "!", "-", "+", "typeof"
     operand: Expression
 
 
-@dataclass(eq=False, repr=False)
 class Binary(Expression):
     op: str
     left: Expression
     right: Expression
 
 
-@dataclass(eq=False, repr=False)
 class Conditional(Expression):
     cond: Expression
     then: Expression
     els: Expression
 
 
-@dataclass(eq=False, repr=False)
 class Call(Expression):
     callee: Expression
     args: List[Expression] = field(default_factory=list)
     targs: List[TypeArg] = field(default_factory=list)
 
 
-@dataclass(eq=False, repr=False)
 class New(Expression):
     class_name: str
     args: List[Expression] = field(default_factory=list)
     targs: List[TypeArg] = field(default_factory=list)
 
 
-@dataclass(eq=False, repr=False)
 class Member(Expression):
     target: Expression
     name: str
 
 
-@dataclass(eq=False, repr=False)
 class Index(Expression):
     target: Expression
     index: Expression
 
 
-@dataclass(eq=False, repr=False)
 class Cast(Expression):
     """``<T> e`` or ``e as T``."""
 
@@ -185,17 +160,14 @@ class Cast(Expression):
     type: TypeAnn
 
 
-@dataclass(eq=False, repr=False)
 class ArrayLit(Expression):
     elements: List[Expression] = field(default_factory=list)
 
 
-@dataclass(eq=False, repr=False)
 class ObjectLit(Expression):
     fields: List[Tuple[str, Expression]] = field(default_factory=list)
 
 
-@dataclass(eq=False, repr=False)
 class FunctionExpr(Expression):
     """Anonymous function / arrow function expression."""
 
@@ -210,17 +182,14 @@ class FunctionExpr(Expression):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False, repr=False)
-class Statement(Node):
+class Statement(Record):
     span: SourceSpan = field(default_factory=SourceSpan.unknown, kw_only=True)
 
 
-@dataclass(eq=False, repr=False)
 class Block(Statement):
     statements: List[Statement] = field(default_factory=list)
 
 
-@dataclass(eq=False, repr=False)
 class VarDecl(Statement):
     name: str
     init: Optional[Expression] = None
@@ -228,7 +197,6 @@ class VarDecl(Statement):
     kind: str = "var"  # var | let | const
 
 
-@dataclass(eq=False, repr=False)
 class Assign(Statement):
     """``target = value`` where target is a variable, member or index."""
 
@@ -236,38 +204,32 @@ class Assign(Statement):
     value: Expression
 
 
-@dataclass(eq=False, repr=False)
 class ExprStmt(Statement):
     expr: Expression
 
 
-@dataclass(eq=False, repr=False)
 class If(Statement):
     cond: Expression
     then: Block
     els: Optional[Block] = None
 
 
-@dataclass(eq=False, repr=False)
 class While(Statement):
     cond: Expression
     body: Block
     invariant: Optional[Expression] = None
 
 
-@dataclass(eq=False, repr=False)
 class Return(Statement):
     value: Optional[Expression] = None
 
 
-@dataclass(eq=False, repr=False)
 class FunctionDeclStmt(Statement):
     """A nested (closure) function declaration inside a body."""
 
     decl: "FunctionDecl" = None  # type: ignore[assignment]
 
 
-@dataclass(eq=False, repr=False)
 class Skip(Statement):
     pass
 
@@ -277,21 +239,18 @@ class Skip(Statement):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False, repr=False)
-class Param(Node):
+class Param(Record):
     name: str
     type: Optional[TypeAnn] = None
 
 
-@dataclass(eq=False, repr=False)
-class Declaration(Node):
+class Declaration(Record):
     span: SourceSpan = field(default_factory=SourceSpan.unknown, kw_only=True)
     #: ``export`` modifier — the declaration is part of the module's interface
     #: (see :mod:`repro.project.summary`).
     exported: bool = field(default=False, kw_only=True)
 
 
-@dataclass(eq=False, repr=False)
 class ImportDecl(Declaration):
     """``import {a, b} from "./mod";`` — bind another module's exports.
 
@@ -303,20 +262,17 @@ class ImportDecl(Declaration):
     module: str = ""
 
 
-@dataclass(eq=False, repr=False)
 class TypeAliasDecl(Declaration):
     name: str
     params: List[str] = field(default_factory=list)
     body: TypeAnn = None  # type: ignore[assignment]
 
 
-@dataclass(eq=False, repr=False)
 class EnumDecl(Declaration):
     name: str
     members: List[Tuple[str, int]] = field(default_factory=list)
 
 
-@dataclass(eq=False, repr=False)
 class SpecDecl(Declaration):
     """``spec name :: <A>(...) => T;`` — one overload signature for ``name``."""
 
@@ -324,7 +280,6 @@ class SpecDecl(Declaration):
     type: TypeAnn = None  # type: ignore[assignment]
 
 
-@dataclass(eq=False, repr=False)
 class DeclareDecl(Declaration):
     """``declare name :: T;`` — an ambient, trusted binding (e.g. ghost fns)."""
 
@@ -332,15 +287,13 @@ class DeclareDecl(Declaration):
     type: TypeAnn = None  # type: ignore[assignment]
 
 
-@dataclass(eq=False, repr=False)
 class QualifierDecl(Declaration):
     """``qualifier p;`` — an extra predicate template for liquid inference."""
 
     pred: Expression = None  # type: ignore[assignment]
 
 
-@dataclass(eq=False, repr=False)
-class FieldDecl(Node):
+class FieldDecl(Record):
     name: str
     type: TypeAnn
     immutable: bool = False
@@ -348,8 +301,7 @@ class FieldDecl(Node):
     span: SourceSpan = field(default_factory=SourceSpan.unknown)
 
 
-@dataclass(eq=False, repr=False)
-class MethodSig(Node):
+class MethodSig(Record):
     name: str
     tparams: List[str] = field(default_factory=list)
     params: List[Param] = field(default_factory=list)
@@ -358,14 +310,12 @@ class MethodSig(Node):
     span: SourceSpan = field(default_factory=SourceSpan.unknown)
 
 
-@dataclass(eq=False, repr=False)
-class MethodDecl(Node):
+class MethodDecl(Record):
     sig: MethodSig
     body: Optional[Block] = None
     specs: List[TypeAnn] = field(default_factory=list)
 
 
-@dataclass(eq=False, repr=False)
 class InterfaceDecl(Declaration):
     name: str
     tparams: List[str] = field(default_factory=list)
@@ -374,7 +324,6 @@ class InterfaceDecl(Declaration):
     methods: List[MethodSig] = field(default_factory=list)
 
 
-@dataclass(eq=False, repr=False)
 class ClassDecl(Declaration):
     name: str
     tparams: List[str] = field(default_factory=list)
@@ -386,7 +335,6 @@ class ClassDecl(Declaration):
     invariant: Optional[Expression] = None
 
 
-@dataclass(eq=False, repr=False)
 class FunctionDecl(Declaration):
     name: str
     tparams: List[str] = field(default_factory=list)
@@ -396,8 +344,7 @@ class FunctionDecl(Declaration):
     specs: List[TypeAnn] = field(default_factory=list)
 
 
-@dataclass(eq=False, repr=False)
-class Program(Node):
+class Program(Record):
     declarations: List[Declaration] = field(default_factory=list)
     source_name: str = "<input>"
 

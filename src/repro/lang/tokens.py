@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from repro.errors import SourceSpan
+from repro.node import Record, field
+
+_set_field = object.__setattr__
 
 
 class TokenKind(Enum):
@@ -38,12 +40,20 @@ PUNCTUATION = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record, frozen=True):
+    __slots__ = {"kind": field(), "text": field(), "span": field(),
+                 "value": None}
     kind: TokenKind
     text: str
     span: SourceSpan
-    value: object = None
+    value: object
+
+    def __init__(self, kind: TokenKind, text: str, span: SourceSpan,
+                 value: object = None) -> None:
+        _set_field(self, "kind", kind)
+        _set_field(self, "text", text)
+        _set_field(self, "span", span)
+        _set_field(self, "value", value)
 
     def is_punct(self, text: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.text == text

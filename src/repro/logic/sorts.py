@@ -16,11 +16,10 @@ checking sound (it only makes fewer formulas provable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.node import Record
 
 
-@dataclass(frozen=True, eq=False)
-class Sort:
+class Sort(Record, frozen=True, eq=False):
     """A logical sort: one module constant per name.
 
     Equality and hashing are ``object``'s identity slots (a sort is part

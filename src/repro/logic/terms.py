@@ -1,6 +1,6 @@
 """Terms and predicates of the refinement logic.
 
-Expressions are immutable (frozen dataclasses) so they can be shared and
+Expressions are immutable (frozen records) so they can be shared and
 used as dictionary keys by the SMT layer and the liquid fixpoint solver.
 
 Every node is *hash-consed*: the constructors intern each distinct
@@ -34,12 +34,11 @@ them.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, \
     Sequence, Tuple, Union
 
 from repro.logic.sorts import ANY, BOOL, INT, STR, Sort
+from repro.node import MISSING, Record, fields
 
 # ---------------------------------------------------------------------------
 # hash-consing machinery
@@ -101,26 +100,31 @@ def clear_memos() -> None:
 
 
 def _interned(cls):
-    """Class decorator: freeze the dataclass and intern every construction.
+    """Class decorator: intern every construction of a term record.
 
-    The wrapped ``__new__`` normalises the constructor arguments against the
-    field defaults, looks the value tuple up in the process-wide table and
-    returns the canonical instance; ``__init__`` is skipped for instances
-    that are already initialised.  The dataclass gets no ``__eq__`` or
-    ``__hash__`` of its own: equal nodes are one object, so ``object``'s
-    identity slots are exact.  ``dict.get``/``dict.setdefault`` keep the
-    table consistent under free-threaded construction (the check service's
-    executor threads build terms concurrently).
+    The class's ``__new__`` normalises the constructor arguments against
+    the field defaults and looks the value tuple up in the process-wide
+    table.  It returns the canonical instance, and allocates one and sets
+    its fields only when the table misses; ``__init__`` is ``object``'s,
+    which does nothing.  Equal nodes are one object, so ``object``'s
+    identity ``==`` and ``hash`` are exact.  ``dict.get``/``dict.setdefault``
+    keep the table consistent under free-threaded construction (the check
+    service's executor threads build terms concurrently).
     """
-    cls = dataclass(frozen=True, eq=False)(cls)
-    field_names = tuple(f.name for f in dataclasses.fields(cls))
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)
-                if f.default is not dataclasses.MISSING}
+    field_names = cls._record_names
+    defaults = {f.name: f.default for f in fields(cls)
+                if f.default is not MISSING}
     arity = len(field_names)
-    orig_init = cls.__init__
+    set_field = object.__setattr__
 
     def __new__(klass, *args, **kwargs):
         if kwargs or len(args) != arity:
+            unknown = [name for name in kwargs
+                       if name not in field_names[len(args):]]
+            if len(args) > arity or unknown:
+                raise TypeError(
+                    f"{klass.__name__}() takes {arity} arguments; got "
+                    f"{len(args)} positional and {sorted(kwargs)}")
             vals = list(args)
             for name in field_names[len(args):]:
                 if name in kwargs:
@@ -131,24 +135,17 @@ def _interned(cls):
                     raise TypeError(
                         f"{klass.__name__}() missing required argument: "
                         f"{name!r}")
-            key = (klass, *vals)
-        else:
-            key = (klass, *args)
+            args = tuple(vals)
+        key = (klass, *args)
         node = _INTERN.get(key)
         if node is not None:
             _INTERN_STATS[0] += 1
             return node
         _INTERN_STATS[1] += 1
-        return _INTERN.setdefault(key, object.__new__(klass))
-
-    def __init__(self, *args, **kwargs):
-        # Re-running the (frozen) field assignments on an interned instance
-        # would be harmless — the values are identical by construction — but
-        # the skip keeps repeat constructions at one dict probe.
-        if "_dc_init" in self.__dict__:
-            return
-        orig_init(self, *args, **kwargs)
-        self.__dict__["_dc_init"] = True
+        node = object.__new__(klass)
+        for name, value in zip(field_names, args):
+            set_field(node, name, value)
+        return _INTERN.setdefault(key, node)
 
     def __reduce__(self):
         # Pickle as a constructor call so cross-process terms (the
@@ -159,7 +156,7 @@ def _interned(cls):
                 tuple(getattr(self, name) for name in field_names))
 
     cls.__new__ = __new__
-    cls.__init__ = __init__
+    cls.__init__ = object.__init__
     cls.__reduce__ = __reduce__
     return cls
 
@@ -174,13 +171,11 @@ def interned_count() -> int:
 # ---------------------------------------------------------------------------
 
 
-class Expr:
-    """Base class of all logical expressions."""
+class Expr(Record, frozen=True, eq=False):
+    """Base class of all logical expressions.
 
-    sort: Sort
-
-    # The subclasses are frozen, interned dataclasses; Expr itself carries
-    # no state.
+    The subclasses are frozen, interned records; every one has a ``sort``
+    field, its last.  Expr itself carries no state."""
 
     def is_true(self) -> bool:
         return isinstance(self, BoolLit) and self.value is True

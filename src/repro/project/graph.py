@@ -18,13 +18,15 @@ suffix).  The graph then yields:
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.errors import Diagnostic, ErrorKind, ParseError, SourceSpan
 from repro.lang import ast, parse_program
+from repro.node import Record, field
 from repro.project.summary import ModuleSummary, summarize_program
-from repro.store import ArtifactStore, ModuleArtifact
+
+if TYPE_CHECKING:  # the store loads only with a store path
+    from repro.store import ArtifactStore
 
 
 def read_sources(root: Union[str, pathlib.Path],
@@ -52,8 +54,7 @@ def resolve_specifier(importer: pathlib.Path, specifier: str) -> str:
     return str(target.resolve())
 
 
-@dataclass
-class ResolvedImport:
+class ResolvedImport(Record):
     """One ``import`` statement with its specifier resolved to a path."""
 
     names: List[str]
@@ -63,8 +64,7 @@ class ResolvedImport:
     exists: bool = True
 
 
-@dataclass
-class Module:
+class Module(Record):
     """One project module: source, AST (if it parses), resolved imports.
 
     ``parses`` records the parse outcome independently of ``program`` —
@@ -402,6 +402,7 @@ def _load(path: str, source: str, known: set,
     raw_imports = _raw_imports(module)
     _resolve_import_list(module, raw_imports, known)
     if store is not None:
+        from repro.store import ModuleArtifact
         store.save_module(path, source, ModuleArtifact(
             parses=module.parses, summary=module.summary,
             imports=raw_imports,

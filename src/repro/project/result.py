@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.result import (CheckResult, SolveStats, total_solve_stats,
                                total_timings)
+from repro.node import Record, field
 from repro.smt.solver import SolverStats
 
 
-@dataclass
-class ProjectResult:
+class ProjectResult(Record):
     """Aggregate outcome of checking a module graph.
 
     ``results`` is ordered by module path (stable across runs); ``ranks``

@@ -36,28 +36,26 @@ unchanged and stops at the module boundary.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.lang import ast
 from repro.lang.printer import render_decl
+from repro.node import Record, field, replace
 
 
 def _strip(decl: ast.Declaration) -> ast.Declaration:
     """A copy of ``decl`` reduced to its interface (bodies dropped)."""
     if isinstance(decl, ast.FunctionDecl):
-        return dataclasses.replace(decl, body=None, exported=False)
+        return replace(decl, body=None, exported=False)
     if isinstance(decl, ast.ClassDecl):
         methods = [ast.MethodDecl(sig=m.sig, body=None, specs=list(m.specs))
                    for m in decl.methods]
-        return dataclasses.replace(decl, methods=methods, exported=False)
-    return dataclasses.replace(decl, exported=False)
+        return replace(decl, methods=methods, exported=False)
+    return replace(decl, exported=False)
 
 
-@dataclass
-class ModuleSummary:
+class ModuleSummary(Record):
     """The rendered interface of one module, keyed by exported name."""
 
     path: str

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import pathlib
 import time
-from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Union
 
 from repro.core.cancel import CancelToken, checkpoint
 from repro.core.config import CheckConfig
 from repro.core.result import CheckResult
 from repro.core.workspace import Workspace
+from repro.node import Record, field, replace
 from repro.project.graph import ModuleGraph, read_sources
 from repro.project.result import ProjectResult
 from repro.smt.solver import SolverStats
@@ -45,8 +45,7 @@ from repro.smt.solver import SolverStats
 PathLike = Union[str, pathlib.Path]
 
 
-@dataclass
-class ProjectUpdate:
+class ProjectUpdate(Record):
     """What one :meth:`ProjectWorkspace.update` actually did."""
 
     path: str

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
@@ -38,7 +37,7 @@ from repro.logic.terms import (
     substitute,
     true,
 )
-from repro.node import Node
+from repro.node import Record, field, replace
 from repro.rtypes.mutability import Mutability
 
 # ---------------------------------------------------------------------------
@@ -48,8 +47,7 @@ from repro.rtypes.mutability import Mutability
 KVAR_PREFIX = "$k"
 
 
-@dataclass(frozen=True)
-class KVar:
+class KVar(Record, frozen=True):
     """A refinement variable identifier (its occurrences are App terms)."""
 
     name: str
@@ -84,11 +82,11 @@ def fresh_kvar(scope_vars: Sequence[str]) -> App:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False, repr=False)
-class RType(Node):
+class RType(Record):
     """Base class for all refinement types."""
 
-    pred: Expr = field(default_factory=true)
+    __slots__ = {"pred": field(default_factory=true)}
+    pred: Expr
 
     def with_pred(self, pred: Expr) -> "RType":
         return replace(self, pred=pred)
@@ -106,17 +104,21 @@ PRIM_NAMES = ("number", "boolean", "string", "void", "undefined", "null",
               "any", "top", "bot")
 
 
-@dataclass(eq=False, repr=False)
 class TPrim(RType):
     """A refined primitive: ``{v: number | p}`` etc."""
 
-    name: str = "number"
+    __slots__ = {"name": "number"}
+    name: str
+
+    def __init__(self, pred: Optional[Expr] = None,
+                 name: str = "number") -> None:
+        self.pred = true() if pred is None else pred
+        self.name = name
 
     def base_name(self) -> str:
         return self.name
 
 
-@dataclass(eq=False, repr=False)
 class TVar(RType):
     """An occurrence of a generic type variable ``A``."""
 
@@ -126,7 +128,6 @@ class TVar(RType):
         return self.name
 
 
-@dataclass(eq=False, repr=False)
 class TArray(RType):
     """An array type with element type, mutability and refinement."""
 
@@ -137,7 +138,6 @@ class TArray(RType):
         return "array"
 
 
-@dataclass(eq=False, repr=False)
 class TRef(RType):
     """A reference to a named class or interface, e.g. ``Field<IM>``."""
 
@@ -149,7 +149,6 @@ class TRef(RType):
         return self.name
 
 
-@dataclass(eq=False, repr=False)
 class TObject(RType):
     """A structural object-literal type: field name -> (mutability, type)."""
 
@@ -160,8 +159,7 @@ class TObject(RType):
         return "object"
 
 
-@dataclass(eq=False, repr=False)
-class TParam(Node):
+class TParam(Record):
     """A named function parameter with its (possibly dependent) type."""
 
     name: str
@@ -171,7 +169,6 @@ class TParam(Node):
         return f"{self.name}: {self.type}"
 
 
-@dataclass(eq=False, repr=False)
 class TFun(RType):
     """A (possibly generic, dependent) function type."""
 
@@ -189,7 +186,6 @@ class TFun(RType):
         return [p.name for p in self.params]
 
 
-@dataclass(eq=False, repr=False)
 class TInter(RType):
     """An intersection of function types — a value-overloaded function."""
 
@@ -199,7 +195,6 @@ class TInter(RType):
         return "function"
 
 
-@dataclass(eq=False, repr=False)
 class TUnion(RType):
     """A union type ``T1 + T2 + ...``."""
 
@@ -209,7 +204,6 @@ class TUnion(RType):
         return "union"
 
 
-@dataclass(eq=False, repr=False)
 class TExists(RType):
     """An existential ``exists x: S. T`` produced by type inference."""
 

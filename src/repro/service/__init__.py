@@ -3,7 +3,7 @@
 Three layers:
 
 * :mod:`repro.service.protocol` — the typed wire protocol: per-method
-  params and payload dataclasses with JSON codecs, and the exhaustive
+  params and payload records with JSON codecs, and the exhaustive
   :data:`~repro.service.protocol.METHODS` registry shared by the servers,
   the client and ``hello``.
 * :mod:`repro.service.core` — the synchronous service core: a

@@ -3,7 +3,7 @@
 The service speaks one protocol, ``repro-serve/3``, over both transports
 (stdio and TCP).  Every method is declared **once**, in :data:`METHODS` —
 a registry of :class:`repro.wire.MethodSpec` entries binding the method
-name to its params dataclass and its result payload dataclass.  The
+name to its params record and its result payload record.  The
 envelopes and the registry helpers (:func:`repro.wire.spec_for`,
 :func:`repro.wire.decode_request`, ...) live in :mod:`repro.wire`.  Both
 server loops, the synchronous client and the ``hello`` method all consult
@@ -15,7 +15,7 @@ isolated workspaces behind one server (``"default"`` when omitted).
 
 Codecs are **unknown-field tolerant** in both directions: decoding ignores
 JSON keys it does not know (so a newer client can talk to a server that
-predates a field) and encoding emits only the fields a dataclass declares.
+predates a field) and encoding emits only the fields a record declares.
 Type errors, by contrast, are strict and produce ``bad-params`` errors
 (``"params.uri must be a string"``).
 
@@ -30,9 +30,9 @@ Wire shapes (one JSON object per NDJSON line)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.node import Record, field
 from repro.wire import (EmptyParams, MethodSpec, Payload, optional_str,
                         registry, require_str)
 
@@ -58,8 +58,7 @@ ERROR_CODES: Tuple[str, ...] = (
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HelloParams:
+class HelloParams(Record):
     """``hello``: optional protocol identifier the client prefers."""
 
     protocol: Optional[str] = None
@@ -72,8 +71,7 @@ class HelloParams:
         return {} if self.protocol is None else {"protocol": self.protocol}
 
 
-@dataclass
-class CheckParams:
+class CheckParams(Record):
     """``check``/``update``/``project_update``: a URI plus optional text.
 
     With ``text`` omitted the URI is read as a file path server-side.
@@ -94,8 +92,7 @@ class CheckParams:
         return payload
 
 
-@dataclass
-class UriParams:
+class UriParams(Record):
     """``diagnostics``/``close``/``cancel``/``project_diagnostics``."""
 
     uri: str
@@ -108,8 +105,7 @@ class UriParams:
         return {"uri": self.uri}
 
 
-@dataclass
-class ProjectOpenParams:
+class ProjectOpenParams(Record):
     """``project_open``: the project root directory."""
 
     root: str
@@ -127,7 +123,6 @@ class ProjectOpenParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CheckPayload(Payload):
     """Result of ``check``/``update`` — the per-edit verdict and counters.
 
@@ -148,7 +143,6 @@ class CheckPayload(Payload):
     timings: Optional[dict] = None
 
 
-@dataclass
 class DiagnosticsPayload(Payload):
     """Result of ``diagnostics`` — the current verdict, no re-check."""
 
@@ -158,13 +152,11 @@ class DiagnosticsPayload(Payload):
     diagnostics: List[dict] = field(default_factory=list)
 
 
-@dataclass
 class ClosePayload(Payload):
     uri: str = ""
     closed: bool = True
 
 
-@dataclass
 class HelloPayload(Payload):
     """Result of ``hello`` — what the server speaks, listed from the
     registry (so it can never disagree with what dispatch accepts)."""
@@ -174,7 +166,6 @@ class HelloPayload(Payload):
     tenant: str = ""
 
 
-@dataclass
 class CancelPayload(Payload):
     """Result of ``cancel`` — whether anything was actually cancelled.
 
@@ -189,7 +180,6 @@ class CancelPayload(Payload):
     state: str = "idle"
 
 
-@dataclass
 class StatsPayload(Payload):
     """Result of ``stats`` — per-tenant queue, latency, cancel, solver and
     store counters, plus lifetime totals (evicted tenants included)."""
@@ -199,7 +189,6 @@ class StatsPayload(Payload):
     totals: dict = field(default_factory=dict)
 
 
-@dataclass
 class ShutdownPayload(Payload):
     shutdown: bool = True
     protocol: str = PROTOCOL_V3
@@ -208,7 +197,6 @@ class ShutdownPayload(Payload):
     store: Optional[dict] = None
 
 
-@dataclass
 class ModulePayload(Payload):
     """One module's verdict inside the project methods' results."""
 
@@ -218,7 +206,6 @@ class ModulePayload(Payload):
     diagnostics: List[dict] = field(default_factory=list)
 
 
-@dataclass
 class ProjectBuildPayload(Payload):
     """Result of ``project_open`` — the initial build of the module graph."""
 
@@ -230,7 +217,6 @@ class ProjectBuildPayload(Payload):
     modules: List[dict] = field(default_factory=list)
 
 
-@dataclass
 class ProjectUpdatePayload(Payload):
     """Result of ``project_update`` — what one module edit invalidated."""
 

@@ -43,11 +43,11 @@ import contextlib
 import json
 import sys
 from collections import deque
-from dataclasses import dataclass, field
 from typing import IO, Callable, Dict, Optional
 
 from repro.core.cancel import CancelToken
 from repro.core.config import CheckConfig
+from repro.node import Record, field
 from repro.service.core import ServiceCore
 from repro.service.protocol import METHODS, PROTOCOL_V3, CancelPayload
 from repro.wire import (ProtocolError, Request, Response, line_sender,
@@ -61,8 +61,7 @@ SUPERSEDABLE = frozenset({"check", "update"})
 INLINE = frozenset({"hello", "stats", "cancel", "shutdown"})
 
 
-@dataclass
-class _Job:
+class _Job(Record):
     """One queued request plus how to answer it."""
 
     request: Request
@@ -70,8 +69,7 @@ class _Job:
     token: CancelToken = field(default_factory=CancelToken)
 
 
-@dataclass
-class _Lane:
+class _Lane(Record):
     """One tenant's serialized request stream."""
 
     queue: deque = field(default_factory=deque)

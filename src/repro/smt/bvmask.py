@@ -23,15 +23,15 @@ between flag variables are respected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional
+
+from repro.node import Record, field
 
 WIDTH = 32
 MASK_ALL = (1 << WIDTH) - 1
 
 
-@dataclass
-class _TermConstraints:
+class _TermConstraints(Record):
     positive_masks: List[int] = field(default_factory=list)
     negative_masks: List[int] = field(default_factory=list)
     fixed_value: Optional[int] = None

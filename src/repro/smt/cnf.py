@@ -26,7 +26,6 @@ stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.logic.terms import (
@@ -40,6 +39,7 @@ from repro.logic.terms import (
     Var,
 )
 from repro.logic.sorts import BOOL
+from repro.node import Record, field
 
 #: (term, polarity) -> NNF term.
 _NNF_MEMO: Dict[Tuple[Expr, bool], Expr] = {}
@@ -52,8 +52,7 @@ def _clear_local_memos() -> None:
     _ATOMS_MEMO.clear()
 
 
-@dataclass
-class AtomMap:
+class AtomMap(Record):
     """Bijection between theory atoms (boolean-sorted Exprs) and SAT variables."""
 
     atom_to_var: Dict[Expr, int] = field(default_factory=dict)

@@ -44,12 +44,12 @@ answer as unknown instead of as a real model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from typing import (TYPE_CHECKING, Callable, Dict, Hashable, Iterable, List,
                     Optional, Sequence, Tuple)
 
 from repro.logic.terms import BinOp, Expr, IntLit, UnOp
+from repro.node import Record, field
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -60,16 +60,22 @@ VarKey = Hashable
 #: "satisfiable" (sound for validity checking) and flag the give-up.
 MAX_CONSTRAINTS = 4000
 
-@dataclass(slots=True)
-class LinExpr:
+class LinExpr(Record):
     """A linear expression ``sum(coeffs[k] * k) + const`` over variable keys.
 
     As a constraint, ``tag`` is the bitmask of the input literals it was
     derived from; sums OR the tags of their operands."""
 
-    coeffs: Dict[VarKey, "int | Fraction"] = field(default_factory=dict)
-    const: "int | Fraction" = 0
-    tag: int = 0
+    __slots__ = {"coeffs": field(default_factory=dict), "const": 0, "tag": 0}
+    coeffs: Dict[VarKey, "int | Fraction"]
+    const: "int | Fraction"
+    tag: int
+
+    def __init__(self, coeffs: Optional[Dict[VarKey, "int | Fraction"]] = None,
+                 const: "int | Fraction" = 0, tag: int = 0) -> None:
+        self.coeffs = {} if coeffs is None else coeffs
+        self.const = const
+        self.tag = tag
 
     def copy(self) -> "LinExpr":
         return LinExpr(dict(self.coeffs), self.const, self.tag)
@@ -155,8 +161,7 @@ def linearize(e: Expr, opaque: Callable[[Expr], VarKey],
 Stage = Tuple[VarKey, List[LinExpr], List[LinExpr]]
 
 
-@dataclass
-class LiaProblem:
+class LiaProblem(Record):
     """A conjunction of linear constraints plus disequalities.
 
     Every ``add_*`` takes the constraint's ``tag`` (default 0).  After
@@ -165,18 +170,31 @@ class LiaProblem:
     answers True, :attr:`gave_up` says whether the answer is really
     "unknown"."""
 
+    __slots__ = {"leqs": field(default_factory=list),
+                 "diseqs": field(default_factory=list), "conflict": None,
+                 "gave_up": False, "stages": field(default_factory=list)}
     #: each entry is a LinExpr ``t`` meaning ``t <= 0``
-    leqs: List[LinExpr] = field(default_factory=list)
+    leqs: List[LinExpr]
     #: each entry is a LinExpr ``t`` meaning ``t != 0``
-    diseqs: List[LinExpr] = field(default_factory=list)
-    conflict: Optional[int] = None
-    gave_up: bool = False
+    diseqs: List[LinExpr]
+    conflict: Optional[int]
+    gave_up: bool
     #: after a satisfiable :func:`is_satisfiable`, the stages of its
     #: elimination of :attr:`leqs`, in order: ``(variable, uppers,
     #: lowers)``, the constraints that bounded the variable when it was
     #: eliminated.  :func:`repro.smt.model.integer_point` back-substitutes
     #: them, so a model costs no second elimination.
-    stages: List[Stage] = field(default_factory=list)
+    stages: List[Stage]
+
+    def __init__(self, leqs: Optional[List[LinExpr]] = None,
+                 diseqs: Optional[List[LinExpr]] = None,
+                 conflict: Optional[int] = None, gave_up: bool = False,
+                 stages: Optional[List[Stage]] = None) -> None:
+        self.leqs = [] if leqs is None else leqs
+        self.diseqs = [] if diseqs is None else diseqs
+        self.conflict = conflict
+        self.gave_up = gave_up
+        self.stages = [] if stages is None else stages
 
     def add_le(self, lhs: LinExpr, rhs: LinExpr, tag: int = 0) -> None:
         diff = lhs.add(rhs, -1)

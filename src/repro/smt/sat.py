@@ -19,9 +19,10 @@ indexed by variable and the propagation loop evaluates literals inline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.node import Record, field
 
 #: The branching heap is rebuilt once it holds this many entries per
 #: variable: stale entries (older activities, assigned variables) are only
@@ -29,10 +30,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 HEAP_SLACK = 4
 
 
-@dataclass
-class _Clause:
+class _Clause(Record):
+    __slots__ = {"lits": field(), "learned": False}
     lits: List[int]
-    learned: bool = False
+    learned: bool
+
+    def __init__(self, lits: List[int], learned: bool = False) -> None:
+        self.lits = lits
+        self.learned = learned
 
 
 class SatSolver:

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.logic.simplify import simplify
 from repro.logic.terms import BoolLit, Expr, clear_memos, conj, implies, neg
+from repro.node import Record, fields
 from repro.smt.cnf import AtomMap, tseitin, to_nnf
 from repro.smt.context import ContextManager
 from repro.smt.model import TheoryModel
@@ -48,8 +48,8 @@ class Result(Enum):
     UNKNOWN = "unknown"
 
 
-class Counters:
-    """Mixin for a dataclass whose every field is a summable counter."""
+class Counters(Record):
+    """Base of a record whose every field is a summable counter."""
 
     def merge(self, other) -> None:
         for f in fields(self):
@@ -59,7 +59,6 @@ class Counters:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass
 class SolverStats(Counters):
     """Counters accumulated across queries (reported by the bench harness)."""
 

@@ -45,7 +45,6 @@ pass; the core is sound but not necessarily minimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.logic import builtins
@@ -57,6 +56,7 @@ from repro.logic.terms import (
     IntLit,
     UnOp,
 )
+from repro.node import Record
 from repro.smt.bvmask import BvMaskSolver
 from repro.smt.euf import CongruenceClosure
 from repro.smt.lia import LiaProblem, LinExpr, is_satisfiable, linearize
@@ -68,8 +68,7 @@ _CMP_NEGATION = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "=
 _CMP_OPS = ("<", "<=", ">", ">=", "=", "!=")
 
 
-@dataclass
-class TheoryResult:
+class TheoryResult(Record):
     satisfiable: bool
     #: when unsatisfiable, the subset of the input literals the conflict was
     #: derived from; used to build the blocking clause.
@@ -103,10 +102,10 @@ def check_with_core(literals: Sequence[TheoryLiteral]) -> TheoryResult:
     return RootState().check(literals)
 
 
-@dataclass(slots=True)
-class _Row:
+class _Row(Record):
     """One arithmetic literal, linearised against a congruence closure."""
 
+    __slots__ = ("op", "lhs", "rhs", "bit", "leqs", "diseqs", "reads")
     op: str
     lhs: Expr
     rhs: Expr
@@ -117,6 +116,17 @@ class _Row:
     #: the representative of every class the linearisation read a
     #: representative or a constant of
     reads: Tuple[int, ...]
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr, bit: int,
+                 leqs: Tuple[LinExpr, ...], diseqs: Tuple[LinExpr, ...],
+                 reads: Tuple[int, ...]) -> None:
+        self.op = op
+        self.lhs = lhs
+        self.rhs = rhs
+        self.bit = bit
+        self.leqs = leqs
+        self.diseqs = diseqs
+        self.reads = reads
 
 
 def _linearise(cc: CongruenceClosure, op: str, lhs: Expr, rhs: Expr,

@@ -19,16 +19,14 @@ early returns, writes and closures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import SourceSpan
 from repro.lang import ast
-from repro.node import Node
+from repro.node import Record, field
 
 
-@dataclass(eq=False, repr=False)
-class Phi(Node):
+class Phi(Record):
     """A conditional-join Phi variable: ``name = phi(then_name, else_name)``."""
 
     name: str
@@ -37,8 +35,7 @@ class Phi(Node):
     source_name: str = ""
 
 
-@dataclass(eq=False, repr=False)
-class LoopPhi(Node):
+class LoopPhi(Record):
     """A loop-header Phi variable: ``name = phi(init_name, body_name)``.
 
     ``body_name`` is the SSA name the variable has at the end of the loop
@@ -50,12 +47,10 @@ class LoopPhi(Node):
     source_name: str = ""
 
 
-@dataclass(eq=False, repr=False)
-class IBody(Node):
+class IBody(Record):
     span: SourceSpan = field(default_factory=SourceSpan.unknown, kw_only=True)
 
 
-@dataclass(eq=False, repr=False)
 class ILet(IBody):
     """``let name = expr in rest`` (``name`` may be ``_`` for effect-only)."""
 
@@ -65,7 +60,6 @@ class ILet(IBody):
     type_ann: Optional[ast.TypeAnn] = None
 
 
-@dataclass(eq=False, repr=False)
 class ILetIf(IBody):
     cond: ast.Expression
     then: IBody
@@ -74,7 +68,6 @@ class ILetIf(IBody):
     rest: IBody
 
 
-@dataclass(eq=False, repr=False)
 class ILetWhile(IBody):
     phis: List[LoopPhi]
     cond: ast.Expression
@@ -83,7 +76,6 @@ class ILetWhile(IBody):
     invariant: Optional[ast.Expression] = None
 
 
-@dataclass(eq=False, repr=False)
 class ILetFunc(IBody):
     """A nested function (closure) definition."""
 
@@ -93,7 +85,6 @@ class ILetFunc(IBody):
     rest: IBody
 
 
-@dataclass(eq=False, repr=False)
 class ISetField(IBody):
     target: ast.Expression
     field_name: str
@@ -101,7 +92,6 @@ class ISetField(IBody):
     rest: IBody
 
 
-@dataclass(eq=False, repr=False)
 class ISetIndex(IBody):
     target: ast.Expression
     index: ast.Expression
@@ -109,20 +99,17 @@ class ISetIndex(IBody):
     rest: IBody
 
 
-@dataclass(eq=False, repr=False)
 class IRet(IBody):
     value: Optional[ast.Expression] = None
 
 
-@dataclass(eq=False, repr=False)
 class IJoin(IBody):
     """End of a branch/loop body: provides the values of the enclosing Phis."""
 
     values: List[str] = field(default_factory=list)
 
 
-@dataclass(eq=False, repr=False)
-class IRFunction(Node):
+class IRFunction(Record):
     """An SSA-converted function: parameters keep their names (they are the
     first SSA version of themselves); the body is an IBody chain."""
 

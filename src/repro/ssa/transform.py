@@ -20,11 +20,11 @@ Extensions over the paper's core (needed for the benchmarks):
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.errors import SsaError
 from repro.lang import ast
+from repro.node import replace
 from repro.ssa import ir
 
 Delta = Dict[str, str]

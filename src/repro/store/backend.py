@@ -13,20 +13,19 @@ uses atomic tmp-file + rename).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Protocol, runtime_checkable
 
+from repro.node import Record, field
 
-@dataclass(frozen=True)
-class KindStats:
+
+class KindStats(Record, frozen=True):
     """Entry count and byte total for one artifact kind."""
 
     entries: int = 0
     bytes: int = 0
 
 
-@dataclass
-class StoreStats:
+class StoreStats(Record):
     """Per-kind usage of a store, as reported by ``repro cache stats``."""
 
     kinds: Dict[str, KindStats] = field(default_factory=dict)
@@ -48,8 +47,7 @@ class StoreStats:
         }
 
 
-@dataclass
-class GcResult:
+class GcResult(Record):
     """What one garbage collection pass removed and kept."""
 
     evicted_entries: int = 0

@@ -26,7 +26,7 @@ of an earlier row.  A verdicts entry is ``{"nodes": rows, "pairs":
 "kappas": {kappa: [row, ...]}}``.  The encoder is an iterative walk keyed on
 the interned term (no depth limit); the decoder is one forward loop that
 builds each row's term once, through the interning constructors, so it
-decodes back to the *identical* frozen dataclass values (same object, same
+decodes back to the *identical* frozen term values (same object, same
 hash) — that exactness is what lets a decoded memo hit the solver cache and
 a decoded solution replay to a byte-identical verdict.
 
@@ -46,7 +46,6 @@ store treats as a cache miss (recompute, never crash, never a wrong verdict).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
 from repro.errors import Diagnostic, ErrorKind, Severity, SourceSpan
@@ -64,6 +63,7 @@ from repro.logic.terms import (
     Var,
     children,
 )
+from repro.node import Record, field
 from repro.smt.solver import Result
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep the store package
@@ -308,8 +308,7 @@ def decode_solution(obj) -> Dict[str, List[Expr]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ModuleArtifact:
+class ModuleArtifact(Record):
     """A module's parse outcome, sufficient to rebuild its graph node.
 
     ``imports`` holds the *raw* import declarations ``(names, specifier,

@@ -26,9 +26,10 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from dataclasses import dataclass, fields
 from typing import (TYPE_CHECKING, Any, AsyncIterator, Callable, Dict,
                     Optional, Tuple)
+
+from repro.node import Record, fields
 
 if TYPE_CHECKING:
     from repro.service.server import AsyncCheckServer
@@ -68,8 +69,7 @@ def optional_str(obj: dict, name: str, where: str = "params"
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EmptyParams:
+class EmptyParams(Record):
     """Params for methods that take none (extra fields are ignored)."""
 
     @classmethod
@@ -80,8 +80,8 @@ class EmptyParams:
         return {}
 
 
-class Payload:
-    """Shared to_json/from_json over a result dataclass's fields.
+class Payload(Record):
+    """Shared to_json/from_json over a result record's fields.
 
     Field declaration order *is* the JSON key order.
     """
@@ -103,8 +103,7 @@ class Payload:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MethodSpec:
+class MethodSpec(Record, frozen=True):
     """One protocol method: its codecs and doc."""
 
     name: str
@@ -140,8 +139,7 @@ def spec_for(methods: Dict[str, MethodSpec], method: Any) -> MethodSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Request:
+class Request(Record):
     """One decoded request: method + typed params (+ tenant/trace).
 
     ``trace`` carries the client's active trace id (:mod:`repro.obs.trace`)
@@ -200,8 +198,7 @@ def parse_line(line: str) -> dict:
     return obj
 
 
-@dataclass
-class Response:
+class Response(Record):
     """One response: ``ok`` with a result payload, or an error."""
 
     id: Any = None

@@ -6,9 +6,10 @@ and the project names (``ProjectResult``, ``ProjectUpdate``,
 module ``__getattr__`` (PEP 562), so a cold ``repro check FILE`` never
 imports the service stack (``asyncio``, ``ssl``, ``socket``), the process
 pool (``multiprocessing``, ``concurrent.futures``) or, without a store
-path, the artifact store (``repro.store``).  The subprocess tests below
-pin that floor: each runs in a fresh interpreter, because this one has
-imported everything already.
+path, the artifact store (``repro.store``).  Records generate no code, so
+``dataclasses`` and ``inspect`` stay out too, for a file and for a
+project.  The subprocess tests below pin that floor: each runs in a fresh
+interpreter, because this one has imported everything already.
 """
 
 import json
@@ -24,10 +25,12 @@ import repro
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC_DIR = str(ROOT / "src")
 PORT = str(ROOT / "benchmarks" / "programs" / "richards.rsc")
+PROJECT = str(ROOT / "benchmarks" / "modules" / "splay")
 
-#: Modules a one-shot check without a store must not load.
+#: Modules a one-shot check without a store must not load (records are
+#: ``repro.node.Record`` subclasses: no ``dataclasses``, no ``inspect``).
 HEAVY = ("asyncio", "ssl", "socket", "multiprocessing", "concurrent.futures",
-         "subprocess", "fractions", "repro.store")
+         "subprocess", "fractions", "repro.store", "dataclasses", "inspect")
 
 LAZY = ("ArtifactStore", "Client", "ProjectResult", "ProjectUpdate",
         "ProjectWorkspace", "check_project")
@@ -90,6 +93,18 @@ class TestImportFloor:
         assert [name for name in HEAVY if name in loaded] == []
         assert "repro.client" not in loaded
         assert "repro.project" not in loaded
+
+    def test_project_check_loads_no_service_pool_or_store(self):
+        proc = run_python("-c", (
+            "import json, sys\n"
+            "from repro import Session\n"
+            f"outcome = Session().check_project({PROJECT!r})\n"
+            "assert outcome.ok, [r.summary() for r in outcome.results]\n"
+            "print(json.dumps(sorted(sys.modules)))\n"))
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        assert "repro.project" in loaded
+        assert [name for name in HEAVY if name in loaded] == []
 
     def test_cli_check_loads_no_service_or_pool(self):
         proc = run_python("-X", "importtime", "-m", "repro", "check",

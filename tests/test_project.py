@@ -1,7 +1,6 @@
 """The multi-module project subsystem: language, summaries, graph,
 project build and signature-cut incremental re-checking."""
 
-import dataclasses
 import json
 import pathlib
 
@@ -14,6 +13,7 @@ from repro.core.session import Session
 from repro.errors import ERROR_CATALOG
 from repro.lang.parser import parse_program
 from repro.lang.printer import render_program
+from repro.node import replace
 from repro.project import (
     ModuleGraph,
     ProjectWorkspace,
@@ -78,7 +78,7 @@ def cold_oracle(graph, config=None):
             continue
         result = Session(config).check_source(graph.document_text(path),
                                               filename=path)
-        results.append(dataclasses.replace(
+        results.append(replace(
             result, diagnostics=extra + list(result.diagnostics)))
     return results
 

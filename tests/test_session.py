@@ -1,7 +1,6 @@
 """The session-based pipeline API: stages, timings, cache reuse, config."""
 
 import concurrent.futures
-import dataclasses
 import json
 from concurrent.futures.process import BrokenProcessPool
 
@@ -11,6 +10,7 @@ from repro import CheckConfig, Session, SolverOptions
 from repro.core.result import SolveStats
 from repro.core.session import ConstraintsStage, ParseStage, SolveStage, SsaStage
 from repro.errors import Severity
+from repro.node import FrozenInstanceError, fields
 from repro.smt.solver import SolverStats
 
 SAFE_SOURCE = """
@@ -216,7 +216,7 @@ class TestConfig:
 
     def test_config_is_immutable_but_derivable(self):
         config = CheckConfig()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             config.jobs = 4
         derived = config.with_options(jobs=4, warnings_as_errors=True)
         assert derived.jobs == 4 and derived.warnings_as_errors
@@ -266,7 +266,7 @@ class TestResultSerialisation:
     def test_counter_dataclasses_cover_every_field(self, cls):
         """``to_dict`` names every field exactly once and ``merge`` sums
         every field, so a new counter needs no hand-written list."""
-        names = [f.name for f in dataclasses.fields(cls)]
+        names = [f.name for f in fields(cls)]
         left = cls(**{name: i + 1 for i, name in enumerate(names)})
         right = cls(**{name: 10 * (i + 1) for i, name in enumerate(names)})
         assert list(left.to_dict()) == names

@@ -9,8 +9,12 @@ float division, which rounds to even and silently corrupts quotients past
 """
 
 import copy
+import os
+import pathlib
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -157,6 +161,28 @@ class TestHashConsing:
         Var("hit-counter-probe")
         Var("hit-counter-probe")
         assert intern_stats()["hits"] > before
+
+    def test_intern_counts_repeat_in_fresh_processes(self):
+        """Terms hash by address, so a scan over a *set* of terms that stops
+        early builds a different number of terms from run to run; nothing
+        the checker constructs may depend on set order."""
+        root = pathlib.Path(__file__).resolve().parent.parent
+        port = root / "benchmarks" / "programs" / "transducers.rsc"
+        script = ("from repro import Session\n"
+                  "from repro.logic.terms import intern_stats\n"
+                  f"assert Session().check_file({str(port)!r}).ok\n"
+                  "stats = intern_stats()\n"
+                  "print(stats['hits'], stats['misses'])\n")
+        counts = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                       PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            counts.add(proc.stdout.strip())
+        assert len(counts) == 1, counts
 
     def test_pickle_round_trip_reinterns(self):
         term = BinOp("<", Var("x"), BinOp("+", Var("y"), IntLit(7)))

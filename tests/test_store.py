@@ -1,7 +1,6 @@
 """Unit tests for the persistent artifact store: codec, local backend,
 store paths, keying and configuration."""
 
-import dataclasses
 import json
 import pathlib
 
@@ -13,6 +12,7 @@ from repro.errors import Diagnostic, ErrorKind, Severity, SourceSpan
 from repro.logic.sorts import BOOL, INT, STR
 from repro.logic.terms import (App, BinOp, BoolLit, Field, IntLit, Ite,
                                StrLit, UnOp, Var)
+from repro.node import Record, fields, replace
 from repro.smt.solver import Result
 from repro.store import (
     ArtifactStore,
@@ -422,12 +422,12 @@ OTHER_CHOICE = {"qualifier_set": "harvested", "store_mode": "off"}
 def _option_variants(options, prefix=""):
     """``(path, copy of options with that one leaf option changed)`` for
     every leaf option, recursing into nested options objects."""
-    for field in dataclasses.fields(options):
+    for field in fields(options):
         value = getattr(options, field.name)
         path = prefix + field.name
-        if dataclasses.is_dataclass(value):
+        if isinstance(value, Record):
             for nested_path, nested in _option_variants(value, path + "."):
-                yield nested_path, dataclasses.replace(
+                yield nested_path, replace(
                     options, **{field.name: nested})
             continue
         if isinstance(value, bool):
@@ -438,7 +438,7 @@ def _option_variants(options, prefix=""):
             other = "elsewhere"
         else:
             other = OTHER_CHOICE[field.name]
-        yield path, dataclasses.replace(options, **{field.name: other})
+        yield path, replace(options, **{field.name: other})
 
 
 class TestConfigAndKeys:
