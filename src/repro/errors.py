@@ -19,13 +19,11 @@ _set_field = object.__setattr__
 class SourceSpan(Record, frozen=True):
     """A region of source text: 1-based line/column of start and end."""
 
-    __slots__ = {"line": 0, "col": 0, "end_line": 0, "end_col": 0,
-                 "filename": "<input>"}
-    line: int
-    col: int
-    end_line: int
-    end_col: int
-    filename: str
+    line: int = 0
+    col: int = 0
+    end_line: int = 0
+    end_col: int = 0
+    filename: str = "<input>"
 
     def __init__(self, line: int = 0, col: int = 0, end_line: int = 0,
                  end_col: int = 0, filename: str = "<input>") -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from enum import Enum
 
 from repro.errors import SourceSpan
-from repro.node import Record, field
+from repro.node import Record
 
 _set_field = object.__setattr__
 
@@ -41,12 +41,10 @@ PUNCTUATION = (
 
 
 class Token(Record, frozen=True):
-    __slots__ = {"kind": field(), "text": field(), "span": field(),
-                 "value": None}
     kind: TokenKind
     text: str
     span: SourceSpan
-    value: object
+    value: object = None
 
     def __init__(self, kind: TokenKind, text: str, span: SourceSpan,
                  value: object = None) -> None:

@@ -36,17 +36,23 @@ method the class body defines itself is kept.
 
 The shared ``__init__`` binds its arguments in a Python loop.  Records that
 a check builds thousands of times (``LinExpr``, ``SourceSpan``, ``Token``,
-...) declare ``__slots__`` and write their ``__init__`` by hand.  A slot
-cannot also be a class attribute, so a slotted record gives ``__slots__``
-as a dict from each field to its default (a :func:`field` without a
-default for a required field)::
+...) write their ``__init__`` by hand: on the shared one, the cold checks of
+``perfbench``'s cold-ports workload spend 9% longer checking (10
+alternating pairs of runs on a 2-vCPU host).  A record that is not frozen
+may declare ``__slots__`` (unpickling sets slots through ``setattr``,
+which a frozen record refuses).  A slot cannot also be a class attribute,
+so a slotted record with defaults gives ``__slots__`` as a dict from each
+field to its default (a :func:`field` without a default for a required
+field)::
 
-    class _Clause(Record):
-        __slots__ = {"lits": field(), "learned": False}
-        lits: List[int]
-        learned: bool
+    class LinExpr(Record):
+        __slots__ = {"coeffs": field(default_factory=dict), "const": 0,
+                     "tag": 0}
+        coeffs: Dict[VarKey, int]
+        const: int
+        tag: int
 
-        def __init__(self, lits: List[int], learned: bool = False) -> None:
+        def __init__(self, coeffs=None, const=0, tag=0) -> None:
             ...
 
 :func:`fields` and :func:`replace` stand in for the ``dataclasses``
@@ -142,27 +148,11 @@ def _init_fields(self: Any, *args: Any, **kwargs: Any) -> None:
 
 
 def _call_error(cls: Any, args: tuple, kwargs: dict) -> TypeError:
-    """The ``TypeError`` for a constructor call that does not bind, as
-    Python reports it for a written-out ``__init__``."""
-    where = f"{cls.__qualname__}.__init__()"
-    index = {name: i for name, i, _, _ in cls._record_params}
-    if len(args) > cls._record_npos:
-        return TypeError(f"{where} takes {cls._record_npos + 1} positional "
-                         f"arguments but {len(args) + 1} were given")
-    for name in kwargs:
-        i = index.get(name)
-        if i is None:
-            return TypeError(f"{where} got an unexpected keyword argument "
-                             f"{name!r}")
-        if 0 <= i < len(args):
-            return TypeError(f"{where} got multiple values for argument "
-                             f"{name!r}")
-    missing = [(name, i) for name, i, default, factory in cls._record_params
-               if not (0 <= i < len(args) or name in kwargs
-                       or default is not MISSING or factory is not None)]
-    name, i = missing[0]
-    kind = "keyword-only" if i < 0 else "positional"
-    return TypeError(f"{where} missing 1 required {kind} argument: {name!r}")
+    """The ``TypeError`` for a constructor call that does not bind."""
+    return TypeError(f"{cls.__qualname__}() takes the fields "
+                     f"{', '.join(cls._record_names) or 'none'}; got "
+                     f"{len(args)} positional argument(s) and keywords "
+                     f"{sorted(kwargs)}")
 
 
 def _eq_fields(self: Any, other: Any) -> Any:
@@ -183,15 +173,6 @@ def _frozen_setattr(self: Any, name: str, value: Any) -> None:
 
 def _frozen_delattr(self: Any, name: str) -> None:
     raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def _slots_getstate(self: Any) -> tuple:
-    return tuple([getattr(self, name) for name in self._record_names])
-
-
-def _slots_setstate(self: Any, state: tuple) -> None:
-    for name, value in zip(self._record_names, state):
-        object.__setattr__(self, name, value)
 
 
 def _own_fields(cls: Any) -> Dict[str, Field]:
@@ -279,11 +260,6 @@ class Record:
         if frozen and cls.__setattr__ is not _frozen_setattr:
             cls.__setattr__ = _frozen_setattr  # type: ignore[assignment]
             cls.__delattr__ = _frozen_delattr  # type: ignore[assignment]
-        if cls.__dictoffset__ == 0 and cls.__getstate__ is not _slots_getstate:
-            # No instance dict: pickle and copy the fields themselves, past
-            # a frozen record's own __setattr__.
-            cls.__getstate__ = _slots_getstate  # type: ignore[assignment]
-            cls.__setstate__ = _slots_setstate  # type: ignore[attr-defined]
 
     def __repr__(self) -> str:
         key = (id(self), get_ident())

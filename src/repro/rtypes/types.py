@@ -85,8 +85,7 @@ def fresh_kvar(scope_vars: Sequence[str]) -> App:
 class RType(Record):
     """Base class for all refinement types."""
 
-    __slots__ = {"pred": field(default_factory=true)}
-    pred: Expr
+    pred: Expr = field(default_factory=true)
 
     def with_pred(self, pred: Expr) -> "RType":
         return replace(self, pred=pred)
@@ -107,8 +106,7 @@ PRIM_NAMES = ("number", "boolean", "string", "void", "undefined", "null",
 class TPrim(RType):
     """A refined primitive: ``{v: number | p}`` etc."""
 
-    __slots__ = {"name": "number"}
-    name: str
+    name: str = "number"
 
     def __init__(self, pred: Optional[Expr] = None,
                  name: str = "number") -> None:

@@ -170,21 +170,18 @@ class LiaProblem(Record):
     answers True, :attr:`gave_up` says whether the answer is really
     "unknown"."""
 
-    __slots__ = {"leqs": field(default_factory=list),
-                 "diseqs": field(default_factory=list), "conflict": None,
-                 "gave_up": False, "stages": field(default_factory=list)}
     #: each entry is a LinExpr ``t`` meaning ``t <= 0``
-    leqs: List[LinExpr]
+    leqs: List[LinExpr] = field(default_factory=list)
     #: each entry is a LinExpr ``t`` meaning ``t != 0``
-    diseqs: List[LinExpr]
-    conflict: Optional[int]
-    gave_up: bool
+    diseqs: List[LinExpr] = field(default_factory=list)
+    conflict: Optional[int] = None
+    gave_up: bool = False
     #: after a satisfiable :func:`is_satisfiable`, the stages of its
     #: elimination of :attr:`leqs`, in order: ``(variable, uppers,
     #: lowers)``, the constraints that bounded the variable when it was
     #: eliminated.  :func:`repro.smt.model.integer_point` back-substitutes
     #: them, so a model costs no second elimination.
-    stages: List[Stage]
+    stages: List[Stage] = field(default_factory=list)
 
     def __init__(self, leqs: Optional[List[LinExpr]] = None,
                  diseqs: Optional[List[LinExpr]] = None,

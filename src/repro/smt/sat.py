@@ -22,7 +22,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.node import Record, field
+from repro.node import Record
 
 #: The branching heap is rebuilt once it holds this many entries per
 #: variable: stale entries (older activities, assigned variables) are only
@@ -31,9 +31,8 @@ HEAP_SLACK = 4
 
 
 class _Clause(Record):
-    __slots__ = {"lits": field(), "learned": False}
     lits: List[int]
-    learned: bool
+    learned: bool = False
 
     def __init__(self, lits: List[int], learned: bool = False) -> None:
         self.lits = lits
