@@ -1,20 +1,18 @@
 """Refined TypeScript (RSC) - a reproduction of "Refinement Types for
 TypeScript" (Vekris, Cosman, Jhala; PLDI 2016) in pure Python.
 
-Workspace API (preferred — long-lived documents, incremental re-checks)::
+One checking object, the ``Workspace`` (``Session`` is another name for
+it): long-lived documents with incremental re-checks, and one-shot cold
+checks that share its solver across batch runs::
 
-    from repro import CheckConfig, Workspace
+    from repro import CheckConfig, Session, Workspace
 
     ws = Workspace(CheckConfig())
     result = ws.open("a.rsc", source)      # cold check
     result = ws.update("a.rsc", edited)    # warm re-check of the edit only
 
-Session API (one-shot facade — one solver amortised across batch runs)::
-
-    from repro import Session
-
     session = Session(CheckConfig(warnings_as_errors=True))
-    result = session.check_source(source)
+    result = session.check_source(source)  # one-shot: no document stays open
     batch = session.check_files(["a.rsc", "b.rsc"])
 
 Project API (multi-module graphs: imports/exports, interface summaries,

@@ -2,9 +2,10 @@
 
 The public entry points:
 
-* :class:`repro.core.session.Session` — one-shot checks sharing one solver,
-* :class:`repro.core.workspace.Workspace` — long-lived documents with
-  incremental re-checks,
+* :class:`repro.core.workspace.Workspace` — the one checking object:
+  long-lived documents with incremental re-checks, and one-shot checks
+  (``check_source``/``check_files``/...) sharing its solver;
+  :class:`repro.core.session.Session` is another name for it,
 * :class:`repro.core.result.CheckResult` — diagnostics plus statistics.
 """
 

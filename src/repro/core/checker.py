@@ -68,7 +68,7 @@ from repro.rtypes.types import (
     unpack_exists,
     void,
 )
-from repro.smt.solver import Counters, Solver
+from repro.smt.solver import Counters
 from repro.ssa import ir
 from repro.ssa.transform import SsaTransformer
 from repro.core import prelude
@@ -101,7 +101,6 @@ class Checker:
     """Constraint generation for a whole program."""
 
     def __init__(self, program: ast.Program, diags: DiagnosticBag,
-                 solver: Optional[Solver] = None,
                  pool: Optional[QualifierPool] = None) -> None:
         self.program = program
         self.diags = diags
@@ -110,7 +109,6 @@ class Checker:
         self.constraints = ConstraintSet()
         self.kappas = KappaRegistry()
         self.pool = pool or QualifierPool()
-        self.solver = solver or Solver()
         self.embedder = ExprEmbedder(self.table.enums)
         self.stats = CheckerStats()
         self._closures: Dict[str, ClosureInfo] = {}

@@ -3,7 +3,7 @@
 A :class:`CheckConfig` captures everything that varies between checking
 runs — fixpoint budget, qualifier-pool selection, SMT solver options,
 store and service settings — so that a
-:class:`repro.core.session.Session` can be constructed once and reused
+:class:`repro.core.workspace.Workspace` can be constructed once and reused
 across many files.  Configs are immutable; derive variants with
 :func:`repro.node.replace` or :meth:`CheckConfig.with_options`.
 
@@ -32,13 +32,13 @@ STORE_MODES: Tuple[str, ...] = ("readwrite", "readonly", "off")
 class SolverOptions(Record, frozen=True):
     """Options forwarded to the SMT substrate (:class:`repro.smt.Solver`).
 
-    ``context_cache_limit`` bounds the LRU of persistent solver contexts
-    (one per distinct hypothesis environment; evicted contexts rebuild cheaply from the solver's theory
-    lemma memo).
+    ``cache_size_limit`` bounds the LRU of query results (0 disables the
+    result cache); ``context_cache_limit`` bounds the LRU of persistent
+    solver contexts (one per distinct hypothesis environment; evicted
+    contexts rebuild cheaply from the solver's theory lemma memo).
     """
 
     max_theory_iterations: int = 5000
-    cache_results: bool = True
     cache_size_limit: int = 200_000
     context_cache_limit: int = 64
 
@@ -53,7 +53,6 @@ class SolverOptions(Record, frozen=True):
     def to_dict(self) -> dict:
         return {
             "max_theory_iterations": self.max_theory_iterations,
-            "cache_results": self.cache_results,
             "cache_size_limit": self.cache_size_limit,
             "context_cache_limit": self.context_cache_limit,
         }
@@ -136,7 +135,7 @@ class CheckConfig(Record, frozen=True):
       harvested from the program) or ``"harvested"`` (program-derived
       qualifiers only; useful to measure how much the built-ins contribute).
     * ``solver`` — SMT substrate options (:class:`SolverOptions`).
-    * ``jobs`` — worker processes of :meth:`Session.check_files` (each
+    * ``jobs`` — worker processes of :meth:`Workspace.check_files` (each
       worker checks with its own solver, so cache amortisation is per
       worker).  Project builds are sequential and ignore it.
     * ``document_cache_limit`` — how many content-hash snapshots each open

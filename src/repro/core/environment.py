@@ -29,12 +29,6 @@ class Env(Record, frozen=True):
     def bind(self, name: str, t: RType) -> "Env":
         return Env(self.bindings + ((name, t),), self.guards, self.tvars)
 
-    def bind_all(self, pairs: Iterable[Tuple[str, RType]]) -> "Env":
-        env = self
-        for name, t in pairs:
-            env = env.bind(name, t)
-        return env
-
     def guard(self, pred: Expr) -> "Env":
         if pred.is_true():
             return self

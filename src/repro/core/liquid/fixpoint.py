@@ -17,10 +17,9 @@ implication whose goal is kappa ``B``), condenses it into strongly connected
 components, and schedules weakening in topological order of the
 condensation.  An implication is only revisited when one of the kappas its
 hypotheses mention actually changed, so stable regions of the constraint
-graph are never re-queried.  Cheap pre-SMT pruning (syntactic tautologies,
-syntactically inconsistent hypotheses, and a per-``(kappa, qualifier)`` memo
-of already-refuted candidates) further cuts the validity queries that reach
-the solver; the survivors are batched through
+graph are never re-queried.  Cheap pre-SMT pruning (syntactic tautologies
+and syntactically inconsistent hypotheses) further cuts the validity
+queries that reach the solver; the survivors are batched through
 :meth:`repro.smt.solver.Solver.check_implication_batch` so the shared
 antecedent is built once per visit.  Typed counters are recorded in a
 :class:`repro.core.result.SolveStats` (``LiquidSolver.stats``).
@@ -234,7 +233,7 @@ def scc_ranks(graph: Dict[str, Set[str]]) -> Tuple[Dict[str, int], int]:
 # ---------------------------------------------------------------------------
 
 #: Candidate classifications inside a visit.
-_KEEP, _DROP, _QUERY = 0, 1, 2
+_KEEP, _QUERY = 0, 1
 
 
 class LiquidSolver:
@@ -246,54 +245,6 @@ class LiquidSolver:
         self.max_iterations = max_iterations
         self.stats = SolveStats()
         self._cancel: Optional[CancelToken] = None
-        # Refuted-candidate memo, bit-packed per kappa: candidates refuted
-        # in an earlier solve on this instance are dropped without a new
-        # query.  ``_bitmask_of[name][qual]`` assigns each distinct
-        # instantiated qualifier a single-bit mask (in first-seen order,
-        # mirrored in ``_universe``) and ``_refuted_mask[name]`` is the OR
-        # of the refuted candidates' bits, so both the per-visit memo probe
-        # and the batch "any refuted candidates here at all?" filter are
-        # integer bit operations instead of per-candidate set probes.
-        # The memo is sound only while the constraint set does not change
-        # between calls (one checking run), which is how sessions use it.
-        self._universe: Dict[str, List[Expr]] = {}
-        self._bitmask_of: Dict[str, Dict[Expr, int]] = {}
-        self._refuted_mask: Dict[str, int] = {}
-
-    @property
-    def refuted(self) -> Set[Tuple[str, Expr]]:
-        """Read-only view of the refuted-candidate memo as (kappa,
-        qualifier) pairs (reconstructed from the per-kappa bit masks)."""
-        out: Set[Tuple[str, Expr]] = set()
-        for name, mask in self._refuted_mask.items():
-            if not mask:
-                continue
-            for i, qual in enumerate(self._universe[name]):
-                if (mask >> i) & 1:
-                    out.add((name, qual))
-        return out
-
-    # -- refuted-memo bit packing -----------------------------------------------------
-
-    def _qual_bit(self, name: str, qual: Expr) -> int:
-        """The single-bit mask for ``qual`` in ``name``'s candidate universe
-        (assigning the next free bit on first sight)."""
-        bits = self._bitmask_of.get(name)
-        if bits is None:
-            bits = {}
-            self._bitmask_of[name] = bits
-            self._universe[name] = []
-        bit = bits.get(qual)
-        if bit is None:
-            universe = self._universe[name]
-            bit = 1 << len(universe)
-            bits[qual] = bit
-            universe.append(qual)
-        return bit
-
-    def _mark_refuted(self, name: str, qual: Expr) -> None:
-        self._refuted_mask[name] = (self._refuted_mask.get(name, 0)
-                                    | self._qual_bit(name, qual))
 
     # -- solution application ---------------------------------------------------------
 
@@ -325,33 +276,11 @@ class LiquidSolver:
 
     def _initial_candidates(self, name: str) -> List[Expr]:
         """The strongest starting assignment for one kappa: every pool
-        qualifier instantiated over its scope, minus memoised refutations.
-
-        The refuted filter is vectorised: one popcount decides how many
-        candidates drop, and when the kappa has no memoised refutations at
-        all (the common case on a cold solve) the whole filter is a single
-        integer AND."""
+        qualifier instantiated over its scope."""
         info = self.registry.info(name)
         candidates = {formal: info.kinds.get(formal, "any")
                       for formal in info.formals[1:]}
-        instantiated = self.pool.instantiate(candidates)
-        rmask = self._refuted_mask.get(name, 0)
-        if not rmask:
-            # Still register the universe so later refutations get bits in
-            # candidate order.
-            for qual in instantiated:
-                self._qual_bit(name, qual)
-            return instantiated
-        bits = [self._qual_bit(name, qual) for qual in instantiated]
-        cand_mask = 0
-        for bit in bits:
-            cand_mask |= bit
-        hit = cand_mask & rmask
-        if not hit:
-            return instantiated
-        self.stats.queries_pruned += hit.bit_count()
-        return [qual for qual, bit in zip(instantiated, bits)
-                if not (bit & rmask)]
+        return self.pool.instantiate(candidates)
 
     def warm_solution(self, previous: Solution,
                       dirty_kappas: Set[str]) -> Solution:
@@ -385,8 +314,7 @@ class LiquidSolver:
 
         A ``cancel`` token is polled between scheduler steps; when it fires
         the solve raises :class:`repro.core.cancel.CheckCancelled` (the
-        partial solution is discarded by the caller — only the refuted-memo,
-        which is always sound, survives).
+        partial solution is discarded by the caller).
         """
         self.stats = SolveStats()
         self._cancel = cancel
@@ -507,17 +435,11 @@ class LiquidSolver:
         vacuous = _syntactically_inconsistent(atoms, hyp_atoms)
 
         # Classify each candidate before touching the SMT solver: keep
-        # syntactic tautologies for free, drop memoised refutations (one
-        # AND against the kappa's refuted bit mask), and gather the rest
-        # for one batched round of validity queries.
-        rmask = self._refuted_mask.get(name, 0)
+        # syntactic tautologies for free and gather the rest for one
+        # batched round of validity queries.
         decisions: List[int] = []
         pending_goals: List[Expr] = []
         for qual in quals:
-            if rmask and (rmask & self._qual_bit(name, qual)):
-                decisions.append(_DROP)
-                self.stats.queries_pruned += 1
-                continue
             goal = substitute(qual, mapping)
             if vacuous or goal.is_true() or goal in hyp_atoms:
                 decisions.append(_KEEP)
@@ -547,24 +469,13 @@ class LiquidSolver:
                     hyps, pending_goals)
             self.stats.queries_issued += len(pending_goals)
 
-        kept: List[Expr] = []
-        changed = False
-        verdict_at = 0
-        for qual, decision in zip(quals, decisions):
-            if decision == _KEEP:
-                kept.append(qual)
-            elif decision == _DROP:
-                changed = True
-            else:
-                if verdicts[verdict_at]:
-                    kept.append(qual)
-                else:
-                    self._mark_refuted(name, qual)
-                    changed = True
-                verdict_at += 1
-        if changed:
-            solution[name] = kept
-        return changed
+        answers = iter(verdicts)
+        kept = [qual for qual, decision in zip(quals, decisions)
+                if decision == _KEEP or next(answers)]
+        if len(kept) == len(quals):
+            return False
+        solution[name] = kept
+        return True
 
     def check_concrete(self, implications: Sequence[Implication],
                        solution: Solution,

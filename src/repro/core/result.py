@@ -33,8 +33,8 @@ class SolveStats(Counters):
 
     ``rounds`` counts scheduler steps (individual worklist visits).
     ``queries_pruned`` counts candidate qualifiers discharged without an SMT
-    query (syntactic tautologies, inconsistent hypotheses, and refuted-memo
-    hits); ``cache_hits`` is the solver-cache delta observed while solving.
+    query (syntactic tautologies and inconsistent hypotheses);
+    ``cache_hits`` is the solver-cache delta observed while solving.
 
     The SMT-context counters are likewise solver deltas observed during the
     solve: ``contexts_created`` / ``contexts_reused`` count persistent

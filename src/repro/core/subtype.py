@@ -43,14 +43,6 @@ class SubtypeSplitter:
         self.table = table
         self.constraints = constraints
 
-    def split_all(self) -> None:
-        """Flatten every pending subtyping constraint into implications."""
-        pending = self.constraints.subtypings
-        index = 0
-        while index < len(pending):
-            self.split(pending[index])
-            index += 1
-
     # -- one constraint ------------------------------------------------------------
 
     def split(self, c: SubC) -> None:

@@ -38,16 +38,33 @@ names — every case in which reusing the previous solution could diverge
 from a from-scratch check.  The test-suite asserts warm results are
 bit-identical to cold checks on every fixture and benchmark.
 
-The staged pipeline (parse → ssa → constraints → solve → verify) lives here
-too; :class:`repro.core.session.Session` is a thin one-shot facade over it.
+One-shot checks go through the same object: :meth:`Workspace.check_source`,
+:meth:`~Workspace.check_file`, :meth:`~Workspace.check_program`,
+:meth:`~Workspace.check_files` (with its ``jobs`` process pool) and
+:meth:`~Workspace.check_project` keep no per-document state — each is a
+cold check that computes no fingerprints and no warm plan — but they share
+the workspace's solver, so batch runs (benchmark suites, generate-and-check
+loops) amortise repeated verification conditions.
+:class:`repro.core.session.Session` is another name for this class.
+
+The staged pipeline (parse → ssa → constraints → solve → verify) is public
+too; each stage returns the artifact the next one consumes, with wall-clock
+time recorded per stage in a :class:`repro.core.result.StageTimings`::
+
+    parsed = ws.parse(source, "a.rsc")   # -> ParseStage (AST)
+    ssa    = ws.ssa(parsed)              # -> SsaStage   (IRSC bodies)
+    cons   = ws.constraints(ssa)         # -> ConstraintsStage
+    solved = ws.solve(cons)              # -> SolveStage (kappa solution)
+    result = ws.verify(solved)           # -> CheckResult
 """
 
 from __future__ import annotations
 
 import hashlib
 import pathlib
+import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import (
     Diagnostic,
@@ -73,8 +90,8 @@ from repro.core.liquid.fixpoint import (
     kappa_occurrences,
 )
 from repro.core.liquid.qualifiers import QualifierPool
-from repro.core.result import CheckResult, SolveStats, StageTimings
-from repro.obs.trace import span as trace_span, stage_span
+from repro.core.result import BatchResult, CheckResult, SolveStats, StageTimings
+from repro.obs.trace import span as trace_span, stage_span, tracer
 from repro.core.subtype import SubtypeSplitter
 
 
@@ -248,7 +265,8 @@ class Document:
 
 
 class Workspace:
-    """Long-lived documents over one shared solver, checked incrementally."""
+    """The checking object: long-lived documents checked incrementally and
+    one-shot cold checks, all over one shared solver."""
 
     def __init__(self, config: Optional[CheckConfig] = None,
                  solver: Optional[Solver] = None) -> None:
@@ -256,7 +274,6 @@ class Workspace:
         opts = self.config.solver
         self.solver = solver or Solver(
             max_theory_iterations=opts.max_theory_iterations,
-            cache_results=opts.cache_results,
             cache_size_limit=opts.cache_size_limit,
             context_cache_limit=opts.context_cache_limit)
         self._documents: Dict[str, Document] = {}
@@ -335,6 +352,119 @@ class Workspace:
         """Drop the shared solver's query cache (statistics are kept)."""
         self.solver.clear_cache()
 
+    # -- one-shot checks ---------------------------------------------------
+
+    def check_source(self, source: str, filename: str = "<input>",
+                     token: Optional[CancelToken] = None) -> CheckResult:
+        """Cold-check one nanoTS source string; no document stays open.
+
+        The inspectable :meth:`ssa` stage is skipped — the checker
+        re-derives SSA per callable while generating constraints — so its
+        timing stays 0.  A fired ``token`` raises
+        :class:`repro.core.cancel.CheckCancelled`.
+        """
+        checkpoint(token)
+        return self._check_parsed(self.parse(source, filename), token)[0]
+
+    def check_program(self, program: ast.Program) -> CheckResult:
+        """Cold-check an already-parsed program (stages 3-5)."""
+        parsed = ParseStage(source="", filename=program.source_name,
+                            program=program, diagnostics=[],
+                            timings=StageTimings())
+        return self._check_parsed(parsed)[0]
+
+    def check_file(self, path: Union[str, pathlib.Path],
+                   token: Optional[CancelToken] = None) -> CheckResult:
+        """Cold-check one file.  Raises :class:`OSError` if it cannot be
+        read."""
+        path = pathlib.Path(path)
+        return self.check_source(path.read_text(), filename=str(path),
+                                 token=token)
+
+    def check_files(self, paths: Sequence[Union[str, pathlib.Path]],
+                    jobs: Optional[int] = None) -> BatchResult:
+        """Cold-check many files, aggregating diagnostics and solver
+        statistics; an unreadable file is an RSC-INT-001 verdict.
+
+        With ``jobs > 1`` the paths are partitioned over worker processes,
+        each with its own workspace and solver (cache amortisation is then
+        per worker); with one job every file shares this solver's cache.
+        """
+        paths = [pathlib.Path(p) for p in paths]
+        jobs = jobs if jobs is not None else self.config.jobs
+        start = time.perf_counter()
+        parallel: Optional[tuple] = None
+        if jobs > 1 and len(paths) > 1:
+            parallel = self._check_files_parallel(paths, min(jobs, len(paths)))
+        if parallel is not None:
+            results, stats = parallel
+        else:
+            base = self.solver.stats.copy()
+            results = [self._check_readable(p) for p in paths]
+            stats = self.solver.stats.delta_since(base)
+        return BatchResult(results=results, stats=stats,
+                           time_seconds=time.perf_counter() - start)
+
+    def _check_readable(self, path: pathlib.Path) -> CheckResult:
+        try:
+            return self.check_file(path)
+        except OSError as exc:
+            diag = Diagnostic(ErrorKind.INTERNAL, f"cannot read: {exc}",
+                              SourceSpan(filename=str(path)),
+                              code="RSC-INT-001")
+            return CheckResult(diagnostics=[diag], filename=str(path))
+
+    def _check_files_parallel(self, paths: List[pathlib.Path],
+                              jobs: int) -> Optional[tuple]:
+        """Fan the paths out over worker *processes* (the checker is pure
+        CPU-bound Python, so threads would serialise on the GIL).  Returns
+        None when no process pool can be spawned (restricted environments);
+        the caller then falls back to the sequential shared-cache path."""
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        chunks: List[List[str]] = [[] for _ in range(jobs)]
+        for index, path in enumerate(paths):
+            chunks[index % jobs].append(str(path))
+        parent_tracer = tracer()
+        trace_id = parent_tracer.trace_id if parent_tracer.enabled else None
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                futures = [pool.submit(_check_chunk, self.config, chunk,
+                                       trace_id)
+                           for chunk in chunks]
+                per_chunk = [f.result() for f in futures]
+        except (OSError, RuntimeError, BrokenProcessPool):
+            return None
+        by_path: Dict[str, CheckResult] = {}
+        stats = SolverStats()
+        for results, worker_stats, checked, trace in per_chunk:
+            stats.merge(worker_stats)
+            self.checks_run += checked
+            if trace is not None:
+                parent_tracer.ingest(trace["events"],
+                                     trace["slow_queries"])
+            for result in results:
+                by_path[result.filename] = result
+        return [by_path[str(p)] for p in paths], stats
+
+    def check_project(self, root: Union[str, pathlib.Path],
+                      pattern: str = "**/*.rsc") -> "ProjectResult":
+        """Cold-check the *module graph* rooted at ``root``.
+
+        Every ``pattern`` match becomes a module; ``import``/``export``
+        declarations link them and each module is checked against its
+        dependencies' interface summaries in dependency order.  This is a
+        :meth:`repro.project.ProjectWorkspace.check` under this workspace's
+        config — the project's own workspace, not this one, checks the
+        modules; each module counts in :attr:`checks_run`.  Raises
+        :class:`NotADirectoryError` when ``root`` is not a directory.
+        """
+        from repro.project.workspace import ProjectWorkspace
+        result = ProjectWorkspace(root=root, config=self.config,
+                                  pattern=pattern).check()
+        self.checks_run += result.num_modules
+        return result
+
     # -- the incremental check ---------------------------------------------
 
     def _check_document(self, document: Document, text: str,
@@ -348,11 +478,6 @@ class Workspace:
             # aborted before it even built constraints still registers.
             self.checks_cancelled += 1
             raise
-        except RecursionError:
-            # Nothing is cached for this text.
-            self.checks_run += 1
-            return CheckResult(diagnostics=[nesting_too_deep(document.uri)],
-                               filename=document.uri)
 
     def _check_document_inner(self, document: Document, text: str,
                               token: Optional[CancelToken] = None
@@ -368,48 +493,83 @@ class Workspace:
             if hit.warmable:
                 document.last_good = hit
             return self._cache_hit_result(hit)
-        parsed = self.parse(text, document.uri)
-        if not parsed.ok:
-            self.checks_run += 1
-            result = CheckResult(diagnostics=list(parsed.diagnostics),
-                                 time_seconds=parsed.timings.total,
-                                 filename=document.uri,
-                                 timings=parsed.timings)
-            snapshot = Snapshot(content_hash, result)
-        else:
-            checkpoint(token)
-            cons = self.constraints(parsed)
-            try:
-                checkpoint(token)
-                sig_fp = signature_fingerprint(parsed.program)
-                unit_fps = unit_fingerprints(parsed.program)
-                local = _partition_local(cons.checker)
-                plan = (self._plan(document.last_good, sig_fp, unit_fps,
-                                   cons) if local else None)
-                solved = self.solve(cons, plan, token)
-                if plan is None and not cons.store_plan_used:
-                    solved.liquid.stats.declarations_rechecked = len(unit_fps)
-                checkpoint(token)
-                result, outcomes = self._verify(solved, plan, token)
-            except BaseException:
-                # A cancelled or failed check must leave no trace: detach
-                # the store recording sink so nothing is written back and
-                # unwind — the previous snapshot stays current.
-                self._store_abort(cons)
-                raise
-            snapshot = Snapshot(
-                content_hash, result,
-                solution=solved.solution,
-                signature_fp=sig_fp,
-                unit_fps=unit_fps,
-                kappas_by_owner=_kappas_by_owner(cons.checker),
-                concrete_by_owner=_group_by_owner(outcomes),
-                partition_local=local)
+        result, snapshot = self._check_parsed(
+            self.parse(text, document.uri), token, document, content_hash)
+        if snapshot is None:
+            return result  # nothing is cached for this text
         document.store(snapshot, self.config.document_cache_limit)
         document.current = snapshot
         if snapshot.warmable:
             document.last_good = snapshot
-        return snapshot.result
+        return result
+
+    def _check_parsed(self, parsed: ParseStage,
+                      token: Optional[CancelToken] = None,
+                      document: Optional[Document] = None,
+                      content_hash: str = ""
+                      ) -> Tuple[CheckResult, Optional[Snapshot]]:
+        """Stages 3-5 of every check after the parse.
+
+        A failed parse is its own verdict, and input nested too deeply for
+        the checker is an RSC-INT-001 verdict, not a crash.  A cancelled or
+        failed check leaves no trace: the store recording sink is detached
+        so nothing is written back.  With a ``document`` the check is
+        fingerprinted, may warm-start from the document's last good
+        snapshot, and returns the snapshot to cache (``None`` when nothing
+        may be cached); without one it is a cold one-shot check."""
+        if not parsed.ok:
+            self.checks_run += 1
+            result = CheckResult(diagnostics=list(parsed.diagnostics),
+                                 time_seconds=parsed.timings.total,
+                                 filename=parsed.filename,
+                                 timings=parsed.timings)
+            return result, Snapshot(content_hash, result)
+        try:
+            checkpoint(token)
+            cons = self.constraints(parsed)
+            try:
+                checkpoint(token)
+                if document is not None:
+                    return self._solve_document(document, content_hash,
+                                                cons, token)
+                solved = self.solve(cons, token=token)
+                checkpoint(token)
+                return self.verify(solved, token=token), None
+            except BaseException:
+                self._store_abort(cons)
+                raise
+        except RecursionError:
+            self.checks_run += 1
+            return CheckResult(
+                diagnostics=[nesting_too_deep(parsed.filename)],
+                time_seconds=parsed.timings.total,
+                filename=parsed.filename, timings=parsed.timings), None
+
+    def _solve_document(self, document: Document, content_hash: str,
+                        cons: ConstraintsStage,
+                        token: Optional[CancelToken]
+                        ) -> Tuple[CheckResult, Snapshot]:
+        """Solve and verify a document's constraints, warm-started from its
+        last good snapshot when the edit allows it."""
+        program = cons.parse.program
+        sig_fp = signature_fingerprint(program)
+        unit_fps = unit_fingerprints(program)
+        local = _partition_local(cons.checker)
+        plan = (self._plan(document.last_good, sig_fp, unit_fps, cons)
+                if local else None)
+        solved = self.solve(cons, plan, token)
+        if plan is None and not cons.store_plan_used:
+            solved.liquid.stats.declarations_rechecked = len(unit_fps)
+        checkpoint(token)
+        result, outcomes = self._verify(solved, plan, token)
+        return result, Snapshot(
+            content_hash, result,
+            solution=solved.solution,
+            signature_fp=sig_fp,
+            unit_fps=unit_fps,
+            kappas_by_owner=_kappas_by_owner(cons.checker),
+            concrete_by_owner=_group_by_owner(outcomes),
+            partition_local=local)
 
     def _plan(self, previous: Optional[Snapshot], sig_fp: str,
               unit_fps: Dict[str, str],
@@ -534,7 +694,7 @@ class Workspace:
             try:
                 diags = DiagnosticBag()
                 diags.extend(parsed.diagnostics)
-                checker = Checker(parsed.program, diags, self.solver,
+                checker = Checker(parsed.program, diags,
                                   pool=self._new_pool())
                 with checker.invariants():
                     checker.run()
@@ -554,10 +714,9 @@ class Workspace:
 
     def _store_begin(self, parsed: ParseStage):
         """Persistent store, read side: replay a previous process's verdict
-        memos into the solver cache *before* constraint generation (dead-code
-        satisfiability checks run during it), fetch the stored kappa
-        solution, and attach a recording sink mirroring every verdict this
-        check serves, for write-back.  Keyed by content hash, so it is
+        memos into the solver cache, fetch the stored kappa solution, and
+        attach a recording sink mirroring every verdict this check serves,
+        for write-back.  Keyed by content hash, so it is
         skipped for programmatically built ASTs with no source text."""
         if self.store is None or not parsed.source:
             return None, None, False, None
@@ -729,6 +888,23 @@ class Workspace:
         if self.config.qualifier_set == "harvested":
             return QualifierPool(qualifiers=[])
         return QualifierPool()
+
+
+def _check_chunk(config: CheckConfig, paths: List[str],
+                 trace_id: Optional[str] = None) -> tuple:
+    """Process-pool worker: check a chunk of files in a fresh workspace.
+
+    With ``trace_id`` set the worker's spans are collected too (reset
+    first — a forked worker inherits the parent's buffered events — then
+    drained into the return value for the parent to merge)."""
+    if trace_id is not None:
+        worker_tracer = tracer()
+        worker_tracer.reset()
+        worker_tracer.enable(trace_id=trace_id)
+    workspace = Workspace(config)
+    results = [workspace._check_readable(pathlib.Path(p)) for p in paths]
+    trace = tracer().drain() if trace_id is not None else None
+    return results, workspace.solver.stats, workspace.checks_run, trace
 
 
 def _partition_local(checker: Checker) -> bool:

@@ -52,14 +52,3 @@ _BY_NAME = {s.name: s for s in (INT, BOOL, STR, BV32, REF, FUN, ANY)}
 def sort_named(name: str) -> Sort:
     """Look up a sort by its name, defaulting to ``ANY`` for unknown names."""
     return _BY_NAME.get(name, ANY)
-
-
-def lub(a: Sort, b: Sort) -> Sort:
-    """Least upper bound of two sorts (used when joining branches)."""
-    if a == b:
-        return a
-    if ANY in (a, b):
-        return ANY
-    if {a, b} == {INT, BV32}:
-        return INT
-    return ANY

@@ -138,7 +138,7 @@ class Tracer:
 
     Thread-safe: spans may close on any thread (the async server's
     executor threads); each thread is mapped to a small stable ``tid`` in
-    registration order.  Worker processes (``Session.check_files`` under
+    registration order.  Worker processes (``Workspace.check_files`` under
     ``jobs > 1``) hand their spans back with :meth:`drain`; the parent
     merges them into one trace with :meth:`ingest`.
     """

@@ -2,7 +2,7 @@
 the cut.
 
 A :class:`ProjectWorkspace` is the one engine behind every project check —
-:func:`check_project` and :meth:`repro.core.session.Session.check_project`
+:func:`check_project` and :meth:`repro.core.workspace.Workspace.check_project`
 are its cold :meth:`~ProjectWorkspace.check`.  It composes the module graph
 with the per-document incremental :class:`repro.core.workspace.Workspace`:
 
@@ -24,7 +24,7 @@ with the per-document incremental :class:`repro.core.workspace.Workspace`:
 
 The test-suite asserts that after any edit sequence, every module's
 diagnostics are identical to a from-scratch cold build that checks each
-module document in a fresh :class:`~repro.core.session.Session`.
+module document in a fresh :class:`~repro.core.workspace.Workspace`.
 """
 
 from __future__ import annotations

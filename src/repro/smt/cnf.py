@@ -305,11 +305,3 @@ def _flatten(e: Expr, op: str) -> List[Expr]:
         else:
             out.append(node)
     return out
-
-
-def formula_to_cnf(formula: Expr) -> Tuple[List[List[int]], AtomMap]:
-    """NNF + Tseitin in one call; returns (clauses, atom map)."""
-    atoms = AtomMap()
-    nnf = to_nnf(formula, True)
-    clauses = tseitin(nnf, atoms)
-    return clauses, atoms

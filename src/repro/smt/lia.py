@@ -268,13 +268,6 @@ def _eliminate(problem: LiaProblem, leqs: Sequence[LinExpr],
         return None
 
 
-def entails(problem: LiaProblem, goal_leq: LinExpr) -> bool:
-    """Does the problem entail ``goal_leq <= 0``?  (Used by tests/qualifiers.)"""
-    negated = goal_leq.scale(-1)
-    negated.const += 1  # goal > 0  <=>  -goal + 1 <= 0 over integers
-    return _eliminate(problem, problem.leqs + [negated]) is not None
-
-
 def _gcd_normalised(c: LinExpr) -> LinExpr:
     """Divide a constraint by the gcd of its terms when the division is exact.
 

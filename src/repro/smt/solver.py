@@ -5,8 +5,9 @@ The refinement checker asks two kinds of questions:
 * ``check_implication(hypotheses, goal)`` — does the conjunction of
   hypotheses imply the goal?  This is how subtyping obligations
   (verification conditions) are discharged.
-* ``check(formula)`` / ``is_satisfiable`` — used by two-phase typing to
-  detect dead code (an inconsistent environment) and by the test-suite.
+* ``check(formula)`` / ``is_satisfiable`` / ``is_valid`` — a bare
+  formula with a fresh SAT solver per query.  No checking stage calls
+  them; they are the test suite's reference for the contexts below.
 
 A bare formula goes through the lazy SMT loop of :meth:`Solver._check_sat`:
 it is simplified, converted to CNF over theory atoms (:mod:`repro.smt.cnf`)
@@ -116,19 +117,17 @@ class Solver:
     on fuzzed batches and on every benchmark port.
 
     The query/result cache is keyed by the (hashable) formula, evicts
-    least-recently-used entries past ``cache_size_limit``, and survives for
-    the lifetime of the solver, so a long-lived solver shared by a
-    :class:`repro.core.session.Session` amortises repeated obligations
-    across many files.
+    least-recently-used entries past ``cache_size_limit`` (0 disables it),
+    and survives for the lifetime of the solver, so a long-lived solver
+    shared by a :class:`repro.core.workspace.Workspace` amortises repeated
+    obligations across many files.
     """
 
     def __init__(self, max_theory_iterations: int = 5000,
-                 cache_results: bool = True,
                  cache_size_limit: int = 200_000,
                  context_cache_limit: int = 64) -> None:
         self.max_theory_iterations = max_theory_iterations
         self.stats = SolverStats()
-        self.cache_results = cache_results
         self.cache_size_limit = cache_size_limit
         self.contexts = ContextManager(
             limit=context_cache_limit,
@@ -161,8 +160,8 @@ class Solver:
         served as ordinary cache hits, so a store-warm check issues no
         queries for them at all.  Entries past ``cache_size_limit`` evict
         LRU-first as usual.  Returns how many entries were installed
-        (0 when result caching is disabled)."""
-        if not self.cache_results or self.cache_size_limit <= 0:
+        (0 when ``cache_size_limit`` is 0, which disables the cache)."""
+        if self.cache_size_limit <= 0:
             return 0
         count = 0
         for formula, result in entries:
@@ -189,8 +188,6 @@ class Solver:
             sink[formula] = result
 
     def _cache_lookup(self, formula: Expr) -> Optional[Result]:
-        if not self.cache_results:
-            return None
         result = self._cache.get(formula)
         if result is not None:
             self.stats.cache_hits += 1
@@ -199,8 +196,7 @@ class Solver:
         return result
 
     def _cache_store(self, formula: Expr, result: Result) -> None:
-        if (not self.cache_results or self.cache_size_limit <= 0
-                or result is Result.UNKNOWN):
+        if self.cache_size_limit <= 0 or result is Result.UNKNOWN:
             return
         self._cache[formula] = result
         self._cache.move_to_end(formula)

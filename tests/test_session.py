@@ -194,7 +194,7 @@ class TestParallelFallback:
         fallback = session.check_files(paths, jobs=2)
         assert started == [2]
         assert _verdicts(fallback) == _verdicts(sequential)
-        assert session.files_checked == len(paths)
+        assert session.checks_run == len(paths)
         assert fallback.stats.queries == sequential.stats.queries
 
     def test_parallel_results_equal_sequential(self, paths):
@@ -239,9 +239,9 @@ class TestConfig:
 
     def test_solver_options_forwarded(self):
         session = Session(CheckConfig(solver=SolverOptions(
-            max_theory_iterations=7, cache_results=False)))
+            max_theory_iterations=7, cache_size_limit=0)))
         assert session.solver.max_theory_iterations == 7
-        assert not session.solver.cache_results
+        assert session.solver.cache_size_limit == 0
 
 
 class TestResultSerialisation:
@@ -303,7 +303,7 @@ class TestDeepExpressions:
         session = Session()
         result = session.check_source(DEEP_SUM_SOURCE, "deep.rsc")
         self._assert_too_deep(result, "deep.rsc")
-        assert session.files_checked == 1
+        assert session.checks_run == 1
         # The shared solver stays usable.
         assert session.check_source(SAFE_SOURCE, "safe.rsc").ok
 

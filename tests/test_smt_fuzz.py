@@ -298,7 +298,7 @@ def test_cache_and_context_reuse_independence(seed):
 
     # One shared solver, contexts evicted after every batch (limit=1), the
     # query cache disabled so every check really exercises a context.
-    churn = incremental_solver(cache_results=False, context_cache_limit=1)
+    churn = incremental_solver(cache_size_limit=0, context_cache_limit=1)
     for _ in range(2):  # second round rebuilds evicted contexts from lemmas
         assert churn.check_implication_batch(hyps_a, goals_a) == expected_a
         assert churn.check_implication_batch(hyps_b, goals_b) == expected_b
@@ -929,7 +929,7 @@ def test_context_reset_preserves_verdicts(monkeypatch):
     expected = incremental_solver().check_implication_batch(hyps, goals)
 
     monkeypatch.setattr(context_mod, "RESET_VAR_LIMIT", 1)
-    churn = incremental_solver(cache_results=False)
+    churn = incremental_solver(cache_size_limit=0)
     assert churn.check_implication_batch(hyps, goals) == expected
 
     ctx = churn.contexts.context_for(
@@ -955,7 +955,7 @@ def test_compaction_happens_across_a_long_batch():
     x = Var("x", INT)
     hyps = [BinOp("<", IntLit(0), x, BOOL)]
     goals = [BinOp("<", IntLit(-i), x, BOOL) for i in range(1, 30)]
-    solver = incremental_solver(cache_results=False)
+    solver = incremental_solver(cache_size_limit=0)
     assert solver.check_implication_batch(hyps, goals) == [True] * 29
     ctx = solver.contexts.context_for(hyps[0], solver.stats)
     assert ctx.goals_checked == 29

@@ -411,8 +411,7 @@ class TestStorePath:
 NOT_VERDICT_AFFECTING = {
     "warnings_as_errors", "jobs", "document_cache_limit",
     "store_path", "store_mode", "service", "obs",
-    "solver.cache_results", "solver.cache_size_limit",
-    "solver.context_cache_limit",
+    "solver.cache_size_limit", "solver.context_cache_limit",
 }
 
 #: A second valid value for each string option.

@@ -102,11 +102,11 @@ class TestSingleFileReplay:
         config = _config(tmp_path)
         session = Session(config)
         session.check_source(SAFE, "a.rsc")
-        assert session.workspace.store.writes >= 2  # solution + verdicts
+        assert session.store.writes >= 2  # solution + verdicts
         warm = Session(config)
         warm.check_source(SAFE, "a.rsc")
-        assert warm.workspace.store.hits >= 2
-        assert warm.workspace.store.writes == 0  # nothing new to persist
+        assert warm.store.hits >= 2
+        assert warm.store.writes == 0  # nothing new to persist
 
     def test_edit_invalidates_by_content_hash(self, tmp_path):
         config = _config(tmp_path)
@@ -130,12 +130,12 @@ class TestSingleFileReplay:
         readonly = Session(_config(tmp_path, store_mode="readonly"))
         warm = readonly.check_source(SAFE, "store.rsc")
         assert warm.stats.queries == 0
-        assert readonly.workspace.store.writes == 0
+        assert readonly.store.writes == 0
         # A miss under readonly recomputes and stays unpersisted.
         miss = Session(_config(tmp_path, store_mode="readonly"))
         fresh = miss.check_source(UNSAFE, "store.rsc")
         assert fresh.stats.queries > 0
-        assert miss.workspace.store.writes == 0
+        assert miss.store.writes == 0
         assert Session(
             _config(tmp_path)).check_source(UNSAFE).stats.queries > 0
 

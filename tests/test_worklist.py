@@ -89,7 +89,6 @@ def naive_sweep(self, horn, solution, seed_kappas=None):
                                                  substitute(qual, mapping)):
                     kept.append(qual)
                 else:
-                    self._mark_refuted(name, qual)
                     changed = True
             solution[name] = kept
         if not changed:
@@ -177,8 +176,9 @@ class TestPruning:
         assert liquid.stats.queries_issued == 0
 
     def test_refuted_qualifier_never_requeried(self):
-        """Once a (kappa, qualifier) pair is refuted it is memoised: a later
-        solve on the same constraints must not issue a query for it."""
+        """Once a (kappa, qualifier) pair is refuted, the shared solver's
+        result cache holds the verdict: a later solve on the same
+        constraints reaches the same solution without a SAT call."""
         registry = KappaRegistry()
         registry.register("$k0", ["v", "n"], {"n": KIND_NUMBER})
         solver = Solver()
@@ -186,27 +186,22 @@ class TestPruning:
         # v = 0 entry: keeps 0 <= v, refutes 0 < v, v != 0, comparisons to n...
         imp = Implication(hyps=[eq(VALUE_VAR, IntLit(0))],
                           goal=kvar_occurrence("$k0", ["n"]), reason="entry")
+        candidates = liquid.initial_solution()["$k0"]
         first = liquid.solve([imp])
-        refuted = liquid.refuted
+        refuted = set(candidates) - set(first["$k0"])
         assert refuted, "the entry constraint must refute some candidates"
-        first_queries = liquid.stats.queries_issued
+        assert solver.stats.sat_calls > 0
 
-        queried = []
-        original = solver.check_implication_batch
-
-        def recording(hyps, goals):
-            queried.extend(goals)
-            return original(hyps, goals)
-
-        solver.check_implication_batch = recording
+        before = solver.stats.copy()
         second = liquid.solve([imp])
         assert _rendered(second) == _rendered(first)
-        # the occurrence substitution is the identity here, so a re-queried
-        # refuted template would appear verbatim among the recorded goals
-        refuted_templates = {qual for _name, qual in refuted}
-        assert not refuted_templates & set(queried)
-        assert liquid.stats.queries_issued < first_queries
-        assert liquid.stats.queries_pruned >= len(refuted)
+        spent = solver.stats.delta_since(before)
+        assert spent.sat_calls == 0
+        assert spent.queries == 0
+        # every goal the second solve issued, the refuted ones included,
+        # was answered from the result cache
+        assert liquid.stats.queries_issued >= len(refuted)
+        assert spent.cache_hits == liquid.stats.queries_issued
 
 
 class TestObligationOutcome:

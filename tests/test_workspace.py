@@ -249,9 +249,10 @@ class TestDocumentLifecycle:
 class TestFacades:
     def test_session_is_workspace_facade(self):
         session = Session()
-        assert session.solver is session.workspace.solver
+        assert isinstance(session, Workspace)
         assert session.check_source(SAFE_TWO_DECLS).ok
-        assert session.files_checked == 1
+        assert session.checks_run == 1
+        assert session.documents() == []  # a one-shot check opens nothing
 
     def test_session_reset_cache_uses_public_solver_api(self):
         session = Session()
