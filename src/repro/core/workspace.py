@@ -454,15 +454,22 @@ class Workspace:
         Every ``pattern`` match becomes a module; ``import``/``export``
         declarations link them and each module is checked against its
         dependencies' interface summaries in dependency order.  This is a
-        :meth:`repro.project.ProjectWorkspace.check` under this workspace's
-        config — the project's own workspace, not this one, checks the
-        modules; each module counts in :attr:`checks_run`.  Raises
-        :class:`NotADirectoryError` when ``root`` is not a directory.
+        :meth:`repro.project.ProjectWorkspace.check` run on this workspace:
+        its solver and artifact store check the modules, each module counts
+        in :attr:`checks_run`, and the module documents are closed again.
+        Raises :class:`NotADirectoryError` when ``root`` is not a
+        directory.
         """
         from repro.project.workspace import ProjectWorkspace
-        result = ProjectWorkspace(root=root, config=self.config,
-                                  pattern=pattern).check()
-        self.checks_run += result.num_modules
+        project = ProjectWorkspace(root=root, pattern=pattern,
+                                   workspace=self)
+        checks_before = self.checks_run
+        try:
+            result = project.check()
+        finally:
+            for uri in project.modules():
+                self._documents.pop(uri, None)
+        self.checks_run = checks_before + result.num_modules
         return result
 
     # -- the incremental check ---------------------------------------------

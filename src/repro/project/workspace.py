@@ -83,21 +83,26 @@ class ProjectWorkspace:
     def __init__(self, root: Optional[PathLike] = None,
                  config: Optional[CheckConfig] = None,
                  pattern: str = "**/*.rsc",
-                 sources: Optional[Dict[str, str]] = None) -> None:
-        """Raises :class:`NotADirectoryError` when ``root`` is not a
+                 sources: Optional[Dict[str, str]] = None,
+                 workspace: Optional[Workspace] = None) -> None:
+        """Modules are checked in ``workspace`` (its solver and store) when
+        one is given, else in a new :class:`Workspace` under ``config``.
+        Raises :class:`NotADirectoryError` when ``root`` is not a
         directory."""
         if (root is None) == (sources is None):
             raise ValueError("pass exactly one of root= or sources=")
+        if config is not None and workspace is not None:
+            raise ValueError("pass at most one of config= or workspace=")
         if sources is not None:
             self._sources = {str(pathlib.Path(p).resolve()): text
                              for p, text in sources.items()}
         else:
             self._sources = read_sources(root, pattern)
-        self.config = config or CheckConfig()
-        self.workspace = Workspace(self.config)
-        # The inner workspace's store (if the config selects one) also
-        # serves the module graph's interface summaries, so its hit/miss
-        # counters see the whole project's store traffic.
+        self.workspace = workspace or Workspace(config or CheckConfig())
+        self.config = self.workspace.config
+        # The workspace's store (if the config selects one) also serves
+        # the module graph's interface summaries, so its hit/miss counters
+        # see the whole project's store traffic.
         self.graph = ModuleGraph.from_sources(dict(self._sources),
                                               store=self.workspace.store)
         self._results: Dict[str, CheckResult] = {}

@@ -10,6 +10,11 @@ path, the artifact store (``repro.store``).  Records generate no code, so
 ``dataclasses`` and ``inspect`` stay out too, for a file and for a
 project.  The subprocess tests below pin that floor: each runs in a fresh
 interpreter, because this one has imported everything already.
+
+At exit ``repro`` freezes the heap, so the interpreter's final
+collections have nothing to traverse.  ``TestExitFreeze`` registers an
+``atexit`` probe before ``import repro``; handlers run last-in first-out,
+so the probe runs after repro's and reports whether the heap is frozen.
 """
 
 import json
@@ -115,3 +120,39 @@ class TestImportFloor:
                   if line.startswith("import time:")}
         assert "repro.core.session" in loaded  # the listing is complete
         assert [name for name in HEAVY if name in loaded] == []
+
+
+#: Registered before ``import repro``, so it runs after repro's handler.
+EXIT_PROBE = (
+    "import atexit, gc, os\n"
+    "atexit.register(lambda: os.write(\n"
+    "    2, b'frozen-at-exit: %d\\n' % (gc.get_freeze_count() > 0)))\n")
+
+
+class TestExitFreeze:
+    def assert_frozen_at_exit(self, proc):
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stderr.splitlines()[-1] == "frozen-at-exit: 1", \
+            proc.stderr
+
+    def test_library_file_check_exits_frozen(self):
+        proc = run_python("-c", EXIT_PROBE + (
+            "from repro import CheckConfig, Session\n"
+            f"assert Session(CheckConfig()).check_file({PORT!r}).ok\n"))
+        self.assert_frozen_at_exit(proc)
+
+    def test_project_check_exits_frozen(self):
+        proc = run_python("-c", EXIT_PROBE + (
+            "from repro import Session\n"
+            f"assert Session().check_project({PROJECT!r}).ok\n"))
+        self.assert_frozen_at_exit(proc)
+
+    def test_cli_json_check_exits_frozen_and_prints_whole_json(self):
+        proc = run_python("-c", EXIT_PROBE + (
+            "import runpy, sys\n"
+            f"sys.argv = ['repro', 'check', '--format', 'json', {PORT!r}]\n"
+            "runpy.run_module('repro', run_name='__main__', "
+            "alter_sys=True)\n"))
+        self.assert_frozen_at_exit(proc)
+        payload = json.loads(proc.stdout)
+        assert payload["ok"] and len(payload["files"]) == 1

@@ -353,6 +353,17 @@ class TestBuild:
         payload = json.loads(result.to_json())
         assert payload["ok"] and payload["num_modules"] == 3
 
+    def test_session_check_project_runs_on_the_session(self, project):
+        # One solver: the session's; no module document stays open.
+        session = Session(CheckConfig())
+        result = session.check_project(project)
+        assert session.solver.stats.queries == result.stats.queries > 0
+        assert session.documents() == []
+        assert session.checks_run == result.num_modules
+        with pytest.raises(ValueError, match="config= or workspace="):
+            ProjectWorkspace(root=project, config=CheckConfig(),
+                             workspace=session)
+
 
 def assert_warm_equals_cold(workspace: ProjectWorkspace):
     """Every module's current diagnostics must be byte-identical to a

@@ -217,6 +217,31 @@ class TestProjectReplay:
         assert by_name["types.rsc"].stats.queries == 0
         assert by_name["main.rsc"].stats.queries == 0
 
+    def test_session_check_project_opens_one_store(self, tmp_path,
+                                                   monkeypatch):
+        # The project runs on the calling session: its store is the only
+        # one opened, and it sees the whole project's store traffic.
+        from repro.store import ArtifactStore
+        opened = []
+        init = ArtifactStore.__init__
+
+        def counting_init(store, *args, **kwargs):
+            opened.append(store)
+            init(store, *args, **kwargs)
+        monkeypatch.setattr(ArtifactStore, "__init__", counting_init)
+        modules = SRC.parent / "benchmarks" / "modules" / "splay"
+        session = Session(_config(tmp_path))
+        result = session.check_project(modules)
+        assert result.ok
+        assert opened == [session.store]
+        counters = session.store.counters()
+        assert counters["misses"] > 0 and counters["writes"] > 0
+        assert session.checks_run == result.num_modules
+        assert session.documents() == []
+        warm = Session(_config(tmp_path))
+        assert warm.check_project(modules).stats.queries == 0
+        assert warm.store.counters()["hits"] > 0
+
     def test_summaries_survive_solver_option_changes(self, tmp_path):
         # Module summaries are keyed on (path, source) only; flipping a
         # solver option invalidates verdict memos but not the interface
