@@ -261,12 +261,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     if config.obs.trace_path:
         from repro.obs.trace import tracer
         tracer().enable(slow_limit=config.obs.slow_query_limit)
-    if directories:
-        code = _check_project_dir(directories[0], config, args)
-        _export_trace(config)
-        return code
     session = Session(config)
-    batch = session.check_files(args.files)
+    if directories:
+        batch = session.check_project(directories[0])
+    else:
+        batch = session.check_files(args.files)
 
     if args.format == "json":
         payload = batch.to_dict()
@@ -275,7 +274,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
     else:
         for result in batch.results:
-            print(f"{result.filename}: {result.summary()}")
+            where = ""
+            if directories:  # the module's place in the project
+                rank = batch.ranks.get(result.filename)
+                where = " [cycle]" if rank is None else f" [rank {rank}]"
+            print(f"{result.filename}{where}: {result.summary()}")
             if not args.quiet:
                 for diag in result.diagnostics:
                     print(f"  {diag}")
@@ -283,7 +286,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 for kappa, quals in sorted(result.kappa_solution.items()):
                     rendered = " && ".join(str(q) for q in quals) or "true"
                     print(f"  {kappa} := {rendered}")
-        if len(batch.results) > 1:
+        if directories or len(batch.results) > 1:
             print(batch.summary())
 
     _export_trace(config)
@@ -303,38 +306,6 @@ def _export_trace(config: CheckConfig) -> None:
     document = tracer().export(path)
     print(f"repro: trace with {len(document['traceEvents'])} event(s) "
           f"written to {path}", file=sys.stderr)
-
-
-def _check_project_dir(root: str, config: CheckConfig,
-                       args: argparse.Namespace) -> int:
-    """``repro check <dir>``: check the directory as a module graph.
-
-    The JSON ``"store"`` block is the project workspace's store traffic
-    (how a re-check proves it ran warm)."""
-    from repro.project import ProjectWorkspace
-    workspace = ProjectWorkspace(root=root, config=config)
-    project = workspace.check()
-    store = workspace.workspace.store
-    if args.format == "json":
-        payload = project.to_dict()
-        if store is not None:
-            payload["store"] = store.counters()
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK if project.ok else EXIT_UNSAFE
-    for result in project.results:
-        rank = project.ranks.get(result.filename)
-        where = ("cycle" if result.filename in project.cyclic
-                 else f"rank {rank}")
-        print(f"{result.filename} [{where}]: {result.summary()}")
-        if not args.quiet:
-            for diag in result.diagnostics:
-                print(f"  {diag}")
-        if args.show_kappas:
-            for kappa, quals in sorted(result.kappa_solution.items()):
-                rendered = " && ".join(str(q) for q in quals) or "true"
-                print(f"  {kappa} := {rendered}")
-    print(project.summary())
-    return EXIT_OK if project.ok else EXIT_UNSAFE
 
 
 def cmd_serve(args: argparse.Namespace) -> int:

@@ -162,15 +162,14 @@ def build_dependency_graph(implications: Sequence[Implication]
     return graph
 
 
-def scc_ranks(graph: Dict[str, Set[str]]) -> Tuple[Dict[str, int], int]:
-    """Condense ``graph`` into SCCs and rank them topologically.
-
-    Returns ``(rank, count)`` where ``rank[node]`` is the topological index
-    of the node's SCC in the condensation (sources first: if ``A -> B`` and
-    the two are in different components, ``rank[A] < rank[B]``) and ``count``
-    is the number of components.  Tarjan's algorithm, iterative so deep
-    chains of kappas cannot hit the recursion limit.
-    """
+def strongly_connected_components(graph: Dict[str, Set[str]]
+                                  ) -> List[List[str]]:
+    """The SCCs of ``graph`` (every successor must be a key), in reverse
+    topological order of the condensation: a component comes after every
+    component it reaches.  Tarjan's algorithm, iterative so deep chains
+    (of kappas, of imports) cannot hit the recursion limit; nodes and
+    successors are visited in sorted order, so the result is
+    deterministic."""
     index: Dict[str, int] = {}
     lowlink: Dict[str, int] = {}
     on_stack: Set[str] = set()
@@ -217,9 +216,20 @@ def scc_ranks(graph: Dict[str, Set[str]]) -> Tuple[Dict[str, int], int]:
     for node in sorted(graph):
         if node not in index:
             strongconnect(node)
+    return sccs
 
-    # Tarjan emits components in reverse topological order of the
-    # condensation, so the rank is the emission index flipped.
+
+def scc_ranks(graph: Dict[str, Set[str]]) -> Tuple[Dict[str, int], int]:
+    """Condense ``graph`` into SCCs and rank them topologically.
+
+    Returns ``(rank, count)`` where ``rank[node]`` is the topological index
+    of the node's SCC in the condensation (sources first: if ``A -> B`` and
+    the two are in different components, ``rank[A] < rank[B]``) and ``count``
+    is the number of components.
+    """
+    # Components come in reverse topological order of the condensation,
+    # so the rank is the emission index flipped.
+    sccs = strongly_connected_components(graph)
     count = len(sccs)
     rank: Dict[str, int] = {}
     for emitted, component in enumerate(sccs):

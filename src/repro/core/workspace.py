@@ -110,6 +110,26 @@ def nesting_too_deep(filename: str) -> Diagnostic:
         SourceSpan(filename=filename), code="RSC-INT-001")
 
 
+def parse_source(source: str, filename: str
+                 ) -> Tuple[Optional[ast.Program], List[Diagnostic]]:
+    """Parse ``source``: ``(program, [])``, or ``(None, [diagnostic])``
+    with RSC-PARSE-001 for a syntax error and RSC-INT-001 for input
+    nested past the parser's stack.  Every parse of checked text (a
+    workspace stage, a project module) comes through here."""
+    try:
+        return parse_program(source, filename), []
+    except ParseError as exc:
+        span = exc.span
+        if span.filename != filename:
+            # a ParseError raised without a span would otherwise lose the
+            # file being checked
+            span = span.with_filename(filename)
+        return None, [Diagnostic(ErrorKind.PARSE, exc.message, span,
+                                 code="RSC-PARSE-001")]
+    except RecursionError:
+        return None, [nesting_too_deep(filename)]
+
+
 # ---------------------------------------------------------------------------
 # stage artifacts
 # ---------------------------------------------------------------------------
@@ -467,8 +487,7 @@ class Workspace:
         try:
             result = project.check()
         finally:
-            for uri in project.modules():
-                self._documents.pop(uri, None)
+            project.close()
         self.checks_run = checks_before + result.num_modules
         return result
 
@@ -650,21 +669,8 @@ class Workspace:
     def parse(self, source: str, filename: str = "<input>") -> ParseStage:
         """Stage 1: lex and parse ``source`` into an AST."""
         timings = StageTimings()
-        program: Optional[ast.Program] = None
-        diagnostics: List[Diagnostic] = []
         with stage_span(timings, "parse", module=filename):
-            try:
-                program = parse_program(source, filename)
-            except ParseError as exc:
-                span = exc.span
-                if span.filename != filename:
-                    # a ParseError raised without a span would otherwise
-                    # lose the file being checked
-                    span = span.with_filename(filename)
-                diagnostics.append(Diagnostic(ErrorKind.PARSE, exc.message,
-                                              span, code="RSC-PARSE-001"))
-            except RecursionError:
-                diagnostics.append(nesting_too_deep(filename))
+            program, diagnostics = parse_source(source, filename)
         return ParseStage(source, filename, program, diagnostics, timings)
 
     def ssa(self, parsed: ParseStage) -> SsaStage:

@@ -2,7 +2,10 @@
 
 A :class:`ModuleGraph` is built from a project root (every ``*.rsc`` under
 it, read by :func:`read_sources`) or a ``{path: source}`` mapping.  Each
-module is parsed once; its ``import`` declarations are resolved against the
+module is parsed once, by the checker's own
+:func:`~repro.core.workspace.parse_source` (so a module that does not parse
+carries the same ``RSC-PARSE-001``/``RSC-INT-001`` diagnostic a file checked
+on its own would); its ``import`` declarations are resolved against the
 importing file's directory (with ``.rsc`` appended when the specifier has no
 suffix).  The graph then yields:
 
@@ -20,8 +23,10 @@ from __future__ import annotations
 import pathlib
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
-from repro.errors import Diagnostic, ErrorKind, ParseError, SourceSpan
-from repro.lang import ast, parse_program
+from repro.core.liquid.fixpoint import strongly_connected_components
+from repro.core.workspace import parse_source
+from repro.errors import Diagnostic, ErrorKind, SourceSpan
+from repro.lang import ast
 from repro.node import Record, field
 from repro.project.summary import ModuleSummary, summarize_program
 
@@ -171,71 +176,26 @@ class ModuleGraph:
         self._check_export_names()
 
     def _detect_cycles(self) -> None:
-        """Mark every module on an import cycle (iterative Tarjan SCCs)."""
-        index: Dict[str, int] = {}
-        lowlink: Dict[str, int] = {}
-        on_stack: Dict[str, bool] = {}
-        stack: List[str] = []
-        counter = [0]
-        sccs: List[List[str]] = []
-
-        def edges(node: str) -> List[str]:
-            return [dep for dep in self.modules[node].dependencies
-                    if dep in self.modules]
-
-        for start in sorted(self.modules):
-            if start in index:
+        """Mark every module on an import cycle: a strongly connected
+        component of two or more modules, or one module importing
+        itself."""
+        edges = {path: {dep for dep in module.dependencies
+                        if dep in self.modules}
+                 for path, module in self.modules.items()}
+        for scc in strongly_connected_components(edges):
+            if len(scc) == 1 and scc[0] not in edges[scc[0]]:
                 continue
-            work = [(start, iter(edges(start)))]
-            index[start] = lowlink[start] = counter[0]
-            counter[0] += 1
-            stack.append(start)
-            on_stack[start] = True
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for dep in it:
-                    if dep not in index:
-                        index[dep] = lowlink[dep] = counter[0]
-                        counter[0] += 1
-                        stack.append(dep)
-                        on_stack[dep] = True
-                        work.append((dep, iter(edges(dep))))
-                        advanced = True
-                        break
-                    if on_stack.get(dep):
-                        lowlink[node] = min(lowlink[node], index[dep])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index[node]:
-                    scc: List[str] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack[member] = False
-                        scc.append(member)
-                        if member == node:
-                            break
-                    sccs.append(scc)
-
-        for scc in sccs:
-            self_loop = (len(scc) == 1
-                         and scc[0] in self.modules[scc[0]].dependencies)
-            if len(scc) > 1 or self_loop:
-                members = sorted(scc)
-                rendered = " -> ".join(
-                    _display(m) for m in members + [members[0]])
-                for member in members:
-                    self.cyclic.append(member)
-                    module = self.modules[member]
-                    module.diagnostics.append(Diagnostic(
-                        ErrorKind.MODULE,
-                        f"import cycle: {rendered}; the module is skipped",
-                        _first_import_span(module),
-                        code="RSC-MOD-002"))
+            members = sorted(scc)
+            rendered = " -> ".join(
+                _display(m) for m in members + [members[0]])
+            for member in members:
+                self.cyclic.append(member)
+                module = self.modules[member]
+                module.diagnostics.append(Diagnostic(
+                    ErrorKind.MODULE,
+                    f"import cycle: {rendered}; the module is skipped",
+                    _first_import_span(module),
+                    code="RSC-MOD-002"))
         self.cyclic.sort()
 
     def _assign_ranks(self) -> None:
@@ -387,17 +347,9 @@ def _load(path: str, source: str, known: set,
             module.parses = artifact.parses
             _resolve_import_list(module, artifact.imports, known)
             return module
-    module = Module(path=path, source=source)
-    try:
-        module.program = parse_program(source, path)
-        module.parses = True
-    except ParseError as exc:
-        span = exc.span
-        if span.filename != path:
-            span = span.with_filename(path)
-        module.parse_diagnostics.append(
-            Diagnostic(ErrorKind.PARSE, exc.message, span,
-                       code="RSC-PARSE-001"))
+    program, parse_diagnostics = parse_source(source, path)
+    module = Module(path=path, source=source, program=program,
+                    parse_diagnostics=parse_diagnostics)
     module.summary = summarize_program(path, module.program)
     raw_imports = _raw_imports(module)
     _resolve_import_list(module, raw_imports, known)
@@ -418,11 +370,6 @@ def _raw_imports(module: Module):
         return []
     return [(list(decl.names), decl.module, decl.span)
             for decl in module.program.imports()]
-
-
-def _resolve_imports(module: Module, known: set) -> None:
-    """Resolve a module's import specifiers against the module set."""
-    _resolve_import_list(module, _raw_imports(module), known)
 
 
 def _resolve_import_list(module: Module, raw_imports, known: set) -> None:

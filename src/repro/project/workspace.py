@@ -2,9 +2,11 @@
 the cut.
 
 A :class:`ProjectWorkspace` is the one engine behind every project check —
-:func:`check_project` and :meth:`repro.core.workspace.Workspace.check_project`
-are its cold :meth:`~ProjectWorkspace.check`.  It composes the module graph
-with the per-document incremental :class:`repro.core.workspace.Workspace`:
+:meth:`repro.core.workspace.Workspace.check_project` is its cold
+:meth:`~ProjectWorkspace.check` on the calling workspace, and
+:func:`check_project` is that method on a new one.  It composes the module
+graph with the per-document incremental
+:class:`repro.core.workspace.Workspace`:
 
 * :meth:`~ProjectWorkspace.check` checks every acyclic module's *document*
   in dependency order; a module on an import cycle is not checked and
@@ -81,24 +83,21 @@ class ProjectWorkspace:
     """Long-lived module graph over one shared incremental workspace."""
 
     def __init__(self, root: Optional[PathLike] = None,
-                 config: Optional[CheckConfig] = None,
                  pattern: str = "**/*.rsc",
                  sources: Optional[Dict[str, str]] = None,
                  workspace: Optional[Workspace] = None) -> None:
-        """Modules are checked in ``workspace`` (its solver and store) when
-        one is given, else in a new :class:`Workspace` under ``config``.
+        """Modules are checked in ``workspace`` (its config, solver and
+        store), a new default :class:`Workspace` when none is given.
         Raises :class:`NotADirectoryError` when ``root`` is not a
         directory."""
         if (root is None) == (sources is None):
             raise ValueError("pass exactly one of root= or sources=")
-        if config is not None and workspace is not None:
-            raise ValueError("pass at most one of config= or workspace=")
         if sources is not None:
             self._sources = {str(pathlib.Path(p).resolve()): text
                              for p, text in sources.items()}
         else:
             self._sources = read_sources(root, pattern)
-        self.workspace = workspace or Workspace(config or CheckConfig())
+        self.workspace = workspace or Workspace()
         self.config = self.workspace.config
         # The workspace's store (if the config selects one) also serves
         # the module graph's interface summaries, so its hit/miss counters
@@ -191,6 +190,13 @@ class ProjectWorkspace:
     def modules(self) -> List[str]:
         return self.graph.paths
 
+    def close(self) -> None:
+        """Close every module document still open in the workspace."""
+        open_documents = set(self.workspace.documents())
+        for path in self.modules():
+            if path in open_documents:
+                self.workspace.close(path)
+
     def project_result(self) -> ProjectResult:
         """The current per-module verdicts assembled as a ProjectResult."""
         return assemble_result(self.graph, self._results)
@@ -213,7 +219,7 @@ def check_project(root: PathLike, config: Optional[CheckConfig] = None,
     summaries from the persistent store and every module replays persisted
     solutions and verdict memos — an unchanged project re-checks with zero
     SMT queries."""
-    return ProjectWorkspace(root=root, config=config, pattern=pattern).check()
+    return Workspace(config).check_project(root, pattern)
 
 
 def attach_module_diagnostics(graph: ModuleGraph, path: str,

@@ -2,7 +2,8 @@
 
 A :class:`TenantSession` is one tenant's isolated state — its own
 :class:`repro.core.workspace.Workspace` (documents, solver, store handle),
-optional :class:`repro.project.workspace.ProjectWorkspace`, per-URI timing
+an optional :class:`repro.project.workspace.ProjectWorkspace` whose modules
+are documents of that same workspace, per-URI timing
 history and the counters the ``stats`` method reports: the service
 counters, a bounded latency window, and the typed solver and store stats
 as they are (``SolverStats.to_dict()``, ``ArtifactStore.counters()``).
@@ -42,9 +43,9 @@ from repro.obs.metrics import percentile
 from repro.obs.trace import span as trace_span
 from repro.service.protocol import (METHODS, CancelPayload, CheckPayload,
                                     ClosePayload, DiagnosticsPayload,
-                                    HelloPayload, ModulePayload,
-                                    ProjectBuildPayload, ProjectUpdatePayload,
-                                    ShutdownPayload, StatsPayload)
+                                    HelloPayload, ProjectBuildPayload,
+                                    ProjectUpdatePayload, ShutdownPayload,
+                                    StatsPayload)
 from repro.wire import (ProtocolError, Request, Response, decode_request,
                         method_names)
 
@@ -95,9 +96,7 @@ class TenantSession:
         except KeyError:
             raise ProtocolError("not-open",
                                 f"document not open: {params.uri!r}")
-        return DiagnosticsPayload(
-            uri=params.uri, status=result.status, ok=result.ok,
-            diagnostics=[d.to_dict() for d in result.diagnostics])
+        return self._verdict_payload(params.uri, result)
 
     def close(self, params, token=None) -> ClosePayload:
         try:
@@ -118,14 +117,20 @@ class TenantSession:
         if not pathlib.Path(params.root).is_dir():
             raise ProtocolError("io-error",
                                 f"not a directory: {params.root!r}")
-        self.project = ProjectWorkspace(root=params.root, config=self.config)
-        result = self.project.check()
+        # The project's modules are documents of the tenant's workspace:
+        # one solver and one store serve the tenant.
+        project = ProjectWorkspace(root=params.root,
+                                   workspace=self.workspace)
+        if self.project is not None:
+            self.project.close()
+        self.project = project
+        result = project.check()
         return ProjectBuildPayload(
             status="SAFE" if result.ok else "UNSAFE", ok=result.ok,
             num_modules=result.num_modules,
             ranks=dict(sorted(result.ranks.items())),
             cyclic=list(result.cyclic),
-            modules=[self._module_payload(r).to_json()
+            modules=[self._verdict_payload(r.filename, r).to_json()
                      for r in result.results])
 
     def project_update(self, params, token: Optional[CancelToken] = None
@@ -144,17 +149,18 @@ class TenantSession:
             reused=list(update.reused),
             summary_changed=update.summary_changed, ok=update.ok,
             queries=update.queries,
-            modules=[self._module_payload(update.results[path]).to_json()
+            modules=[self._verdict_payload(path,
+                                           update.results[path]).to_json()
                      for path in update.rechecked])
 
-    def project_diagnostics(self, params, token=None) -> ModulePayload:
+    def project_diagnostics(self, params, token=None) -> DiagnosticsPayload:
         project = self._require_project()
         try:
             result = project.result(params.uri)
         except KeyError:
             raise ProtocolError("not-open", f"module not in the project: "
                                             f"{params.uri!r}")
-        return self._module_payload(result)
+        return self._verdict_payload(result.filename, result)
 
     def _require_project(self):
         if self.project is None:
@@ -165,9 +171,11 @@ class TenantSession:
     # -- payload helpers ---------------------------------------------------
 
     @staticmethod
-    def _module_payload(result: CheckResult) -> ModulePayload:
-        return ModulePayload(
-            uri=result.filename, status=result.status, ok=result.ok,
+    def _verdict_payload(uri: str, result: CheckResult
+                         ) -> DiagnosticsPayload:
+        """A document's or a module's current verdict."""
+        return DiagnosticsPayload(
+            uri=uri, status=result.status, ok=result.ok,
             diagnostics=[d.to_dict() for d in result.diagnostics])
 
     def _check_payload(self, uri: str, result: CheckResult) -> CheckPayload:

@@ -32,9 +32,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.node import Record, field
-from repro.wire import (EmptyParams, MethodSpec, Payload, optional_str,
-                        registry, require_str)
+from repro.node import field
+from repro.wire import EmptyParams, MethodSpec, Params, Payload, registry
 
 #: Protocol identifier of the check service, on both transports.
 PROTOCOL_V3 = "repro-serve/3"
@@ -58,20 +57,13 @@ ERROR_CODES: Tuple[str, ...] = (
 # ---------------------------------------------------------------------------
 
 
-class HelloParams(Record):
+class HelloParams(Params):
     """``hello``: optional protocol identifier the client prefers."""
 
     protocol: Optional[str] = None
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "HelloParams":
-        return cls(protocol=optional_str(obj, "protocol"))
 
-    def to_json(self) -> dict:
-        return {} if self.protocol is None else {"protocol": self.protocol}
-
-
-class CheckParams(Record):
+class CheckParams(Params):
     """``check``/``update``/``project_update``: a URI plus optional text.
 
     With ``text`` omitted the URI is read as a file path server-side.
@@ -80,42 +72,17 @@ class CheckParams(Record):
     uri: str
     text: Optional[str] = None
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "CheckParams":
-        return cls(uri=require_str(obj, "uri"),
-                   text=optional_str(obj, "text"))
 
-    def to_json(self) -> dict:
-        payload: dict = {"uri": self.uri}
-        if self.text is not None:
-            payload["text"] = self.text
-        return payload
-
-
-class UriParams(Record):
+class UriParams(Params):
     """``diagnostics``/``close``/``cancel``/``project_diagnostics``."""
 
     uri: str
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "UriParams":
-        return cls(uri=require_str(obj, "uri"))
 
-    def to_json(self) -> dict:
-        return {"uri": self.uri}
-
-
-class ProjectOpenParams(Record):
+class ProjectOpenParams(Params):
     """``project_open``: the project root directory."""
 
     root: str
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ProjectOpenParams":
-        return cls(root=require_str(obj, "root"))
-
-    def to_json(self) -> dict:
-        return {"root": self.root}
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +111,9 @@ class CheckPayload(Payload):
 
 
 class DiagnosticsPayload(Payload):
-    """Result of ``diagnostics`` — the current verdict, no re-check."""
+    """Result of ``diagnostics`` and ``project_diagnostics`` — a
+    document's or a module's current verdict, no re-check; also each
+    module's entry in the project methods' results."""
 
     uri: str = ""
     status: str = ""
@@ -197,15 +166,6 @@ class ShutdownPayload(Payload):
     store: Optional[dict] = None
 
 
-class ModulePayload(Payload):
-    """One module's verdict inside the project methods' results."""
-
-    uri: str = ""
-    status: str = ""
-    ok: bool = False
-    diagnostics: List[dict] = field(default_factory=list)
-
-
 class ProjectBuildPayload(Payload):
     """Result of ``project_open`` — the initial build of the module graph."""
 
@@ -251,7 +211,7 @@ METHODS: Dict[str, MethodSpec] = registry(
                "Open a directory as a module graph and build it."),
     MethodSpec("project_update", CheckParams, ProjectUpdatePayload,
                "Replace one module's text and re-check the cut."),
-    MethodSpec("project_diagnostics", UriParams, ModulePayload,
+    MethodSpec("project_diagnostics", UriParams, DiagnosticsPayload,
                "One module's current diagnostics (no re-check)."),
     MethodSpec("hello", HelloParams, HelloPayload,
                "Identify the protocol and list the methods it speaks."),

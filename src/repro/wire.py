@@ -29,7 +29,7 @@ import threading
 from typing import (TYPE_CHECKING, Any, AsyncIterator, Callable, Dict,
                     Optional, Tuple)
 
-from repro.node import Record, fields
+from repro.node import MISSING, Record, fields
 
 if TYPE_CHECKING:
     from repro.service.server import AsyncCheckServer
@@ -69,15 +69,29 @@ def optional_str(obj: dict, name: str, where: str = "params"
 # ---------------------------------------------------------------------------
 
 
-class EmptyParams(Record):
-    """Params for methods that take none (extra fields are ignored)."""
+class Params(Record):
+    """Shared from_json/to_json over a params record's fields.
+
+    A field without a default is a required string, a field defaulting to
+    ``None`` an optional one; ``None`` is omitted on encode.  Field
+    declaration order is the JSON key order and the order fields are
+    validated in.
+    """
 
     @classmethod
-    def from_json(cls, obj: dict) -> "EmptyParams":
-        return cls()
+    def from_json(cls, obj: dict):
+        return cls(**{
+            f.name: (require_str(obj, f.name) if f.default is MISSING
+                     else optional_str(obj, f.name))
+            for f in fields(cls)})
 
     def to_json(self) -> dict:
-        return {}
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
+
+
+class EmptyParams(Params):
+    """Params for methods that take none (extra fields are ignored)."""
 
 
 class Payload(Record):

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -309,6 +312,28 @@ class TestProjectMode:
         assert main(["check", str(tmp_path)]) == EXIT_UNSAFE
         out = capsys.readouterr().out
         assert "RSC-MOD-002" in out and "cycle" in out
+
+    def test_module_nested_too_deep_exits_two(self, project_dir):
+        # A subprocess, so a crash would show as a traceback on stderr.
+        (project_dir / "deep.rsc").write_text(
+            "spec f :: () => number;\nfunction f() { return "
+            + "(" * 3000 + "1" + ")" * 3000 + "; }\n")
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(root / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "check", "--format", "json",
+             str(project_dir)],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_USAGE, done.stderr
+        assert "Traceback" not in done.stderr
+        payload = json.loads(done.stdout)
+        deep = [m for m in payload["modules"]
+                if m["file"].endswith("deep.rsc")]
+        assert [d["code"] for d in deep[0]["diagnostics"]] == \
+            ["RSC-INT-001"]
+        assert payload["num_modules"] == 4
 
     def test_directory_mixed_with_files_is_usage_error(self, project_dir,
                                                        tmp_path, capsys):

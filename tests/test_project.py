@@ -3,6 +3,7 @@ project build and signature-cut incremental re-checking."""
 
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -42,6 +43,11 @@ function main() {
   var m = min(xs);
 }
 '''
+
+
+#: A module nested past the parser's stack (RSC-INT-001, never a crash).
+DEEP = ("spec f :: () => number;\n"
+        "function f() { return " + "(" * 3000 + "1" + ")" * 3000 + "; }\n")
 
 
 def write_project(root, files):
@@ -360,9 +366,68 @@ class TestBuild:
         assert session.solver.stats.queries == result.stats.queries > 0
         assert session.documents() == []
         assert session.checks_run == result.num_modules
-        with pytest.raises(ValueError, match="config= or workspace="):
-            ProjectWorkspace(root=project, config=CheckConfig(),
-                             workspace=session)
+
+
+class TestDeepNesting:
+    """A module nested too deeply for the parser is that module's
+    RSC-INT-001 verdict, as for a file checked on its own."""
+
+    def test_session_check_project_reports_the_module(self, tmp_path):
+        root = write_project(tmp_path, {"types.rsc": TYPES,
+                                        "deep.rsc": DEEP})
+        result = Session().check_project(root)
+        deep = result.result_for(str((root / "deep.rsc").resolve()))
+        assert [d.code for d in deep.diagnostics] == ["RSC-INT-001"]
+        assert result.result_for(str((root / "types.rsc").resolve())).ok
+        assert result.num_errors == 1
+
+    def test_update_that_nests_too_deep(self, project):
+        workspace = ProjectWorkspace(root=project)
+        assert workspace.check().ok
+        main = str((project / "main.rsc").resolve())
+        update = workspace.update(main, DEEP)
+        assert [d.code for d in update.results[main].diagnostics] == \
+            ["RSC-INT-001"]
+        assert workspace.project_result().num_errors == 1
+
+
+class TestCycleOracle:
+    """``ModuleGraph.cyclic`` against brute force on random import graphs:
+    a module is on a cycle iff it reaches itself through imports."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_cyclic_iff_reaches_itself(self, tmp_path, seed):
+        rng = random.Random(seed)
+        names = [f"m{i}" for i in range(rng.randint(1, 10))]
+        imports = {name: rng.sample(names, rng.randint(0, min(3, len(names))))
+                   for name in names}
+        root = tmp_path.resolve()
+        sources = {
+            str(root / f"{name}.rsc"):
+                "".join(f'import {{t{dep}}} from "./{dep}";\n'
+                        for dep in deps)
+                + f"export type t{name} = number;\n"
+            for name, deps in imports.items()}
+        graph = ModuleGraph.from_sources(sources)
+
+        def reaches_itself(start):
+            seen, frontier = set(), list(imports[start])
+            while frontier:
+                name = frontier.pop()
+                if name == start:
+                    return True
+                if name not in seen:
+                    seen.add(name)
+                    frontier.extend(imports[name])
+            return False
+
+        expected = sorted(str(root / f"{name}.rsc") for name in names
+                          if reaches_itself(name))
+        assert graph.cyclic == expected
+        for path in graph.paths:
+            codes = [d.code for d in graph.modules[path].diagnostics]
+            assert codes == (["RSC-MOD-002"] if path in expected else [])
+            assert (path in graph.ranks) == (path not in expected)
 
 
 def assert_warm_equals_cold(workspace: ProjectWorkspace):

@@ -11,7 +11,7 @@ import pytest
 from repro.service.protocol import (ERROR_CODES, METHODS, PROTOCOL_V3,
                                     CancelPayload, CheckParams, CheckPayload,
                                     ClosePayload, DiagnosticsPayload,
-                                    HelloParams, HelloPayload, ModulePayload,
+                                    HelloParams, HelloPayload,
                                     ProjectBuildPayload, ProjectOpenParams,
                                     ProjectUpdatePayload, ShutdownPayload,
                                     StatsPayload, UriParams)
@@ -86,8 +86,8 @@ PAYLOAD_SAMPLES = {
                                            reused=["main.rsc"],
                                            summary_changed=False, ok=True,
                                            queries=3, modules=[]),
-    "project_diagnostics": ModulePayload(uri="lib.rsc", status="SAFE",
-                                         ok=True),
+    "project_diagnostics": DiagnosticsPayload(uri="lib.rsc", status="SAFE",
+                                              ok=True),
     "hello": HelloPayload(protocol=PROTOCOL_V3,
                           methods=list(method_names(METHODS)), tenant="alice"),
     "cancel": CancelPayload(uri="a.rsc", cancelled=True, state="inflight"),

@@ -242,6 +242,35 @@ class TestProjectReplay:
         assert warm.check_project(modules).stats.queries == 0
         assert warm.store.counters()["hits"] > 0
 
+    def test_serve_project_runs_on_the_tenant_workspace(self, tmp_path,
+                                                        monkeypatch):
+        # project_open checks the modules in the tenant's own workspace:
+        # one store, and the tenant's stats count the build.
+        from repro.client import Client
+        from repro.store import ArtifactStore
+        opened = []
+        init = ArtifactStore.__init__
+
+        def counting_init(store, *args, **kwargs):
+            opened.append(store)
+            init(store, *args, **kwargs)
+        monkeypatch.setattr(ArtifactStore, "__init__", counting_init)
+        modules = SRC.parent / "benchmarks" / "modules" / "splay"
+        client = Client.local(_config(tmp_path))
+        assert client.project_open(str(modules)).ok
+        assert len(opened) == 1
+        tenant = client.stats().tenants["default"]
+        assert tenant["checks_run"] == 4
+        assert tenant["solver"]["queries"] > 0
+        assert tenant["store"]["writes"] > 0
+        assert tenant["open_documents"] == 4
+        # Opening another project closes the previous one's modules.
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "a.rsc").write_text("export type t = number;\n")
+        assert client.project_open(str(other)).ok
+        assert client.stats().tenants["default"]["open_documents"] == 1
+
     def test_summaries_survive_solver_option_changes(self, tmp_path):
         # Module summaries are keyed on (path, source) only; flipping a
         # solver option invalidates verdict memos but not the interface
