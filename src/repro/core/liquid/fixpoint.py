@@ -48,6 +48,7 @@ from repro.logic.terms import (
     conj,
     conjuncts,
     neg,
+    subst_term,
     subterms,
     substitute,
 )
@@ -135,10 +136,40 @@ class ObligationOutcome(Record):
 # ---------------------------------------------------------------------------
 
 
+#: Per-process memo: interned term -> its distinct kappa applications, in
+#: pre-order.  Terms are immortal (see :mod:`repro.logic.terms`), so the
+#: table may key on them; every implication of a scope shares its hypothesis
+#: terms and every edit rebuilds them identically, so a warm check walks
+#: none of them again.  :func:`repro.logic.terms.clear_memos` drops it.
+_KAPPA_APPS_MEMO: Dict[Expr, Tuple[App, ...]] = {}
+
+
+def _clear_local_memos() -> None:
+    _KAPPA_APPS_MEMO.clear()
+
+
+def kappa_apps(expr: Expr) -> Tuple[App, ...]:
+    """The distinct kappa applications in ``expr``, in pre-order (memoised)."""
+    hit = _KAPPA_APPS_MEMO.get(expr)
+    if hit is None:
+        hit = tuple(dict.fromkeys(
+            sub for sub in subterms(expr) if is_kvar_app(sub)))
+        _KAPPA_APPS_MEMO[expr] = hit
+    return hit
+
+
 def kappa_occurrences(expr: Expr) -> Set[str]:
     """Names of every kappa occurring anywhere in ``expr``."""
-    return {sub.fn for sub in subterms(expr)
-            if is_kvar_app(sub) and isinstance(sub, App)}
+    return {occurrence.fn for occurrence in kappa_apps(expr)}
+
+
+def _hypothesis_kappas(imp: Implication) -> Set[str]:
+    """Names of every kappa occurring in a hypothesis of ``imp``."""
+    names: Set[str] = set()
+    for hyp in imp.hyps:
+        for occurrence in kappa_apps(hyp):
+            names.add(occurrence.fn)
+    return names
 
 
 def build_dependency_graph(implications: Sequence[Implication]
@@ -150,15 +181,20 @@ def build_dependency_graph(implications: Sequence[Implication]
     hypothesis, so ``B`` may need to be weakened in turn.  Every kappa
     mentioned by any implication appears as a node (possibly isolated).
     """
+    horn = [imp for imp in implications if is_kvar_app(imp.goal)]
+    return _dependency_graph([imp.goal.fn for imp in horn],
+                             [_hypothesis_kappas(imp) for imp in horn])
+
+
+def _dependency_graph(goals: Sequence[str], hyp_kappas: Sequence[Set[str]]
+                      ) -> Dict[str, Set[str]]:
+    """The dependency graph of implications with goal kappas ``goals`` and
+    hypothesis kappas ``hyp_kappas`` (parallel lists)."""
     graph: Dict[str, Set[str]] = {}
-    for imp in implications:
-        if not (is_kvar_app(imp.goal) and isinstance(imp.goal, App)):
-            continue
-        goal_name = imp.goal.fn
-        graph.setdefault(goal_name, set())
-        for hyp in imp.hyps:
-            for dep in kappa_occurrences(hyp):
-                graph.setdefault(dep, set()).add(goal_name)
+    for goal, deps in zip(goals, hyp_kappas):
+        graph.setdefault(goal, set())
+        for dep in deps:
+            graph.setdefault(dep, set()).add(goal)
     return graph
 
 
@@ -259,12 +295,12 @@ class LiquidSolver:
     # -- solution application ---------------------------------------------------------
 
     def apply(self, expr: Expr, solution: Solution) -> Expr:
-        """Replace every kappa occurrence in ``expr`` by its current solution."""
+        """Replace every kappa occurrence in ``expr`` by its current
+        solution; a term without one is returned as is, unwalked."""
         replaced = expr
-        for sub in list(subterms(expr)):
-            if is_kvar_app(sub) and isinstance(sub, App):
-                instantiated = self.instantiate(sub, solution)
-                replaced = _replace_subterm(replaced, sub, instantiated)
+        for occurrence in kappa_apps(expr):
+            replaced = subst_term(replaced, occurrence,
+                                  self.instantiate(occurrence, solution))
         return replaced
 
     def instantiate(self, occurrence: App, solution: Solution) -> Expr:
@@ -377,23 +413,15 @@ class LiquidSolver:
         start); the watcher propagation then pulls in downstream
         implications exactly as for any other weakening.
         """
-        graph = build_dependency_graph(horn)
-        rank, scc_count = scc_ranks(graph)
+        goal_of = [imp.goal.fn for imp in horn]
+        hyp_deps = [_hypothesis_kappas(imp) for imp in horn]
+        rank, scc_count = scc_ranks(_dependency_graph(goal_of, hyp_deps))
         self.stats.sccs = scc_count
 
         # kappa name -> indices of implications whose hypotheses mention it
         # (the implications to revisit when that kappa weakens).
-        goal_of: List[str] = []
-        hyp_deps: List[Set[str]] = []
         watchers: Dict[str, Set[int]] = {}
-        for idx, imp in enumerate(horn):
-            occurrence = self._goal_kappa(imp)
-            assert occurrence is not None
-            goal_of.append(occurrence.fn)
-            deps: Set[str] = set()
-            for hyp in imp.hyps:
-                deps.update(kappa_occurrences(hyp))
-            hyp_deps.append(deps)
+        for idx, deps in enumerate(hyp_deps):
             for dep in deps:
                 watchers.setdefault(dep, set()).add(idx)
 
@@ -541,7 +569,3 @@ def _occurrence_subst(info: KappaInfo, occurrence: App) -> Dict[str, Expr]:
         mapping[formal] = actual
     return mapping
 
-
-def _replace_subterm(expr: Expr, old: Expr, new: Expr) -> Expr:
-    from repro.logic.terms import subst_term
-    return subst_term(expr, old, new)

@@ -87,7 +87,7 @@ from repro.core.liquid.fixpoint import (
     LiquidSolver,
     ObligationOutcome,
     Solution,
-    kappa_occurrences,
+    kappa_apps,
 )
 from repro.core.liquid.qualifiers import QualifierPool
 from repro.core.result import BatchResult, CheckResult, SolveStats, StageTimings
@@ -475,21 +475,19 @@ class Workspace:
         declarations link them and each module is checked against its
         dependencies' interface summaries in dependency order.  This is a
         :meth:`repro.project.ProjectWorkspace.check` run on this workspace:
-        its solver and artifact store check the modules, each module counts
-        in :attr:`checks_run`, and the module documents are closed again.
-        Raises :class:`NotADirectoryError` when ``root`` is not a
-        directory.
+        its solver and artifact store check the modules, each module that
+        is checked counts in :attr:`checks_run` (a module skipped on an
+        import cycle does not, as for serve's ``project_open``), and the
+        module documents are closed again.  Raises
+        :class:`NotADirectoryError` when ``root`` is not a directory.
         """
         from repro.project.workspace import ProjectWorkspace
         project = ProjectWorkspace(root=root, pattern=pattern,
                                    workspace=self)
-        checks_before = self.checks_run
         try:
-            result = project.check()
+            return project.check()
         finally:
             project.close()
-        self.checks_run = checks_before + result.num_modules
-        return result
 
     # -- the incremental check ---------------------------------------------
 
@@ -926,12 +924,11 @@ def _partition_local(checker: Checker) -> bool:
     property that makes per-partition solution reuse sound."""
     owners = checker.kappas.owners_of()
     for imp in checker.constraints.implications:
-        mentioned = set(kappa_occurrences(imp.goal))
-        for hyp in imp.hyps:
-            mentioned |= kappa_occurrences(hyp)
-        for kappa in mentioned:
-            if owners.get(kappa) is None or owners[kappa] != imp.owner:
-                return False
+        for term in (imp.goal, *imp.hyps):
+            for occurrence in kappa_apps(term):
+                owner = owners.get(occurrence.fn)
+                if owner is None or owner != imp.owner:
+                    return False
     return True
 
 

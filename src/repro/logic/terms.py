@@ -91,7 +91,13 @@ def clear_memos() -> None:
     # (importlib: ``repro.logic`` re-exports the ``simplify`` *function*,
     # which would shadow the module under a plain ``from ... import``.)
     import importlib
+    import sys
     importlib.import_module("repro.logic.simplify")._clear_local_memos()
+    # The fixpoint's kappa index: a table exists only once the fixpoint
+    # module is loaded, and clearing must not load the checker.
+    fixpoint = sys.modules.get("repro.core.liquid.fixpoint")
+    if fixpoint is not None:
+        fixpoint._clear_local_memos()
     try:
         cnf = importlib.import_module("repro.smt.cnf")
     except ImportError:  # pragma: no cover - smt layer absent

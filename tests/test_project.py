@@ -367,6 +367,21 @@ class TestBuild:
         assert session.documents() == []
         assert session.checks_run == result.num_modules
 
+    def test_checks_run_counts_only_checked_modules(self, tmp_path):
+        # a.rsc and b.rsc import each other, so only c.rsc is checked; the
+        # one-shot and the serve project paths count the same checks.
+        from repro.client import Client
+        write_project(tmp_path, {
+            "a.rsc": 'import {tb} from "./b";\nexport type ta = number;\n',
+            "b.rsc": 'import {ta} from "./a";\nexport type tb = number;\n',
+            "c.rsc": 'export type tc = number;\n'})
+        session = Session()
+        assert session.check_project(tmp_path).num_modules == 3
+        client = Client.local()
+        client.project_open(str(tmp_path))
+        tenant = client.stats().tenants["default"]
+        assert session.checks_run == tenant["checks_run"] == 1
+
 
 class TestDeepNesting:
     """A module nested too deeply for the parser is that module's
